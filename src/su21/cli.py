@@ -141,8 +141,9 @@ def _cmd_sigma(args) -> int:
     _require_group_element(h, "h")
     try:
         value = sigma(g, h)
-    except BranchToleranceError as exc:
-        raise _DomainError(str(exc))
+    except (BranchToleranceError, ValueError) as exc:
+        # ValueError: a float image of the base point left the domain
+        raise _DomainError("float evaluation of sigma failed: %s" % exc)
     if args.json:
         _print_json({"sigma": value})
     else:

@@ -1,5 +1,5 @@
 """Presentation calculus: words, finitely presented groups with matrix images,
-the Reidemeister-Schreier subgroup-presentation algorithm, and rewriting.
+and the Reidemeister-Schreier subgroup-presentation algorithm.
 
 Words are freely reduced sequences of (generator index, +-1) letters.  The
 Reidemeister-Schreier engine is generic over the element type: it needs only
@@ -21,10 +21,6 @@ class IndexOverflowError(RuntimeError):
 
 class OracleInconsistencyError(RuntimeError):
     """The membership predicate is inconsistent with a subgroup structure."""
-
-
-class IncompleteDictionaryError(ValueError):
-    """A generator has no expression in the target generating set."""
 
 
 class Word:
@@ -140,11 +136,6 @@ def _free_reduce_letters(letters):
 EMPTY_WORD = Word(())
 
 
-def free_reduce(word: Word) -> Word:
-    """Freely reduce; idempotent (Word construction already reduces)."""
-    return Word(word.letters)
-
-
 def evaluate_word(word: Word, images, identity=None):
     """Product of the images along the word; inverse letters use .inverse()."""
     if identity is None:
@@ -155,11 +146,6 @@ def evaluate_word(word: Word, images, identity=None):
             raise ValueError("generator index %d out of range" % i)
         result = result * (images[i] if s == 1 else images[i].inverse())
     return result
-
-
-def exponent_sum_row(relator: Word, generator_count: int) -> list:
-    """Signed occurrence count of each generator in the relator."""
-    return relator.exponent_sums(generator_count)
 
 
 class Presentation:
@@ -363,97 +349,3 @@ def reidemeister_schreier(ambient: Presentation, membership, max_index: int = 51
     )
     graph = CosetGraph(vertices, edges, ambient.generator_count)
     return presentation, graph
-
-
-def rewrite_presentation(
-    p: Presentation, new_generator_words, old_generator_words, new_names=None
-) -> Presentation:
-    """Rewrite p onto a new generating set.
-
-    new_generator_words[i] expresses new generator i as a word in the old
-    generators; old_generator_words[j] expresses old generator j as a word in
-    the new ones (None marks a missing expression and is an error).  Each old
-    relator is rewritten by substitution, and each new generator contributes
-    the relator h_i^-1 * w_i with w_i rewritten, which ties the two
-    generating sets together.  When images are present the dictionaries are
-    verified against them exactly.
-    """
-    new_generator_words = [w if isinstance(w, Word) else Word(w) for w in new_generator_words]
-    if len(old_generator_words) != p.generator_count:
-        raise IncompleteDictionaryError(
-            "need an expression for each of the %d old generators" % p.generator_count
-        )
-    for j, x in enumerate(old_generator_words):
-        if x is None:
-            raise IncompleteDictionaryError(
-                "old generator %r has no expression in the new generators"
-                % (p.generator_names[j],)
-            )
-    old_generator_words = [w if isinstance(w, Word) else Word(w) for w in old_generator_words]
-    count = len(new_generator_words)
-    for w in new_generator_words:
-        if w.max_index() >= p.generator_count:
-            raise ValueError("new-generator word uses an old index out of range")
-    for x in old_generator_words:
-        if x.max_index() >= count:
-            raise ValueError("old-generator word uses a new index out of range")
-
-    def substitute(word: Word) -> Word:
-        letters = []
-        for i, s in word.letters:
-            replacement = old_generator_words[i] if s == 1 else old_generator_words[i].inverse()
-            letters.extend(replacement.letters)
-        return Word(letters)
-
-    relators = [substitute(r) for r in p.relators]
-    for i, w in enumerate(new_generator_words):
-        relators.append(Word([(i, -1)]) * substitute(w))
-    relators = [r for r in relators if r.letters]
-
-    images = None
-    if p.images is not None:
-        identity = EMPTY_WORD if p.images and isinstance(p.images[0], Word) else IDENTITY
-        images = tuple(evaluate_word(w, p.images, identity) for w in new_generator_words)
-        for j, x in enumerate(old_generator_words):
-            if evaluate_word(x, images, identity) != p.images[j]:
-                raise ValueError(
-                    "dictionary mismatch: old generator %r is not recovered by its expression"
-                    % (p.generator_names[j],)
-                )
-    if new_names is None:
-        new_names = tuple("h%d" % (k + 1) for k in range(count))
-    return Presentation(new_names, relators, images)
-
-
-def simplify_presentation(p: Presentation) -> Presentation:
-    """Conservative cleanup pass (not applied anywhere by default): drop empty
-    and duplicate relators, and delete generators forced trivial by a
-    one-letter relator."""
-    relators = list(p.relators)
-    images = list(p.images) if p.images is not None else None
-    names = list(p.generator_names)
-    changed = True
-    while changed:
-        changed = False
-        trivial = {i for r in relators if len(r.letters) == 1 for i, _ in r.letters}
-        if trivial:
-            changed = True
-            keep = [i for i in range(len(names)) if i not in trivial]
-            reindex = {old: new for new, old in enumerate(keep)}
-            relators = [
-                Word([(reindex[i], s) for i, s in r.letters if i in reindex])
-                for r in relators
-            ]
-            names = [names[i] for i in keep]
-            if images is not None:
-                images = [images[i] for i in keep]
-        seen = set()
-        deduped = []
-        for r in relators:
-            if r.letters and r not in seen:
-                seen.add(r)
-                deduped.append(r)
-        if len(deduped) != len(relators):
-            changed = True
-        relators = deduped
-    return Presentation(names, relators, images)

@@ -7,6 +7,9 @@ generator exponent sums together with -n as the coefficient of the central
 generator z = (I, 1).  The order d of the image of z in that finitely
 generated abelian group is the weight denominator: the weights admitting a
 multiplier system are exactly (1/d) * Z.
+
+The relation matrix is shrunk by unit-pivot elimination before a single
+Hermite normal form, which gives d; its nonzero rows give the invariants.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .matgroup import IDENTITY, SubgroupSpec
 from .zlinalg import (
     IntegerMatrix,
     cokernel_invariants,
+    eliminate_unit_pivots,
     hermite_normal_form,
-    order_of_last_coordinate,
+    last_coordinate_order_of_hnf,
 )
 
 
@@ -143,16 +147,16 @@ def weight_denominator(
 ) -> DenominatorReport:
     """Weight denominator of the group given by a presentation with images,
     plus the abelian invariants of its central extension."""
-    matrix = relation_matrix(presentation)
-    h = hermite_normal_form(matrix)
-    order = order_of_last_coordinate(h)
+    reduced = eliminate_unit_pivots(relation_matrix(presentation))
+    h = hermite_normal_form(reduced)
+    order = last_coordinate_order_of_hnf(h)
     if order is None:
         raise InfiniteOrderError(
             "central generator has infinite order in the abelianization"
         )
     nonzero = [row for row in h.entries if any(row)]
     torsion, free_rank = cokernel_invariants(
-        IntegerMatrix(nonzero, matrix.cols)
+        IntegerMatrix(nonzero, reduced.cols)
     )
     return DenominatorReport(
         group=group,

@@ -1,32 +1,16 @@
-"""Integer matrices, Hermite and Smith normal forms, and cokernel invariants.
+"""Integer matrices, unit-pivot elimination, Hermite and Smith normal forms,
+and cokernel invariants.
 
-Two interchangeable kernel implementations sit below this module: compiled
-int64 kernels (_zlinalg_fast, built from Cython, overflow-checked) and
-arbitrary-precision pure-Python kernels (_zlinalg_py).  Selection order:
-
-  * the impl argument ("fast" or "py") wins when given;
-  * else the SU21_ZLINALG environment variable ("fast" or "py");
-  * else the compiled kernels when importable, with transparent fallback to
-    the pure kernels if an int64 overflow occurs mid-computation.
-
-An explicit choice of "fast" propagates OverflowError instead of falling
-back, so the overflow behavior itself is testable.
+All arithmetic is on Python ints, so no intermediate entry can overflow.
+Large relation matrices are first shrunk by eliminate_unit_pivots, the
+"badly presented Z-module" step of Havas, Holt and Rees (1993), which
+removes every generator that a relation expresses in terms of the others
+and leaves the quotient and the class of the last coordinate unchanged.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _zlinalg_py
-
-try:
-    from . import _zlinalg_fast
-except ImportError:
-    _zlinalg_fast = None
-
-
-def compiled_kernels_available() -> bool:
-    return _zlinalg_fast is not None
+from math import gcd
 
 
 class IntegerMatrix:
@@ -78,97 +62,250 @@ class IntegerMatrix:
     def row_lists(self) -> list:
         return [list(row) for row in self.entries]
 
-    def stack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if other.cols != self.cols:
-            raise ValueError("column counts differ")
-        return IntegerMatrix(self.entries + other.entries, self.cols)
+
+def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
+    """A smaller matrix with the same cokernel and the same class of the last
+    coordinate: while some row has an entry +-1 in a column other than the
+    last, that row expresses the column's generator in terms of the others,
+    so it is substituted into every other row and the row and the column
+    are dropped.  The last column is never a pivot.  Zero rows are dropped,
+    and the kept columns keep their order.
+
+    Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
+    (column length - 1), which keeps fill-in and entry growth small: a
+    round scans the rows in order and takes each row's cheapest unit pivot
+    within the round's limit; a round that takes none raises the limit
+    (0, 1, 3, 7, ...).  The result is deterministic.
+    """
+    last = matrix.cols - 1
+    live = [{c: v for c, v in enumerate(row) if v} for row in matrix.entries]
+    holders = [set() for _ in range(matrix.cols)]
+    for i, row in enumerate(live):
+        for c in row:
+            holders[c].add(i)
+    eliminated = set()
+    limit = 0
+    while True:
+        taken = deferred = False
+        for i, row in enumerate(live):
+            costs = [
+                ((len(row) - 1) * (len(holders[c]) - 1), c)
+                for c, v in row.items()
+                if c != last and (v == 1 or v == -1)
+            ]
+            if not costs:
+                continue
+            cost, col = min(costs)
+            if cost > limit:
+                deferred = True
+                continue
+            sign = row[col]
+            for k in sorted(holders[col] - {i}):
+                other = live[k]
+                factor = other[col] * sign
+                for c, v in row.items():
+                    value = other.get(c, 0) - factor * v
+                    if value:
+                        other[c] = value
+                        holders[c].add(k)
+                    else:
+                        del other[c]
+                        holders[c].discard(k)
+            for c in row:
+                holders[c].discard(i)
+            live[i] = {}
+            eliminated.add(col)
+            taken = True
+        if not taken:
+            if not deferred:
+                break
+            limit = 2 * limit + 1
+    kept = [c for c in range(matrix.cols) if c not in eliminated]
+    rows = [[row.get(c, 0) for c in kept] for row in live if row]
+    return IntegerMatrix(rows, len(kept))
 
 
-def _select_impl(impl):
-    explicit = impl is not None
-    if impl is None:
-        env = os.environ.get("SU21_ZLINALG", "")
-        if env:
-            impl = env
-            explicit = True
-    if impl is None:
-        impl = "fast" if _zlinalg_fast is not None else "py"
-    if impl not in ("fast", "py"):
-        raise ValueError("impl must be 'fast' or 'py', got %r" % (impl,))
-    if impl == "fast" and _zlinalg_fast is None:
-        raise RuntimeError("compiled kernels are not available in this build")
-    return impl, explicit
-
-
-def _run_kernel(name, matrix, impl):
-    choice, explicit = _select_impl(impl)
-    if choice == "fast":
-        kernel = getattr(_zlinalg_fast, name)
-        try:
-            return kernel(matrix.row_lists(), matrix.rows, matrix.cols)
-        except OverflowError:
-            if explicit:
-                raise
-    kernel = getattr(_zlinalg_py, name)
-    return kernel(matrix.row_lists(), matrix.rows, matrix.cols)
-
-
-def hermite_normal_form(matrix: IntegerMatrix, impl=None) -> IntegerMatrix:
+def hermite_normal_form(matrix: IntegerMatrix) -> IntegerMatrix:
     """Row Hermite normal form: zero rows last, positive pivots in strictly
     increasing columns, entries above each pivot reduced into [0, pivot)."""
-    rows = _run_kernel("hnf_kernel", matrix, impl)
+    rows = _hnf_rows(matrix.row_lists(), matrix.rows, matrix.cols)
     return IntegerMatrix(rows, matrix.cols)
 
 
-def smith_normal_form(matrix: IntegerMatrix, impl=None) -> tuple:
+def smith_normal_form(matrix: IntegerMatrix) -> tuple:
     """Smith normal form diagonal: min(rows, cols) nonnegative integers
     d_1 | d_2 | ... with zeros trailing."""
-    return tuple(_run_kernel("snf_kernel", matrix, impl))
+    return tuple(_snf_diagonal(matrix.row_lists(), matrix.rows, matrix.cols))
 
 
-def cokernel_invariants(matrix: IntegerMatrix, impl=None) -> tuple:
+def cokernel_invariants(matrix: IntegerMatrix) -> tuple:
     """Invariants of Z^cols / (row span): (torsion_invariants, free_rank).
 
     torsion_invariants lists the Smith diagonal entries that are neither 0
     nor 1, in divisibility order; free_rank counts the quotient's free
     summands (cols minus the number of nonzero diagonal entries).
     """
-    diagonal = smith_normal_form(matrix, impl)
+    diagonal = smith_normal_form(matrix)
     torsion = tuple(d for d in diagonal if d > 1)
     free_rank = matrix.cols - sum(1 for d in diagonal if d != 0)
     return torsion, free_rank
 
 
-def order_of_last_coordinate(matrix: IntegerMatrix, impl=None, modulus=None):
+def order_of_last_coordinate(matrix: IntegerMatrix):
     """Order of the last standard basis vector in Z^cols / (row span), or
-    None when that order is infinite.
-
-    The order is read off the Hermite normal form: it is finite exactly when
-    some row's first nonzero entry sits in the last column, and that pivot is
-    the order.  (Any integer combination equal to a multiple of e_last cannot
-    involve rows whose pivot lies in an earlier column.)
-
-    With modulus=q the matrix is first reduced mod q and rows q*e_i are
-    appended, which computes the order in the smaller quotient
-    Z^cols / (row span + q*Z^cols).  That result only divides the true order
-    and can be a strict divisor, so it is a lower bound in the divisibility
-    sense, never a substitute for the exact computation.
-    """
+    None when that order is infinite."""
     if matrix.cols == 0:
         raise ValueError("matrix has no columns")
-    if modulus is not None:
-        if modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        reduced = [[v % modulus for v in row] for row in matrix.entries]
-        for i in range(matrix.cols):
-            extra = [0] * matrix.cols
-            extra[i] = modulus
-            reduced.append(extra)
-        matrix = IntegerMatrix(reduced, matrix.cols)
-    h = hermite_normal_form(matrix, impl)
-    last = matrix.cols - 1
-    for row in h.entries:
-        leading = next((c for c, v in enumerate(row) if v), None)
-        if leading == last:
-            return row[last]
+    return last_coordinate_order_of_hnf(hermite_normal_form(matrix))
+
+
+def last_coordinate_order_of_hnf(h: IntegerMatrix):
+    """order_of_last_coordinate for a matrix already in Hermite normal form.
+
+    The order is finite exactly when some row's first nonzero entry sits in
+    the last column, and that pivot is the order.  (Any integer combination
+    equal to a multiple of e_last cannot involve rows whose pivot lies in an
+    earlier column.)  Pivot columns increase, so only the last nonzero row
+    can have its pivot there.
+    """
+    nonzero = [row for row in h.entries if any(row)]
+    if nonzero and not any(nonzero[-1][:-1]):
+        return nonzero[-1][-1]
     return None
+
+
+def _nearest_quotient(value, pivot):
+    # pivot > 0; quotient q with value - q*pivot in (-pivot/2, pivot/2],
+    # ties (remainder exactly pivot/2) keep the floor quotient.
+    q, r = divmod(value, pivot)
+    if 2 * r > pivot:
+        q += 1
+    return q
+
+
+def _hnf_rows(mat, m, n):
+    """Row Hermite normal form of the m x n row lists, as new row lists."""
+    a = [list(row) for row in mat]
+    pivot_row = 0
+    for col in range(n):
+        if pivot_row == m:
+            break
+        while True:
+            best = -1
+            best_abs = 0
+            for r in range(pivot_row, m):
+                v = a[r][col]
+                if v:
+                    av = -v if v < 0 else v
+                    if best < 0 or av < best_abs:
+                        best = r
+                        best_abs = av
+            if best < 0:
+                break
+            if best != pivot_row:
+                a[pivot_row], a[best] = a[best], a[pivot_row]
+            if a[pivot_row][col] < 0:
+                a[pivot_row] = [-x for x in a[pivot_row]]
+            pivot = a[pivot_row][col]
+            prow = a[pivot_row]
+            cleared = True
+            for r in range(pivot_row + 1, m):
+                v = a[r][col]
+                if v:
+                    q = _nearest_quotient(v, pivot)
+                    if q:
+                        arow = a[r]
+                        for c in range(col, n):
+                            arow[c] -= q * prow[c]
+                    if a[r][col]:
+                        cleared = False
+            if cleared:
+                for r in range(pivot_row):
+                    q = a[r][col] // pivot
+                    if q:
+                        arow = a[r]
+                        for c in range(col, n):
+                            arow[c] -= q * prow[c]
+                pivot_row += 1
+                break
+    return a
+
+
+def _snf_diagonal(mat, m, n):
+    """Smith normal form diagonal of the m x n row lists: min(m, n)
+    nonnegative values d_1 | d_2 | ... with zeros trailing."""
+    k = min(m, n)
+    if k == 0:
+        return []
+    a = [list(row) for row in mat]
+    for t in range(k):
+        while True:
+            best = None
+            best_abs = 0
+            for r in range(t, m):
+                row = a[r]
+                for c in range(t, n):
+                    v = row[c]
+                    if v:
+                        av = -v if v < 0 else v
+                        if best is None or av < best_abs:
+                            best = (r, c)
+                            best_abs = av
+            if best is None:
+                break
+            r0, c0 = best
+            if r0 != t:
+                a[t], a[r0] = a[r0], a[t]
+            if c0 != t:
+                for row in a:
+                    row[t], row[c0] = row[c0], row[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            pivot = a[t][t]
+            trow = a[t]
+            clear = True
+            for r in range(t + 1, m):
+                v = a[r][t]
+                if v:
+                    q = _nearest_quotient(v, pivot)
+                    if q:
+                        arow = a[r]
+                        for c in range(t, n):
+                            arow[c] -= q * trow[c]
+                    if a[r][t]:
+                        clear = False
+            for c in range(t + 1, n):
+                v = trow[c]
+                if v:
+                    q = _nearest_quotient(v, pivot)
+                    if q:
+                        for r in range(t, m):
+                            a[r][c] -= q * a[r][t]
+                    if trow[c]:
+                        clear = False
+            if clear:
+                break
+        if best is None:
+            break
+    diagonal = sorted(
+        (abs(a[t][t]) for t in range(k)), key=lambda d: (d == 0, d)
+    )
+    return _divisibility_fixup(diagonal)
+
+
+def _divisibility_fixup(diagonal):
+    # Adjacent gcd/lcm sweeps; after at most len(diagonal) sweeps the chain
+    # d_1 | d_2 | ... holds (each sweep freezes the final lcm in place).
+    d = list(diagonal)
+    for _ in range(len(d) + 1):
+        changed = False
+        for i in range(len(d) - 1):
+            x, y = d[i], d[i + 1]
+            g = gcd(x, y)
+            l = (x * y) // g if g else 0
+            if (g, l) != (x, y):
+                d[i], d[i + 1] = g, l
+                changed = True
+        if not changed:
+            return d
+    raise AssertionError("divisibility fixup failed to stabilize")

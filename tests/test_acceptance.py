@@ -36,12 +36,7 @@ from su21.weightdenom import (
     survey_index3,
     weight_denominator_of,
 )
-from su21.zlinalg import (
-    IntegerMatrix,
-    compiled_kernels_available,
-    hermite_normal_form,
-    smith_normal_form,
-)
+from su21.zlinalg import IntegerMatrix, hermite_normal_form, smith_normal_form
 from helpers import (
     LatticeOracle,
     lattices_equal,
@@ -318,15 +313,15 @@ def test_criterion_09_normal_form_oracles():
         rows, cols = random_matrix_rows(rng, max_dim=4, bound=30)
         m = IntegerMatrix(rows, cols)
 
-        h = hermite_normal_form(m, impl="py")
+        h = hermite_normal_form(m)
         # row-lattice preservation against the brute-force membership oracle
         assert lattices_equal(rows, h.entries, cols)
         # idempotence
-        assert hermite_normal_form(h, impl="py") == h
+        assert hermite_normal_form(h) == h
 
-        s = smith_normal_form(m, impl="py")
+        s = smith_normal_form(m)
         # SNF is a row-lattice invariant and idempotent on its diagonal form
-        assert smith_normal_form(h, impl="py") == s
+        assert smith_normal_form(h) == s
         diag = IntegerMatrix(
             [
                 [s[i] if i == j else 0 for j in range(cols)]
@@ -334,13 +329,9 @@ def test_criterion_09_normal_form_oracles():
             ],
             cols,
         )
-        assert smith_normal_form(diag, impl="py") == s
+        assert smith_normal_form(diag) == s
         # exact brute-force invariant-factor oracle (gcds of k x k minors)
         assert list(s) == smith_via_minor_gcds(rows, cols)
-
-        if compiled_kernels_available():
-            assert hermite_normal_form(m, impl="fast") == h
-            assert smith_normal_form(m, impl="fast") == s
     elapsed = time.perf_counter() - start
     _report_pass(
         9, elapsed, 60.0, "1000 matrices against brute-force lattice oracles"

@@ -5,7 +5,7 @@ import pytest
 from su21.cli import main
 from su21.fpgroup import evaluate_word
 from su21.gendecomp import GENERATOR_NAMES
-from su21.matgroup import IDENTITY, ZETA_IDENTITY, generators_upsilon
+from su21.matgroup import IDENTITY, ZETA_IDENTITY, GroupMatrix, generators_upsilon
 
 GENERATORS = generators_upsilon()
 
@@ -83,6 +83,23 @@ def test_sigma_rejects_non_unitary(tmp_path, capsys):
     good = write_matrix(tmp_path, "good.json", IDENTITY)
     assert main(["sigma", "--g", bad, "--h", good]) == 1
     assert "not in the unitary group" in capsys.readouterr().err
+
+
+def test_sigma_float_domain_failure_is_clean(tmp_path, capsys):
+    # n1 and a word of 51 letters: the float image of the base point under
+    # this h rounds onto the boundary of the domain
+    h = GroupMatrix.from_json_dict({"entries": [
+        [[-41459993, -170779068], [54261840, -75222456], [402808101, 160197006]],
+        [[-141053128, -68586416], [-82017275, -94938312], [32516208, -260464488]],
+        [[42508507, 62181362], [3117992, 41652040], [-118182008, 13243296]],
+    ]})
+    g_path = write_matrix(tmp_path, "g.json", GENERATORS[0])
+    h_path = write_matrix(tmp_path, "h.json", h)
+    assert main(["sigma", "--g", g_path, "--h", h_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "outside the domain" in captured.err
 
 
 def test_sigma_unreadable_file(tmp_path, capsys):

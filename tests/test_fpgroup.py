@@ -6,17 +6,12 @@ from hypothesis import strategies as st
 
 from su21.fpgroup import (
     EMPTY_WORD,
-    IncompleteDictionaryError,
     IndexOverflowError,
     OracleInconsistencyError,
     Presentation,
     Word,
     evaluate_word,
-    exponent_sum_row,
-    free_reduce,
     reidemeister_schreier,
-    rewrite_presentation,
-    simplify_presentation,
     upsilon_presentation,
 )
 from su21.matgroup import IDENTITY, generators_upsilon, in_gamma_beta, in_index3
@@ -48,7 +43,6 @@ def test_word_validation():
 
 @given(words)
 def test_free_reduce_idempotent(w):
-    assert free_reduce(w) == w
     assert Word(w.letters) == w
 
 
@@ -87,7 +81,6 @@ def test_cyclic_shift_is_conjugate(w, k):
 def test_exponent_sums():
     w = Word.from_string("n1 n2^-1 n1 n3^2", ("n1", "n2", "n3", "n4", "n5"))
     assert w.exponent_sums(5) == [2, -1, 2, 0, 0]
-    assert exponent_sum_row(w, 5) == [2, -1, 2, 0, 0]
     with pytest.raises(ValueError):
         w.exponent_sums(2)
 
@@ -237,61 +230,6 @@ def test_reidemeister_schreier_inconsistent_predicate():
         reidemeister_schreier(
             free, lambda w: w.exponent_sums(2)[0] % 3 in (0, 1), max_index=16
         )
-
-
-def test_rewrite_presentation():
-    p = upsilon_presentation()
-    names = p.generator_names
-    w = lambda text: Word.from_string(text, names)
-    # new generators: m1 = n1, m2 = n1*n2, m3..m5 unchanged
-    new_words = [w("n1"), w("n1 n2"), w("n3"), w("n4"), w("n5")]
-    x = lambda text: Word.from_string(text, ("x1", "x2", "x3", "x4", "x5"))
-    old_words = [x("x1"), x("x1^-1 x2"), x("x3"), x("x4"), x("x5")]
-    q = rewrite_presentation(p, new_words, old_words, ("x1", "x2", "x3", "x4", "x5"))
-    assert q.generator_count == 5
-    assert q.images[0] == p.images[0]
-    assert q.images[1] == p.images[0] * p.images[1]
-    # relators of the rewritten presentation are verified by the constructor
-    assert len(q.relators) >= len(p.relators)
-
-
-def test_rewrite_presentation_incomplete_dictionary():
-    p = upsilon_presentation()
-    w = lambda text: Word.from_string(text, p.generator_names)
-    new_words = [w("n1"), w("n2"), w("n3"), w("n4"), w("n5")]
-    old_words = [Word([(0, 1)]), None, Word([(2, 1)]), Word([(3, 1)]), Word([(4, 1)])]
-    with pytest.raises(IncompleteDictionaryError):
-        rewrite_presentation(p, new_words, old_words)
-
-
-def test_rewrite_presentation_wrong_dictionary():
-    p = upsilon_presentation()
-    w = lambda text: Word.from_string(text, p.generator_names)
-    new_words = [w("n1"), w("n2"), w("n3"), w("n4"), w("n5")]
-    # claims n1 = x2, which contradicts the images
-    old_words = [
-        Word([(1, 1)]),
-        Word([(1, 1)]),
-        Word([(2, 1)]),
-        Word([(3, 1)]),
-        Word([(4, 1)]),
-    ]
-    with pytest.raises(ValueError):
-        rewrite_presentation(p, new_words, old_words)
-
-
-def test_simplify_presentation():
-    # b is forced trivial; duplicate and empty relators disappear
-    a_comm = Word([(0, 1), (2, 1), (0, -1), (2, -1)])
-    p = Presentation(
-        ("a", "b", "c"),
-        (Word([(1, 1)]), a_comm, a_comm, EMPTY_WORD),
-    )
-    q = simplify_presentation(p)
-    assert q.generator_count == 2
-    assert q.generator_names == ("a", "c")
-    assert len(q.relators) == 1
-    assert q.relators[0] == Word([(0, 1), (1, 1), (0, -1), (1, -1)])
 
 
 def test_word_hash_and_repr():

@@ -4,14 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from su21 import weightdenom, zlinalg
 from su21.cocycle import COVER_IDENTITY
 from su21.fpgroup import (
     IndexOverflowError,
     Presentation,
     Word,
+    reidemeister_schreier,
     upsilon_presentation,
 )
-from su21.matgroup import IDENTITY, SubgroupSpec, generators_upsilon
+from su21.matgroup import (
+    IDENTITY,
+    SubgroupSpec,
+    all_index3_vectors,
+    generators_upsilon,
+)
 from su21.weightdenom import (
     DenominatorReport,
     InfiniteOrderError,
@@ -22,6 +29,7 @@ from su21.weightdenom import (
     weight_denominator,
     weight_denominator_of,
 )
+from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
 from helpers import random_word
 
 GENERATORS = generators_upsilon()
@@ -179,3 +187,86 @@ def test_report_immutable_pickle_json():
     assert d["relator_count"] == 13
     assert d["notes"] == []
     assert "DenominatorReport" in repr(report)
+
+
+def test_weight_denominator_runs_one_hnf(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    original = zlinalg.hermite_normal_form
+    monkeypatch.setattr(zlinalg, "hermite_normal_form", counting)
+    monkeypatch.setattr(weightdenom, "hermite_normal_form", counting)
+    report = weight_denominator(UPSILON)
+    assert report.weight_denominator == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, order",
+    [
+        ([[1, 1]], None),
+        ([[2, 1]], None),
+        ([[1, 1], [0, 3]], 3),
+        ([[3, 1], [0, 3]], 3),
+    ],
+)
+def test_weight_denominator_when_only_z_has_a_unit(monkeypatch, rows, order):
+    # The z column is never a pivot, so its unit entries survive reduction.
+    # In the last case z = -3x with 9x = 0: taking z as a pivot would give 9.
+    monkeypatch.setattr(
+        weightdenom, "relation_matrix", lambda presentation: IntegerMatrix(rows)
+    )
+    if order is None:
+        with pytest.raises(InfiniteOrderError):
+            weight_denominator(UPSILON)
+    else:
+        assert weight_denominator(UPSILON).weight_denominator == order
+
+
+def full_matrix_answer(matrix):
+    """(d, torsion, free rank) from HNF and SNF of the unreduced relation
+    matrix: d is the pivot of the HNF row that leads in the z column."""
+    h = hermite_normal_form(matrix)
+    order = None
+    for row in h.entries:
+        leading = next((c for c, v in enumerate(row) if v), None)
+        if leading == matrix.cols - 1:
+            order = row[-1]
+    nonzero = [row for row in h.entries if any(row)]
+    torsion, free_rank = cokernel_invariants(IntegerMatrix(nonzero, matrix.cols))
+    return order, torsion, free_rank
+
+
+def test_reduced_path_matches_full_normal_forms(monkeypatch):
+    """Unit-pivot elimination before the normal forms changes no answer:
+    upsilon, the 40 index-3 groups and gamma3, one presentation each."""
+    built = []
+
+    def recording(presentation):
+        built.append(relation_matrix(presentation))
+        return built[-1]
+
+    monkeypatch.setattr(weightdenom, "relation_matrix", recording)
+    specs = [SubgroupSpec("index3", v) for v in all_index3_vectors()]
+    specs += [SubgroupSpec.parse("upsilon"), SubgroupSpec.parse("gamma3")]
+    answers = {}
+    for spec in specs:
+        if spec.kind == "upsilon":
+            presentation = UPSILON
+        else:
+            presentation, _ = reidemeister_schreier(UPSILON, spec.membership)
+        report = weight_denominator(presentation)
+        answer = (
+            report.weight_denominator,
+            report.torsion_invariants,
+            report.free_rank,
+        )
+        assert answer == full_matrix_answer(built[-1]), spec.name()
+        answers[spec.name()] = answer
+    assert len(answers) == 42
+    assert answers["upsilon"] == (1, (3, 3, 3), 2)
+    assert answers["gamma3"] == (3, (3,) * 7, 10)
+    assert sum(d == 3 for d, _, _ in answers.values()) == 14

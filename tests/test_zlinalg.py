@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from su21.zlinalg import (
     IntegerMatrix,
     cokernel_invariants,
-    compiled_kernels_available,
+    eliminate_unit_pivots,
     hermite_normal_form,
+    last_coordinate_order_of_hnf,
     order_of_last_coordinate,
     smith_normal_form,
 )
@@ -18,8 +19,6 @@ from helpers import (
     random_matrix_rows,
     smith_via_minor_gcds,
 )
-
-IMPLS = ("py", "fast") if compiled_kernels_available() else ("py",)
 
 
 def hnf_structure_ok(h: IntegerMatrix) -> bool:
@@ -67,22 +66,20 @@ def test_integer_matrix_validation():
 def test_known_hnf():
     m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     expected = IntegerMatrix([[2, 0, 120], [0, 2, 20], [0, 0, 156]])
-    for impl in IMPLS:
-        assert hermite_normal_form(m, impl=impl) == expected
-        assert smith_normal_form(m, impl=impl) == (2, 2, 156)
+    assert hermite_normal_form(m) == expected
+    assert smith_normal_form(m) == (2, 2, 156)
 
 
 def test_zero_and_degenerate_cases():
-    for impl in IMPLS:
-        z = IntegerMatrix([[0, 0, 0], [0, 0, 0]])
-        assert hermite_normal_form(z, impl=impl) == z
-        assert smith_normal_form(z, impl=impl) == (0, 0)
-        empty = IntegerMatrix([], cols=2)
-        assert hermite_normal_form(empty, impl=impl) == empty
-        assert smith_normal_form(empty, impl=impl) == ()
-        one = IntegerMatrix([[-7]])
-        assert hermite_normal_form(one, impl=impl) == IntegerMatrix([[7]])
-        assert smith_normal_form(one, impl=impl) == (7,)
+    z = IntegerMatrix([[0, 0, 0], [0, 0, 0]])
+    assert hermite_normal_form(z) == z
+    assert smith_normal_form(z) == (0, 0)
+    empty = IntegerMatrix([], cols=2)
+    assert hermite_normal_form(empty) == empty
+    assert smith_normal_form(empty) == ()
+    one = IntegerMatrix([[-7]])
+    assert hermite_normal_form(one) == IntegerMatrix([[7]])
+    assert smith_normal_form(one) == (7,)
 
 
 def test_hnf_random_against_lattice_oracle():
@@ -90,13 +87,11 @@ def test_hnf_random_against_lattice_oracle():
     for _ in range(250):
         rows, cols = random_matrix_rows(rng, max_dim=5, bound=30)
         m = IntegerMatrix(rows, cols)
-        h = hermite_normal_form(m, impl="py")
+        h = hermite_normal_form(m)
         assert hnf_structure_ok(h)
         assert lattices_equal(rows, h.entries, cols)
         # idempotence
-        assert hermite_normal_form(h, impl="py") == h
-        if compiled_kernels_available():
-            assert hermite_normal_form(m, impl="fast") == h
+        assert hermite_normal_form(h) == h
 
 
 def test_snf_random_against_minor_gcd_oracle():
@@ -104,10 +99,8 @@ def test_snf_random_against_minor_gcd_oracle():
     for _ in range(120):
         rows, cols = random_matrix_rows(rng, max_dim=4, bound=12)
         m = IntegerMatrix(rows, cols)
-        s = smith_normal_form(m, impl="py")
+        s = smith_normal_form(m)
         assert list(s) == smith_via_minor_gcds(rows, cols)
-        if compiled_kernels_available():
-            assert smith_normal_form(m, impl="fast") == s
 
 
 def test_snf_divisibility_chain():
@@ -159,39 +152,10 @@ def test_hnf_properties_hypothesis(rows):
     assert hermite_normal_form(h) == h
 
 
-def test_impl_selection(monkeypatch):
-    m = IntegerMatrix([[6, 4], [2, 8]])
-    expected = hermite_normal_form(m, impl="py")
-    monkeypatch.setenv("SU21_ZLINALG", "py")
-    assert hermite_normal_form(m) == expected
-    if compiled_kernels_available():
-        monkeypatch.setenv("SU21_ZLINALG", "fast")
-        assert hermite_normal_form(m) == expected
-    monkeypatch.setenv("SU21_ZLINALG", "bogus")
-    with pytest.raises(ValueError):
-        hermite_normal_form(m)
-    monkeypatch.delenv("SU21_ZLINALG")
-    with pytest.raises(ValueError):
-        hermite_normal_form(m, impl="bogus")
-
-
-@pytest.mark.skipif(
-    not compiled_kernels_available(), reason="compiled kernels not built"
-)
-def test_fast_overflow_propagates_when_explicit():
-    big = 2**62
-    m = IntegerMatrix([[big, big], [big, -big]])
-    with pytest.raises(OverflowError):
-        hermite_normal_form(m, impl="fast")
-    # automatic selection falls back to the pure kernels
-    auto = hermite_normal_form(m)
-    assert auto == hermite_normal_form(m, impl="py")
-
-
 def test_huge_entries_pure_python():
     big = 10**40
     m = IntegerMatrix([[big, 1], [0, big]])
-    h = hermite_normal_form(m, impl="py")
+    h = hermite_normal_form(m)
     assert hnf_structure_ok(h)
     assert lattices_equal(m.entries, h.entries, 2)
 
@@ -213,6 +177,7 @@ def test_order_of_last_coordinate():
     assert order_of_last_coordinate(IntegerMatrix([[1, 2, 0]])) is None
     assert order_of_last_coordinate(IntegerMatrix([], cols=2)) is None
     assert order_of_last_coordinate(IntegerMatrix([[0, 1]])) == 1
+    assert order_of_last_coordinate(IntegerMatrix([[27]])) == 27
     with pytest.raises(ValueError):
         order_of_last_coordinate(IntegerMatrix([], cols=0))
 
@@ -232,23 +197,47 @@ def test_order_of_last_coordinate_unaffected_by_row_mixing():
         assert order_of_last_coordinate(IntegerMatrix(mixed)) == expected
 
 
-def test_modular_order_is_only_a_lower_bound():
-    # The order of the class of e_1 in Z/27 is 27, but reading the matrix
-    # mod 3 can only see a divisor: the documented counterexample for why
-    # the modular path is not a substitute for the exact one.
-    m = IntegerMatrix([[27]])
-    assert order_of_last_coordinate(m) == 27
-    assert order_of_last_coordinate(m, modulus=3) == 3
-    # generic property: the modular result divides the true order
+def test_order_of_last_coordinate_against_lattice_oracle():
+    # The oracle's echelon basis vector that leads in the last column
+    # generates the multiples of e_last in the lattice.
     rng = random.Random(25)
-    for _ in range(60):
-        rows, cols = random_matrix_rows(rng, max_dim=4, bound=20)
+    for _ in range(200):
+        rows, cols = random_matrix_rows(rng, max_dim=5, bound=6)
         m = IntegerMatrix(rows, cols)
-        true_order = order_of_last_coordinate(m)
-        for q in (2, 3, 4, 9):
-            bound = order_of_last_coordinate(m, modulus=q)
-            assert bound is not None  # the modular quotient is finite
-            if true_order is not None:
-                assert true_order % bound == 0
-    with pytest.raises(ValueError):
-        order_of_last_coordinate(IntegerMatrix([[2]]), modulus=1)
+        generator = LatticeOracle(rows, cols).basis.get(cols - 1)
+        expected = None if generator is None else abs(generator[-1])
+        assert order_of_last_coordinate(m) == expected
+        assert last_coordinate_order_of_hnf(hermite_normal_form(m)) == expected
+
+
+def test_eliminate_unit_pivots_known_cases():
+    # x1 occurs only in the first row, which merely defines it: the cheapest
+    # pivot drops that row and column and leaves the other row untouched
+    m = IntegerMatrix([[1, 1, -2], [3, 0, 1]])
+    assert eliminate_unit_pivots(m) == IntegerMatrix([[3, 1]])
+    # x0 = -x1 + 2z substituted into 3*x0 + x1 + z = 0 leaves -2*x1 + 7z = 0
+    m = IntegerMatrix([[1, 1, -2], [3, 1, 1]])
+    assert eliminate_unit_pivots(m) == IntegerMatrix([[-2, 7]])
+    # the last column is never a pivot, even when it holds the only unit
+    assert eliminate_unit_pivots(IntegerMatrix([[2, 1]])) == IntegerMatrix([[2, 1]])
+    # nothing to eliminate: unchanged apart from dropped zero rows
+    m = IntegerMatrix([[2, 0, 3], [0, 0, 0], [0, 4, 5]])
+    assert eliminate_unit_pivots(m) == IntegerMatrix([[2, 0, 3], [0, 4, 5]])
+    # a zero column is a free generator and is kept
+    m = IntegerMatrix([[1, 0, 0, 2]])
+    assert eliminate_unit_pivots(m) == IntegerMatrix([], cols=3)
+    assert eliminate_unit_pivots(IntegerMatrix([], cols=0)).shape == (0, 0)
+
+
+def test_eliminate_unit_pivots_preserves_quotient():
+    rng = random.Random(26)
+    for _ in range(300):
+        rows, cols = random_matrix_rows(rng, max_dim=7, bound=rng.choice((1, 2, 5)))
+        m = IntegerMatrix(rows, cols)
+        r = eliminate_unit_pivots(m)
+        assert r.cols <= m.cols and r.rows <= m.rows
+        assert all(any(row) for row in r.entries)
+        assert not any(v in (1, -1) for row in r.entries for v in row[:-1])
+        assert cokernel_invariants(r) == cokernel_invariants(m)
+        assert order_of_last_coordinate(r) == order_of_last_coordinate(m)
+        assert eliminate_unit_pivots(r) == r
