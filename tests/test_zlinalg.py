@@ -177,7 +177,6 @@ def test_order_of_last_coordinate():
     assert order_of_last_coordinate(IntegerMatrix([[1, 2, 0]])) is None
     assert order_of_last_coordinate(IntegerMatrix([], cols=2)) is None
     assert order_of_last_coordinate(IntegerMatrix([[0, 1]])) == 1
-    assert order_of_last_coordinate(IntegerMatrix([[27]])) == 27
     with pytest.raises(ValueError):
         order_of_last_coordinate(IntegerMatrix([], cols=0))
 
@@ -195,6 +194,34 @@ def test_order_of_last_coordinate_unaffected_by_row_mixing():
             mixed[i] = [a + q * b for a, b in zip(mixed[i], mixed[j])]
         rng.shuffle(mixed)
         assert order_of_last_coordinate(IntegerMatrix(mixed)) == expected
+
+
+def mod_q_quotient(m: IntegerMatrix, q: int) -> IntegerMatrix:
+    """Relations of Z^cols / (row span + q*Z^cols): the matrix read mod q."""
+    rows = [[v % q for v in row] for row in m.entries]
+    for i in range(m.cols):
+        rows.append([q if j == i else 0 for j in range(m.cols)])
+    return IntegerMatrix(rows, m.cols)
+
+
+def test_modular_order_is_only_a_lower_bound():
+    # The order of the class of e_1 in Z/27 is 27, but reading the matrix
+    # mod 3 can only see a divisor: the counterexample for why a modular
+    # computation is not a substitute for the exact one.
+    m = IntegerMatrix([[27]])
+    assert order_of_last_coordinate(m) == 27
+    assert order_of_last_coordinate(mod_q_quotient(m, 3)) == 3
+    # generic property: the modular result divides the true order
+    rng = random.Random(25)
+    for _ in range(60):
+        rows, cols = random_matrix_rows(rng, max_dim=4, bound=20)
+        m = IntegerMatrix(rows, cols)
+        true_order = order_of_last_coordinate(m)
+        for q in (2, 3, 4, 9):
+            bound = order_of_last_coordinate(mod_q_quotient(m, q))
+            assert bound is not None  # the modular quotient is finite
+            if true_order is not None:
+                assert true_order % bound == 0
 
 
 def test_order_of_last_coordinate_against_lattice_oracle():
