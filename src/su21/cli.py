@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain or verification failure (non-member matrix,
-failed relator, inconsistent enumeration), 2 usage or parse errors.
+failed relator, index beyond --max-index, inconsistent enumeration), 2 usage
+or parse errors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .cocycle import BranchToleranceError, sigma
-from .fpgroup import evaluate_word
+from .fpgroup import IndexOverflowError, OracleInconsistencyError, evaluate_word
 from .matgroup import IDENTITY, GroupMatrix, SubgroupSpec
 from .weightdenom import (
     survey_index3,
@@ -187,10 +188,20 @@ def _add_common(parser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON")
 
 
+def _max_index(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_max_index(parser) -> None:
     parser.add_argument(
         "--max-index",
-        type=int,
+        type=_max_index,
         default=512,
         help="abort coset enumeration beyond this index (default 512)",
     )
@@ -262,7 +273,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _DomainError as exc:
+    except (_DomainError, IndexOverflowError, OracleInconsistencyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -52,6 +52,9 @@ class BallPoint:
     def __setattr__(self, name, value):
         raise AttributeError("BallPoint is immutable")
 
+    def __reduce__(self):
+        return (BallPoint, (self.tau1, self.tau2))
+
     def __repr__(self):
         return "BallPoint(%r, %r)" % (self.tau1, self.tau2)
 
@@ -152,6 +155,9 @@ class CoverElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("CoverElement is immutable")
+
+    def __reduce__(self):
+        return (CoverElement, (self.g, self.n))
 
     def __repr__(self):
         return "CoverElement(%r, %d)" % (self.g, self.n)

@@ -28,6 +28,9 @@ class EisensteinInt:
     def __setattr__(self, name, value):
         raise AttributeError("EisensteinInt is immutable")
 
+    def __reduce__(self):
+        return (EisensteinInt, (self.a, self.b))
+
     def __repr__(self):
         return "EisensteinInt(%d, %d)" % (self.a, self.b)
 

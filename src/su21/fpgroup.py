@@ -3,9 +3,9 @@ and the Reidemeister-Schreier subgroup-presentation algorithm.
 
 Words are freely reduced sequences of (generator index, +-1) letters.  The
 Reidemeister-Schreier engine is generic over the element type: it needs only
-multiplication, .inverse(), hashing and equality, so it runs both on matrix
-images and on abstract words (used to validate the engine against classical
-free-group facts).
+multiplication, .inverse() and a coset key for the elements, so it runs both
+on matrix images and on abstract words (used to validate the engine against
+classical free-group facts).
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return (Word, (self.letters, False))
 
     def __len__(self):
         return len(self.letters)
@@ -161,7 +164,7 @@ class Presentation:
         names = tuple(str(n) for n in generator_names)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        relators = tuple(Word(r.letters) if isinstance(r, Word) else Word(r) for r in relators)
+        relators = tuple(r if isinstance(r, Word) else Word(r) for r in relators)
         for r in relators:
             if r.max_index() >= len(names):
                 raise ValueError("relator uses a generator index out of range")
@@ -182,6 +185,9 @@ class Presentation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
+
+    def __reduce__(self):
+        return (Presentation, (self.generator_names, self.relators, self.images))
 
     def __repr__(self):
         return "Presentation(%r, <%d relators>%s)" % (
@@ -225,8 +231,9 @@ def upsilon_presentation() -> Presentation:
 
 
 class CosetGraph:
-    """The labeled coset graph: vertex 0 is the identity representative, and
-    each edge (r, letter) -> (r', h) satisfies r * letter = h * r' exactly."""
+    """The coset graph: vertex 0 is the identity representative, and each
+    edge (v, letter) -> w means that representative v times the letter lies
+    in the coset of representative w."""
 
     __slots__ = ("vertices", "edges", "generator_count")
 
@@ -238,6 +245,9 @@ class CosetGraph:
     def __setattr__(self, name, value):
         raise AttributeError("CosetGraph is immutable")
 
+    def __reduce__(self):
+        return (CosetGraph, (self.vertices, self.edges, self.generator_count))
+
     @property
     def index(self) -> int:
         return len(self.vertices)
@@ -246,106 +256,109 @@ class CosetGraph:
         return "CosetGraph(<%d cosets, %d edges>)" % (len(self.vertices), len(self.edges))
 
 
-def reidemeister_schreier(ambient: Presentation, membership, max_index: int = 512):
-    """Presentation of the finite-index subgroup cut out by the membership
-    predicate, together with the coset graph.
+def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_index: int = 512):
+    """Presentation of the finite-index subgroup H whose right cosets H*g
+    coset_key tells apart, together with the coset graph.
 
-    Coset enumeration is breadth-first with a FIFO queue; each dequeued
-    representative is scanned against the generators in index order, the
-    generator before its inverse, so coset numbering is reproducible.  Coset
-    identification is predicate-only: a step m lands on the existing vertex w
-    exactly when membership(m * w^-1) holds, scanning vertices in creation
-    order.  More than one match means the predicate does not define a
-    subgroup-consistent coset partition.
+    coset_key(g) must be a hashable value that is the same for two elements
+    exactly when they lie in the same coset, such as the image of g under a
+    homomorphism onto a finite group with kernel H.  Enumeration is
+    breadth-first with a FIFO queue; each dequeued representative r steps
+    by the generators in index order, the generator before its inverse, and
+    the step r * x joins the coset with its key (one dict lookup) or founds
+    a new one, so coset numbering is reproducible.
 
-    Subgroup generators are the distinct non-identity H-labels of
-    positive-letter edges; tree edges (identity label) are excluded.  Each
-    ambient relator traced from each vertex closes up into a loop whose
-    H-labels, multiplied in traversal order, give a subgroup relator.
+    The key is checked, not trusted; OracleInconsistencyError is raised
+    unless every inverse edge reverses its positive edge, membership holds
+    for every Schreier generator, and every relator trace closes up.  A key
+    that separates a subgroup of H passes these checks and yields that
+    subgroup, so callers compare the index with the one they expect.
+
+    Subgroup generators (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2.4 and 5): one per positive-letter edge r * x -> r' off
+    the breadth-first spanning tree, standing for r * x * r'^-1, numbered
+    in order of (coset, generator); tree edges stand for the identity.
+    Subgroup relators: every ambient relator traced from every coset,
+    empty traces included, so relators[k * index + v] is ambient relator k
+    traced from coset v.  The presentation carries no images.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    abstract = ambient.images is None
-    if abstract:
+    if ambient.images is None:
         images = [Word([(i, 1)]) for i in range(ambient.generator_count)]
         identity = EMPTY_WORD
     else:
         images = list(ambient.images)
         identity = IDENTITY
-    if not membership(identity):
-        raise OracleInconsistencyError("the identity fails the membership predicate")
-    inverse_images = [im.inverse() for im in images]
+    steps = [((1, image), (-1, image.inverse())) for image in images]
 
     vertices = [identity]
-    vertex_inverses = [identity]
+    coset_of = {coset_key(identity): 0}
     edges = {}
+    tree = set()  # positive edges (v, generator) of the spanning tree
     queue = deque([0])
     while queue:
         vi = queue.popleft()
         r = vertices[vi]
-        for gi in range(ambient.generator_count):
-            for sign in (1, -1):
-                m = r * (images[gi] if sign == 1 else inverse_images[gi])
-                matches = [
-                    wj
-                    for wj in range(len(vertices))
-                    if membership(m * vertex_inverses[wj])
-                ]
-                if len(matches) > 1:
-                    raise OracleInconsistencyError(
-                        "step from coset %d by generator %d lands in %d cosets at once"
-                        % (vi, gi, len(matches))
-                    )
-                if matches:
-                    wj = matches[0]
-                    edges[(vi, (gi, sign))] = (wj, m * vertex_inverses[wj])
-                else:
+        for gi, pair in enumerate(steps):
+            for sign, step in pair:
+                m = r * step
+                key = coset_key(m)
+                wj = coset_of.get(key)
+                if wj is None:
                     if len(vertices) >= max_index:
                         raise IndexOverflowError(
                             "subgroup index exceeds max_index = %d" % max_index
                         )
+                    wj = len(vertices)
                     vertices.append(m)
-                    vertex_inverses.append(m.inverse())
-                    queue.append(len(vertices) - 1)
-                    edges[(vi, (gi, sign))] = (len(vertices) - 1, identity)
+                    coset_of[key] = wj
+                    queue.append(wj)
+                    tree.add((vi, gi) if sign == 1 else (wj, gi))
+                edges[(vi, (gi, sign))] = wj
 
-    # Distinct non-identity labels of positive edges, in discovery order.
+    inverses = [v.inverse() for v in vertices]
     symbol_of = {}
-    generator_images = []
-    for vi in range(len(vertices)):
-        for gi in range(ambient.generator_count):
-            _, h = edges[(vi, (gi, 1))]
-            if h != identity and h not in symbol_of:
-                symbol_of[h] = len(generator_images)
-                generator_images.append(h)
+    for vi, r in enumerate(vertices):
+        for gi, image in enumerate(images):
+            wj = edges[(vi, (gi, 1))]
+            if edges[(wj, (gi, -1))] != vi:
+                raise OracleInconsistencyError(
+                    "coset %d steps by generator %d to coset %d, but its inverse "
+                    "does not step back" % (vi, gi, wj)
+                )
+            if (vi, gi) in tree:
+                continue
+            if not membership(r * image * inverses[wj]):
+                raise OracleInconsistencyError(
+                    "the Schreier generator of coset %d and generator %d is not "
+                    "in the subgroup: the coset key disagrees with membership"
+                    % (vi, gi)
+                )
+            symbol_of[(vi, gi)] = len(symbol_of)
 
-    # Trace every ambient relator from every vertex.  A negative letter
-    # traverses an edge whose label is the inverse of a positive-edge label,
-    # so it contributes that positive symbol with exponent -1.
+    # A negative letter traverses the positive edge that ends where it ends.
     relators = []
     for rel in ambient.relators:
         for vi in range(len(vertices)):
             letters = []
             current = vi
             for gi, sign in rel.letters:
-                current, h = edges[(current, (gi, sign))]
-                if h == identity:
-                    continue
                 if sign == 1:
-                    letters.append((symbol_of[h], 1))
+                    edge = (current, gi)
+                    current = edges[(current, (gi, 1))]
                 else:
-                    letters.append((symbol_of[h.inverse()], -1))
+                    current = edges[(current, (gi, -1))]
+                    edge = (current, gi)
+                symbol = symbol_of.get(edge)
+                if symbol is not None:
+                    letters.append((symbol, sign))
             if current != vi:
                 raise OracleInconsistencyError(
                     "relator trace from coset %d did not close up" % vi
                 )
-            trace = Word(letters)
-            if trace.letters:
-                relators.append(trace)
+            relators.append(Word(letters))
 
-    names = tuple("h%d" % (k + 1) for k in range(len(generator_images)))
-    presentation = Presentation(
-        names, relators, None if abstract else generator_images
-    )
+    names = tuple("h%d" % (k + 1) for k in range(len(symbol_of)))
     graph = CosetGraph(vertices, edges, ambient.generator_count)
-    return presentation, graph
+    return Presentation(names, relators), graph

@@ -29,6 +29,9 @@ class GroupMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("GroupMatrix is immutable")
 
+    def __reduce__(self):
+        return (GroupMatrix, (self.entries,))
+
     def __getitem__(self, index):
         return self.entries[index]
 
@@ -206,6 +209,11 @@ def F_map(g: GroupMatrix) -> tuple:
     """
     if not in_upsilon(g):
         raise ValueError("F_map is defined only on the unipotent-generated congruence group")
+    return _f_coordinates(g)
+
+
+def _f_coordinates(g: GroupMatrix) -> tuple:
+    """F_map without the membership check."""
     coords = (g[0][1], g[0][2], g[1][0], g[2][0])
     return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
 
@@ -262,6 +270,9 @@ class SubgroupSpec:
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupSpec is immutable")
 
+    def __reduce__(self):
+        return (SubgroupSpec, (self.kind, self.vector))
+
     def __eq__(self, other):
         if not isinstance(other, SubgroupSpec):
             return NotImplemented
@@ -310,6 +321,24 @@ class SubgroupSpec:
         if self.kind == "gamma3":
             return in_gamma_beta(g, EisensteinInt(3, 0))
         return in_upsilon(g) and in_index3(g, self.vector)
+
+    def coset_key(self, g: GroupMatrix):
+        """The image of g in the quotient of the ambient group by this
+        subgroup: () for upsilon, F_map(g) for gamma3, v . F_map(g) mod 3
+        for index3.  Two elements of the ambient group lie in the same right
+        coset exactly when their keys are equal.
+
+        g must lie in the ambient group, and unlike F_map this does not
+        check it: coset enumeration keys only products of the ambient
+        generators, and checks every Schreier generator with membership."""
+        if self.kind == "upsilon":
+            return ()
+        if self.kind == "gamma3":
+            return _f_coordinates(g)
+        if self.kind == "index3":
+            f = _f_coordinates(g)
+            return sum(vi * fi for vi, fi in zip(self.vector, f)) % 3
+        raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
 
     def index_in_upsilon(self) -> int:
         """Index inside the ambient unipotent-generated group.  The level

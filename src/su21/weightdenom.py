@@ -1,12 +1,20 @@
 """Weight denominators of finite-index subgroups.
 
-For a subgroup presented with matrix images, every generator is lifted to
-the universal cover with integer part 0.  A relator word then lifts to a
+For a presentation with matrix images, every generator is lifted to the
+universal cover with integer part 0.  A relator word then lifts to a
 central element (I, n), giving one abelianized relation per relator: the
 generator exponent sums together with -n as the coefficient of the central
 generator z = (I, 1).  The order d of the image of z in that finitely
 generated abelian group is the weight denominator: the weights admitting a
 multiplier system are exactly (1/d) * Z.
+
+A subgroup from Reidemeister-Schreier needs no images and no cocycle.  Lift
+each coset representative along the spanning tree (the lift of r * x is
+lift(r) * lift(x)), and lift the generator of a non-tree edge r * x -> r'
+as lift(r) * lift(x) * lift(r')^-1.  The trace of ambient relator R from
+coset r then telescopes to lift(r) * (I, n_R) * lift(r)^-1 = (I, n_R), so
+its row ends in -n_R, and sigma is evaluated only to lift the 13 relators
+of the ambient presentation, once per process.
 
 The relation matrix is shrunk by unit-pivot elimination before a single
 Hermite normal form, which gives d; its nonzero rows give the invariants.
@@ -15,9 +23,17 @@ Hermite normal form, which gives d; its nonzero rows give the invariants.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .cocycle import COVER_IDENTITY, CoverElement
-from .fpgroup import Presentation, Word, reidemeister_schreier, upsilon_presentation
+from .fpgroup import (
+    IndexOverflowError,
+    OracleInconsistencyError,
+    Presentation,
+    Word,
+    reidemeister_schreier,
+    upsilon_presentation,
+)
 from .matgroup import IDENTITY, SubgroupSpec
 from .zlinalg import (
     IntegerMatrix,
@@ -53,22 +69,49 @@ def lift_word(word: Word, images) -> CoverElement:
     return result
 
 
-def relation_matrix(presentation: Presentation) -> IntegerMatrix:
-    """The s x (r+1) abelianized relation matrix of the centrally extended
-    group: one row per relator, columns = generator exponent sums plus the
-    z-coefficient."""
+def central_parts(presentation: Presentation) -> tuple:
+    """The integer part n of each relator's lift (I, n) through the
+    presentation's matrix images, in relator order."""
     if presentation.images is None:
-        raise ValueError("relation_matrix needs a presentation with matrix images")
-    r = presentation.generator_count
-    rows = []
-    for relator in presentation.relators:
+        raise ValueError("lifting relators needs a presentation with matrix images")
+    parts = []
+    for k, relator in enumerate(presentation.relators):
         lift = lift_word(relator, presentation.images)
         if lift.g != IDENTITY:
             raise ValueError(
-                "relator does not evaluate to the identity; presentation is broken"
+                "relator %d does not evaluate to the identity; presentation is "
+                "broken" % (k + 1)
             )
-        rows.append(relator.exponent_sums(r) + [-lift.n])
-    return IntegerMatrix(rows, r + 1)
+        parts.append(lift.n)
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def base_relator_lifts() -> tuple:
+    """The five-generator presentation of the ambient group and the integer
+    parts of its 13 relator lifts, computed once per process."""
+    base = upsilon_presentation()
+    return base, central_parts(base)
+
+
+def relation_matrix(presentation: Presentation, central=None) -> IntegerMatrix:
+    """The s x (r+1) abelianized relation matrix of the centrally extended
+    group: one row per relator, columns = generator exponent sums plus the
+    z-coefficient -n, where (I, n) is the relator's lift.  central gives
+    those n in relator order; without it they are lifted through the
+    presentation's images."""
+    if central is None:
+        central = central_parts(presentation)
+    elif len(central) != len(presentation.relators):
+        raise ValueError("need exactly one central part per relator")
+    r = presentation.generator_count
+    return IntegerMatrix(
+        (
+            relator.exponent_sums(r) + [-n]
+            for relator, n in zip(presentation.relators, central)
+        ),
+        r + 1,
+    )
 
 
 class DenominatorReport:
@@ -143,11 +186,17 @@ class DenominatorReport:
 
 
 def weight_denominator(
-    presentation: Presentation, *, group=None, index_in_upsilon=None, notes=()
+    presentation: Presentation,
+    central=None,
+    *,
+    group=None,
+    index_in_upsilon=None,
+    notes=(),
 ) -> DenominatorReport:
-    """Weight denominator of the group given by a presentation with images,
-    plus the abelian invariants of its central extension."""
-    reduced = eliminate_unit_pivots(relation_matrix(presentation))
+    """Weight denominator of the group given by a presentation, plus the
+    abelian invariants of its central extension.  central is as for
+    relation_matrix."""
+    reduced = eliminate_unit_pivots(relation_matrix(presentation, central))
     h = hermite_normal_form(reduced)
     order = last_coordinate_order_of_hnf(h)
     if order is None:
@@ -185,17 +234,23 @@ def weight_denominator_of(spec: SubgroupSpec, max_index: int = 512) -> Denominat
 
     The five-generator unipotent group is computed directly from its
     presentation.  Its finite-index subgroups go through coset enumeration
-    and Reidemeister-Schreier rewriting.  The full level-sqrt(-3) group is
-    the direct product of the unipotent group with its order-3 scalar
-    center, and a central scalar factor does not change which weights admit
-    multiplier systems, so that case reuses the unipotent computation (with
-    a note saying so).
+    keyed by SubgroupSpec.coset_key and Reidemeister-Schreier rewriting,
+    whose relator traces take their central parts from the ambient
+    relators.  The full level-sqrt(-3) group is the direct product of the
+    unipotent group with its order-3 scalar center, and a central scalar
+    factor does not change which weights admit multiplier systems, so that
+    case reuses the unipotent computation (with a note saying so).
+
+    Enumeration errors (IndexOverflowError, OracleInconsistencyError) name
+    the group.
     """
-    base = upsilon_presentation()
+    base, base_central = base_relator_lifts()
     if spec.kind == "upsilon":
-        return weight_denominator(base, group=spec.name(), index_in_upsilon=1)
+        return weight_denominator(
+            base, base_central, group=spec.name(), index_in_upsilon=1
+        )
     if spec.kind == "gamma_sqrt3":
-        inner = weight_denominator(base, group=spec.name())
+        inner = weight_denominator(base, base_central, group=spec.name())
         return DenominatorReport(
             group=spec.name(),
             index_in_upsilon=None,
@@ -210,21 +265,28 @@ def weight_denominator_of(spec: SubgroupSpec, max_index: int = 512) -> Denominat
                 "center, which leaves the weight denominator unchanged",
             ),
         )
-    sub, graph = reidemeister_schreier(base, spec.membership, max_index=max_index)
+    try:
+        sub, graph = reidemeister_schreier(
+            base, spec.coset_key, spec.membership, max_index=max_index
+        )
+    except (IndexOverflowError, OracleInconsistencyError) as exc:
+        raise type(exc)("%s: %s" % (spec.name(), exc)) from exc
     expected = spec.index_in_upsilon()
     if graph.index != expected:
-        raise RuntimeError(
-            "coset enumeration found index %d for %s, expected %d"
-            % (graph.index, spec.name(), expected)
+        raise OracleInconsistencyError(
+            "%s: coset enumeration found index %d, expected %d"
+            % (spec.name(), graph.index, expected)
         )
+    # relator k * index + v is base relator k traced from coset v
+    central = [n for n in base_central for _ in range(graph.index)]
     return weight_denominator(
-        sub, group=spec.name(), index_in_upsilon=graph.index
+        sub, central, group=spec.name(), index_in_upsilon=graph.index
     )
 
 
-def _survey_worker(vector):
+def _survey_worker(vector, max_index):
     spec = SubgroupSpec("index3", vector)
-    return vector, weight_denominator_of(spec)
+    return vector, weight_denominator_of(spec, max_index=max_index)
 
 
 def survey_index3(max_index: int = 512, parallel: bool = False) -> list:
@@ -234,13 +296,14 @@ def survey_index3(max_index: int = 512, parallel: bool = False) -> list:
     from .matgroup import all_index3_vectors
 
     vectors = all_index3_vectors()
+    worker = partial(_survey_worker, max_index=max_index)
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_survey_worker, vectors))
+            results = list(pool.map(worker, vectors))
     else:
-        results = [_survey_worker(v) for v in vectors]
+        results = [worker(v) for v in vectors]
     return results
 
 

@@ -41,6 +41,9 @@ class IntegerMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
 
+    def __reduce__(self):
+        return (IntegerMatrix, (self.entries, self.cols))
+
     def __getitem__(self, index):
         return self.entries[index]
 
@@ -77,9 +80,13 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
     within the round's limit; a round that takes none raises the limit
     (0, 1, 3, 7, ...).  The result is deterministic.
     """
-    last = matrix.cols - 1
+    cols = matrix.cols
+    last = cols - 1
     live = [{c: v for c, v in enumerate(row) if v} for row in matrix.entries]
-    holders = [set() for _ in range(matrix.cols)]
+    # Only the sparse rows are needed from here on; a caller that passes a
+    # temporary (weight_denominator does) lets the dense rows go now.
+    del matrix
+    holders = [set() for _ in range(cols)]
     for i, row in enumerate(live):
         for c in row:
             holders[c].add(i)
@@ -120,7 +127,7 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
             if not deferred:
                 break
             limit = 2 * limit + 1
-    kept = [c for c in range(matrix.cols) if c not in eliminated]
+    kept = [c for c in range(cols) if c not in eliminated]
     rows = [[row.get(c, 0) for c in kept] for row in live if row]
     return IntegerMatrix(rows, len(kept))
 

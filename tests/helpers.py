@@ -1,12 +1,20 @@
 """Shared test utilities: seeded random sampling and independent oracles."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from su21.eisenstein import EisensteinInt
-from su21.fpgroup import Word, evaluate_word
-from su21.matgroup import generators_upsilon
+from su21.fpgroup import (
+    EMPTY_WORD,
+    IndexOverflowError,
+    OracleInconsistencyError,
+    Presentation,
+    Word,
+    evaluate_word,
+)
+from su21.matgroup import IDENTITY, generators_upsilon
 
 GENERATORS = generators_upsilon()
 
@@ -158,3 +166,126 @@ def random_matrix_rows(rng, max_dim=5, bound=40):
 
 def frac_norm(x: Fraction, y: Fraction) -> Fraction:
     return x * x - x * y + y * y
+
+
+def founding_edges(graph):
+    """{w: (v, (generator, sign))} for every coset w > 0: the first edge in
+    the graph's (breadth-first) edge order that reaches w, which is the
+    spanning-tree edge the enumeration founded w by."""
+    founded = {}
+    for (vi, letter), wj in graph.edges.items():
+        if wj and wj not in founded:
+            founded[wj] = (vi, letter)
+    return founded
+
+
+def schreier_edges(graph):
+    """The positive edges (v, generator) off the spanning tree, in the
+    order of the Reidemeister-Schreier generators."""
+    tree = {
+        (vi, gi) if sign == 1 else (wj, gi)
+        for wj, (vi, (gi, sign)) in founding_edges(graph).items()
+    }
+    return [
+        (vi, gi)
+        for vi in range(graph.index)
+        for gi in range(graph.generator_count)
+        if (vi, gi) not in tree
+    ]
+
+
+# --- predicate-scan Reidemeister-Schreier oracle -----------------------------
+#
+# The coset enumeration the package used before it keyed cosets by their
+# image in a finite quotient.  It identifies each coset by scanning every
+# existing representative with the membership predicate (O(index^2) calls),
+# labels each edge with its subgroup element r * x * r'^-1, takes the
+# distinct non-identity labels as generators and returns them as the
+# presentation's images, so the Presentation constructor re-verifies every
+# traced relator and the relation matrix lifts each one through sigma.  It
+# shares no code with the keyed engine or with its telescoped lifts.
+
+
+def predicate_scan_presentation(ambient, membership, max_index=512):
+    """(subgroup presentation, index) by predicate-only coset identification."""
+    if max_index < 1:
+        raise ValueError("max_index must be at least 1")
+    abstract = ambient.images is None
+    if abstract:
+        images = [Word([(i, 1)]) for i in range(ambient.generator_count)]
+        identity = EMPTY_WORD
+    else:
+        images = list(ambient.images)
+        identity = IDENTITY
+    if not membership(identity):
+        raise OracleInconsistencyError("the identity fails the membership predicate")
+    inverse_images = [im.inverse() for im in images]
+
+    vertices = [identity]
+    vertex_inverses = [identity]
+    edges = {}
+    queue = deque([0])
+    while queue:
+        vi = queue.popleft()
+        r = vertices[vi]
+        for gi in range(ambient.generator_count):
+            for sign in (1, -1):
+                m = r * (images[gi] if sign == 1 else inverse_images[gi])
+                matches = [
+                    wj
+                    for wj in range(len(vertices))
+                    if membership(m * vertex_inverses[wj])
+                ]
+                if len(matches) > 1:
+                    raise OracleInconsistencyError(
+                        "step from coset %d by generator %d lands in %d cosets at once"
+                        % (vi, gi, len(matches))
+                    )
+                if matches:
+                    wj = matches[0]
+                    edges[(vi, (gi, sign))] = (wj, m * vertex_inverses[wj])
+                else:
+                    if len(vertices) >= max_index:
+                        raise IndexOverflowError(
+                            "subgroup index exceeds max_index = %d" % max_index
+                        )
+                    vertices.append(m)
+                    vertex_inverses.append(m.inverse())
+                    queue.append(len(vertices) - 1)
+                    edges[(vi, (gi, sign))] = (len(vertices) - 1, identity)
+
+    symbol_of = {}
+    generator_images = []
+    for vi in range(len(vertices)):
+        for gi in range(ambient.generator_count):
+            _, h = edges[(vi, (gi, 1))]
+            if h != identity and h not in symbol_of:
+                symbol_of[h] = len(generator_images)
+                generator_images.append(h)
+
+    relators = []
+    for rel in ambient.relators:
+        for vi in range(len(vertices)):
+            letters = []
+            current = vi
+            for gi, sign in rel.letters:
+                current, h = edges[(current, (gi, sign))]
+                if h == identity:
+                    continue
+                if sign == 1:
+                    letters.append((symbol_of[h], 1))
+                else:
+                    letters.append((symbol_of[h.inverse()], -1))
+            if current != vi:
+                raise OracleInconsistencyError(
+                    "relator trace from coset %d did not close up" % vi
+                )
+            trace = Word(letters)
+            if trace.letters:
+                relators.append(trace)
+
+    names = tuple("h%d" % (k + 1) for k in range(len(generator_images)))
+    presentation = Presentation(
+        names, relators, None if abstract else generator_images
+    )
+    return presentation, len(vertices)

@@ -153,3 +153,40 @@ def test_survey_json(capsys):
         g for g in data["groups"] if g["canonical"] == "index3:1,0,0,0"
     )
     assert entry["weight_denominator"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denom", "gamma3", "--max-index", "10"],
+        ["exists", "gamma3", "1/3", "--max-index", "10"],
+        ["survey-index3", "--max-index", "2"],
+    ],
+)
+def test_index_overflow_is_domain_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "exceeds max_index" in captured.err
+    # the message names the group whose enumeration overflowed
+    assert ("gamma3" if argv[0] != "survey-index3" else "index3:") in captured.err
+
+
+def test_inconsistent_enumeration_is_domain_error(capsys, monkeypatch):
+    from su21.matgroup import SubgroupSpec
+
+    monkeypatch.setattr(SubgroupSpec, "membership", lambda self, g: False)
+    assert main(["denom", "index3:1,0,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: index3:1,0,0,0:")
+    assert "disagrees with membership" in err
+
+
+@pytest.mark.parametrize("command", [["denom", "gamma3"], ["exists", "gamma3", "1/3"], ["survey-index3"]])
+@pytest.mark.parametrize("value", ["0", "-3", "ten"])
+def test_max_index_below_one_is_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--max-index", value])
+    assert exit_info.value.code == 2
+    assert "--max-index" in capsys.readouterr().err

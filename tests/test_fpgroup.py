@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +12,8 @@ from su21.fpgroup import (
     reidemeister_schreier,
     upsilon_presentation,
 )
-from su21.matgroup import IDENTITY, generators_upsilon, in_gamma_beta, in_index3
-from su21.eisenstein import EisensteinInt
-from helpers import GENERATORS, random_word
+from su21.matgroup import IDENTITY, SubgroupSpec
+from helpers import GENERATORS, predicate_scan_presentation, schreier_edges
 
 letters = st.lists(
     st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from((1, -1))),
@@ -156,11 +153,23 @@ def test_upsilon_relators_fix_generator_images():
     assert g * g * g == IDENTITY
 
 
+def exponent_sum_key(generator, modulus, generator_count=2):
+    """Coset key and membership of the kernel of w -> (exponent sum of one
+    generator) mod modulus."""
+
+    def key(w):
+        return w.exponent_sums(generator_count)[generator] % modulus
+
+    return key, lambda w: key(w) == 0
+
+
+def parity_key(w):
+    return sum(w.exponent_sums(2)) % 2
+
+
 def test_reidemeister_schreier_free_group_index3():
     free = Presentation(("a", "b"), ())
-    sub, graph = reidemeister_schreier(
-        free, lambda w: w.exponent_sums(2)[0] % 3 == 0, max_index=16
-    )
+    sub, graph = reidemeister_schreier(free, *exponent_sum_key(0, 3), max_index=16)
     assert graph.index == 3
     assert sub.generator_count == 4  # Nielsen-Schreier: 1 + 3*(2-1)
     assert len(sub.relators) == 0
@@ -169,7 +178,7 @@ def test_reidemeister_schreier_free_group_index3():
 def test_reidemeister_schreier_free_group_index2():
     free = Presentation(("a", "b"), ())
     sub, graph = reidemeister_schreier(
-        free, lambda w: sum(w.exponent_sums(2)) % 2 == 0, max_index=16
+        free, parity_key, lambda w: parity_key(w) == 0, max_index=16
     )
     assert graph.index == 2
     assert sub.generator_count == 3
@@ -180,7 +189,7 @@ def test_reidemeister_schreier_cyclic_quotient():
     # Z = <a | > ; subgroup 4Z has index 4 and is generated by a^4
     free = Presentation(("a",), ())
     sub, graph = reidemeister_schreier(
-        free, lambda w: w.exponent_sums(1)[0] % 4 == 0, max_index=8
+        free, *exponent_sum_key(0, 4, generator_count=1), max_index=8
     )
     assert graph.index == 4
     assert sub.generator_count == 1
@@ -189,45 +198,73 @@ def test_reidemeister_schreier_cyclic_quotient():
 
 def test_reidemeister_schreier_with_matrix_images():
     p = upsilon_presentation()
-    sub, graph = reidemeister_schreier(
-        p, lambda g: in_index3(g, (1, 0, 0, 0)), max_index=16
-    )
+    spec = SubgroupSpec("index3", (1, 0, 0, 0))
+    sub, graph = reidemeister_schreier(p, spec.coset_key, spec.membership, max_index=16)
     assert graph.index == 3
-    # subgroup generator images actually lie in the subgroup
-    for image in sub.images:
-        assert in_index3(image, (1, 0, 0, 0))
-    # the constructor of the returned presentation has already verified that
-    # every traced relator evaluates to the identity
-    assert len(sub.relators) > 0
-    # vertex 0 is the identity coset representative
+    # one generator per positive edge off the spanning tree, one relator per
+    # ambient relator and coset, in that order
+    assert sub.generator_count == 3 * 5 - 2
+    assert len(sub.relators) == 13 * 3
+    assert sub.images is None
     assert graph.vertices[0] == IDENTITY
-    # every edge satisfies r * step = h * r'
-    n_gens = p.generator_count
-    for (vi, (gi, sign)), (wj, h) in graph.edges.items():
+    # every edge v -> w joins the cosets of r_v * step and r_w
+    for (vi, (gi, sign)), wj in graph.edges.items():
         step = p.images[gi] if sign == 1 else p.images[gi].inverse()
-        assert graph.vertices[vi] * step == h * graph.vertices[wj]
+        m = graph.vertices[vi] * step
+        assert spec.coset_key(m) == spec.coset_key(graph.vertices[wj])
+        assert spec.membership(m * graph.vertices[wj].inverse())
+    # with generator k standing for r * x * r'^-1 of the k-th Schreier edge,
+    # the trace of relator k from coset v is r_v * relator * r_v^-1 = I
+    images = [
+        graph.vertices[vi] * p.images[gi] * graph.vertices[graph.edges[(vi, (gi, 1))]].inverse()
+        for vi, gi in schreier_edges(graph)
+    ]
+    assert len(images) == sub.generator_count
+    for trace in sub.relators:
+        assert evaluate_word(trace, images) == IDENTITY
 
 
 def test_reidemeister_schreier_index_overflow():
     free = Presentation(("a", "b"), ())
     with pytest.raises(IndexOverflowError):
-        reidemeister_schreier(
-            free, lambda w: w.exponent_sums(2)[0] % 7 == 0, max_index=3
-        )
+        reidemeister_schreier(free, *exponent_sum_key(0, 7), max_index=3)
+    with pytest.raises(ValueError):
+        reidemeister_schreier(free, *exponent_sum_key(0, 7), max_index=0)
+
+
+def clamped_key(w):
+    # not constant on the cosets of any subgroup: a^2 and a^3 share a key
+    return min(max(w.exponent_sums(1)[0], 0), 2)
+
+
+@pytest.mark.parametrize(
+    "key, membership",
+    [
+        # the index-3 key with the index-2 predicate
+        (lambda w: w.exponent_sums(1)[0] % 3, lambda w: w.exponent_sums(1)[0] % 2 == 0),
+        # a key whose inverse edges do not reverse its positive edges
+        (clamped_key, lambda w: w.exponent_sums(1)[0] == 0),
+    ],
+)
+def test_reidemeister_schreier_key_disagreeing_with_membership(key, membership):
+    free = Presentation(("a",), (Word([(0, 1)] * 6),))
+    with pytest.raises(OracleInconsistencyError):
+        reidemeister_schreier(free, key, membership, max_index=16)
 
 
 def test_reidemeister_schreier_identity_not_member():
+    # predicate-scan oracle: the identity must pass the predicate
     free = Presentation(("a",), ())
     with pytest.raises(OracleInconsistencyError):
-        reidemeister_schreier(free, lambda w: False, max_index=4)
+        predicate_scan_presentation(free, lambda w: False, max_index=4)
 
 
 def test_reidemeister_schreier_inconsistent_predicate():
     # exponent sum in {0, 1} mod 3 is not closed under multiplication, so
-    # coset identification must detect a double match
+    # the oracle's coset identification must detect a double match
     free = Presentation(("a", "b"), ())
     with pytest.raises(OracleInconsistencyError):
-        reidemeister_schreier(
+        predicate_scan_presentation(
             free, lambda w: w.exponent_sums(2)[0] % 3 in (0, 1), max_index=16
         )
 

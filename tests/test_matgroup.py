@@ -236,6 +236,21 @@ def test_subgroup_spec_membership():
     assert SubgroupSpec.parse("index3:1,0,0,0").membership(cube)
 
 
+def test_subgroup_spec_coset_key():
+    # g and h lie in one right coset H*g exactly when g * h^-1 is in H
+    rng = random.Random(11)
+    specs = [SubgroupSpec.parse(name) for name in ("upsilon", "gamma3", "index3:1,2,0,1")]
+    elements = [random_upsilon_element(rng, 6) for _ in range(12)]
+    for spec in specs:
+        for g in elements:
+            for h in elements:
+                same = spec.coset_key(g) == spec.coset_key(h)
+                assert same == spec.membership(g * h.inverse()), spec.name()
+    assert SubgroupSpec.parse("gamma3").coset_key(elements[0]) == F_map(elements[0])
+    with pytest.raises(ValueError):
+        SubgroupSpec.parse("gamma_sqrt3").coset_key(IDENTITY)
+
+
 def test_json_round_trip():
     rng = random.Random(10)
     for _ in range(20):

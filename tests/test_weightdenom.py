@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from su21 import weightdenom, zlinalg
-from su21.cocycle import COVER_IDENTITY
+from su21 import cocycle, weightdenom, zlinalg
+from su21.cocycle import COVER_IDENTITY, BallPoint, CoverElement
+from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
+    CosetGraph,
     IndexOverflowError,
+    OracleInconsistencyError,
     Presentation,
     Word,
     reidemeister_schreier,
@@ -22,7 +25,9 @@ from su21.matgroup import (
 from su21.weightdenom import (
     DenominatorReport,
     InfiniteOrderError,
+    base_relator_lifts,
     central_commutator_witness,
+    central_parts,
     lift_word,
     multiplier_system_exists,
     relation_matrix,
@@ -30,7 +35,12 @@ from su21.weightdenom import (
     weight_denominator_of,
 )
 from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
-from helpers import random_word
+from helpers import (
+    founding_edges,
+    predicate_scan_presentation,
+    random_word,
+    schreier_edges,
+)
 
 GENERATORS = generators_upsilon()
 UPSILON = upsilon_presentation()
@@ -84,6 +94,36 @@ def test_relation_matrix_needs_images():
     abstract = Presentation(("a",), (Word(((0, 1), (0, 1), (0, 1))),))
     with pytest.raises(ValueError):
         relation_matrix(abstract)
+    assert relation_matrix(abstract, [2]).entries == ((3, -2),)
+    with pytest.raises(ValueError):
+        relation_matrix(abstract, [2, 0])
+
+
+def test_relator_traces_telescope_to_base_lifts():
+    """Lift each coset representative along the spanning tree and each
+    Schreier generator as lift(r) * lift(x) * lift(r')^-1: then the trace
+    of ambient relator k from any coset multiplies out to (I, n_k), the
+    central part the relation matrix puts in its row."""
+    base, base_central = base_relator_lifts()
+    steps = [CoverElement(g, 0) for g in base.images]
+    for name in ("index3:1,0,0,0", "index3:0,1,1,2"):
+        spec = SubgroupSpec.parse(name)
+        sub, graph = reidemeister_schreier(base, spec.coset_key, spec.membership)
+        lifts = [COVER_IDENTITY] * graph.index
+        for wj, (vi, (gi, sign)) in sorted(founding_edges(graph).items()):
+            step = steps[gi] if sign == 1 else steps[gi].inverse()
+            lifts[wj] = lifts[vi] * step
+            assert lifts[wj].g == graph.vertices[wj]
+        generators = [
+            lifts[vi] * steps[gi] * lifts[graph.edges[(vi, (gi, 1))]].inverse()
+            for vi, gi in schreier_edges(graph)
+        ]
+        assert len(generators) == sub.generator_count
+        for k, trace in enumerate(sub.relators):
+            product = COVER_IDENTITY
+            for i, s in trace.letters:
+                product = product * (generators[i] if s == 1 else generators[i].inverse())
+            assert product == CoverElement(IDENTITY, base_central[k // graph.index])
 
 
 def test_upsilon_denominator_is_one():
@@ -138,14 +178,25 @@ def test_weight_denominator_of_index3_subgroup():
     report = weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
     assert report.weight_denominator == 3
     assert report.index_in_upsilon == 3
-    assert report.generator_count == 11
-    assert report.relator_count == 37
+    # one generator per positive edge off the spanning tree (3 * 5 - 2) and
+    # every ambient relator traced from every coset (13 * 3)
+    assert report.generator_count == 13
+    assert report.relator_count == 39
     assert report.torsion_invariants == (3, 3, 9)
 
 
 def test_weight_denominator_of_respects_max_index():
-    with pytest.raises(IndexOverflowError):
+    with pytest.raises(IndexOverflowError, match="index3:1,0,0,0"):
         weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"), max_index=2)
+
+
+def test_weight_denominator_of_checks_the_index(monkeypatch):
+    # the gamma3 key separates a subgroup of every index-3 group: the engine
+    # accepts it, and the index check catches it
+    gamma3_key = SubgroupSpec("gamma3").coset_key
+    monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: gamma3_key(g))
+    with pytest.raises(OracleInconsistencyError, match="index3:1,0,0,0: .*index 81, expected 3"):
+        weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
 
 
 def test_infinite_order_raises():
@@ -217,7 +268,9 @@ def test_weight_denominator_when_only_z_has_a_unit(monkeypatch, rows, order):
     # The z column is never a pivot, so its unit entries survive reduction.
     # In the last case z = -3x with 9x = 0: taking z as a pivot would give 9.
     monkeypatch.setattr(
-        weightdenom, "relation_matrix", lambda presentation: IntegerMatrix(rows)
+        weightdenom,
+        "relation_matrix",
+        lambda presentation, central=None: IntegerMatrix(rows),
     )
     if order is None:
         with pytest.raises(InfiniteOrderError):
@@ -240,33 +293,100 @@ def full_matrix_answer(matrix):
     return order, torsion, free_rank
 
 
-def test_reduced_path_matches_full_normal_forms(monkeypatch):
-    """Unit-pivot elimination before the normal forms changes no answer:
-    upsilon, the 40 index-3 groups and gamma3, one presentation each."""
-    built = []
+def report_answer(report):
+    return report.weight_denominator, report.torsion_invariants, report.free_rank
 
-    def recording(presentation):
-        built.append(relation_matrix(presentation))
-        return built[-1]
 
-    monkeypatch.setattr(weightdenom, "relation_matrix", recording)
-    specs = [SubgroupSpec("index3", v) for v in all_index3_vectors()]
-    specs += [SubgroupSpec.parse("upsilon"), SubgroupSpec.parse("gamma3")]
+def test_reduced_path_matches_full_normal_forms():
+    """The keyed path against the predicate-scan oracle, one oracle
+    presentation each for upsilon, gamma3 and the 40 index-3 groups: the
+    report of weight_denominator_of, the oracle's report and HNF+SNF of the
+    oracle's unreduced relation matrix agree, for all 43 reports
+    (gamma_sqrt3 is checked against upsilon's oracle)."""
+    specs = [SubgroupSpec.parse(name) for name in ("upsilon", "gamma_sqrt3", "gamma3")]
+    specs += [SubgroupSpec("index3", v) for v in all_index3_vectors()]
     answers = {}
     for spec in specs:
+        keyed = weight_denominator_of(spec)
+        if spec.kind == "gamma_sqrt3":
+            assert report_answer(keyed) == answers["upsilon"]
+            continue
         if spec.kind == "upsilon":
-            presentation = UPSILON
+            presentation, index = UPSILON, 1
         else:
-            presentation, _ = reidemeister_schreier(UPSILON, spec.membership)
-        report = weight_denominator(presentation)
-        answer = (
-            report.weight_denominator,
-            report.torsion_invariants,
-            report.free_rank,
-        )
-        assert answer == full_matrix_answer(built[-1]), spec.name()
-        answers[spec.name()] = answer
+            presentation, index = predicate_scan_presentation(UPSILON, spec.membership)
+        central = central_parts(presentation)
+        oracle = report_answer(weight_denominator(presentation, central))
+        assert oracle == full_matrix_answer(relation_matrix(presentation, central))
+        assert report_answer(keyed) == oracle, spec.name()
+        assert keyed.index_in_upsilon == index
+        answers[spec.name()] = oracle
     assert len(answers) == 42
     assert answers["upsilon"] == (1, (3, 3, 3), 2)
     assert answers["gamma3"] == (3, (3,) * 7, 10)
     assert sum(d == 3 for d, _, _ in answers.values()) == 14
+
+
+def test_gamma3_counters(monkeypatch):
+    """Deterministic work of a cold gamma3 computation: sigma lifts only
+    the 13 ambient relators, membership checks each Schreier generator
+    once, and the relation matrix has one row per relator trace."""
+    counts = {"sigma": 0, "membership": 0}
+    shapes = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def eliminating(matrix):
+        reduced = original_eliminate(matrix)
+        shapes.append((matrix.shape, reduced.shape))
+        return reduced
+
+    original_eliminate = weightdenom.eliminate_unit_pivots
+    monkeypatch.setattr(cocycle, "sigma", counted("sigma", cocycle.sigma))
+    monkeypatch.setattr(
+        SubgroupSpec, "membership", counted("membership", SubgroupSpec.membership)
+    )
+    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    base_relator_lifts.cache_clear()
+    report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    assert report_answer(report) == (3, (3,) * 7, 10)
+    # one sigma per letter of the 13 relators (116) and one per inverse
+    # of each generator a relator uses with exponent -1 (40)
+    letters = sum(len(r) for r in UPSILON.relators)
+    inverses = sum(len({i for i, s in r.letters if s == -1}) for r in UPSILON.relators)
+    assert (letters, inverses) == (116, 40)
+    assert counts["sigma"] == letters + inverses == 156
+    # 81 cosets: 810 edges, 80 of which span the tree; the predicate sees
+    # the 325 positive edges off it
+    assert counts["membership"] == 81 * 5 - 80 == 325
+    assert report.generator_count == 325
+    assert report.relator_count == 13 * 81
+    assert shapes == [((1053, 326), (484, 17))]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        IntegerMatrix([[1, -2], [0, 3]]),
+        Word([(0, 1), (2, -1)]),
+        UPSILON,
+        SubgroupSpec.parse("index3:2,0,1,0"),
+        GENERATORS[1],
+        EisensteinInt(3, -4),
+        CoverElement(GENERATORS[0], 5),
+        BallPoint(-2.0, 0.5j),
+        CosetGraph([IDENTITY], {(0, (0, 1)): 0}, 1),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_pickle_round_trip(value):
+    clone = pickle.loads(pickle.dumps(value))
+    assert type(clone) is type(value)
+    assert clone.__reduce__() == value.__reduce__()
+    with pytest.raises(AttributeError):
+        clone.extra = 1
