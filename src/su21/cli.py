@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain or verification failure (non-member matrix,
-failed relator, index beyond --max-index, inconsistent enumeration), 2 usage
-or parse errors.
+failed relator, coset enumeration beyond the subgroup's index, inconsistent
+enumeration), 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cocycle import BranchToleranceError, sigma
+from .cocycle import sigma
 from .fpgroup import IndexOverflowError, OracleInconsistencyError, evaluate_word
 from .matgroup import IDENTITY, GroupMatrix, SubgroupSpec
 from .weightdenom import (
@@ -90,7 +90,7 @@ def _print_report(report) -> None:
 
 def _cmd_denom(args) -> int:
     spec = _parse_spec(args.group)
-    report = weight_denominator_of(spec, max_index=args.max_index)
+    report = weight_denominator_of(spec)
     if args.json:
         _print_json(report.to_json_dict())
     else:
@@ -99,7 +99,7 @@ def _cmd_denom(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    results = survey_index3(max_index=args.max_index, parallel=args.parallel)
+    results = survey_index3(parallel=args.parallel)
     groups = [
         {
             "vector": list(vector),
@@ -140,11 +140,7 @@ def _cmd_sigma(args) -> int:
     h = _load_matrix(args.h)
     _require_group_element(g, "g")
     _require_group_element(h, "h")
-    try:
-        value = sigma(g, h)
-    except (BranchToleranceError, ValueError) as exc:
-        # ValueError: a float image of the base point left the domain
-        raise _DomainError("float evaluation of sigma failed: %s" % exc)
+    value = sigma(g, h)
     if args.json:
         _print_json({"sigma": value})
     else:
@@ -176,7 +172,7 @@ def _cmd_exists(args) -> int:
         weight = Fraction(args.weight)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError("bad weight %r: %s" % (args.weight, exc))
-    answer = multiplier_system_exists(spec, weight, max_index=args.max_index)
+    answer = multiplier_system_exists(spec, weight)
     if args.json:
         _print_json({"exists": answer})
     else:
@@ -186,25 +182,6 @@ def _cmd_exists(args) -> int:
 
 def _add_common(parser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _max_index(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
-def _add_max_index(parser) -> None:
-    parser.add_argument(
-        "--max-index",
-        type=_max_index,
-        default=512,
-        help="abort coset enumeration beyond this index (default 512)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,14 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denom", help="weight denominator of a named subgroup")
     p.add_argument("group", help="upsilon | gamma_sqrt3 | gamma3 | index3:a,b,c,d")
     _add_common(p)
-    _add_max_index(p)
     p.set_defaults(handler=_cmd_denom)
 
     p = sub.add_parser(
         "survey-index3", help="weight denominators of all 40 index-3 subgroups"
     )
     _add_common(p)
-    _add_max_index(p)
     p.add_argument(
         "--parallel",
         action="store_true",
@@ -259,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group", help="upsilon | gamma_sqrt3 | gamma3 | index3:a,b,c,d")
     p.add_argument("weight", help="rational weight, e.g. 2/3")
     _add_common(p)
-    _add_max_index(p)
     p.set_defaults(handler=_cmd_exists)
 
     return parser

@@ -9,138 +9,62 @@ has positive real part.  The branch defect
 
 is an integer independent of tau, and (g, n) pairs with the twisted product
 (g, n)(h, m) = (gh, n + m + sigma(g, h)) realize the universal cover.
+
+sigma is evaluated exactly at tau0 = (-2, 0).  There j(g, tau0) is the
+Eisenstein integer g33 - 2*g31, j(g, h*tau0) = j(gh, tau0) / j(h, tau0), and
+X(g) is -g31, or g33 when g31 = 0.  Let eps(u, v) = (Arg u + Arg v - Arg uv)
+/ (2*pi), with principal arguments in (-pi, pi], and j = j(gh, tau0).  The
+arguments of the right-half-plane quotients j(g, h*tau0) / X(g) and
+j(h, tau0) / X(h) add without wrapping, so
+
+    sigma(g, h) = eps(j / X(gh), X(gh)) - eps(X(g), X(h))
+                  - eps(j / (X(g) X(h)), X(g) X(h)).
+
+Multiplying by a conjugate instead of dividing scales by a positive norm,
+which changes no argument, so every eps is a sign test on integers.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-
+from .eisenstein import EisensteinInt
 from .matgroup import IDENTITY, GroupMatrix
 
-SIGMA_TOLERANCE = 1e-6
 
-_TWO_PI = 2.0 * math.pi
-
-
-class BranchToleranceError(ArithmeticError):
-    """The cocycle value failed to round to an integer within tolerance."""
-
-
-class BallPoint:
-    """A point (tau1, tau2) of the symmetric space: 2*Re(tau1) + |tau2|^2 < 0.
-
-    The domain is open, so boundary points (defect exactly 0) are rejected.
-    Images of interior points under group elements keep a strictly negative
-    defect with a margin far above rounding noise, so no slack is needed.
-    """
-
-    __slots__ = ("tau1", "tau2")
-
-    def __init__(self, tau1, tau2):
-        tau1 = complex(tau1)
-        tau2 = complex(tau2)
-        defect = 2.0 * tau1.real + abs(tau2) ** 2
-        if not defect < 0.0:
-            raise ValueError(
-                "point (%r, %r) is outside the domain: 2*Re(tau1) + |tau2|^2 = %r"
-                % (tau1, tau2, defect)
-            )
-        object.__setattr__(self, "tau1", tau1)
-        object.__setattr__(self, "tau2", tau2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BallPoint is immutable")
-
-    def __reduce__(self):
-        return (BallPoint, (self.tau1, self.tau2))
-
-    def __repr__(self):
-        return "BallPoint(%r, %r)" % (self.tau1, self.tau2)
-
-    def __eq__(self, other):
-        if not isinstance(other, BallPoint):
-            return NotImplemented
-        return self.tau1 == other.tau1 and self.tau2 == other.tau2
-
-
-BASE_POINT = BallPoint(-2.0, 0.0)
-FALLBACK_BASE_POINTS = (BallPoint(-3.0, 0.0), BallPoint(-2.0, 0.5))
-
-
-def _log_branch(z: complex) -> complex:
-    """Principal logarithm with -pi < Im <= pi; the cut value is +pi*i."""
-    theta = math.atan2(z.imag, z.real)
-    if theta <= -math.pi:
-        theta = math.pi
-    return complex(math.log(abs(z)), theta)
-
-
-def j_factor(g: GroupMatrix, tau: BallPoint) -> complex:
-    """C*tau + D for the bottom row of g split as 1x2 and 1x1 blocks."""
-    a, b, c = (entry.embed() for entry in g[2])
-    return a * tau.tau1 + b * tau.tau2 + c
-
-
-def act(g: GroupMatrix, tau: BallPoint) -> BallPoint:
-    """Fractional-linear action (A*tau + B) / (C*tau + D)."""
-    column = (tau.tau1, tau.tau2, 1.0)
-    images = [
-        sum(g[i][k].embed() * column[k] for k in range(3)) for i in range(3)
-    ]
-    denominator = images[2]
-    return BallPoint(images[0] / denominator, images[1] / denominator)
-
-
-def X_of(g: GroupMatrix) -> complex:
-    """-a when the bottom-left entry a is nonzero, else the bottom-right entry c.
-
-    Zero testing is exact on the Eisenstein entries, never numeric.
-    """
+def X_of(g: GroupMatrix) -> EisensteinInt:
+    """-a when the bottom-left entry a is nonzero, else the bottom-right entry c."""
     a = g[2][0]
     if not a.is_zero():
-        return -a.embed()
+        return -a
     c = g[2][2]
     if c.is_zero():
         raise ValueError("matrix has a zero bottom row; not in the group")
-    return c.embed()
+    return c
 
 
-def j_tilde(g: GroupMatrix, tau: BallPoint) -> complex:
-    """The branch log(j/X) + log(X), each logarithm principal."""
-    j = j_factor(g, tau)
-    x = X_of(g)
-    return _log_branch(j / x) + _log_branch(x)
+def _upper(u: EisensteinInt) -> bool:
+    """Whether Arg u lies in (0, pi]: Im u = b*sqrt(3)/2, Re u = (2a - b)/2."""
+    return u.b > 0 or (u.b == 0 and u.a < 0)
 
 
-def sigma_at(g: GroupMatrix, h: GroupMatrix, tau: BallPoint) -> tuple:
-    """The raw cocycle value at one base point: (rounded integer, residual)."""
-    value = (
-        j_tilde(g * h, tau) - j_tilde(g, act(h, tau)) - j_tilde(h, tau)
-    ) / complex(0.0, _TWO_PI)
-    nearest = round(value.real)
-    residual = abs(value - nearest)
-    return nearest, residual
+def _eps(u: EisensteinInt, v: EisensteinInt) -> int:
+    """(Arg u + Arg v - Arg uv) / (2*pi) for nonzero u, v: 1, 0 or -1."""
+    if _upper(u) and _upper(v):
+        return 0 if _upper(u * v) else 1
+    if u.b < 0 and v.b < 0:
+        return -1 if _upper(u * v) else 0
+    return 0
 
 
-def sigma(g: GroupMatrix, h: GroupMatrix, tolerance: float = SIGMA_TOLERANCE) -> int:
-    """The integer cocycle sigma(g, h).
-
-    Evaluated at the default base point; since sigma is an integer by theory,
-    a residual beyond tolerance indicates a genuine defect, so two fallback
-    base points are tried before raising BranchToleranceError.
-    """
-    if not 0.0 < tolerance < 0.5:
-        raise ValueError("tolerance must lie strictly between 0 and 0.5")
-    failures = []
-    for tau in (BASE_POINT,) + FALLBACK_BASE_POINTS:
-        nearest, residual = sigma_at(g, h, tau)
-        if residual < tolerance:
-            return nearest
-        failures.append((tau, residual))
-    raise BranchToleranceError(
-        "cocycle residuals exceeded %g at all base points: %s"
-        % (tolerance, ", ".join("%r -> %g" % f for f in failures))
+def sigma(g: GroupMatrix, h: GroupMatrix) -> int:
+    """The integer cocycle sigma(g, h), by exact sign tests at tau0 = (-2, 0)."""
+    gh = g * h
+    j = gh[2][2] - 2 * gh[2][0]
+    x_g, x_h, x_gh = X_of(g), X_of(h), X_of(gh)
+    x_g_x_h = x_g * x_h
+    return (
+        _eps(j * x_gh.conj(), x_gh)
+        - _eps(x_g, x_h)
+        - _eps(j * x_g_x_h.conj(), x_g_x_h)
     )
 
 

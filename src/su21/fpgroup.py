@@ -95,9 +95,6 @@ class Word:
             row[i] += s
         return row
 
-    def max_index(self) -> int:
-        return max((i for i, _ in self.letters), default=-1)
-
     def to_string(self, names=None) -> str:
         """Space-separated signed generator names, e.g. 'n1 n3^-1'."""
         parts = []
@@ -166,7 +163,7 @@ class Presentation:
             raise ValueError("generator names must be distinct")
         relators = tuple(r if isinstance(r, Word) else Word(r) for r in relators)
         for r in relators:
-            if r.max_index() >= len(names):
+            if any(i >= len(names) for i, _ in r.letters):
                 raise ValueError("relator uses a generator index out of range")
         if images is not None:
             images = tuple(images)
@@ -198,10 +195,6 @@ class Presentation:
 
     def word(self, text: str) -> Word:
         return Word.from_string(text, self.generator_names)
-
-    def relator_lines(self) -> list:
-        """Text serialization: one line per relator in signed-name syntax."""
-        return [r.to_string(self.generator_names) for r in self.relators]
 
 
 def upsilon_presentation() -> Presentation:

@@ -23,7 +23,7 @@ Hermite normal form, which gives d; its nonzero rows give the invariants.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .cocycle import COVER_IDENTITY, CoverElement
 from .fpgroup import (
@@ -229,7 +229,7 @@ def central_commutator_witness() -> Word:
     return word
 
 
-def weight_denominator_of(spec: SubgroupSpec, max_index: int = 512) -> DenominatorReport:
+def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
     """Weight denominator of a named subgroup.
 
     The five-generator unipotent group is computed directly from its
@@ -241,8 +241,8 @@ def weight_denominator_of(spec: SubgroupSpec, max_index: int = 512) -> Denominat
     factor does not change which weights admit multiplier systems, so that
     case reuses the unipotent computation (with a note saying so).
 
-    Enumeration errors (IndexOverflowError, OracleInconsistencyError) name
-    the group.
+    Enumeration stops beyond the subgroup's known index.  Enumeration
+    errors (IndexOverflowError, OracleInconsistencyError) name the group.
     """
     base, base_central = base_relator_lifts()
     if spec.kind == "upsilon":
@@ -265,13 +265,13 @@ def weight_denominator_of(spec: SubgroupSpec, max_index: int = 512) -> Denominat
                 "center, which leaves the weight denominator unchanged",
             ),
         )
+    expected = spec.index_in_upsilon()
     try:
         sub, graph = reidemeister_schreier(
-            base, spec.coset_key, spec.membership, max_index=max_index
+            base, spec.coset_key, spec.membership, max_index=expected
         )
     except (IndexOverflowError, OracleInconsistencyError) as exc:
         raise type(exc)("%s: %s" % (spec.name(), exc)) from exc
-    expected = spec.index_in_upsilon()
     if graph.index != expected:
         raise OracleInconsistencyError(
             "%s: coset enumeration found index %d, expected %d"
@@ -284,33 +284,29 @@ def weight_denominator_of(spec: SubgroupSpec, max_index: int = 512) -> Denominat
     )
 
 
-def _survey_worker(vector, max_index):
-    spec = SubgroupSpec("index3", vector)
-    return vector, weight_denominator_of(spec, max_index=max_index)
+def _survey_worker(vector):
+    return vector, weight_denominator_of(SubgroupSpec("index3", vector))
 
 
-def survey_index3(max_index: int = 512, parallel: bool = False) -> list:
+def survey_index3(parallel: bool = False) -> list:
     """Weight denominators of all 40 index-3 congruence subgroups of the
     unipotent group, as (canonical vector, report) pairs in lexicographic
     vector order."""
     from .matgroup import all_index3_vectors
 
     vectors = all_index3_vectors()
-    worker = partial(_survey_worker, max_index=max_index)
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(worker, vectors))
-    else:
-        results = [worker(v) for v in vectors]
-    return results
+            return list(pool.map(_survey_worker, vectors))
+    return [_survey_worker(v) for v in vectors]
 
 
-def multiplier_system_exists(spec: SubgroupSpec, weight: Fraction, max_index: int = 512) -> bool:
+def multiplier_system_exists(spec: SubgroupSpec, weight: Fraction) -> bool:
     """Whether the subgroup carries a multiplier system of the given weight:
     true exactly when the weight's reduced denominator divides the group's
     weight denominator."""
     weight = Fraction(weight)
-    report = weight_denominator_of(spec, max_index=max_index)
+    report = weight_denominator_of(spec)
     return report.weight_denominator % weight.denominator == 0

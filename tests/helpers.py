@@ -1,10 +1,12 @@
 """Shared test utilities: seeded random sampling and independent oracles."""
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from su21.cocycle import X_of
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
     EMPTY_WORD,
@@ -289,3 +291,124 @@ def predicate_scan_presentation(ambient, membership, max_index=512):
         names, relators, None if abstract else generator_images
     )
     return presentation, len(vertices)
+
+
+# --- float cocycle oracle ------------------------------------------------------
+#
+# The floating-point evaluation of sigma the package used before it became
+# exact: principal logarithms of the automorphy factor at a point of the
+# ball, rounded to the nearest integer, with two fallback base points when
+# the residual exceeds the tolerance.  Float images of the base point leave
+# the domain (ValueError) or overflow on large entries, so it is an oracle
+# only where it is defined.
+
+SIGMA_TOLERANCE = 1e-6
+
+_TWO_PI = 2.0 * math.pi
+
+
+class BranchToleranceError(ArithmeticError):
+    """The cocycle value failed to round to an integer within tolerance."""
+
+
+class BallPoint:
+    """A point (tau1, tau2) of the symmetric space: 2*Re(tau1) + |tau2|^2 < 0.
+
+    The domain is open, so boundary points (defect exactly 0) are rejected.
+    Images of interior points under group elements keep a strictly negative
+    defect with a margin far above rounding noise, so no slack is needed.
+    """
+
+    __slots__ = ("tau1", "tau2")
+
+    def __init__(self, tau1, tau2):
+        tau1 = complex(tau1)
+        tau2 = complex(tau2)
+        defect = 2.0 * tau1.real + abs(tau2) ** 2
+        if not defect < 0.0:
+            raise ValueError(
+                "point (%r, %r) is outside the domain: 2*Re(tau1) + |tau2|^2 = %r"
+                % (tau1, tau2, defect)
+            )
+        object.__setattr__(self, "tau1", tau1)
+        object.__setattr__(self, "tau2", tau2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BallPoint is immutable")
+
+    def __reduce__(self):
+        return (BallPoint, (self.tau1, self.tau2))
+
+    def __repr__(self):
+        return "BallPoint(%r, %r)" % (self.tau1, self.tau2)
+
+    def __eq__(self, other):
+        if not isinstance(other, BallPoint):
+            return NotImplemented
+        return self.tau1 == other.tau1 and self.tau2 == other.tau2
+
+
+BASE_POINT = BallPoint(-2.0, 0.0)
+FALLBACK_BASE_POINTS = (BallPoint(-3.0, 0.0), BallPoint(-2.0, 0.5))
+
+
+def _log_branch(z: complex) -> complex:
+    """Principal logarithm with -pi < Im <= pi; the cut value is +pi*i."""
+    theta = math.atan2(z.imag, z.real)
+    if theta <= -math.pi:
+        theta = math.pi
+    return complex(math.log(abs(z)), theta)
+
+
+def j_factor(g, tau: BallPoint) -> complex:
+    """C*tau + D for the bottom row of g split as 1x2 and 1x1 blocks."""
+    a, b, c = (entry.embed() for entry in g[2])
+    return a * tau.tau1 + b * tau.tau2 + c
+
+
+def act(g, tau: BallPoint) -> BallPoint:
+    """Fractional-linear action (A*tau + B) / (C*tau + D)."""
+    column = (tau.tau1, tau.tau2, 1.0)
+    images = [
+        sum(g[i][k].embed() * column[k] for k in range(3)) for i in range(3)
+    ]
+    denominator = images[2]
+    return BallPoint(images[0] / denominator, images[1] / denominator)
+
+
+def j_tilde(g, tau: BallPoint) -> complex:
+    """The branch log(j/X) + log(X), each logarithm principal."""
+    j = j_factor(g, tau)
+    x = X_of(g).embed()
+    return _log_branch(j / x) + _log_branch(x)
+
+
+def sigma_at(g, h, tau: BallPoint) -> tuple:
+    """The raw cocycle value at one base point: (rounded integer, residual)."""
+    value = (
+        j_tilde(g * h, tau) - j_tilde(g, act(h, tau)) - j_tilde(h, tau)
+    ) / complex(0.0, _TWO_PI)
+    nearest = round(value.real)
+    residual = abs(value - nearest)
+    return nearest, residual
+
+
+def float_sigma(g, h, tolerance: float = SIGMA_TOLERANCE) -> int:
+    """The integer cocycle sigma(g, h), evaluated in floating point.
+
+    Evaluated at the default base point; since sigma is an integer by theory,
+    a residual beyond tolerance indicates a genuine defect, so two fallback
+    base points are tried before raising BranchToleranceError.
+    """
+    if not 0.0 < tolerance < 0.5:
+        raise ValueError("tolerance must lie strictly between 0 and 0.5")
+    failures = []
+    for tau in (BASE_POINT,) + FALLBACK_BASE_POINTS:
+        nearest, residual = sigma_at(g, h, tau)
+        if residual < tolerance:
+            return nearest
+        failures.append((tau, residual))
+    raise BranchToleranceError(
+        "cocycle residuals exceeded %g at all base points: %s"
+        % (tolerance, ", ".join("%r -> %g" % f for f in failures))
+    )

@@ -8,15 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from su21.cocycle import (
-    BASE_POINT,
-    FALLBACK_BASE_POINTS,
-    BallPoint,
-    j_factor,
-    sigma,
-    sigma_at,
-    X_of,
-)
+from su21.cocycle import X_of, sigma
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import evaluate_word, upsilon_presentation
 from su21.gendecomp import _descend_step, decompose, first_column_height
@@ -38,10 +30,15 @@ from su21.weightdenom import (
 )
 from su21.zlinalg import IntegerMatrix, hermite_normal_form, smith_normal_form
 from helpers import (
+    BASE_POINT,
+    FALLBACK_BASE_POINTS,
+    BallPoint,
     LatticeOracle,
+    j_factor,
     lattices_equal,
     random_matrix_rows,
     random_word,
+    sigma_at,
     smith_via_minor_gcds,
 )
 
@@ -169,7 +166,7 @@ def test_criterion_06_cocycle_suite():
         k = random_element(rng, 8)
         assert sigma(g, h) + sigma(g * h, k) == sigma(g, h * k) + sigma(h, k)
 
-    # base-point independence across 5 base points
+    # the float oracle agrees with the exact sigma at 5 base points
     base_points = (
         (BASE_POINT,)
         + FALLBACK_BASE_POINTS
@@ -179,12 +176,11 @@ def test_criterion_06_cocycle_suite():
     for _ in range(250):
         g = random_element(rng, 8)
         h = random_element(rng, 8)
-        values = set()
+        exact = sigma(g, h)
         for tau in base_points:
             nearest, residual = sigma_at(g, h, tau)
             assert residual < 1e-6
-            values.add(nearest)
-        assert len(values) == 1
+            assert nearest == exact
 
     # rounding residuals stay far from the half-integer ambiguity point
     worst = 0.0
@@ -209,7 +205,7 @@ def test_criterion_06_cocycle_suite():
     for _ in range(1000):
         g = random_element(rng, 10)
         tau = taus[rng.randrange(len(taus))]
-        value = j_factor(g, tau) / X_of(g)
+        value = j_factor(g, tau) / X_of(g).embed()
         assert value.real > 1e-9
         checked += 1
     assert checked >= 1000

@@ -1,11 +1,19 @@
 import json
+import random
 
 import pytest
 
 from su21.cli import main
+from su21.cocycle import sigma
 from su21.fpgroup import evaluate_word
 from su21.gendecomp import GENERATOR_NAMES
-from su21.matgroup import IDENTITY, ZETA_IDENTITY, GroupMatrix, generators_upsilon
+from su21.matgroup import (
+    IDENTITY,
+    ZETA_IDENTITY,
+    GroupMatrix,
+    SubgroupSpec,
+    generators_upsilon,
+)
 
 GENERATORS = generators_upsilon()
 
@@ -85,21 +93,56 @@ def test_sigma_rejects_non_unitary(tmp_path, capsys):
     assert "not in the unitary group" in capsys.readouterr().err
 
 
+def sigma_via_cli(tmp_path, capsys, g, h):
+    g_path = write_matrix(tmp_path, "g.json", g)
+    h_path = write_matrix(tmp_path, "h.json", h)
+    assert main(["sigma", "--g", g_path, "--h", h_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return int(captured.out)
+
+
+def assert_cocycle_identity(g, h, value):
+    for k in GENERATORS:
+        assert value + sigma(g * h, k) == sigma(h, k) + sigma(g, h * k)
+
+
 def test_sigma_float_domain_failure_is_clean(tmp_path, capsys):
     # n1 and a word of 51 letters: the float image of the base point under
-    # this h rounds onto the boundary of the domain
+    # this h rounds onto the boundary of the domain, the exact sigma is 0
     h = GroupMatrix.from_json_dict({"entries": [
         [[-41459993, -170779068], [54261840, -75222456], [402808101, 160197006]],
         [[-141053128, -68586416], [-82017275, -94938312], [32516208, -260464488]],
         [[42508507, 62181362], [3117992, 41652040], [-118182008, 13243296]],
     ]})
-    g_path = write_matrix(tmp_path, "g.json", GENERATORS[0])
-    h_path = write_matrix(tmp_path, "h.json", h)
-    assert main(["sigma", "--g", g_path, "--h", h_path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "outside the domain" in captured.err
+    value = sigma_via_cli(tmp_path, capsys, GENERATORS[0], h)
+    assert value == 0
+    assert_cocycle_identity(GENERATORS[0], h, value)
+
+
+def random_reduced_element(rng, length):
+    """The element of a random freely reduced word of this length."""
+    inverses = [g.inverse() for g in GENERATORS]
+    result, previous = IDENTITY, None
+    for _ in range(length):
+        letter = previous
+        while letter == previous:
+            letter = (rng.randrange(5), rng.choice((1, -1)))
+        i, s = letter
+        result = result * (GENERATORS[i] if s == 1 else inverses[i])
+        previous = (i, -s)
+    return result
+
+
+def test_sigma_beyond_float_range(tmp_path, capsys):
+    # reduced words of 1400 letters: entries of about 315 digits, which no
+    # float can hold (the float sigma raised OverflowError here)
+    rng = random.Random(23)
+    g, h = random_reduced_element(rng, 1400), random_reduced_element(rng, 1400)
+    assert max(abs(e.b) for row in h.entries for e in row) > 10 ** 309
+    value = sigma_via_cli(tmp_path, capsys, g, h)
+    assert value == sigma(g, h)
+    assert_cocycle_identity(g, h, value)
 
 
 def test_sigma_unreadable_file(tmp_path, capsys):
@@ -158,19 +201,26 @@ def test_survey_json(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["denom", "gamma3", "--max-index", "10"],
-        ["exists", "gamma3", "1/3", "--max-index", "10"],
-        ["survey-index3", "--max-index", "2"],
+        ["denom", "index3:1,0,0,0"],
+        ["exists", "index3:1,0,0,0", "1/3"],
+        ["survey-index3"],
     ],
 )
-def test_index_overflow_is_domain_error(capsys, argv):
+def test_index_overflow_is_domain_error(capsys, monkeypatch, argv):
+    # the gamma3 key on an index-3 group finds more cosets than its index
+    key, gamma3_key = SubgroupSpec.coset_key, SubgroupSpec("gamma3").coset_key
+    monkeypatch.setattr(
+        SubgroupSpec,
+        "coset_key",
+        lambda self, g: gamma3_key(g) if self.kind == "index3" else key(self, g),
+    )
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    assert "exceeds max_index" in captured.err
+    assert "exceeds max_index = 3" in captured.err
     # the message names the group whose enumeration overflowed
-    assert ("gamma3" if argv[0] != "survey-index3" else "index3:") in captured.err
+    assert "error: index3:" in captured.err
 
 
 def test_inconsistent_enumeration_is_domain_error(capsys, monkeypatch):
@@ -186,7 +236,9 @@ def test_inconsistent_enumeration_is_domain_error(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [["denom", "gamma3"], ["exists", "gamma3", "1/3"], ["survey-index3"]])
 @pytest.mark.parametrize("value", ["0", "-3", "ten"])
 def test_max_index_below_one_is_usage_error(capsys, command, value):
+    # the enumeration bound is the subgroup's own index, so --max-index is
+    # no longer an option: any value is refused as a usage error
     with pytest.raises(SystemExit) as exit_info:
         main(command + ["--max-index", value])
     assert exit_info.value.code == 2
-    assert "--max-index" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-index" in capsys.readouterr().err

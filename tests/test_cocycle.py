@@ -4,25 +4,30 @@ import random
 import pytest
 
 from su21.cocycle import (
-    BASE_POINT,
     COVER_IDENTITY,
+    CoverElement,
+    _eps,
+    cover_inv,
+    cover_mul,
+    sigma,
+    X_of,
+)
+from su21.eisenstein import ONE, ZETA
+from su21.matgroup import IDENTITY, ZETA_IDENTITY, generators_upsilon, make_n
+from helpers import (
+    BASE_POINT,
     FALLBACK_BASE_POINTS,
     SIGMA_TOLERANCE,
     BallPoint,
     BranchToleranceError,
-    CoverElement,
     act,
-    cover_inv,
-    cover_mul,
+    float_sigma,
     j_factor,
     j_tilde,
-    sigma,
+    random_eisenstein,
+    random_upsilon_element,
     sigma_at,
-    X_of,
 )
-from su21.eisenstein import ONE
-from su21.matgroup import IDENTITY, ZETA_IDENTITY, generators_upsilon, make_n
-from helpers import random_upsilon_element
 
 TWO_PI = 2.0 * cmath.pi
 
@@ -79,9 +84,9 @@ def test_j_factor_cocycle_rule():
 
 def test_x_of_branches():
     n3 = make_n(0, 2)
-    assert X_of(n3) == ONE.embed()  # zero lower-left entry: the corner is used
+    assert X_of(n3) == ONE  # zero lower-left entry: the corner is used
     n5 = n3.transpose()
-    assert X_of(n5) == (-n5[2][0]).embed()
+    assert X_of(n5) == -n5[2][0]
     with pytest.raises(ValueError):
         X_of(_zero_bottom_row_matrix())
 
@@ -184,9 +189,10 @@ def test_central_cover_elements_add():
 
 
 def test_sigma_tolerance_configurable():
-    assert sigma(ZETA_IDENTITY, ZETA_IDENTITY, tolerance=1e-9) == -1
+    # the tolerance belongs to the float oracle; the package's sigma is exact
+    assert float_sigma(ZETA_IDENTITY, ZETA_IDENTITY, tolerance=1e-9) == -1
     with pytest.raises(ValueError):
-        sigma(ZETA_IDENTITY, ZETA_IDENTITY, tolerance=0.6)
+        float_sigma(ZETA_IDENTITY, ZETA_IDENTITY, tolerance=0.6)
     assert SIGMA_TOLERANCE == 1e-6
 
 
@@ -199,4 +205,37 @@ def test_branch_tolerance_error_reports_residuals():
     floor_residual = min(sigma_at(g, h, tau)[1] for tau in points)
     assert floor_residual > 0.0
     with pytest.raises(BranchToleranceError):
-        sigma(g, h, tolerance=floor_residual / 2.0)
+        float_sigma(g, h, tolerance=floor_residual / 2.0)
+
+
+ZETA_BAR = ZETA.conj()
+
+
+@pytest.mark.parametrize(
+    "u, v, expected",
+    [
+        (-ONE, -ONE, 1),  # pi + pi, and Arg 1 = 0
+        (ZETA, ZETA, 1),  # 2pi/3 + 2pi/3, and zeta^2 = conj(zeta) sits at -2pi/3
+        (ZETA_BAR, ZETA_BAR, -1),  # -2pi/3 - 2pi/3, and conj(zeta)^2 = zeta
+        (-ONE, ZETA_BAR, 0),  # pi - 2pi/3 = pi/3 = Arg(-conj(zeta))
+        (ZETA_BAR, -ONE, 0),
+        (ONE, ZETA, 0),
+        (ONE, -ONE, 0),
+        (ONE, ZETA_BAR, 0),
+    ],
+)
+def test_eps_on_the_branch_cut(u, v, expected):
+    assert _eps(u, v) == expected
+
+
+def test_eps_matches_phase():
+    rng = random.Random(20)
+    for _ in range(2000):
+        u = random_eisenstein(rng, 4)
+        v = random_eisenstein(rng, 4)
+        if u.is_zero() or v.is_zero():
+            continue
+        turns = (
+            cmath.phase(u.embed()) + cmath.phase(v.embed()) - cmath.phase((u * v).embed())
+        ) / TWO_PI
+        assert _eps(u, v) == round(turns), (u, v)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from su21 import cocycle, weightdenom, zlinalg
-from su21.cocycle import COVER_IDENTITY, BallPoint, CoverElement
+from su21.cocycle import COVER_IDENTITY, CoverElement
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
     CosetGraph,
@@ -31,11 +31,13 @@ from su21.weightdenom import (
     lift_word,
     multiplier_system_exists,
     relation_matrix,
+    survey_index3,
     weight_denominator,
     weight_denominator_of,
 )
 from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
 from helpers import (
+    BallPoint,
     founding_edges,
     predicate_scan_presentation,
     random_word,
@@ -185,18 +187,34 @@ def test_weight_denominator_of_index3_subgroup():
     assert report.torsion_invariants == (3, 3, 9)
 
 
-def test_weight_denominator_of_respects_max_index():
-    with pytest.raises(IndexOverflowError, match="index3:1,0,0,0"):
-        weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"), max_index=2)
+def test_weight_denominator_of_respects_max_index(monkeypatch):
+    # the enumeration bound is the subgroup's own index: the gamma3 key
+    # separates 81 cosets, so enumeration stops at the fourth
+    gamma3_key = SubgroupSpec("gamma3").coset_key
+    monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: gamma3_key(g))
+    with pytest.raises(IndexOverflowError, match="index3:1,0,0,0: .*max_index = 3"):
+        weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
 
 
 def test_weight_denominator_of_checks_the_index(monkeypatch):
-    # the gamma3 key separates a subgroup of every index-3 group: the engine
-    # accepts it, and the index check catches it
-    gamma3_key = SubgroupSpec("gamma3").coset_key
-    monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: gamma3_key(g))
-    with pytest.raises(OracleInconsistencyError, match="index3:1,0,0,0: .*index 81, expected 3"):
+    # upsilon's key and membership describe a consistent group of index 1:
+    # the engine accepts them, and the index check catches it
+    upsilon = SubgroupSpec("upsilon")
+    upsilon_key, upsilon_membership = upsilon.coset_key, upsilon.membership
+    monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: upsilon_key(g))
+    monkeypatch.setattr(SubgroupSpec, "membership", lambda self, g: upsilon_membership(g))
+    with pytest.raises(OracleInconsistencyError, match="index3:1,0,0,0: .*index 1, expected 3"):
         weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
+
+
+def test_pooled_survey_matches_sequential():
+    # each worker process lifts the base relators itself
+    pooled = survey_index3(parallel=True)
+    sequential = survey_index3()
+    assert len(pooled) == 40
+    assert [(v, r.to_json_dict()) for v, r in pooled] == [
+        (v, r.to_json_dict()) for v, r in sequential
+    ]
 
 
 def test_infinite_order_raises():
