@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from .cocycle import sigma
-from .fpgroup import IndexOverflowError, OracleInconsistencyError, evaluate_word
-from .matgroup import IDENTITY, GroupMatrix, SubgroupSpec
+from .fpgroup import IndexOverflowError, OracleInconsistencyError
+from .matgroup import GroupMatrix, SubgroupSpec
 from .weightdenom import (
     survey_index3,
     weight_denominator_of,
@@ -57,19 +57,14 @@ def _cmd_verify_presentation(args) -> int:
     except ValueError as exc:
         print("presentation verification failed: %s" % exc, file=sys.stderr)
         return 1
-    results = []
-    for relator in presentation.relators:
-        ok = evaluate_word(relator, presentation.images) == IDENTITY
-        results.append(
-            {"relator": relator.to_string(presentation.generator_names), "ok": ok}
-        )
+    # The constructor has checked every relator against the matrix images.
+    relators = [r.to_string(presentation.generator_names) for r in presentation.relators]
     if args.json:
-        _print_json(results)
+        _print_json([{"relator": r, "ok": True} for r in relators])
     else:
-        for k, entry in enumerate(results):
-            status = "ok" if entry["ok"] else "FAILED"
-            print("r%-2d %s  %s" % (k + 1, status, entry["relator"]))
-    return 0 if all(entry["ok"] for entry in results) else 1
+        for k, relator in enumerate(relators):
+            print("r%-2d ok  %s" % (k + 1, relator))
+    return 0
 
 
 def _print_report(report) -> None:

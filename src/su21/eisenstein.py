@@ -7,10 +7,6 @@ the root with positive imaginary part.
 
 from __future__ import annotations
 
-import math
-
-_SQRT3 = math.sqrt(3.0)
-
 
 class NotDivisibleError(ValueError):
     """Raised by div_exact when the divisor does not divide the dividend."""
@@ -143,10 +139,6 @@ class EisensteinInt:
     def residue_mod_3(self) -> tuple:
         """Componentwise image in F_3 x F_3 under reduction mod 3."""
         return (self.a % 3, self.b % 3)
-
-    def embed(self) -> complex:
-        """Numerical value a + b*(-1/2 + i*sqrt(3)/2)."""
-        return complex(self.a - 0.5 * self.b, 0.5 * _SQRT3 * self.b)
 
     def to_pair(self) -> list:
         """JSON encoding: the two-element integer array [a, b]."""

@@ -137,14 +137,22 @@ EMPTY_WORD = Word(())
 
 
 def evaluate_word(word: Word, images, identity=None):
-    """Product of the images along the word; inverse letters use .inverse()."""
+    """Product of the images along the word; inverse letters use .inverse(),
+    taken once per generator and call."""
     if identity is None:
         identity = EMPTY_WORD if images and isinstance(images[0], Word) else IDENTITY
+    inverses = {}
     result = identity
     for i, s in word.letters:
         if i >= len(images):
             raise ValueError("generator index %d out of range" % i)
-        result = result * (images[i] if s == 1 else images[i].inverse())
+        if s == 1:
+            factor = images[i]
+        else:
+            factor = inverses.get(i)
+            if factor is None:
+                factor = inverses[i] = images[i].inverse()
+        result = result * factor
     return result
 
 

@@ -4,15 +4,12 @@ The height of g is N(a) + N(c), where (a, b, c) is the first column.  One
 descent step multiplies g on the left by a unipotent element (or a
 transposed one) chosen via a nearest-lattice-point computation, and strictly
 decreases the height; height 1 forces g upper unipotent, which is read off
-directly.  All arithmetic is exact: lattice rounding uses rational
-coordinates, and every norm inequality along the way is asserted on
-integers.
+directly.  The descent runs on Python ints only: the nearest lattice point
+and every rounding compare integers, and every norm inequality along the way
+is asserted on integers.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import ceil, floor, gcd
 
 from .eisenstein import SQRT_MINUS3, EisensteinInt
 from .fpgroup import EMPTY_WORD, Word, evaluate_word
@@ -24,78 +21,28 @@ GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
 N2_TRANSPOSE_WORD = Word.from_string("n3^-1 n1 n4 n1 n3^-2 n2", GENERATOR_NAMES)
 
 
-class EisensteinFraction:
-    """num / den with num an Eisenstein integer and den a positive int,
-    reduced by the gcd of all three integer components."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: EisensteinInt, den: int = 1):
-        if not isinstance(num, EisensteinInt):
-            raise TypeError("num must be an EisensteinInt")
-        if not isinstance(den, int) or isinstance(den, bool) or den == 0:
-            raise ValueError("den must be a nonzero int")
-        if den < 0:
-            num, den = -num, -den
-        common = gcd(gcd(abs(num.a), abs(num.b)), den)
-        if common > 1:
-            num = EisensteinInt(num.a // common, num.b // common)
-            den //= common
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EisensteinFraction is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, EisensteinInt):
-            other = EisensteinFraction(other)
-        if not isinstance(other, EisensteinFraction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return "EisensteinFraction(%r, %d)" % (self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, EisensteinInt):
-            other = EisensteinFraction(other)
-        if not isinstance(other, EisensteinFraction):
-            return NotImplemented
-        return EisensteinFraction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def coordinates(self):
-        return Fraction(self.num.a, self.den), Fraction(self.num.b, self.den)
-
-    def norm(self) -> Fraction:
-        x, y = self.coordinates()
-        return x * x - x * y + y * y
-
-
-def nearest_lattice_point(frac: EisensteinFraction) -> EisensteinInt:
-    """The Eisenstein integer nearest to frac in the norm metric.  Any
-    nearest point has both coordinates within 2/3 of frac's, so a 4 x 4
-    window around the coordinate floors contains every minimizer; ties are
-    broken by lexicographically smallest (trace, zeta-coordinate)."""
-    x, y = frac.coordinates()
-    p0 = floor(x)
-    q0 = floor(y)
-    best = None
+def nearest_lattice_point(num: EisensteinInt, den: int) -> EisensteinInt:
+    """The Eisenstein integer nearest to num / den (den > 0) in the norm
+    metric.  num / den lies in the lattice cell with corners
+    c0 + {0, 1, zeta, 1 + zeta}, c0 = (num.a // den) + (num.b // den)*zeta;
+    its short diagonal (length 1) cuts it into two equilateral lattice
+    triangles, so every lattice point off the cell is strictly farther than
+    the nearest corner.  Corners are compared by N(num - den*c), then by
+    the lexicographically smallest (trace, zeta-coordinate)."""
+    if den <= 0:
+        raise ValueError("den must be positive, got %r" % (den,))
+    p0 = num.a // den
+    q0 = num.b // den
     best_key = None
-    for dp in (-1, 0, 1, 2):
-        for dq in (-1, 0, 1, 2):
-            candidate = EisensteinInt(p0 + dp, q0 + dq)
-            distance = (frac - candidate).norm()
-            key = (distance, candidate.trace(), candidate.b)
-            if best is None or key < best_key:
-                best = candidate
+    for p in (p0, p0 + 1):
+        x = num.a - den * p
+        for q in (q0, q0 + 1):
+            y = num.b - den * q
+            key = (x * x - x * y + y * y, 2 * p - q, q)
+            if best_key is None or key < best_key:
                 best_key = key
-    return best
+                best = (p, q)
+    return EisensteinInt(*best)
 
 
 def first_column_height(g: GroupMatrix) -> int:
@@ -103,36 +50,42 @@ def first_column_height(g: GroupMatrix) -> int:
     return g[0][0].norm() + g[2][0].norm()
 
 
-def unipotent_word(z: EisensteinInt, x: int) -> Word:
-    """n(z, x) as a word: n1^p n2^q n3^k with z = p + q*zeta and
-    k = (x - p - q - 3pq)/2 (an integer by the parity condition on x)."""
-    p, q = z.a, z.b
-    numerator = x - p - q - 3 * p * q
+def _n3_exponent(z: EisensteinInt, x: int) -> int:
+    """k = (x - p - q - 3pq)/2 for z = p + q*zeta, an integer by the parity
+    condition on x."""
+    numerator = x - z.a - z.b - 3 * z.a * z.b
     if numerator % 2:
         raise ValueError("x must have the parity of N(z)")
-    k = numerator // 2
-    return Word([(0, 1)]) ** p * Word([(1, 1)]) ** q * Word([(2, 1)]) ** k
+    return numerator // 2
+
+
+def unipotent_word(z: EisensteinInt, x: int) -> Word:
+    """n(z, x) as a word: n1^p n2^q n3^k with z = p + q*zeta and k as in
+    _n3_exponent."""
+    k = _n3_exponent(z, x)
+    return Word([(0, 1)]) ** z.a * Word([(1, 1)]) ** z.b * Word([(2, 1)]) ** k
 
 
 def unipotent_transpose_word(z: EisensteinInt, x: int) -> Word:
     """n(z, x)^t as a word: transposing reverses n1^p n2^q n3^k onto
     n5^k (n2^t)^q n4^p."""
-    p, q = z.a, z.b
-    numerator = x - p - q - 3 * p * q
-    if numerator % 2:
-        raise ValueError("x must have the parity of N(z)")
-    k = numerator // 2
-    return Word([(4, 1)]) ** k * N2_TRANSPOSE_WORD ** q * Word([(3, 1)]) ** p
+    k = _n3_exponent(z, x)
+    return Word([(4, 1)]) ** k * N2_TRANSPOSE_WORD ** z.b * Word([(3, 1)]) ** z.a
 
 
-def _rounded_half(q: Fraction) -> int:
-    # nearest integer to q/2, ties toward the smaller integer
-    return ceil(q / 2 - Fraction(1, 2))
+def _rounded_half(u: int, n: int) -> int:
+    """The integer nearest to u / (2n) for n > 0, ties toward the smaller
+    one: ceil(u/(2n) - 1/2) = -floor((n - u)/(2n))."""
+    return -((n - u) // (2 * n))
 
 
 def _descend_step(g: GroupMatrix):
     """One height-reduction step: returns ((z, x, transpose), m*g) where m is
-    n(z, x) or its transpose."""
+    n(z, x) or its transpose.
+
+    The pivot is whichever of a = g[0][0] and c = g[2][0] has the smaller
+    norm.  Against c, n(z, x) reduces b and then the real-direction part of
+    a; against a, the transposed step reduces b and then c."""
     a = g[0][0]
     b = g[1][0]
     c = g[2][0]
@@ -140,37 +93,23 @@ def _descend_step(g: GroupMatrix):
     nc = c.norm()
     if na == nc:
         raise AssertionError("first-column norms can never be equal here")
-    if na > nc:
-        # reduce b against c, then the real-direction part of a against c
-        assert nc > 0
-        w = nearest_lattice_point(
-            EisensteinFraction(b * c.conj() * SQRT_MINUS3, 3 * nc)
-        )
-        z = w.conj()
-        x0 = z.norm() % 2
-        a1 = (make_n(z, x0) * g)[0][0]
-        u_num = a1 * c.conj()
-        x = _rounded_half(Fraction(u_num.b, nc))
-        record = (z, x0 - 2 * x, False)
-        result = make_n(z, x0 - 2 * x) * g
-        assert result[1][0].norm() <= nc
-        assert result[0][0].norm() <= nc
+    transpose = na < nc
+    if transpose:
+        pivot, n_pivot, row, make = a, na, 2, make_n_transpose
     else:
-        # mirror step on the transposed side: reduce b against a, then c
-        assert na > 0
-        z = nearest_lattice_point(
-            EisensteinFraction(b * a.conj() * SQRT_MINUS3, 3 * na)
-        )
-        x0 = z.norm() % 2
-        c1 = (make_n_transpose(z, x0) * g)[2][0]
-        u_num = c1 * a.conj()
-        x = _rounded_half(Fraction(u_num.b, na))
-        record = (z, x0 - 2 * x, True)
-        result = make_n_transpose(z, x0 - 2 * x) * g
-        assert result[1][0].norm() <= na
-        assert result[2][0].norm() <= na
+        pivot, n_pivot, row, make = c, nc, 0, make_n
+    assert n_pivot > 0
+    w = nearest_lattice_point(b * pivot.conj() * SQRT_MINUS3, 3 * n_pivot)
+    z = w if transpose else w.conj()
+    x0 = z.norm() % 2
+    m = make(z, x0)[row]
+    reduced = m[0] * a + m[1] * b + m[2] * c
+    x = x0 - 2 * _rounded_half((reduced * pivot.conj()).b, n_pivot)
+    result = make(z, x) * g
+    assert result[1][0].norm() <= n_pivot
+    assert result[row][0].norm() <= n_pivot
     assert first_column_height(result) < first_column_height(g)
-    return record, result
+    return (z, x, transpose), result
 
 
 def _base_case_parameters(g: GroupMatrix):

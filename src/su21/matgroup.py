@@ -320,7 +320,7 @@ class SubgroupSpec:
             return in_gamma_beta(g, SQRT_MINUS3)
         if self.kind == "gamma3":
             return in_gamma_beta(g, EisensteinInt(3, 0))
-        return in_upsilon(g) and in_index3(g, self.vector)
+        return in_upsilon(g) and self.coset_key(g) == 0
 
     def coset_key(self, g: GroupMatrix):
         """The image of g in the quotient of the ambient group by this

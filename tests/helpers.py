@@ -4,7 +4,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd
 
 from su21.cocycle import X_of
 from su21.eisenstein import EisensteinInt
@@ -166,8 +166,32 @@ def random_matrix_rows(rng, max_dim=5, bound=40):
     return rows, n
 
 
+# --- rational oracles for the integer descent in su21.gendecomp ------------
+
+
 def frac_norm(x: Fraction, y: Fraction) -> Fraction:
     return x * x - x * y + y * y
+
+
+def window_nearest_lattice_point(num, den):
+    """The Eisenstein integer nearest to num / den, searched with rational
+    norms.  Any nearest point has both coordinates within 2/3 of the
+    target's, so a 4 x 4 window around the coordinate floors contains every
+    minimizer; ties are broken by lexicographically smallest (trace,
+    zeta-coordinate)."""
+    x = Fraction(num.a, den)
+    y = Fraction(num.b, den)
+    p0 = floor(x)
+    q0 = floor(y)
+    window = (
+        EisensteinInt(p0 + dp, q0 + dq) for dp in (-1, 0, 1, 2) for dq in (-1, 0, 1, 2)
+    )
+    return min(window, key=lambda w: (frac_norm(x - w.a, y - w.b), w.trace(), w.b))
+
+
+def fraction_rounded_half(u, n):
+    """Nearest integer to (u/n)/2, ties toward the smaller, in Fraction."""
+    return ceil(Fraction(u, n) / 2 - Fraction(1, 2))
 
 
 def founding_edges(graph):
@@ -306,6 +330,13 @@ SIGMA_TOLERANCE = 1e-6
 
 _TWO_PI = 2.0 * math.pi
 
+_SQRT3 = math.sqrt(3.0)
+
+
+def embed(z) -> complex:
+    """Numerical value a + b*(-1/2 + i*sqrt(3)/2) of z = a + b*zeta."""
+    return complex(z.a - 0.5 * z.b, 0.5 * _SQRT3 * z.b)
+
 
 class BranchToleranceError(ArithmeticError):
     """The cocycle value failed to round to an integer within tolerance."""
@@ -362,7 +393,7 @@ def _log_branch(z: complex) -> complex:
 
 def j_factor(g, tau: BallPoint) -> complex:
     """C*tau + D for the bottom row of g split as 1x2 and 1x1 blocks."""
-    a, b, c = (entry.embed() for entry in g[2])
+    a, b, c = (embed(entry) for entry in g[2])
     return a * tau.tau1 + b * tau.tau2 + c
 
 
@@ -370,7 +401,7 @@ def act(g, tau: BallPoint) -> BallPoint:
     """Fractional-linear action (A*tau + B) / (C*tau + D)."""
     column = (tau.tau1, tau.tau2, 1.0)
     images = [
-        sum(g[i][k].embed() * column[k] for k in range(3)) for i in range(3)
+        sum(embed(g[i][k]) * column[k] for k in range(3)) for i in range(3)
     ]
     denominator = images[2]
     return BallPoint(images[0] / denominator, images[1] / denominator)
@@ -379,7 +410,7 @@ def act(g, tau: BallPoint) -> BallPoint:
 def j_tilde(g, tau: BallPoint) -> complex:
     """The branch log(j/X) + log(X), each logarithm principal."""
     j = j_factor(g, tau)
-    x = X_of(g).embed()
+    x = embed(X_of(g))
     return _log_branch(j / x) + _log_branch(x)
 
 

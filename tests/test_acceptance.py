@@ -34,6 +34,7 @@ from helpers import (
     FALLBACK_BASE_POINTS,
     BallPoint,
     LatticeOracle,
+    embed,
     j_factor,
     lattices_equal,
     random_matrix_rows,
@@ -205,7 +206,7 @@ def test_criterion_06_cocycle_suite():
     for _ in range(1000):
         g = random_element(rng, 10)
         tau = taus[rng.randrange(len(taus))]
-        value = j_factor(g, tau) / X_of(g).embed()
+        value = j_factor(g, tau) / embed(X_of(g))
         assert value.real > 1e-9
         checked += 1
     assert checked >= 1000

@@ -21,6 +21,7 @@ from helpers import (
     BallPoint,
     BranchToleranceError,
     act,
+    embed,
     float_sigma,
     j_factor,
     j_tilde,
@@ -236,6 +237,6 @@ def test_eps_matches_phase():
         if u.is_zero() or v.is_zero():
             continue
         turns = (
-            cmath.phase(u.embed()) + cmath.phase(v.embed()) - cmath.phase((u * v).embed())
+            cmath.phase(embed(u)) + cmath.phase(embed(v)) - cmath.phase(embed(u * v))
         ) / TWO_PI
         assert _eps(u, v) == round(turns), (u, v)

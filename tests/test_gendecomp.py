@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,8 +7,8 @@ from su21.fpgroup import EMPTY_WORD, Word, evaluate_word
 from su21.gendecomp import (
     GENERATOR_NAMES,
     N2_TRANSPOSE_WORD,
-    EisensteinFraction,
     _descend_step,
+    _rounded_half,
     decompose,
     first_column_height,
     nearest_lattice_point,
@@ -24,7 +23,12 @@ from su21.matgroup import (
     make_n,
     make_n_transpose,
 )
-from helpers import frac_norm, random_upsilon_element, random_word
+from helpers import (
+    fraction_rounded_half,
+    random_upsilon_element,
+    random_word,
+    window_nearest_lattice_point,
+)
 
 GENERATORS = generators_upsilon()
 
@@ -33,65 +37,81 @@ def ev(word):
     return evaluate_word(word, GENERATORS)
 
 
-def test_fraction_normalization_and_validation():
-    f = EisensteinFraction(EisensteinInt(4, 6), 10)
-    assert f.num == EisensteinInt(2, 3)
-    assert f.den == 5
-    g = EisensteinFraction(EisensteinInt(1, 0), -2)
-    assert g.num == EisensteinInt(-1, 0) and g.den == 2
-    assert EisensteinFraction(EisensteinInt(3, 0), 3) == EisensteinInt(1, 0)
-    with pytest.raises(TypeError):
-        EisensteinFraction(1, 2)
-    with pytest.raises(ValueError):
-        EisensteinFraction(EisensteinInt(1, 0), 0)
-    with pytest.raises(ValueError):
-        EisensteinFraction(EisensteinInt(1, 0), True)
-    with pytest.raises(AttributeError):
-        f.den = 7
-
-
-def test_fraction_subtraction_and_norm():
-    f = EisensteinFraction(EisensteinInt(1, 1), 2)
-    g = EisensteinFraction(EisensteinInt(1, 0), 3)
-    diff = f - g
-    assert diff == EisensteinFraction(EisensteinInt(1, 3), 6)
-    x, y = diff.coordinates()
-    assert (x, y) == (Fraction(1, 6), Fraction(1, 2))
-    assert diff.norm() == x * x - x * y + y * y
-    # norm of an integer point matches the integer norm
-    w = EisensteinInt(3, -2)
-    assert EisensteinFraction(w).norm() == w.norm()
-
-
 def test_nearest_lattice_point_fixes_integers():
     rng = random.Random(40)
     for _ in range(50):
         z = EisensteinInt(rng.randint(-9, 9), rng.randint(-9, 9))
-        assert nearest_lattice_point(EisensteinFraction(z)) == z
+        assert nearest_lattice_point(z, 1) == z
+        k = rng.randint(2, 9)
+        assert nearest_lattice_point(z * k, k) == z
 
 
 def test_nearest_lattice_point_tie_break():
-    # (1/2, 0) is equidistant from 0 and 1; the tie-break picks the
+    # 1/2 is equidistant from 0 and 1; the tie-break picks the
     # lexicographically smaller (trace, zeta-coordinate), i.e. 0.
-    tie = EisensteinFraction(EisensteinInt(1, 0), 2)
-    assert nearest_lattice_point(tie) == EisensteinInt(0, 0)
+    assert nearest_lattice_point(EisensteinInt(1, 0), 2) == EisensteinInt(0, 0)
+    # (2 + zeta)/3, the centre of the triangle 0, 1, 1 + zeta, is
+    # equidistant from all three; trace 0 < 1 picks 0 again.
+    assert nearest_lattice_point(EisensteinInt(2, 1), 3) == EisensteinInt(0, 0)
+
+
+def test_nearest_lattice_point_rejects_nonpositive_den():
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            nearest_lattice_point(EisensteinInt(1, 0), den)
 
 
 def test_nearest_lattice_point_is_a_minimizer():
     rng = random.Random(41)
     for _ in range(150):
-        frac = EisensteinFraction(
-            EisensteinInt(rng.randint(-40, 40), rng.randint(-40, 40)),
-            rng.randint(1, 12),
-        )
-        best = nearest_lattice_point(frac)
-        d = (frac - best).norm()
+        num = EisensteinInt(rng.randint(-40, 40), rng.randint(-40, 40))
+        den = rng.randint(1, 12)
+        best = nearest_lattice_point(num, den)
+        d = (num - best * den).norm()
         # covering radius of the triangular lattice in this norm is 1/3
-        assert d <= Fraction(1, 3)
+        assert 3 * d <= den * den
         for dp in range(-2, 3):
             for dq in range(-2, 3):
                 other = EisensteinInt(best.a + dp, best.b + dq)
-                assert (frac - other).norm() >= d
+                assert (num - other * den).norm() >= d
+
+
+def _window_ties(num, den):
+    """How many points of the 4 x 4 oracle window are nearest to num/den."""
+    p0, q0 = num.a // den, num.b // den
+    norms = [
+        (num - EisensteinInt(p0 + dp, q0 + dq) * den).norm()
+        for dp in (-1, 0, 1, 2)
+        for dq in (-1, 0, 1, 2)
+    ]
+    return norms.count(min(norms))
+
+
+def test_nearest_lattice_point_matches_window_oracle():
+    rng = random.Random(49)
+    ties = 0
+    for trial in range(3000):
+        if trial % 3 == 0:
+            den = rng.choice((2, 3, 6))
+            bound = 20
+        elif trial % 3 == 1:
+            den = rng.randint(1, 30)
+            bound = 200
+        else:
+            den = rng.randint(1, 10**6)
+            bound = 10**30
+        num = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        assert nearest_lattice_point(num, den) == window_nearest_lattice_point(num, den)
+        ties += _window_ties(num, den) > 1
+    assert ties > 100
+
+
+def test_rounded_half_matches_fraction_formula():
+    rng = random.Random(50)
+    for _ in range(3000):
+        n = rng.choice((1, 2, 3, rng.randint(1, 50), rng.randint(1, 10**30)))
+        u = rng.randint(-4 * n - 3, 4 * n + 3)
+        assert _rounded_half(u, n) == fraction_rounded_half(u, n)
 
 
 def test_first_column_height():
@@ -158,6 +178,42 @@ def test_decompose_round_trips():
         g = random_upsilon_element(rng, max_len=25)
         word = decompose(g)
         assert ev(word) == g
+
+
+def test_descent_work_is_pinned():
+    """Total descent steps and word letters over a seeded set of elements,
+    so that a change of nearest point or of tie-breaking shows."""
+    rng = random.Random(48)
+    steps = letters = 0
+    for _ in range(20):
+        g = ev(random_word(rng, 64, min_len=8))
+        current = g
+        while first_column_height(current) > 1:
+            _, current = _descend_step(current)
+            steps += 1
+        letters += len(decompose(g))
+    assert (steps, letters) == (300, 1003)
+
+
+def test_decompose_inverts_each_generator_once(monkeypatch):
+    """Verifying the word evaluates it with one inverse per generator."""
+    rng = random.Random(47)
+    word = EMPTY_WORD
+    while len(word) < 60:
+        word = word * random_word(rng, 1)
+    g = ev(word)
+    calls = []
+    original = GroupMatrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GroupMatrix, "inverse", counted)
+    found = decompose(g)
+    assert len(calls) <= 5
+    monkeypatch.undo()
+    assert len(word) == 60 and ev(found) == g
 
 
 def test_decompose_verify_flag():

@@ -18,6 +18,7 @@ from su21.fpgroup import (
 )
 from su21.matgroup import (
     IDENTITY,
+    GroupMatrix,
     SubgroupSpec,
     all_index3_vectors,
     generators_upsilon,
@@ -386,6 +387,23 @@ def test_gamma3_counters(monkeypatch):
     assert report.relator_count == 13 * 81
     assert shapes == [((1053, 326), (484, 17))]
 
+
+
+def test_index3_membership_checks_unitarity_once(monkeypatch):
+    """An index-3 group has 3 * 5 - 2 = 13 Schreier generators, and
+    membership tests each one for unitarity once."""
+    calls = []
+    original = GroupMatrix.is_unitary
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GroupMatrix, "is_unitary", counted)
+    report = weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
+    assert report.weight_denominator == 3
+    assert report.generator_count == 13
+    assert len(calls) == 13
 
 @pytest.mark.parametrize(
     "value",
