@@ -102,7 +102,7 @@ class EisensteinInt:
 
     def conj(self) -> "EisensteinInt":
         """Complex conjugate: conj(zeta) = zeta^2 = -1 - zeta."""
-        return EisensteinInt(self.a - self.b, -self.b)
+        return _eisenstein(self.a - self.b, -self.b)
 
     def norm(self) -> int:
         """z * conj(z) = a^2 - a*b + b^2, a nonnegative rational integer."""
@@ -150,6 +150,20 @@ class EisensteinInt:
         if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
             raise ValueError("expected a pair of integers, got %r" % (pair,))
         return cls(a, b)
+
+
+_new = object.__new__
+_set_a = EisensteinInt.a.__set__
+_set_b = EisensteinInt.b.__set__
+
+
+def _eisenstein(a: int, b: int) -> EisensteinInt:
+    """EisensteinInt(a, b) without the constructor call, for arithmetic
+    kernels whose coordinates are ints by construction."""
+    z = _new(EisensteinInt)
+    _set_a(z, a)
+    _set_b(z, b)
+    return z
 
 
 def _coerce(value):

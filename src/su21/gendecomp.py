@@ -12,7 +12,7 @@ is asserted on integers.
 from __future__ import annotations
 
 from .eisenstein import SQRT_MINUS3, EisensteinInt
-from .fpgroup import EMPTY_WORD, Word, evaluate_word
+from .fpgroup import Word, evaluate_word
 from .matgroup import GroupMatrix, generators_upsilon, in_upsilon, make_n, make_n_transpose
 
 GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
@@ -140,15 +140,16 @@ def decompose(g: GroupMatrix, verify: bool = True) -> Word:
         record, current = _descend_step(current)
         records.append(record)
     z, x = _base_case_parameters(current)
-    word = EMPTY_WORD
+    letters = []
     for rz, rx, transpose in records:
         step = (
             unipotent_transpose_word(rz, rx)
             if transpose
             else unipotent_word(rz, rx)
         )
-        word = word * step.inverse()
-    word = word * unipotent_word(z, x)
+        letters.extend(step.inverse().letters)
+    letters.extend(unipotent_word(z, x).letters)
+    word = Word(letters)
     if verify and evaluate_word(word, generators_upsilon()) != g:
         raise AssertionError("decomposition failed verification")
     return word

@@ -1,13 +1,14 @@
 """The group SU(2,1) over the Eisenstein integers and its congruence subgroups.
 
 Matrices are 3x3 over Z[zeta] and unitary with respect to the antidiagonal
-Hermitian form J.  The inverse of a unitary matrix is J * conj(g)^t * J, so
-no general matrix inversion is ever needed.
+Hermitian form J.  The inverse of a unitary matrix is J * conj(g)^t * J, an
+index permutation with conjugated entries, so inverting multiplies nothing.
+Products work on the integer coordinates (a, b) of the entries a + b*zeta.
 """
 
 from __future__ import annotations
 
-from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
+from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt, _eisenstein
 
 
 class GroupMatrix:
@@ -62,32 +63,52 @@ class GroupMatrix:
     def __mul__(self, other):
         if not isinstance(other, GroupMatrix):
             return NotImplemented
-        left = self.entries
-        right = other.entries
-        product = []
-        for i in range(3):
-            li = left[i]
-            product.append(
-                tuple(
-                    li[0] * right[0][j] + li[1] * right[1][j] + li[2] * right[2][j]
-                    for j in range(3)
+        # Entry (i, j) is sum_k (a + b*zeta)(c + d*zeta) over row i of self
+        # and column j of other; with zeta^2 = -1 - zeta that is
+        # (sum ac - sum bd) + (sum ad + bc - sum bd)*zeta.
+        (p, q, r), (s, t, u), (v, w, x) = other.entries
+        c00, d00, c01, d01, c02, d02 = p.a, p.b, q.a, q.b, r.a, r.b
+        c10, d10, c11, d11, c12, d12 = s.a, s.b, t.a, t.b, u.a, u.b
+        c20, d20, c21, d21, c22, d22 = v.a, v.b, w.a, w.b, x.a, x.b
+        rows = []
+        for e0, e1, e2 in self.entries:
+            a0, b0, a1, b1, a2, b2 = e0.a, e0.b, e1.a, e1.b, e2.a, e2.b
+            bd0 = b0 * d00 + b1 * d10 + b2 * d20
+            bd1 = b0 * d01 + b1 * d11 + b2 * d21
+            bd2 = b0 * d02 + b1 * d12 + b2 * d22
+            rows.append(
+                (
+                    _eisenstein(
+                        a0 * c00 + a1 * c10 + a2 * c20 - bd0,
+                        a0 * d00 + b0 * c00 + a1 * d10 + b1 * c10 + a2 * d20 + b2 * c20 - bd0,
+                    ),
+                    _eisenstein(
+                        a0 * c01 + a1 * c11 + a2 * c21 - bd1,
+                        a0 * d01 + b0 * c01 + a1 * d11 + b1 * c11 + a2 * d21 + b2 * c21 - bd1,
+                    ),
+                    _eisenstein(
+                        a0 * c02 + a1 * c12 + a2 * c22 - bd2,
+                        a0 * d02 + b0 * c02 + a1 * d12 + b1 * c12 + a2 * d22 + b2 * c22 - bd2,
+                    ),
                 )
             )
-        return GroupMatrix(product)
+        return _group_matrix(tuple(rows))
 
     def transpose(self) -> "GroupMatrix":
         e = self.entries
         return GroupMatrix(tuple(zip(*e)))
 
-    def conj_transpose(self) -> "GroupMatrix":
-        e = self.entries
-        return GroupMatrix(
-            tuple(tuple(e[j][i].conj() for j in range(3)) for i in range(3))
-        )
-
     def inverse(self) -> "GroupMatrix":
-        """Inverse of a J-unitary matrix: J * conj(g)^t * J."""
-        return J * self.conj_transpose() * J
+        """Inverse of a J-unitary matrix, J * conj(g)^t * J: entry (i, j)
+        is conj(g[2 - j][2 - i])."""
+        (p, q, r), (s, t, u), (v, w, x) = self.entries
+        return _group_matrix(
+            (
+                (x.conj(), u.conj(), r.conj()),
+                (w.conj(), t.conj(), q.conj()),
+                (v.conj(), s.conj(), p.conj()),
+            )
+        )
 
     def det(self) -> EisensteinInt:
         e = self.entries
@@ -98,8 +119,9 @@ class GroupMatrix:
         )
 
     def is_unitary(self) -> bool:
-        """Whether conj(g)^t * J * g = J."""
-        return self.conj_transpose() * J * self == J
+        """Whether conj(g)^t * J * g = J, that is (as J^2 = I) whether
+        inverse() is the inverse of g."""
+        return self.inverse() * self == IDENTITY
 
     def scalar_mul(self, scalar: EisensteinInt) -> "GroupMatrix":
         return GroupMatrix(
@@ -122,6 +144,20 @@ class GroupMatrix:
                 raise ValueError("entries must be a 3x3 array of integer pairs")
             out.append([EisensteinInt.from_pair(cell) for cell in row])
         return cls(out)
+
+
+_new = object.__new__
+_set_entries = GroupMatrix.entries.__set__
+_set_hash = GroupMatrix._hash.__set__
+
+
+def _group_matrix(rows: tuple) -> GroupMatrix:
+    """GroupMatrix(rows) without its checks, for kernels whose rows are
+    3-tuples of three EisensteinInt by construction."""
+    m = _new(GroupMatrix)
+    _set_entries(m, rows)
+    _set_hash(m, None)
+    return m
 
 
 J = GroupMatrix(

@@ -16,7 +16,7 @@ from su21.fpgroup import (
     Word,
     evaluate_word,
 )
-from su21.matgroup import IDENTITY, generators_upsilon
+from su21.matgroup import IDENTITY, J, GroupMatrix, generators_upsilon
 
 GENERATORS = generators_upsilon()
 
@@ -34,6 +34,35 @@ def random_upsilon_element(rng, max_len, min_len=1):
 
 def random_eisenstein(rng, bound=50):
     return EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+# --- reference GroupMatrix arithmetic -------------------------------------
+#
+# Matrix products as sums of EisensteinInt products, and the inverse and the
+# unitarity test written with them as J * conj(g)^t * J and
+# conj(g)^t * J * g = J.  GroupMatrix's integer-coordinate kernel is checked
+# against these; they never call GroupMatrix.__mul__.
+
+
+def reference_product(g, h):
+    return GroupMatrix(
+        [
+            [g[i][0] * h[0][j] + g[i][1] * h[1][j] + g[i][2] * h[2][j] for j in range(3)]
+            for i in range(3)
+        ]
+    )
+
+
+def conj_transpose(g):
+    return GroupMatrix([[g[j][i].conj() for j in range(3)] for i in range(3)])
+
+
+def reference_inverse(g):
+    return reference_product(reference_product(J, conj_transpose(g)), J)
+
+
+def reference_is_unitary(g):
+    return reference_product(reference_product(conj_transpose(g), J), g) == J
 
 
 # --- independent integer-lattice membership oracle -------------------------

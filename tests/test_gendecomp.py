@@ -196,7 +196,8 @@ def test_descent_work_is_pinned():
 
 
 def test_decompose_inverts_each_generator_once(monkeypatch):
-    """Verifying the word evaluates it with one inverse per generator."""
+    """Verifying the word evaluates it with one inverse per generator;
+    the unitarity check on g inverts g once more."""
     rng = random.Random(47)
     word = EMPTY_WORD
     while len(word) < 60:
@@ -211,7 +212,8 @@ def test_decompose_inverts_each_generator_once(monkeypatch):
 
     monkeypatch.setattr(GroupMatrix, "inverse", counted)
     found = decompose(g)
-    assert len(calls) <= 5
+    assert calls.count(g) == 1
+    assert len(calls) - 1 <= 5
     monkeypatch.undo()
     assert len(word) == 60 and ev(found) == g
 

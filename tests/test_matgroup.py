@@ -20,7 +20,16 @@ from su21.matgroup import (
     make_n,
     make_n_transpose,
 )
-from helpers import GENERATORS, random_upsilon_element, random_word
+from helpers import (
+    GENERATORS,
+    conj_transpose,
+    random_eisenstein,
+    random_upsilon_element,
+    random_word,
+    reference_inverse,
+    reference_is_unitary,
+    reference_product,
+)
 
 
 def test_j_is_antidiagonal():
@@ -118,7 +127,126 @@ def test_inverse_and_transpose():
         assert g * g.inverse() == IDENTITY
         assert g.inverse() * g == IDENTITY
         assert g.transpose().transpose() == g
-        assert g.conj_transpose() * J * g == J
+        assert conj_transpose(g) * J * g == J
+
+
+def _digits(g):
+    return max(len(str(abs(c))) for row in g for e in row for c in (e.a, e.b))
+
+
+def _large_elements(seed):
+    """Seeded group elements from words of 1 to 1,700 letters; the longest
+    have entries of about 300 digits."""
+    rng = random.Random(seed)
+    return [
+        random_upsilon_element(rng, n, min_len=n)
+        for n in (1, 6, 40, 300, 1700)
+        for _ in range(3)
+    ]
+
+
+def _arbitrary_matrix(rng, bound):
+    """A 3x3 matrix over Z[zeta], almost never unitary, with about a third
+    of its entries zero and the rest of either sign up to bound."""
+    return GroupMatrix(
+        [
+            [ZERO if rng.random() < 1 / 3 else random_eisenstein(rng, bound) for _ in range(3)]
+            for _ in range(3)
+        ]
+    )
+
+
+def test_product_matches_reference_on_group_elements():
+    elements = _large_elements(11)
+    assert max(_digits(g) for g in elements) >= 280
+    for g in elements:
+        for h in elements:
+            product = g * h
+            assert product == reference_product(g, h)
+            assert hash(product) == hash(reference_product(g, h))
+            for row in product:
+                for e in row:
+                    assert type(e) is EisensteinInt
+                    assert type(e.a) is int and type(e.b) is int
+
+
+def test_product_matches_reference_on_arbitrary_matrices():
+    rng = random.Random(12)
+    for bound in (1, 50, 10**40):
+        for _ in range(100):
+            g = _arbitrary_matrix(rng, bound)
+            h = _arbitrary_matrix(rng, bound)
+            assert g * h == reference_product(g, h)
+
+
+def test_inverse_matches_reference():
+    rng = random.Random(13)
+    for g in _large_elements(14):
+        inverse = g.inverse()
+        assert inverse == reference_inverse(g)
+        assert g * inverse == IDENTITY
+        assert inverse * g == IDENTITY
+    # the index permutation is J * conj(g)^t * J on any matrix
+    for _ in range(100):
+        g = _arbitrary_matrix(rng, 50)
+        assert g.inverse() == reference_inverse(g)
+
+
+def test_is_unitary_matches_reference():
+    z = EisensteinInt(2, -1)
+    n1 = GENERATORS[0]
+    changed = GroupMatrix(
+        [[n1[i][j] + (ONE if (i, j) == (1, 2) else ZERO) for j in range(3)] for i in range(3)]
+    )
+    unitary = [
+        IDENTITY,
+        J,
+        ZETA_IDENTITY,
+        IDENTITY.scalar_mul(EisensteinInt(-1, 0)),
+        make_n_transpose(z, 1).scalar_mul(ZETA),
+        *GENERATORS,
+        *_large_elements(15),
+    ]
+    not_unitary = [
+        IDENTITY.scalar_mul(EisensteinInt(2, 0)),
+        IDENTITY.scalar_mul(SQRT_MINUS3),
+        changed,
+        make_n_transpose(z, 1).scalar_mul(EisensteinInt(2, 0)),
+        make_n_transpose(z, 1).scalar_mul(SQRT_MINUS3),
+    ]
+    rng = random.Random(16)
+    not_unitary += [_arbitrary_matrix(rng, bound) for bound in (1, 50) for _ in range(50)]
+    for g in unitary:
+        assert g.is_unitary() and reference_is_unitary(g)
+    for g in not_unitary:
+        assert not g.is_unitary() and not reference_is_unitary(g)
+
+
+def test_inverse_and_unitarity_product_counts(monkeypatch):
+    """inverse() permutes and conjugates entries without a product, and
+    is_unitary() is one product."""
+    g = _large_elements(17)[-1]
+    calls = []
+    original = GroupMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted)
+    g.inverse()
+    assert len(calls) == 0
+    assert g.is_unitary()
+    assert len(calls) == 1
+
+
+def test_constructor_validates_entries():
+    with pytest.raises(ValueError):
+        GroupMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        GroupMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+    with pytest.raises(ValueError):
+        GroupMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
 
 
 def test_det_multiplicative():

@@ -349,8 +349,9 @@ def test_reduced_path_matches_full_normal_forms():
 def test_gamma3_counters(monkeypatch):
     """Deterministic work of a cold gamma3 computation: sigma lifts only
     the 13 ambient relators, membership checks each Schreier generator
-    once, and the relation matrix has one row per relator trace."""
-    counts = {"sigma": 0, "membership": 0}
+    once, the relation matrix has one row per relator trace, and matrix
+    products number 2,173 (inverse() makes none, is_unitary() one)."""
+    counts = {"sigma": 0, "membership": 0, "mul": 0}
     shapes = []
 
     def counted(name, fn):
@@ -371,6 +372,7 @@ def test_gamma3_counters(monkeypatch):
         SubgroupSpec, "membership", counted("membership", SubgroupSpec.membership)
     )
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     base_relator_lifts.cache_clear()
     report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
     assert report_answer(report) == (3, (3,) * 7, 10)
@@ -386,6 +388,7 @@ def test_gamma3_counters(monkeypatch):
     assert report.generator_count == 325
     assert report.relator_count == 13 * 81
     assert shapes == [((1053, 326), (484, 17))]
+    assert counts["mul"] == 2173
 
 
 
