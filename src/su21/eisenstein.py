@@ -18,8 +18,8 @@ class EisensteinInt:
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int = 0):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("EisensteinInt is immutable")
@@ -102,7 +102,7 @@ class EisensteinInt:
 
     def conj(self) -> "EisensteinInt":
         """Complex conjugate: conj(zeta) = zeta^2 = -1 - zeta."""
-        return _eisenstein(self.a - self.b, -self.b)
+        return EisensteinInt(self.a - self.b, -self.b)
 
     def norm(self) -> int:
         """z * conj(z) = a^2 - a*b + b^2, a nonnegative rational integer."""
@@ -152,18 +152,10 @@ class EisensteinInt:
         return cls(a, b)
 
 
-_new = object.__new__
+# The slots' own setters, which go round the __setattr__ that keeps
+# instances immutable; cheaper than object.__setattr__ on a hot path.
 _set_a = EisensteinInt.a.__set__
 _set_b = EisensteinInt.b.__set__
-
-
-def _eisenstein(a: int, b: int) -> EisensteinInt:
-    """EisensteinInt(a, b) without the constructor call, for arithmetic
-    kernels whose coordinates are ints by construction."""
-    z = _new(EisensteinInt)
-    _set_a(z, a)
-    _set_b(z, b)
-    return z
 
 
 def _coerce(value):

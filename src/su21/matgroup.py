@@ -8,7 +8,7 @@ Products work on the integer coordinates (a, b) of the entries a + b*zeta.
 
 from __future__ import annotations
 
-from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt, _eisenstein
+from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
 
 
 class GroupMatrix:
@@ -78,15 +78,15 @@ class GroupMatrix:
             bd2 = b0 * d02 + b1 * d12 + b2 * d22
             rows.append(
                 (
-                    _eisenstein(
+                    EisensteinInt(
                         a0 * c00 + a1 * c10 + a2 * c20 - bd0,
                         a0 * d00 + b0 * c00 + a1 * d10 + b1 * c10 + a2 * d20 + b2 * c20 - bd0,
                     ),
-                    _eisenstein(
+                    EisensteinInt(
                         a0 * c01 + a1 * c11 + a2 * c21 - bd1,
                         a0 * d01 + b0 * c01 + a1 * d11 + b1 * c11 + a2 * d21 + b2 * c21 - bd1,
                     ),
-                    _eisenstein(
+                    EisensteinInt(
                         a0 * c02 + a1 * c12 + a2 * c22 - bd2,
                         a0 * d02 + b0 * c02 + a1 * d12 + b1 * c12 + a2 * d22 + b2 * c22 - bd2,
                     ),

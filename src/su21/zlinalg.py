@@ -86,13 +86,10 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
     # Only the sparse rows are needed from here on; a caller that passes a
     # temporary (weight_denominator does) lets the dense rows go now.
     del matrix
-    # holders[c] is the set of rows with an entry in column c, kept for
-    # every column but the last, which is never a pivot.
-    holders = [set() for _ in range(last)]
+    holders = [set() for _ in range(cols)]
     for i, row in enumerate(live):
         for c in row:
-            if c != last:
-                holders[c].add(i)
+            holders[c].add(i)
     eliminated = set()
     limit = 0
     while True:
@@ -117,15 +114,12 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
                     value = other.get(c, 0) - factor * v
                     if value:
                         other[c] = value
-                        if c != last:
-                            holders[c].add(k)
+                        holders[c].add(k)
                     else:
                         del other[c]
-                        if c != last:
-                            holders[c].discard(k)
+                        holders[c].discard(k)
             for c in row:
-                if c != last:
-                    holders[c].discard(i)
+                holders[c].discard(i)
             live[i] = {}
             eliminated.add(col)
             taken = True
