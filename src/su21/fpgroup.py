@@ -1,11 +1,13 @@
 """Presentation calculus: words, finitely presented groups with matrix images,
-and the Reidemeister-Schreier subgroup-presentation algorithm.
+and Reidemeister-Schreier relation rows of finite-index subgroups.
 
 Words are freely reduced sequences of (generator index, +-1) letters.  The
 Reidemeister-Schreier engine is generic over the element type: it needs only
 multiplication, .inverse() and a coset key for the elements, so it runs both
 on matrix images and on abstract words (used to validate the engine against
-classical free-group facts).
+classical free-group facts).  It traces each relator straight into a sparse
+exponent-sum row over the Schreier generators; the rows are all that the
+weight denominator needs, so no subgroup word or presentation is built.
 """
 
 from __future__ import annotations
@@ -79,13 +81,6 @@ class Word:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         return Word(self.letters * exponent)
-
-    def cyclic_shift(self, k: int) -> "Word":
-        """The word rotated left by k letters (a conjugate of the original)."""
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k])
 
     def exponent_sums(self, generator_count: int) -> list:
         row = [0] * generator_count
@@ -258,8 +253,8 @@ class CosetGraph:
 
 
 def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_index: int = 512):
-    """Presentation of the finite-index subgroup H whose right cosets H*g
-    coset_key tells apart, together with the coset graph.
+    """Relation rows of the finite-index subgroup H whose right cosets H*g
+    coset_key tells apart: (rows, generator_count, graph).
 
     coset_key(g) must be a hashable value that is the same for two elements
     exactly when they lie in the same coset, such as the image of g under a
@@ -279,9 +274,10 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
     Group Theory, 2.4 and 5): one per positive-letter edge r * x -> r' off
     the breadth-first spanning tree, standing for r * x * r'^-1, numbered
     in order of (coset, generator); tree edges stand for the identity.
-    Subgroup relators: every ambient relator traced from every coset,
-    empty traces included, so relators[k * index + v] is ambient relator k
-    traced from coset v.  The presentation carries no images.
+    Subgroup relators: every ambient relator traced from every coset.  Each
+    trace is returned only as its row {generator: exponent sum}, zero sums
+    dropped, and empty traces are kept, so rows[k * index + v] is ambient
+    relator k traced from coset v.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
@@ -339,10 +335,10 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
             symbol_of[(vi, gi)] = len(symbol_of)
 
     # A negative letter traverses the positive edge that ends where it ends.
-    relators = []
+    rows = []
     for rel in ambient.relators:
         for vi in range(len(vertices)):
-            letters = []
+            row = {}
             current = vi
             for gi, sign in rel.letters:
                 if sign == 1:
@@ -353,13 +349,12 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                     edge = (current, gi)
                 symbol = symbol_of.get(edge)
                 if symbol is not None:
-                    letters.append((symbol, sign))
+                    row[symbol] = row.get(symbol, 0) + sign
             if current != vi:
                 raise OracleInconsistencyError(
                     "relator trace from coset %d did not close up" % vi
                 )
-            relators.append(Word(letters))
+            rows.append({s: e for s, e in row.items() if e})
 
-    names = tuple("h%d" % (k + 1) for k in range(len(symbol_of)))
     graph = CosetGraph(vertices, edges, ambient.generator_count)
-    return Presentation(names, relators), graph
+    return rows, len(symbol_of), graph

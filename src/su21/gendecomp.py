@@ -59,18 +59,26 @@ def _n3_exponent(z: EisensteinInt, x: int) -> int:
     return numerator // 2
 
 
+def _power(letters, exponent: int) -> list:
+    """letters repeated exponent times, inverted first when exponent < 0."""
+    if exponent < 0:
+        letters = [(i, -s) for i, s in reversed(letters)]
+    return list(letters) * abs(exponent)
+
+
 def unipotent_word(z: EisensteinInt, x: int) -> Word:
     """n(z, x) as a word: n1^p n2^q n3^k with z = p + q*zeta and k as in
     _n3_exponent."""
     k = _n3_exponent(z, x)
-    return Word([(0, 1)]) ** z.a * Word([(1, 1)]) ** z.b * Word([(2, 1)]) ** k
+    return Word(_power([(0, 1)], z.a) + _power([(1, 1)], z.b) + _power([(2, 1)], k))
 
 
 def unipotent_transpose_word(z: EisensteinInt, x: int) -> Word:
     """n(z, x)^t as a word: transposing reverses n1^p n2^q n3^k onto
     n5^k (n2^t)^q n4^p."""
     k = _n3_exponent(z, x)
-    return Word([(4, 1)]) ** k * N2_TRANSPOSE_WORD ** z.b * Word([(3, 1)]) ** z.a
+    letters = _power([(4, 1)], k) + _power(N2_TRANSPOSE_WORD.letters, z.b)
+    return Word(letters + _power([(3, 1)], z.a))
 
 
 def _rounded_half(u: int, n: int) -> int:

@@ -254,12 +254,6 @@ def _f_coordinates(g: GroupMatrix) -> tuple:
     return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
 
 
-def in_index3(g: GroupMatrix, v) -> bool:
-    """Whether v . F_map(g) = 0 in F_3."""
-    f = F_map(g)
-    return sum(int(vi) * fi for vi, fi in zip(v, f)) % 3 == 0
-
-
 def canonical_index3_vector(v) -> tuple:
     """Canonical representative of v up to sign mod 3: the lexicographically
     smaller of v mod 3 and -v mod 3.  The vector must be nonzero mod 3."""

@@ -8,15 +8,18 @@ generator z = (I, 1).  The order d of the image of z in that finitely
 generated abelian group is the weight denominator: the weights admitting a
 multiplier system are exactly (1/d) * Z.
 
-A subgroup from Reidemeister-Schreier needs no images and no cocycle.  Lift
-each coset representative along the spanning tree (the lift of r * x is
-lift(r) * lift(x)), and lift the generator of a non-tree edge r * x -> r'
-as lift(r) * lift(x) * lift(r')^-1.  The trace of ambient relator R from
+Every subgroup of the ambient group, that group itself included (index 1),
+goes through coset enumeration and Reidemeister-Schreier, which trace the 13
+ambient relators from every coset straight into sparse exponent-sum rows.
+A subgroup needs no images and no cocycle.  Lift each coset representative
+along the spanning tree (the lift of r * x is lift(r) * lift(x)), and lift
+the generator of a non-tree edge r * x -> r' as
+lift(r) * lift(x) * lift(r')^-1.  The trace of ambient relator R from
 coset r then telescopes to lift(r) * (I, n_R) * lift(r)^-1 = (I, n_R), so
-its row ends in -n_R, and sigma is evaluated only to lift the 13 relators
-of the ambient presentation, once per process.
+its row takes -n_R in the z column, and sigma is evaluated only to lift
+the 13 relators of the ambient presentation, once per process.
 
-The relation matrix is shrunk by unit-pivot elimination before a single
+The sparse rows are shrunk by unit-pivot elimination before a single
 Hermite normal form, which gives d; its nonzero rows give the invariants.
 """
 
@@ -94,26 +97,6 @@ def base_relator_lifts() -> tuple:
     return base, central_parts(base)
 
 
-def relation_matrix(presentation: Presentation, central=None) -> IntegerMatrix:
-    """The s x (r+1) abelianized relation matrix of the centrally extended
-    group: one row per relator, columns = generator exponent sums plus the
-    z-coefficient -n, where (I, n) is the relator's lift.  central gives
-    those n in relator order; without it they are lifted through the
-    presentation's images."""
-    if central is None:
-        central = central_parts(presentation)
-    elif len(central) != len(presentation.relators):
-        raise ValueError("need exactly one central part per relator")
-    r = presentation.generator_count
-    return IntegerMatrix(
-        (
-            relator.exponent_sums(r) + [-n]
-            for relator, n in zip(presentation.relators, central)
-        ),
-        r + 1,
-    )
-
-
 class DenominatorReport:
     """Result of a weight-denominator computation."""
 
@@ -186,17 +169,14 @@ class DenominatorReport:
 
 
 def weight_denominator(
-    presentation: Presentation,
-    central=None,
-    *,
-    group=None,
-    index_in_upsilon=None,
-    notes=(),
+    rows, cols: int, *, group=None, index_in_upsilon=None, notes=()
 ) -> DenominatorReport:
-    """Weight denominator of the group given by a presentation, plus the
-    abelian invariants of its central extension.  central is as for
-    relation_matrix."""
-    reduced = eliminate_unit_pivots(relation_matrix(presentation, central))
+    """Weight denominator of a group, plus the abelian invariants of its
+    central extension, from that extension's abelianized relations: rows is
+    a list of sparse rows {column: nonzero int} over cols columns, one per
+    relator, with the central generator z last.  The rows are consumed."""
+    relator_count = len(rows)
+    reduced = eliminate_unit_pivots(rows, cols)
     h = hermite_normal_form(reduced)
     order = last_coordinate_order_of_hnf(h)
     if order is None:
@@ -210,8 +190,8 @@ def weight_denominator(
     return DenominatorReport(
         group=group,
         index_in_upsilon=index_in_upsilon,
-        generator_count=presentation.generator_count,
-        relator_count=len(presentation.relators),
+        generator_count=cols - 1,
+        relator_count=relator_count,
         weight_denominator=order,
         torsion_invariants=torsion,
         free_rank=free_rank,
@@ -232,42 +212,31 @@ def central_commutator_witness() -> Word:
 def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
     """Weight denominator of a named subgroup.
 
-    The five-generator unipotent group is computed directly from its
-    presentation.  Its finite-index subgroups go through coset enumeration
-    keyed by SubgroupSpec.coset_key and Reidemeister-Schreier rewriting,
-    whose relator traces take their central parts from the ambient
-    relators.  The full level-sqrt(-3) group is the direct product of the
-    unipotent group with its order-3 scalar center, and a central scalar
-    factor does not change which weights admit multiplier systems, so that
-    case reuses the unipotent computation (with a note saying so).
+    The five-generator unipotent group (index 1, key ()) and its
+    finite-index subgroups all go through coset enumeration keyed by
+    SubgroupSpec.coset_key and Reidemeister-Schreier rows, whose z entries
+    are the central parts of the ambient relators they trace.  The full
+    level-sqrt(-3) group is the direct product of the unipotent group with
+    its order-3 scalar center, and a central scalar factor does not change
+    which weights admit multiplier systems, so that case reuses the
+    unipotent group's report (with a note saying so).
 
     Enumeration stops beyond the subgroup's known index.  Enumeration
     errors (IndexOverflowError, OracleInconsistencyError) name the group.
     """
-    base, base_central = base_relator_lifts()
-    if spec.kind == "upsilon":
-        return weight_denominator(
-            base, base_central, group=spec.name(), index_in_upsilon=1
-        )
     if spec.kind == "gamma_sqrt3":
-        inner = weight_denominator(base, base_central, group=spec.name())
-        return DenominatorReport(
-            group=spec.name(),
-            index_in_upsilon=None,
-            generator_count=inner.generator_count,
-            relator_count=inner.relator_count,
-            weight_denominator=inner.weight_denominator,
-            torsion_invariants=inner.torsion_invariants,
-            free_rank=inner.free_rank,
-            notes=(
-                "computed from the index-3 unipotent complement: the group is "
-                "the direct product of that complement with its order-3 scalar "
-                "center, which leaves the weight denominator unchanged",
-            ),
+        note = (
+            "computed from the index-3 unipotent complement: the group is "
+            "the direct product of that complement with its order-3 scalar "
+            "center, which leaves the weight denominator unchanged"
         )
+        fields = weight_denominator_of(SubgroupSpec("upsilon")).to_json_dict()
+        fields.update(group=spec.name(), index_in_upsilon=None, notes=[note])
+        return DenominatorReport(**fields)
+    base, base_central = base_relator_lifts()
     expected = spec.index_in_upsilon()
     try:
-        sub, graph = reidemeister_schreier(
+        rows, generator_count, graph = reidemeister_schreier(
             base, spec.coset_key, spec.membership, max_index=expected
         )
     except (IndexOverflowError, OracleInconsistencyError) as exc:
@@ -277,10 +246,13 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "%s: coset enumeration found index %d, expected %d"
             % (spec.name(), graph.index, expected)
         )
-    # relator k * index + v is base relator k traced from coset v
-    central = [n for n in base_central for _ in range(graph.index)]
+    # row k * index + v is base relator k traced from coset v
+    for k, n in enumerate(base_central):
+        if n:
+            for row in rows[k * graph.index : (k + 1) * graph.index]:
+                row[generator_count] = -n
     return weight_denominator(
-        sub, central, group=spec.name(), index_in_upsilon=graph.index
+        rows, generator_count + 1, group=spec.name(), index_in_upsilon=graph.index
     )
 
 

@@ -2,10 +2,12 @@
 and cokernel invariants.
 
 All arithmetic is on Python ints, so no intermediate entry can overflow.
-Large relation matrices are first shrunk by eliminate_unit_pivots, the
-"badly presented Z-module" step of Havas, Holt and Rees (1993), which
-removes every generator that a relation expresses in terms of the others
-and leaves the quotient and the class of the last coordinate unchanged.
+Large relation sets arrive as sparse rows ({column: entry} dicts) and are
+first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
+of Havas, Holt and Rees (1993), which removes every generator that a
+relation expresses in terms of the others and leaves the quotient and the
+class of the last coordinate unchanged; only its small result becomes a
+dense IntegerMatrix.
 """
 
 from __future__ import annotations
@@ -66,13 +68,15 @@ class IntegerMatrix:
         return [list(row) for row in self.entries]
 
 
-def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
-    """A smaller matrix with the same cokernel and the same class of the last
-    coordinate: while some row has an entry +-1 in a column other than the
-    last, that row expresses the column's generator in terms of the others,
-    so it is substituted into every other row and the row and the column
-    are dropped.  The last column is never a pivot.  Zero rows are dropped,
-    and the kept columns keep their order.
+def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
+    """A matrix with the same cokernel and the same class of the last
+    coordinate as the relations given by rows, a list of sparse rows
+    {column: nonzero int} over cols columns, which are consumed: while some
+    row has an entry +-1 in a column other than the last, that row expresses
+    the column's generator in terms of the others, so it is substituted into
+    every other row and the row and the column are dropped.  The last column
+    is never a pivot.  Zero rows are dropped, and the kept columns keep
+    their order.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
@@ -80,21 +84,16 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
     within the round's limit; a round that takes none raises the limit
     (0, 1, 3, 7, ...).  The result is deterministic.
     """
-    cols = matrix.cols
     last = cols - 1
-    live = [{c: v for c, v in enumerate(row) if v} for row in matrix.entries]
-    # Only the sparse rows are needed from here on; a caller that passes a
-    # temporary (weight_denominator does) lets the dense rows go now.
-    del matrix
     holders = [set() for _ in range(cols)]
-    for i, row in enumerate(live):
+    for i, row in enumerate(rows):
         for c in row:
             holders[c].add(i)
     eliminated = set()
     limit = 0
     while True:
         taken = deferred = False
-        for i, row in enumerate(live):
+        for i, row in enumerate(rows):
             costs = [
                 ((len(row) - 1) * (len(holders[c]) - 1), c)
                 for c, v in row.items()
@@ -108,7 +107,7 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
                 continue
             sign = row[col]
             for k in sorted(holders[col] - {i}):
-                other = live[k]
+                other = rows[k]
                 factor = other[col] * sign
                 for c, v in row.items():
                     value = other.get(c, 0) - factor * v
@@ -120,7 +119,7 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
                         holders[c].discard(k)
             for c in row:
                 holders[c].discard(i)
-            live[i] = {}
+            rows[i] = {}
             eliminated.add(col)
             taken = True
         if not taken:
@@ -128,8 +127,7 @@ def eliminate_unit_pivots(matrix: IntegerMatrix) -> IntegerMatrix:
                 break
             limit = 2 * limit + 1
     kept = [c for c in range(cols) if c not in eliminated]
-    rows = [[row.get(c, 0) for c in kept] for row in live if row]
-    return IntegerMatrix(rows, len(kept))
+    return IntegerMatrix([[row.get(c, 0) for c in kept] for row in rows if row], len(kept))
 
 
 def hermite_normal_form(matrix: IntegerMatrix) -> IntegerMatrix:

@@ -16,7 +16,9 @@ from su21.fpgroup import (
     Word,
     evaluate_word,
 )
-from su21.matgroup import IDENTITY, J, GroupMatrix, generators_upsilon
+from su21.matgroup import IDENTITY, J, F_map, GroupMatrix, generators_upsilon
+from su21.weightdenom import central_parts
+from su21.zlinalg import IntegerMatrix
 
 GENERATORS = generators_upsilon()
 
@@ -34,6 +36,19 @@ def random_upsilon_element(rng, max_len, min_len=1):
 
 def random_eisenstein(rng, bound=50):
     return EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+def cyclic_shift(word, k):
+    """The word rotated left by k letters (a conjugate of the original)."""
+    if not word.letters:
+        return word
+    k %= len(word.letters)
+    return Word(word.letters[k:] + word.letters[:k])
+
+
+def in_index3(g, v):
+    """Whether v . F_map(g) = 0 in F_3."""
+    return sum(int(vi) * fi for vi, fi in zip(v, F_map(g))) % 3 == 0
 
 
 # --- reference GroupMatrix arithmetic -------------------------------------
@@ -247,6 +262,59 @@ def schreier_edges(graph):
         for gi in range(graph.generator_count)
         if (vi, gi) not in tree
     ]
+
+
+def trace_words(ambient, graph):
+    """Every ambient relator traced from every coset of the graph as a word
+    in the Schreier generators, numbered as schreier_edges lists them, in
+    (relator, coset) order; empty traces are kept."""
+    symbol_of = {edge: k for k, edge in enumerate(schreier_edges(graph))}
+    words = []
+    for rel in ambient.relators:
+        for vi in range(graph.index):
+            letters = []
+            current = vi
+            for gi, sign in rel.letters:
+                previous = current
+                current = graph.edges[(current, (gi, sign))]
+                edge = (previous, gi) if sign == 1 else (current, gi)
+                if edge in symbol_of:
+                    letters.append((symbol_of[edge], sign))
+            assert current == vi, "trace from coset %d did not close up" % vi
+            words.append(Word(letters))
+    return words
+
+
+# --- dense relation matrix oracle --------------------------------------------
+#
+# The relation matrix the package built before Reidemeister-Schreier traced
+# relators straight into sparse rows: one dense row per relator word, its
+# exponent sums followed by -n for the relator's lift (I, n).
+
+
+def relation_matrix(presentation, central=None):
+    """The s x (r+1) abelianized relation matrix of the centrally extended
+    group: one row per relator, columns = generator exponent sums plus the
+    z-coefficient -n, where (I, n) is the relator's lift.  central gives
+    those n in relator order; without it they are lifted through the
+    presentation's images."""
+    if central is None:
+        central = central_parts(presentation)
+    elif len(central) != len(presentation.relators):
+        raise ValueError("need exactly one central part per relator")
+    r = presentation.generator_count
+    return IntegerMatrix(
+        (
+            relator.exponent_sums(r) + [-n]
+            for relator, n in zip(presentation.relators, central)
+        ),
+        r + 1,
+    )
+
+
+def sparse_rows(rows):
+    """Dense rows as the {column: nonzero entry} dicts the elimination takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
 # --- predicate-scan Reidemeister-Schreier oracle -----------------------------

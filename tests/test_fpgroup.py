@@ -12,8 +12,15 @@ from su21.fpgroup import (
     reidemeister_schreier,
     upsilon_presentation,
 )
-from su21.matgroup import IDENTITY, SubgroupSpec
-from helpers import GENERATORS, predicate_scan_presentation, schreier_edges
+from su21.matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
+from helpers import (
+    GENERATORS,
+    cyclic_shift,
+    predicate_scan_presentation,
+    schreier_edges,
+    sparse_rows,
+    trace_words,
+)
 
 letters = st.lists(
     st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from((1, -1))),
@@ -66,7 +73,7 @@ def test_word_powers(w, k):
 
 @given(words, st.integers(min_value=0, max_value=10))
 def test_cyclic_shift_is_conjugate(w, k):
-    shifted = w.cyclic_shift(k)
+    shifted = cyclic_shift(w, k)
     if w.letters:
         j = k % len(w.letters)
         prefix = Word(w.letters[:j])
@@ -169,43 +176,46 @@ def parity_key(w):
 
 def test_reidemeister_schreier_free_group_index3():
     free = Presentation(("a", "b"), ())
-    sub, graph = reidemeister_schreier(free, *exponent_sum_key(0, 3), max_index=16)
+    rows, generator_count, graph = reidemeister_schreier(
+        free, *exponent_sum_key(0, 3), max_index=16
+    )
     assert graph.index == 3
-    assert sub.generator_count == 4  # Nielsen-Schreier: 1 + 3*(2-1)
-    assert len(sub.relators) == 0
+    assert generator_count == 4  # Nielsen-Schreier: 1 + 3*(2-1)
+    assert len(rows) == 0
 
 
 def test_reidemeister_schreier_free_group_index2():
     free = Presentation(("a", "b"), ())
-    sub, graph = reidemeister_schreier(
+    rows, generator_count, graph = reidemeister_schreier(
         free, parity_key, lambda w: parity_key(w) == 0, max_index=16
     )
     assert graph.index == 2
-    assert sub.generator_count == 3
-    assert len(sub.relators) == 0
+    assert generator_count == 3
+    assert len(rows) == 0
 
 
 def test_reidemeister_schreier_cyclic_quotient():
     # Z = <a | > ; subgroup 4Z has index 4 and is generated by a^4
     free = Presentation(("a",), ())
-    sub, graph = reidemeister_schreier(
+    rows, generator_count, graph = reidemeister_schreier(
         free, *exponent_sum_key(0, 4, generator_count=1), max_index=8
     )
     assert graph.index == 4
-    assert sub.generator_count == 1
-    assert len(sub.relators) == 0
+    assert generator_count == 1
+    assert len(rows) == 0
 
 
 def test_reidemeister_schreier_with_matrix_images():
     p = upsilon_presentation()
     spec = SubgroupSpec("index3", (1, 0, 0, 0))
-    sub, graph = reidemeister_schreier(p, spec.coset_key, spec.membership, max_index=16)
+    rows, generator_count, graph = reidemeister_schreier(
+        p, spec.coset_key, spec.membership, max_index=16
+    )
     assert graph.index == 3
     # one generator per positive edge off the spanning tree, one relator per
     # ambient relator and coset, in that order
-    assert sub.generator_count == 3 * 5 - 2
-    assert len(sub.relators) == 13 * 3
-    assert sub.images is None
+    assert generator_count == 3 * 5 - 2
+    assert len(rows) == 13 * 3
     assert graph.vertices[0] == IDENTITY
     # every edge v -> w joins the cosets of r_v * step and r_w
     for (vi, (gi, sign)), wj in graph.edges.items():
@@ -219,9 +229,31 @@ def test_reidemeister_schreier_with_matrix_images():
         graph.vertices[vi] * p.images[gi] * graph.vertices[graph.edges[(vi, (gi, 1))]].inverse()
         for vi, gi in schreier_edges(graph)
     ]
-    assert len(images) == sub.generator_count
-    for trace in sub.relators:
+    assert len(images) == generator_count
+    traces = trace_words(p, graph)
+    assert len(traces) == len(rows)
+    for trace in traces:
         assert evaluate_word(trace, images) == IDENTITY
+
+
+def test_relation_rows_are_trace_exponent_sums():
+    """The rows Reidemeister-Schreier traces straight from the coset graph
+    are the exponent sums of the trace words, for upsilon (index 1, whose
+    rows are the 13 relators' exponent sums), the 40 index-3 groups and
+    gamma3."""
+    p = upsilon_presentation()
+    specs = [SubgroupSpec("upsilon"), SubgroupSpec("gamma3")]
+    specs += [SubgroupSpec("index3", v) for v in all_index3_vectors()]
+    for spec in specs:
+        rows, generator_count, graph = reidemeister_schreier(
+            p, spec.coset_key, spec.membership, max_index=spec.index_in_upsilon()
+        )
+        assert graph.index == spec.index_in_upsilon()
+        assert generator_count == len(schreier_edges(graph))
+        traces = trace_words(p, graph)
+        assert rows == sparse_rows(t.exponent_sums(generator_count) for t in traces)
+        if spec.kind == "upsilon":
+            assert rows == sparse_rows(r.exponent_sums(5) for r in p.relators)
 
 
 def test_reidemeister_schreier_index_overflow():

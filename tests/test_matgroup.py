@@ -15,7 +15,6 @@ from su21.matgroup import (
     canonical_index3_vector,
     generators_upsilon,
     in_gamma_beta,
-    in_index3,
     in_upsilon,
     make_n,
     make_n_transpose,
@@ -23,6 +22,7 @@ from su21.matgroup import (
 from helpers import (
     GENERATORS,
     conj_transpose,
+    in_index3,
     random_eisenstein,
     random_upsilon_element,
     random_word,

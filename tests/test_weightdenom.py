@@ -31,7 +31,6 @@ from su21.weightdenom import (
     central_parts,
     lift_word,
     multiplier_system_exists,
-    relation_matrix,
     survey_index3,
     weight_denominator,
     weight_denominator_of,
@@ -39,10 +38,14 @@ from su21.weightdenom import (
 from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
 from helpers import (
     BallPoint,
+    cyclic_shift,
     founding_edges,
     predicate_scan_presentation,
     random_word,
+    relation_matrix,
     schreier_edges,
+    sparse_rows,
+    trace_words,
 )
 
 GENERATORS = generators_upsilon()
@@ -81,7 +84,7 @@ def test_relator_lift_invariants():
         # cyclic shifts are conjugates, and (I, n) is central
         for _ in range(3):
             k = rng.randrange(len(relator.letters))
-            shifted = relator.cyclic_shift(k)
+            shifted = cyclic_shift(relator, k)
             assert lift_word(shifted, UPSILON.images).n == n
 
 
@@ -111,7 +114,9 @@ def test_relator_traces_telescope_to_base_lifts():
     steps = [CoverElement(g, 0) for g in base.images]
     for name in ("index3:1,0,0,0", "index3:0,1,1,2"):
         spec = SubgroupSpec.parse(name)
-        sub, graph = reidemeister_schreier(base, spec.coset_key, spec.membership)
+        _, generator_count, graph = reidemeister_schreier(
+            base, spec.coset_key, spec.membership
+        )
         lifts = [COVER_IDENTITY] * graph.index
         for wj, (vi, (gi, sign)) in sorted(founding_edges(graph).items()):
             step = steps[gi] if sign == 1 else steps[gi].inverse()
@@ -121,16 +126,22 @@ def test_relator_traces_telescope_to_base_lifts():
             lifts[vi] * steps[gi] * lifts[graph.edges[(vi, (gi, 1))]].inverse()
             for vi, gi in schreier_edges(graph)
         ]
-        assert len(generators) == sub.generator_count
-        for k, trace in enumerate(sub.relators):
+        assert len(generators) == generator_count
+        for k, trace in enumerate(trace_words(base, graph)):
             product = COVER_IDENTITY
             for i, s in trace.letters:
                 product = product * (generators[i] if s == 1 else generators[i].inverse())
             assert product == CoverElement(IDENTITY, base_central[k // graph.index])
 
 
+def upsilon_rows():
+    return sparse_rows(relation_matrix(UPSILON).entries)
+
+
 def test_upsilon_denominator_is_one():
-    report = weight_denominator(UPSILON, group="upsilon", index_in_upsilon=1)
+    report = weight_denominator(
+        upsilon_rows(), 6, group="upsilon", index_in_upsilon=1
+    )
     assert report.weight_denominator == 1
     assert report.torsion_invariants == (3, 3, 3)
     assert report.free_rank == 2
@@ -221,9 +232,8 @@ def test_pooled_survey_matches_sequential():
 def test_infinite_order_raises():
     # A free group on one matrix generator: no relators, so the central
     # generator's class is free and has no finite order.
-    free = Presentation(("a",), (), images=(GENERATORS[0],))
     with pytest.raises(InfiniteOrderError):
-        weight_denominator(free)
+        weight_denominator([], 2)
 
 
 def test_multiplier_system_exists():
@@ -269,7 +279,7 @@ def test_weight_denominator_runs_one_hnf(monkeypatch):
     original = zlinalg.hermite_normal_form
     monkeypatch.setattr(zlinalg, "hermite_normal_form", counting)
     monkeypatch.setattr(weightdenom, "hermite_normal_form", counting)
-    report = weight_denominator(UPSILON)
+    report = weight_denominator(upsilon_rows(), 6)
     assert report.weight_denominator == 1
     assert len(calls) == 1
 
@@ -283,19 +293,14 @@ def test_weight_denominator_runs_one_hnf(monkeypatch):
         ([[3, 1], [0, 3]], 3),
     ],
 )
-def test_weight_denominator_when_only_z_has_a_unit(monkeypatch, rows, order):
+def test_weight_denominator_when_only_z_has_a_unit(rows, order):
     # The z column is never a pivot, so its unit entries survive reduction.
     # In the last case z = -3x with 9x = 0: taking z as a pivot would give 9.
-    monkeypatch.setattr(
-        weightdenom,
-        "relation_matrix",
-        lambda presentation, central=None: IntegerMatrix(rows),
-    )
     if order is None:
         with pytest.raises(InfiniteOrderError):
-            weight_denominator(UPSILON)
+            weight_denominator(sparse_rows(rows), 2)
     else:
-        assert weight_denominator(UPSILON).weight_denominator == order
+        assert weight_denominator(sparse_rows(rows), 2).weight_denominator == order
 
 
 def full_matrix_answer(matrix):
@@ -334,9 +339,9 @@ def test_reduced_path_matches_full_normal_forms():
             presentation, index = UPSILON, 1
         else:
             presentation, index = predicate_scan_presentation(UPSILON, spec.membership)
-        central = central_parts(presentation)
-        oracle = report_answer(weight_denominator(presentation, central))
-        assert oracle == full_matrix_answer(relation_matrix(presentation, central))
+        matrix = relation_matrix(presentation, central_parts(presentation))
+        oracle = report_answer(weight_denominator(sparse_rows(matrix.entries), matrix.cols))
+        assert oracle == full_matrix_answer(matrix)
         assert report_answer(keyed) == oracle, spec.name()
         assert keyed.index_in_upsilon == index
         answers[spec.name()] = oracle
@@ -349,21 +354,25 @@ def test_reduced_path_matches_full_normal_forms():
 def test_gamma3_counters(monkeypatch):
     """Deterministic work of a cold gamma3 computation: sigma lifts only
     the 13 ambient relators, membership checks each Schreier generator
-    once, the relation matrix has one row per relator trace, and matrix
-    products number 2,173 (inverse() makes none, is_unitary() one)."""
+    once, the relations have one row per relator trace, matrix products
+    number 2,173 (inverse() makes none, is_unitary() one), and the relator
+    traces go straight into sparse rows: no subgroup Presentation, no
+    trace Word and no dense relation matrix is built."""
     counts = {"sigma": 0, "membership": 0, "mul": 0}
+    counts.update(Word=0, Presentation=0, IntegerMatrix=0)
     shapes = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    def eliminating(matrix):
-        reduced = original_eliminate(matrix)
-        shapes.append((matrix.shape, reduced.shape))
+    def eliminating(rows, cols):
+        shape = (len(rows), cols)
+        reduced = original_eliminate(rows, cols)
+        shapes.append((shape, reduced.shape))
         return reduced
 
     original_eliminate = weightdenom.eliminate_unit_pivots
@@ -373,6 +382,8 @@ def test_gamma3_counters(monkeypatch):
     )
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
+    for cls in (Word, Presentation, IntegerMatrix):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     base_relator_lifts.cache_clear()
     report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
     assert report_answer(report) == (3, (3,) * 7, 10)
@@ -389,7 +400,12 @@ def test_gamma3_counters(monkeypatch):
     assert report.relator_count == 13 * 81
     assert shapes == [((1053, 326), (484, 17))]
     assert counts["mul"] == 2173
-
+    # the ambient presentation is the only Presentation; the relation
+    # matrix is born reduced, then comes the HNF and its nonzero rows
+    assert counts["Presentation"] == 1
+    assert counts["IntegerMatrix"] == 3
+    # the 20 Words spell out the 13 ambient relators, and none is a trace
+    assert counts["Word"] == 20
 
 
 def test_index3_membership_checks_unitarity_once(monkeypatch):

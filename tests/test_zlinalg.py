@@ -18,6 +18,7 @@ from helpers import (
     lattices_equal,
     random_matrix_rows,
     smith_via_minor_gcds,
+    sparse_rows,
 )
 
 
@@ -237,23 +238,28 @@ def test_order_of_last_coordinate_against_lattice_oracle():
         assert last_coordinate_order_of_hnf(hermite_normal_form(m)) == expected
 
 
+def eliminate(m: IntegerMatrix) -> IntegerMatrix:
+    """eliminate_unit_pivots on the matrix's rows, passed sparse."""
+    return eliminate_unit_pivots(sparse_rows(m.entries), m.cols)
+
+
 def test_eliminate_unit_pivots_known_cases():
     # x1 occurs only in the first row, which merely defines it: the cheapest
     # pivot drops that row and column and leaves the other row untouched
     m = IntegerMatrix([[1, 1, -2], [3, 0, 1]])
-    assert eliminate_unit_pivots(m) == IntegerMatrix([[3, 1]])
+    assert eliminate(m) == IntegerMatrix([[3, 1]])
     # x0 = -x1 + 2z substituted into 3*x0 + x1 + z = 0 leaves -2*x1 + 7z = 0
     m = IntegerMatrix([[1, 1, -2], [3, 1, 1]])
-    assert eliminate_unit_pivots(m) == IntegerMatrix([[-2, 7]])
+    assert eliminate(m) == IntegerMatrix([[-2, 7]])
     # the last column is never a pivot, even when it holds the only unit
-    assert eliminate_unit_pivots(IntegerMatrix([[2, 1]])) == IntegerMatrix([[2, 1]])
+    assert eliminate(IntegerMatrix([[2, 1]])) == IntegerMatrix([[2, 1]])
     # nothing to eliminate: unchanged apart from dropped zero rows
     m = IntegerMatrix([[2, 0, 3], [0, 0, 0], [0, 4, 5]])
-    assert eliminate_unit_pivots(m) == IntegerMatrix([[2, 0, 3], [0, 4, 5]])
+    assert eliminate(m) == IntegerMatrix([[2, 0, 3], [0, 4, 5]])
     # a zero column is a free generator and is kept
     m = IntegerMatrix([[1, 0, 0, 2]])
-    assert eliminate_unit_pivots(m) == IntegerMatrix([], cols=3)
-    assert eliminate_unit_pivots(IntegerMatrix([], cols=0)).shape == (0, 0)
+    assert eliminate(m) == IntegerMatrix([], cols=3)
+    assert eliminate_unit_pivots([], 0).shape == (0, 0)
 
 
 def test_eliminate_unit_pivots_preserves_quotient():
@@ -261,10 +267,10 @@ def test_eliminate_unit_pivots_preserves_quotient():
     for _ in range(300):
         rows, cols = random_matrix_rows(rng, max_dim=7, bound=rng.choice((1, 2, 5)))
         m = IntegerMatrix(rows, cols)
-        r = eliminate_unit_pivots(m)
+        r = eliminate(m)
         assert r.cols <= m.cols and r.rows <= m.rows
         assert all(any(row) for row in r.entries)
         assert not any(v in (1, -1) for row in r.entries for v in row[:-1])
         assert cokernel_invariants(r) == cokernel_invariants(m)
         assert order_of_last_coordinate(r) == order_of_last_coordinate(m)
-        assert eliminate_unit_pivots(r) == r
+        assert eliminate(r) == r
