@@ -21,6 +21,12 @@ from .weightdenom import (
 )
 
 
+_GROUP_HELP = (
+    "upsilon | gamma_sqrt3 | gamma3 | index<N>:r1;r2;... (the g with "
+    "r . F(g) = 0 mod 3 for each row r of four integers; N = 3^rank)"
+)
+
+
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -195,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_presentation)
 
     p = sub.add_parser("denom", help="weight denominator of a named subgroup")
-    p.add_argument("group", help="upsilon | gamma_sqrt3 | gamma3 | index3:a,b,c,d")
+    p.add_argument("group", help=_GROUP_HELP)
     _add_common(p)
     p.set_defaults(handler=_cmd_denom)
 
@@ -226,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "exists", help="does the subgroup carry a multiplier system of this weight"
     )
-    p.add_argument("group", help="upsilon | gamma_sqrt3 | gamma3 | index3:a,b,c,d")
+    p.add_argument("group", help=_GROUP_HELP)
     p.add_argument("weight", help="rational weight, e.g. 2/3")
     _add_common(p)
     p.set_defaults(handler=_cmd_exists)

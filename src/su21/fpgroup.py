@@ -82,14 +82,6 @@ class Word:
             return self.inverse() ** (-exponent)
         return Word(self.letters * exponent)
 
-    def exponent_sums(self, generator_count: int) -> list:
-        row = [0] * generator_count
-        for i, s in self.letters:
-            if i >= generator_count:
-                raise ValueError("generator index %d out of range" % i)
-            row[i] += s
-        return row
-
     def to_string(self, names=None) -> str:
         """Space-separated signed generator names, e.g. 'n1 n3^-1'."""
         parts = []

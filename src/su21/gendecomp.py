@@ -110,8 +110,13 @@ def _descend_step(g: GroupMatrix):
     w = nearest_lattice_point(b * pivot.conj() * SQRT_MINUS3, 3 * n_pivot)
     z = w if transpose else w.conj()
     x0 = z.norm() % 2
-    m = make(z, x0)[row]
-    reduced = m[0] * a + m[1] * b + m[2] * c
+    # row `row` of make(z, x0) is (1, sqrt(-3) z, corner) or (corner,
+    # sqrt(-3) conj(z), 1), with corner = (-3 N(z) + x0 sqrt(-3)) / 2
+    corner = EisensteinInt((x0 - 3 * z.norm()) // 2, x0)
+    if transpose:
+        reduced = corner * a + SQRT_MINUS3 * z.conj() * b + c
+    else:
+        reduced = a + SQRT_MINUS3 * z * b + corner * c
     x = x0 - 2 * _rounded_half((reduced * pivot.conj()).b, n_pivot)
     result = make(z, x) * g
     assert result[1][0].norm() <= n_pivot

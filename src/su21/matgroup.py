@@ -8,6 +8,8 @@ Products work on the integer coordinates (a, b) of the entries a + b*zeta.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
 
 
@@ -254,130 +256,128 @@ def _f_coordinates(g: GroupMatrix) -> tuple:
     return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
 
 
-def canonical_index3_vector(v) -> tuple:
-    """Canonical representative of v up to sign mod 3: the lexicographically
-    smaller of v mod 3 and -v mod 3.  The vector must be nonzero mod 3."""
-    v = tuple(int(x) % 3 for x in v)
-    if len(v) != 4:
-        raise ValueError("expected a vector of length 4")
-    if v == (0, 0, 0, 0):
-        raise ValueError("the zero vector does not define an index-3 subgroup")
-    neg = tuple((-x) % 3 for x in v)
-    return min(v, neg)
-
-
 def all_index3_vectors() -> list:
-    """All 40 canonical nonzero vectors in F_3^4 up to sign, sorted."""
-    seen = set()
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    if (a, b, c, d) != (0, 0, 0, 0):
-                        seen.add(canonical_index3_vector((a, b, c, d)))
-    return sorted(seen)
+    """All 40 nonzero vectors in F_3^4 up to sign, sorted: the rows of the
+    40 index-3 specs."""
+    vectors = product(range(3), repeat=4)
+    return sorted({SubgroupSpec((v,)).rows[0] for v in vectors if any(v)})
+
+
+def _echelon(rows) -> tuple:
+    """The reduced row-echelon basis over F_3 of the span of rows, each a
+    vector of four integers: its pivots are 1, in increasing columns, with
+    zeros above and below them."""
+    basis = {}  # pivot column -> row
+    for row in rows:
+        v = [int(x) % 3 for x in row]
+        if len(v) != 4:
+            raise ValueError("expected rows of four integers")
+        for p, b in basis.items():
+            v = [(x - v[p] * y) % 3 for x, y in zip(v, b)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            v = [x * v[p] % 3 for x in v]  # every unit of F_3 is its own inverse
+            basis = {q: [(x - b[p] * y) % 3 for x, y in zip(b, v)] for q, b in basis.items()}
+            basis[p] = v
+    return tuple(tuple(basis[p]) for p in sorted(basis))
+
+
+# The names that are not index<N>:rows; gamma_sqrt3 has no rows.
+_ALIASES = {
+    "upsilon": (),
+    "gamma_sqrt3": None,
+    "gamma3": tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+}
 
 
 class SubgroupSpec:
-    """A named congruence subgroup: the full unipotent-generated group
-    ('upsilon'), a principal congruence group ('gamma_sqrt3', 'gamma3'),
-    or an index-3 group ('index3' with a canonical F_3^4 vector)."""
+    """A named congruence subgroup.  Every group between Gamma(3) and the
+    unipotent-generated group is F_map^-1(W) for a subspace W of F_3^4,
+    given by rows: a reduced row-echelon basis over F_3 of the vectors
+    orthogonal to W, so g is a member when rows . F_map(g) = 0 mod 3.  Its
+    index is 3^len(rows): no rows is 'upsilon', the identity rows are
+    'gamma3' and one row v is 'index3:v'.  rows=None is the level sqrt(-3)
+    group 'gamma_sqrt3', which is not inside the ambient group."""
 
-    __slots__ = ("kind", "vector")
+    __slots__ = ("rows",)
 
-    KINDS = ("upsilon", "gamma_sqrt3", "gamma3", "index3")
-
-    def __init__(self, kind: str, vector=None):
-        if kind not in self.KINDS:
-            raise ValueError("unknown subgroup kind %r" % (kind,))
-        if kind == "index3":
-            vector = canonical_index3_vector(vector)
-        elif vector is not None:
-            raise ValueError("only index3 specs carry a vector")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "vector", vector)
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", None if rows is None else _echelon(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupSpec is immutable")
 
     def __reduce__(self):
-        return (SubgroupSpec, (self.kind, self.vector))
+        return (SubgroupSpec, (self.rows,))
 
     def __eq__(self, other):
         if not isinstance(other, SubgroupSpec):
             return NotImplemented
-        return self.kind == other.kind and self.vector == other.vector
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.kind, self.vector))
+        return hash(self.rows)
 
     def __repr__(self):
-        if self.kind == "index3":
-            return "SubgroupSpec('index3', %r)" % (self.vector,)
-        return "SubgroupSpec(%r)" % (self.kind,)
+        return "SubgroupSpec(%r)" % (self.rows,)
 
     def __str__(self):
         return self.name()
 
     def name(self) -> str:
-        if self.kind == "index3":
-            return "index3:%d,%d,%d,%d" % self.vector
-        return self.kind
+        for alias, rows in _ALIASES.items():
+            if rows == self.rows:
+                return alias
+        body = ";".join(",".join(str(x) for x in row) for row in self.rows)
+        return "index%d:%s" % (3 ** len(self.rows), body)
 
     @classmethod
     def parse(cls, text: str) -> "SubgroupSpec":
-        """Parse the CLI grammar: upsilon | gamma_sqrt3 | gamma3 | index3:a,b,c,d."""
+        """Parse the CLI grammar: upsilon | gamma_sqrt3 | gamma3 |
+        index<N>:r1;r2;... with each row four comma-separated integers and
+        N = 3^rank, e.g. index3:a,b,c,d or index9:1,0,0,0;0,1,0,0."""
         text = text.strip()
-        if text in ("upsilon", "gamma_sqrt3", "gamma3"):
-            return cls(text)
-        if text.startswith("index3:"):
-            parts = text[len("index3:"):].split(",")
-            if len(parts) != 4:
-                raise ValueError("index3 takes four comma-separated digits")
-            try:
-                vector = tuple(int(p) for p in parts)
-            except ValueError:
-                raise ValueError("index3 components must be integers") from None
-            return cls("index3", vector)
-        raise ValueError(
-            "unknown group %r (expected upsilon, gamma_sqrt3, gamma3, or index3:a,b,c,d)" % (text,)
-        )
+        if text in _ALIASES:
+            return cls(_ALIASES[text])
+        head, colon, body = text.partition(":")
+        if not (colon and head.startswith("index") and head[5:].isdigit()):
+            raise ValueError(
+                "unknown group %r (expected upsilon, gamma_sqrt3, gamma3, "
+                "index3:a,b,c,d or index<N>:r1;r2;...)" % (text,)
+            )
+        try:
+            spec = cls(tuple(int(x) for x in row.split(",")) for row in body.split(";"))
+        except ValueError:
+            raise ValueError("%s: each row takes four comma-separated integers" % text) from None
+        if 3 ** len(spec.rows) != int(head[5:]):
+            raise ValueError(
+                "%s: rows of rank %d give index %d" % (text, len(spec.rows), 3 ** len(spec.rows))
+            )
+        return spec
 
     def membership(self, g: GroupMatrix) -> bool:
-        if self.kind == "upsilon":
-            return in_upsilon(g)
-        if self.kind == "gamma_sqrt3":
+        if self.rows is None:
             return in_gamma_beta(g, SQRT_MINUS3)
-        if self.kind == "gamma3":
-            return in_gamma_beta(g, EisensteinInt(3, 0))
-        return in_upsilon(g) and self.coset_key(g) == 0
+        return in_upsilon(g) and not any(self.coset_key(g))
 
-    def coset_key(self, g: GroupMatrix):
+    def coset_key(self, g: GroupMatrix) -> tuple:
         """The image of g in the quotient of the ambient group by this
-        subgroup: () for upsilon, F_map(g) for gamma3, v . F_map(g) mod 3
-        for index3.  Two elements of the ambient group lie in the same right
-        coset exactly when their keys are equal.
+        subgroup: rows . F_map(g) mod 3, one entry per row.  Two elements of
+        the ambient group lie in the same right coset exactly when their
+        keys are equal.
 
         g must lie in the ambient group, and unlike F_map this does not
         check it: coset enumeration keys only products of the ambient
         generators, and checks every Schreier generator with membership."""
-        if self.kind == "upsilon":
-            return ()
-        if self.kind == "gamma3":
-            return _f_coordinates(g)
-        if self.kind == "index3":
-            f = _f_coordinates(g)
-            return sum(vi * fi for vi, fi in zip(self.vector, f)) % 3
-        raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
+        if self.rows is None:
+            raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
+        f0, f1, f2, f3 = _f_coordinates(g)
+        return tuple((a * f0 + b * f1 + c * f2 + d * f3) % 3 for a, b, c, d in self.rows)
 
     def index_in_upsilon(self) -> int:
         """Index inside the ambient unipotent-generated group.  The level
         sqrt(-3) group is not a subgroup of it (it is handled by the
         centre-quotient reduction in the weight-denominator pipeline)."""
-        if self.kind == "upsilon":
-            return 1
-        if self.kind == "gamma3":
-            return 81
-        if self.kind == "index3":
-            return 3
-        raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
+        if self.rows is None:
+            raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
+        return 3 ** len(self.rows)

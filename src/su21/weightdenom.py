@@ -224,13 +224,13 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
     Enumeration stops beyond the subgroup's known index.  Enumeration
     errors (IndexOverflowError, OracleInconsistencyError) name the group.
     """
-    if spec.kind == "gamma_sqrt3":
+    if spec.rows is None:
         note = (
             "computed from the index-3 unipotent complement: the group is "
             "the direct product of that complement with its order-3 scalar "
             "center, which leaves the weight denominator unchanged"
         )
-        fields = weight_denominator_of(SubgroupSpec("upsilon")).to_json_dict()
+        fields = weight_denominator_of(SubgroupSpec(())).to_json_dict()
         fields.update(group=spec.name(), index_in_upsilon=None, notes=[note])
         return DenominatorReport(**fields)
     base, base_central = base_relator_lifts()
@@ -257,7 +257,7 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
 
 
 def _survey_worker(vector):
-    return vector, weight_denominator_of(SubgroupSpec("index3", vector))
+    return vector, weight_denominator_of(SubgroupSpec((vector,)))
 
 
 def survey_index3(parallel: bool = False) -> list:

@@ -3,6 +3,7 @@
 import math
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor, gcd
 
@@ -16,7 +17,15 @@ from su21.fpgroup import (
     Word,
     evaluate_word,
 )
-from su21.matgroup import IDENTITY, J, F_map, GroupMatrix, generators_upsilon
+from su21.matgroup import (
+    IDENTITY,
+    J,
+    F_map,
+    GroupMatrix,
+    SubgroupSpec,
+    all_index3_vectors,
+    generators_upsilon,
+)
 from su21.weightdenom import central_parts
 from su21.zlinalg import IntegerMatrix
 
@@ -46,9 +55,38 @@ def cyclic_shift(word, k):
     return Word(word.letters[k:] + word.letters[:k])
 
 
+def exponent_sums(word, generator_count):
+    """The exponent sum of each generator in word, as a list."""
+    row = [0] * generator_count
+    for i, s in word.letters:
+        if i >= generator_count:
+            raise ValueError("generator index %d out of range" % i)
+        row[i] += s
+    return row
+
+
 def in_index3(g, v):
     """Whether v . F_map(g) = 0 in F_3."""
-    return sum(int(vi) * fi for vi, fi in zip(v, F_map(g))) % 3 == 0
+    return in_row_kernel(g, (v,))
+
+
+def in_row_kernel(g, rows):
+    """Whether v . F_map(g) = 0 in F_3 for every row v."""
+    f = F_map(g)
+    return all(sum(int(vi) * fi for vi, fi in zip(v, f)) % 3 == 0 for v in rows)
+
+
+@lru_cache(maxsize=None)
+def lattice_specs():
+    """The specs of all groups between Gamma(3) and upsilon, grown from
+    upsilon by adding one index-3 row at a time, sorted by index and rows."""
+    found = {SubgroupSpec(())}
+    frontier = found
+    while frontier:
+        grown = {SubgroupSpec(s.rows + (v,)) for s in frontier for v in all_index3_vectors()}
+        frontier = grown - found
+        found |= frontier
+    return tuple(sorted(found, key=lambda s: (len(s.rows), s.rows)))
 
 
 # --- reference GroupMatrix arithmetic -------------------------------------
@@ -305,7 +343,7 @@ def relation_matrix(presentation, central=None):
     r = presentation.generator_count
     return IntegerMatrix(
         (
-            relator.exponent_sums(r) + [-n]
+            exponent_sums(relator, r) + [-n]
             for relator, n in zip(presentation.relators, central)
         ),
         r + 1,

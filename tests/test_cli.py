@@ -208,11 +208,11 @@ def test_survey_json(capsys):
 )
 def test_index_overflow_is_domain_error(capsys, monkeypatch, argv):
     # the gamma3 key on an index-3 group finds more cosets than its index
-    key, gamma3_key = SubgroupSpec.coset_key, SubgroupSpec("gamma3").coset_key
+    key, gamma3_key = SubgroupSpec.coset_key, SubgroupSpec.parse("gamma3").coset_key
     monkeypatch.setattr(
         SubgroupSpec,
         "coset_key",
-        lambda self, g: gamma3_key(g) if self.kind == "index3" else key(self, g),
+        lambda self, g: gamma3_key(g) if self.name().startswith("index3:") else key(self, g),
     )
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from su21.matgroup import (
     GroupMatrix,
     SubgroupSpec,
     all_index3_vectors,
-    canonical_index3_vector,
     generators_upsilon,
     in_gamma_beta,
     in_upsilon,
@@ -23,6 +23,7 @@ from helpers import (
     GENERATORS,
     conj_transpose,
     in_index3,
+    lattice_specs,
     random_eisenstein,
     random_upsilon_element,
     random_word,
@@ -315,14 +316,16 @@ def test_index3_vectors():
     vectors = all_index3_vectors()
     assert len(vectors) == 40
     assert vectors == sorted(vectors)
-    assert all(canonical_index3_vector(v) == v for v in vectors)
-    assert canonical_index3_vector((2, 0, 0, 0)) == (1, 0, 0, 0)
-    assert canonical_index3_vector((2, 2, 0, 1)) == (1, 1, 0, 2)
-    assert canonical_index3_vector((-1, 0, 0, 0)) == (1, 0, 0, 0)
+    # a single row is canonical when its first nonzero entry is 1
+    assert all(SubgroupSpec((v,)).rows == (v,) for v in vectors)
+    assert SubgroupSpec(((2, 0, 0, 0),)).rows == ((1, 0, 0, 0),)
+    assert SubgroupSpec(((2, 2, 0, 1),)).rows == ((1, 1, 0, 2),)
+    assert SubgroupSpec(((-1, 0, 0, 0),)).rows == ((1, 0, 0, 0),)
+    # a vector that is zero mod 3 defines no index-3 subgroup
     with pytest.raises(ValueError):
-        canonical_index3_vector((0, 0, 0, 0))
+        SubgroupSpec.parse("index3:0,0,0,0")
     with pytest.raises(ValueError):
-        canonical_index3_vector((3, 3, 0, 0))
+        SubgroupSpec.parse("index3:3,3,0,0")
 
 
 def test_in_index3():
@@ -336,7 +339,7 @@ def test_in_index3():
 
 def test_subgroup_spec():
     spec = SubgroupSpec.parse("index3:2,0,0,0")
-    assert spec.vector == (1, 0, 0, 0)
+    assert spec.rows == ((1, 0, 0, 0),)
     assert spec.name() == "index3:1,0,0,0"
     assert spec.index_in_upsilon() == 3
     assert SubgroupSpec.parse("upsilon").index_in_upsilon() == 1
@@ -348,9 +351,88 @@ def test_subgroup_spec():
     with pytest.raises(ValueError):
         SubgroupSpec.parse("index3:0,0,0")
     with pytest.raises(ValueError):
-        SubgroupSpec("upsilon", vector=(1, 0, 0, 0))
+        SubgroupSpec(((1, 0, 0),))
     assert SubgroupSpec.parse("index3:1,0,0,0") == spec
     assert len({spec, SubgroupSpec.parse("index3:2,0,0,0")}) == 1
+
+
+def test_subgroup_spec_lattice():
+    """All subspaces of F_3^4 by dimension: the Gaussian binomials
+    [4 k]_3 = 1, 40, 130, 40, 1, each with its own name, which parses back
+    to the same spec."""
+    specs = lattice_specs()
+    assert Counter(spec.index_in_upsilon() for spec in specs) == {
+        1: 1, 3: 40, 9: 130, 27: 40, 81: 1
+    }
+    assert len({spec.name() for spec in specs}) == 212
+    for spec in specs:
+        assert SubgroupSpec.parse(spec.name()) == spec
+    assert specs[0].name() == "upsilon"
+    assert specs[-1].name() == "gamma3"
+    assert SubgroupSpec.parse("index81:1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1").name() == "gamma3"
+
+
+def test_subgroup_spec_canonical_rows():
+    # rows spanning the same subspace give one spec, with one hash and name
+    spec = SubgroupSpec([(1, 1, 0, 0), (1, 2, 0, 0), (2, 0, 0, 0)])
+    assert spec == SubgroupSpec.parse("index9:1,0,0,0;0,1,0,0")
+    assert spec.name() == "index9:1,0,0,0;0,1,0,0"
+    rng = random.Random(12)
+    for spec in rng.sample(lattice_specs(), 40):
+        spanning = [tuple(2 * x for x in row) for row in spec.rows]
+        for _ in range(3):
+            coefficients = [rng.randrange(3) for _ in spec.rows]
+            spanning.append(
+                tuple(
+                    sum(c * row[i] for c, row in zip(coefficients, spec.rows))
+                    + 3 * rng.randint(-2, 2)
+                    for i in range(4)
+                )
+            )
+        rng.shuffle(spanning)
+        other = SubgroupSpec(spanning)
+        assert other == spec
+        assert hash(other) == hash(spec)
+        assert other.name() == spec.name()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "index9:1,0,0,0",
+        "index3:0,0,0,0",
+        "index27:1,0,0,0;0,1,0,0;1,1,0,0",
+        "index3:1,0,0",
+        "index3:1,0,0,0,0",
+        "index9:1,0,0,0;0,1,0",
+        "index3:1.5,0,0,0",
+        "index3:a,b,c,d",
+        "index3:",
+        "index:1,0,0,0",
+    ],
+)
+def test_subgroup_spec_rejects_bad_rows(text):
+    with pytest.raises(ValueError):
+        SubgroupSpec.parse(text)
+
+
+def test_gamma3_membership_is_the_level_3_test():
+    # F_map is a homomorphism onto the abelian group F_3^4, so cubes and
+    # commutators lie in its kernel Gamma(3), and most random elements not;
+    # zeta * g lies outside the ambient group
+    rng = random.Random(13)
+    gamma3 = SubgroupSpec.parse("gamma3")
+    three = EisensteinInt(3, 0)
+    seen = Counter()
+    for _ in range(60):
+        g = random_upsilon_element(rng, 8)
+        h = random_upsilon_element(rng, 8)
+        for x in (g, g * g * g, g * h * g.inverse() * h.inverse(), ZETA_IDENTITY * g):
+            expected = in_gamma_beta(x, three)
+            assert gamma3.membership(x) == expected
+            seen[expected] += 1
+    assert seen[True] >= 120
+    assert seen[False] >= 60
 
 
 def test_subgroup_spec_membership():

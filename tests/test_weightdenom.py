@@ -22,6 +22,7 @@ from su21.matgroup import (
     SubgroupSpec,
     all_index3_vectors,
     generators_upsilon,
+    in_gamma_beta,
 )
 from su21.weightdenom import (
     DenominatorReport,
@@ -39,7 +40,10 @@ from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
 from helpers import (
     BallPoint,
     cyclic_shift,
+    exponent_sums,
     founding_edges,
+    in_row_kernel,
+    lattice_specs,
     predicate_scan_presentation,
     random_word,
     relation_matrix,
@@ -92,7 +96,7 @@ def test_relation_matrix_shape_and_rows():
     m = relation_matrix(UPSILON)
     assert m.shape == (13, 6)
     for row, relator in zip(m.entries, UPSILON.relators):
-        assert list(row[:5]) == relator.exponent_sums(5)
+        assert list(row[:5]) == exponent_sums(relator, 5)
         assert row[5] == -lift_word(relator, UPSILON.images).n
 
 
@@ -166,7 +170,7 @@ def test_upsilon_invariants_against_sympy():
 def test_central_commutator_witness():
     word = central_commutator_witness()
     assert len(word.letters) == 40
-    assert word.exponent_sums(5) == [0, 0, 0, 0, 0]
+    assert exponent_sums(word, 5) == [0, 0, 0, 0, 0]
     lift = lift_word(word, UPSILON.images)
     assert lift.g == IDENTITY
     assert lift.n == -1
@@ -202,7 +206,7 @@ def test_weight_denominator_of_index3_subgroup():
 def test_weight_denominator_of_respects_max_index(monkeypatch):
     # the enumeration bound is the subgroup's own index: the gamma3 key
     # separates 81 cosets, so enumeration stops at the fourth
-    gamma3_key = SubgroupSpec("gamma3").coset_key
+    gamma3_key = SubgroupSpec.parse("gamma3").coset_key
     monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: gamma3_key(g))
     with pytest.raises(IndexOverflowError, match="index3:1,0,0,0: .*max_index = 3"):
         weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
@@ -211,7 +215,7 @@ def test_weight_denominator_of_respects_max_index(monkeypatch):
 def test_weight_denominator_of_checks_the_index(monkeypatch):
     # upsilon's key and membership describe a consistent group of index 1:
     # the engine accepts them, and the index check catches it
-    upsilon = SubgroupSpec("upsilon")
+    upsilon = SubgroupSpec.parse("upsilon")
     upsilon_key, upsilon_membership = upsilon.coset_key, upsilon.membership
     monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: upsilon_key(g))
     monkeypatch.setattr(SubgroupSpec, "membership", lambda self, g: upsilon_membership(g))
@@ -321,27 +325,45 @@ def report_answer(report):
     return report.weight_denominator, report.torsion_invariants, report.free_rank
 
 
+def oracle_membership(spec):
+    """A membership predicate independent of the spec's coset key: the
+    level-3 congruence test for gamma3, and v . F_map(g) = 0 for every row
+    v otherwise."""
+    if spec.name() == "gamma3":
+        return lambda g: in_gamma_beta(g, EisensteinInt(3, 0))
+    return lambda g: in_row_kernel(g, spec.rows)
+
+
+def oracle_answer(spec):
+    """(answer, index) of the predicate-scan oracle for a subgroup of
+    upsilon: its report agrees with HNF+SNF of its unreduced relation
+    matrix."""
+    if spec.rows == ():
+        presentation, index = UPSILON, 1
+    else:
+        presentation, index = predicate_scan_presentation(UPSILON, oracle_membership(spec))
+    matrix = relation_matrix(presentation, central_parts(presentation))
+    oracle = report_answer(weight_denominator(sparse_rows(matrix.entries), matrix.cols))
+    assert oracle == full_matrix_answer(matrix)
+    return oracle, index
+
+
 def test_reduced_path_matches_full_normal_forms():
     """The keyed path against the predicate-scan oracle, one oracle
-    presentation each for upsilon, gamma3 and the 40 index-3 groups: the
+    presentation each for upsilon, gamma3 and the 40 index-3 groups, found
+    with membership predicates that share no code with the key: the
     report of weight_denominator_of, the oracle's report and HNF+SNF of the
     oracle's unreduced relation matrix agree, for all 43 reports
     (gamma_sqrt3 is checked against upsilon's oracle)."""
     specs = [SubgroupSpec.parse(name) for name in ("upsilon", "gamma_sqrt3", "gamma3")]
-    specs += [SubgroupSpec("index3", v) for v in all_index3_vectors()]
+    specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
     answers = {}
     for spec in specs:
         keyed = weight_denominator_of(spec)
-        if spec.kind == "gamma_sqrt3":
+        if spec.rows is None:
             assert report_answer(keyed) == answers["upsilon"]
             continue
-        if spec.kind == "upsilon":
-            presentation, index = UPSILON, 1
-        else:
-            presentation, index = predicate_scan_presentation(UPSILON, spec.membership)
-        matrix = relation_matrix(presentation, central_parts(presentation))
-        oracle = report_answer(weight_denominator(sparse_rows(matrix.entries), matrix.cols))
-        assert oracle == full_matrix_answer(matrix)
+        oracle, index = oracle_answer(spec)
         assert report_answer(keyed) == oracle, spec.name()
         assert keyed.index_in_upsilon == index
         answers[spec.name()] = oracle
@@ -349,6 +371,47 @@ def test_reduced_path_matches_full_normal_forms():
     assert answers["upsilon"] == (1, (3, 3, 3), 2)
     assert answers["gamma3"] == (3, (3,) * 7, 10)
     assert sum(d == 3 for d, _, _ in answers.values()) == 14
+
+
+def lattice_sample():
+    """upsilon, the 40 index-3 groups and a seeded sample of the 130
+    index-9 and 40 index-27 groups."""
+    by_index = {}
+    for spec in lattice_specs():
+        by_index.setdefault(spec.index_in_upsilon(), []).append(spec)
+    rng = random.Random(9)
+    return (
+        by_index[1] + by_index[3] + rng.sample(by_index[9], 8) + rng.sample(by_index[27], 5)
+    )
+
+
+def test_lattice_denominators_divide_index_and_descend():
+    """On the sample: d(H) divides [upsilon : H], since the transfer sends
+    the central z to z^[upsilon : H] and d(upsilon) = 1; and d(H') divides
+    d(H) whenever H lies in H', by restricting characters of the cover.  H
+    lies in H' exactly when H's rows span the rows of H'."""
+    denominators = {
+        spec: weight_denominator_of(spec).weight_denominator for spec in lattice_sample()
+    }
+    for spec, d in denominators.items():
+        assert spec.index_in_upsilon() % d == 0, spec.name()
+    pairs = 0
+    for small, d_small in denominators.items():
+        for big, d_big in denominators.items():
+            if SubgroupSpec(small.rows + big.rows) == small:
+                assert d_small % d_big == 0, (small.name(), big.name())
+                pairs += 1
+    assert pairs > 200
+    assert 3 in {d for spec, d in denominators.items() if spec.index_in_upsilon() == 9}
+
+
+@pytest.mark.parametrize("index", [9, 27])
+def test_lattice_group_matches_predicate_scan(index):
+    spec = next(s for s in lattice_sample() if s.index_in_upsilon() == index)
+    keyed = weight_denominator_of(spec)
+    oracle, oracle_index = oracle_answer(spec)
+    assert report_answer(keyed) == oracle
+    assert keyed.index_in_upsilon == oracle_index == index
 
 
 def test_gamma3_counters(monkeypatch):
