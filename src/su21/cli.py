@@ -100,7 +100,7 @@ def _cmd_denom(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    results = survey_index3(parallel=args.parallel)
+    results = survey_index3()
     groups = [
         {
             "vector": list(vector),
@@ -209,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "survey-index3", help="weight denominators of all 40 index-3 subgroups"
     )
     _add_common(p)
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="compute the survey with a process pool",
-    )
     p.set_defaults(handler=_cmd_survey)
 
     p = sub.add_parser("sigma", help="cocycle value for a pair of group elements")

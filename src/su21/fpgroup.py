@@ -188,9 +188,6 @@ class Presentation:
             "" if self.images is None else ", with images",
         )
 
-    def word(self, text: str) -> Word:
-        return Word.from_string(text, self.generator_names)
-
 
 def upsilon_presentation() -> Presentation:
     """The five-generator, thirteen-relator presentation of the group
@@ -284,6 +281,7 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
     vertices = [identity]
     coset_of = {coset_key(identity): 0}
     edges = {}
+    products = {}  # positive edge (v, generator) -> r * x, for the Schreier generators
     tree = set()  # positive edges (v, generator) of the spanning tree
     queue = deque([0])
     while queue:
@@ -305,11 +303,13 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                     queue.append(wj)
                     tree.add((vi, gi) if sign == 1 else (wj, gi))
                 edges[(vi, (gi, sign))] = wj
+                if sign == 1:
+                    products[(vi, gi)] = m
 
     inverses = [v.inverse() for v in vertices]
     symbol_of = {}
-    for vi, r in enumerate(vertices):
-        for gi, image in enumerate(images):
+    for vi in range(len(vertices)):
+        for gi in range(len(images)):
             wj = edges[(vi, (gi, 1))]
             if edges[(wj, (gi, -1))] != vi:
                 raise OracleInconsistencyError(
@@ -318,7 +318,7 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                 )
             if (vi, gi) in tree:
                 continue
-            if not membership(r * image * inverses[wj]):
+            if not membership(products[(vi, gi)] * inverses[wj]):
                 raise OracleInconsistencyError(
                     "the Schreier generator of coset %d and generator %d is not "
                     "in the subgroup: the coset key disagrees with membership"

@@ -138,12 +138,12 @@ def _base_case_parameters(g: GroupMatrix):
     return z, x
 
 
-def decompose(g: GroupMatrix, verify: bool = True) -> Word:
+def decompose(g: GroupMatrix) -> Word:
     """A word in n1..n5 evaluating to g.
 
     Raises ValueError when g is not in the group (level sqrt(-3), corner
-    entry 1 mod 3).  With verify=True (default) the returned word is
-    re-evaluated against g, so a wrong answer is impossible.
+    entry 1 mod 3).  The returned word is re-evaluated against g, so a
+    wrong answer is impossible.
     """
     if not in_upsilon(g):
         raise ValueError("matrix is not in the five-generator unipotent group")
@@ -163,6 +163,6 @@ def decompose(g: GroupMatrix, verify: bool = True) -> Word:
         letters.extend(step.inverse().letters)
     letters.extend(unipotent_word(z, x).letters)
     word = Word(letters)
-    if verify and evaluate_word(word, generators_upsilon()) != g:
+    if evaluate_word(word, generators_upsilon()) != g:
         raise AssertionError("decomposition failed verification")
     return word

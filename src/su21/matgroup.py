@@ -251,9 +251,11 @@ def F_map(g: GroupMatrix) -> tuple:
 
 
 def _f_coordinates(g: GroupMatrix) -> tuple:
-    """F_map without the membership check."""
-    coords = (g[0][1], g[0][2], g[1][0], g[2][0])
-    return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
+    """F_map without the membership check.  An entry divisible by sqrt(-3)
+    is c = sqrt(-3) * (x + y*zeta) = (x - 2y) + (2x - y)*zeta, and the
+    quotient reduces to x + y = c.b - c.a mod sqrt(-3), so no division is
+    needed."""
+    return tuple((c.b - c.a) % 3 for c in (g[0][1], g[0][2], g[1][0], g[2][0]))
 
 
 def all_index3_vectors() -> list:

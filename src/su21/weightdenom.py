@@ -37,7 +37,7 @@ from .fpgroup import (
     reidemeister_schreier,
     upsilon_presentation,
 )
-from .matgroup import IDENTITY, SubgroupSpec
+from .matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
 from .zlinalg import (
     IntegerMatrix,
     cokernel_invariants,
@@ -199,16 +199,6 @@ def weight_denominator(
     )
 
 
-def central_commutator_witness() -> Word:
-    """A 40-letter identity word whose lift has integer part -1: the product
-    r4^-1 r9^-1 r10^-1 r11 of presentation relators, which concatenates with
-    no free cancellation and has exponent sum zero in every generator."""
-    relators = upsilon_presentation().relators
-    r4, r9, r10, r11 = relators[3], relators[8], relators[9], relators[10]
-    word = r4.inverse() * r9.inverse() * r10.inverse() * r11
-    return word
-
-
 def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
     """Weight denominator of a named subgroup.
 
@@ -256,23 +246,11 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
     )
 
 
-def _survey_worker(vector):
-    return vector, weight_denominator_of(SubgroupSpec((vector,)))
-
-
-def survey_index3(parallel: bool = False) -> list:
+def survey_index3() -> list:
     """Weight denominators of all 40 index-3 congruence subgroups of the
     unipotent group, as (canonical vector, report) pairs in lexicographic
     vector order."""
-    from .matgroup import all_index3_vectors
-
-    vectors = all_index3_vectors()
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_survey_worker, vectors))
-    return [_survey_worker(v) for v in vectors]
+    return [(v, weight_denominator_of(SubgroupSpec((v,)))) for v in all_index3_vectors()]
 
 
 def multiplier_system_exists(spec: SubgroupSpec, weight: Fraction) -> bool:

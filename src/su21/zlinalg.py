@@ -64,9 +64,6 @@ class IntegerMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def row_lists(self) -> list:
-        return [list(row) for row in self.entries]
-
 
 def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
     """A matrix with the same cokernel and the same class of the last
@@ -133,14 +130,14 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
 def hermite_normal_form(matrix: IntegerMatrix) -> IntegerMatrix:
     """Row Hermite normal form: zero rows last, positive pivots in strictly
     increasing columns, entries above each pivot reduced into [0, pivot)."""
-    rows = _hnf_rows(matrix.row_lists(), matrix.rows, matrix.cols)
+    rows = _hnf_rows(matrix.entries, matrix.rows, matrix.cols)
     return IntegerMatrix(rows, matrix.cols)
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> tuple:
     """Smith normal form diagonal: min(rows, cols) nonnegative integers
     d_1 | d_2 | ... with zeros trailing."""
-    return tuple(_snf_diagonal(matrix.row_lists(), matrix.rows, matrix.cols))
+    return tuple(_snf_diagonal(matrix.entries, matrix.rows, matrix.cols))
 
 
 def cokernel_invariants(matrix: IntegerMatrix) -> tuple:
@@ -156,16 +153,9 @@ def cokernel_invariants(matrix: IntegerMatrix) -> tuple:
     return torsion, free_rank
 
 
-def order_of_last_coordinate(matrix: IntegerMatrix):
-    """Order of the last standard basis vector in Z^cols / (row span), or
-    None when that order is infinite."""
-    if matrix.cols == 0:
-        raise ValueError("matrix has no columns")
-    return last_coordinate_order_of_hnf(hermite_normal_form(matrix))
-
-
 def last_coordinate_order_of_hnf(h: IntegerMatrix):
-    """order_of_last_coordinate for a matrix already in Hermite normal form.
+    """Order of the last standard basis vector in Z^cols / (row span of h),
+    for h in Hermite normal form, or None when that order is infinite.
 
     The order is finite exactly when some row's first nonzero entry sits in
     the last column, and that pivot is the order.  (Any integer combination
@@ -189,7 +179,7 @@ def _nearest_quotient(value, pivot):
 
 
 def _hnf_rows(mat, m, n):
-    """Row Hermite normal form of the m x n row lists, as new row lists."""
+    """Row Hermite normal form of the m x n rows, as new row lists."""
     a = [list(row) for row in mat]
     pivot_row = 0
     for col in range(n):
@@ -237,64 +227,27 @@ def _hnf_rows(mat, m, n):
 
 
 def _snf_diagonal(mat, m, n):
-    """Smith normal form diagonal of the m x n row lists: min(m, n)
-    nonnegative values d_1 | d_2 | ... with zeros trailing."""
-    k = min(m, n)
-    if k == 0:
-        return []
-    a = [list(row) for row in mat]
-    for t in range(k):
-        while True:
-            best = None
-            best_abs = 0
-            for r in range(t, m):
-                row = a[r]
-                for c in range(t, n):
-                    v = row[c]
-                    if v:
-                        av = -v if v < 0 else v
-                        if best is None or av < best_abs:
-                            best = (r, c)
-                            best_abs = av
-            if best is None:
-                break
-            r0, c0 = best
-            if r0 != t:
-                a[t], a[r0] = a[r0], a[t]
-            if c0 != t:
-                for row in a:
-                    row[t], row[c0] = row[c0], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            pivot = a[t][t]
-            trow = a[t]
-            clear = True
-            for r in range(t + 1, m):
-                v = a[r][t]
-                if v:
-                    q = _nearest_quotient(v, pivot)
-                    if q:
-                        arow = a[r]
-                        for c in range(t, n):
-                            arow[c] -= q * trow[c]
-                    if a[r][t]:
-                        clear = False
-            for c in range(t + 1, n):
-                v = trow[c]
-                if v:
-                    q = _nearest_quotient(v, pivot)
-                    if q:
-                        for r in range(t, m):
-                            a[r][c] -= q * a[r][t]
-                    if trow[c]:
-                        clear = False
-            if clear:
-                break
-        if best is None:
+    """Smith normal form diagonal of the m x n rows: min(m, n)
+    nonnegative values d_1 | d_2 | ... with zeros trailing.
+
+    Row Hermite passes alternate on the matrix and on its transpose until
+    it is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979), so the
+    Hermite kernel is the only elimination loop.  Termination: after a
+    pass the first column is (p, 0, ..., 0).  If p = 0 and the matrix is
+    not zero, the next pass's first column is the old first row, which is
+    nonzero, so its pivot is positive.  For p > 0 the next pass's first
+    pivot is the gcd of the first row, which divides p.  So either p
+    strictly decreases, or the first row and column are cleared and stay
+    cleared, and the argument repeats on the rest.  The diagonal is then
+    sorted and brought into divisibility order."""
+    a = mat
+    while True:
+        a = _hnf_rows(a, m, n)
+        if not any(v for i, row in enumerate(a) for j, v in enumerate(row) if i != j):
             break
-    diagonal = sorted(
-        (abs(a[t][t]) for t in range(k)), key=lambda d: (d == 0, d)
-    )
+        a = list(zip(*a))
+        m, n = n, m
+    diagonal = sorted((a[t][t] for t in range(min(m, n))), key=lambda d: (d == 0, d))
     return _divisibility_fixup(diagonal)
 
 

@@ -8,7 +8,7 @@ from itertools import combinations
 from math import ceil, floor, gcd
 
 from su21.cocycle import X_of
-from su21.eisenstein import EisensteinInt
+from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import (
     EMPTY_WORD,
     IndexOverflowError,
@@ -16,6 +16,7 @@ from su21.fpgroup import (
     Presentation,
     Word,
     evaluate_word,
+    upsilon_presentation,
 )
 from su21.matgroup import (
     IDENTITY,
@@ -27,7 +28,7 @@ from su21.matgroup import (
     generators_upsilon,
 )
 from su21.weightdenom import central_parts
-from su21.zlinalg import IntegerMatrix
+from su21.zlinalg import IntegerMatrix, hermite_normal_form, last_coordinate_order_of_hnf
 
 GENERATORS = generators_upsilon()
 
@@ -63,6 +64,31 @@ def exponent_sums(word, generator_count):
             raise ValueError("generator index %d out of range" % i)
         row[i] += s
     return row
+
+
+def divided_f_coordinates(g):
+    """F_map's four coordinates by dividing each off-corner entry
+    (g12, g13, g21, g31) by sqrt(-3) and reducing the quotient mod
+    sqrt(-3); no membership check."""
+    coords = (g[0][1], g[0][2], g[1][0], g[2][0])
+    return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
+
+
+def central_commutator_witness():
+    """A 40-letter identity word whose lift has integer part -1: the product
+    r4^-1 r9^-1 r10^-1 r11 of presentation relators, which concatenates with
+    no free cancellation and has exponent sum zero in every generator."""
+    relators = upsilon_presentation().relators
+    r4, r9, r10, r11 = relators[3], relators[8], relators[9], relators[10]
+    return r4.inverse() * r9.inverse() * r10.inverse() * r11
+
+
+def order_of_last_coordinate(matrix):
+    """Order of the last standard basis vector in Z^cols / (row span), or
+    None when that order is infinite."""
+    if matrix.cols == 0:
+        raise ValueError("matrix has no columns")
+    return last_coordinate_order_of_hnf(hermite_normal_form(matrix))
 
 
 def in_index3(g, v):

@@ -23,7 +23,6 @@ from su21.matgroup import (
     make_n_transpose,
 )
 from su21.weightdenom import (
-    central_commutator_witness,
     lift_word,
     survey_index3,
     weight_denominator_of,
@@ -34,6 +33,7 @@ from helpers import (
     FALLBACK_BASE_POINTS,
     BallPoint,
     LatticeOracle,
+    central_commutator_witness,
     embed,
     exponent_sums,
     j_factor,

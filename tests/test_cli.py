@@ -196,6 +196,11 @@ def test_survey_json(capsys):
         g for g in data["groups"] if g["canonical"] == "index3:1,0,0,0"
     )
     assert entry["weight_denominator"] == 3
+    # the survey runs one group after another; there is no pool to ask for
+    with pytest.raises(SystemExit) as exit_info:
+        main(["survey-index3", "--parallel"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

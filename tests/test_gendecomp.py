@@ -218,11 +218,6 @@ def test_decompose_inverts_each_generator_once(monkeypatch):
     assert len(word) == 60 and ev(found) == g
 
 
-def test_decompose_verify_flag():
-    g = random_upsilon_element(random.Random(45), max_len=10)
-    assert ev(decompose(g, verify=False)) == g
-
-
 def test_decompose_rejects_non_members():
     with pytest.raises(ValueError):
         decompose(ZETA_IDENTITY)  # unit scalar, outside the unipotent group

@@ -22,6 +22,7 @@ from su21.matgroup import (
 from helpers import (
     GENERATORS,
     conj_transpose,
+    divided_f_coordinates,
     in_index3,
     lattice_specs,
     random_eisenstein,
@@ -285,12 +286,19 @@ def test_f_map_generator_values():
 
 
 def test_f_map_is_homomorphism():
+    """F_map adds under products and agrees with dividing each entry by
+    sqrt(-3), on short words and on words whose entries exceed 10^20."""
     rng = random.Random(8)
-    for _ in range(120):
-        g = random_upsilon_element(rng, 8)
-        h = random_upsilon_element(rng, 8)
+    largest = 0
+    for min_len in [1] * 120 + [160] * 20:
+        g = random_upsilon_element(rng, max(8, min_len), min_len)
+        h = random_upsilon_element(rng, max(8, min_len), min_len)
         fg, fh, fgh = F_map(g), F_map(h), F_map(g * h)
         assert fgh == tuple((x + y) % 3 for x, y in zip(fg, fh))
+        for x, fx in ((g, fg), (h, fh), (g * h, fgh)):
+            assert fx == divided_f_coordinates(x)
+            largest = max(largest, *(abs(e.a) + abs(e.b) for row in x.entries for e in row))
+    assert largest > 10**20
 
 
 def test_f_map_kernel_is_level_3():

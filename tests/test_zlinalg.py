@@ -10,12 +10,12 @@ from su21.zlinalg import (
     eliminate_unit_pivots,
     hermite_normal_form,
     last_coordinate_order_of_hnf,
-    order_of_last_coordinate,
     smith_normal_form,
 )
 from helpers import (
     LatticeOracle,
     lattices_equal,
+    order_of_last_coordinate,
     random_matrix_rows,
     smith_via_minor_gcds,
     sparse_rows,
