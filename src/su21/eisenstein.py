@@ -146,10 +146,12 @@ class EisensteinInt:
 
     @classmethod
     def from_pair(cls, pair) -> "EisensteinInt":
-        a, b = pair
-        if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
-            raise ValueError("expected a pair of integers, got %r" % (pair,))
-        return cls(a, b)
+        """[a, b] -> a + b*zeta; ValueError unless pair is a list or tuple of two ints."""
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            a, b = pair
+            if type(a) is int and type(b) is int:
+                return cls(a, b)
+        raise ValueError("expected a pair of integers, got %r" % (pair,))
 
 
 # The slots' own setters, which go round the __setattr__ that keeps

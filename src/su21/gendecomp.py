@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from .eisenstein import SQRT_MINUS3, EisensteinInt
 from .fpgroup import Word, evaluate_word
-from .matgroup import GroupMatrix, generators_upsilon, in_upsilon, make_n, make_n_transpose
+from .matgroup import (
+    GroupMatrix, generators_upsilon, in_upsilon, make_n, make_n_transpose, n_corner
+)
 
 GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
 
@@ -111,8 +113,8 @@ def _descend_step(g: GroupMatrix):
     z = w if transpose else w.conj()
     x0 = z.norm() % 2
     # row `row` of make(z, x0) is (1, sqrt(-3) z, corner) or (corner,
-    # sqrt(-3) conj(z), 1), with corner = (-3 N(z) + x0 sqrt(-3)) / 2
-    corner = EisensteinInt((x0 - 3 * z.norm()) // 2, x0)
+    # sqrt(-3) conj(z), 1)
+    corner = n_corner(z, x0)
     if transpose:
         reduced = corner * a + SQRT_MINUS3 * z.conj() * b + c
     else:
@@ -126,13 +128,10 @@ def _descend_step(g: GroupMatrix):
 
 
 def _base_case_parameters(g: GroupMatrix):
-    """Read (z, x) off a height-1 element, which is exactly n(z, x)."""
+    """Read (z, x) off a height-1 element, which is exactly n(z, x): x is
+    the zeta-coordinate of its corner (see n_corner)."""
     z = g[0][1].div_exact(SQRT_MINUS3)
-    t = g[0][2] * 2 + 3 * z.norm()
-    x_elt = t.div_exact(SQRT_MINUS3)
-    if x_elt.b != 0:
-        raise AssertionError("height-1 element is not upper unipotent")
-    x = x_elt.a
+    x = g[0][2].b
     if g != make_n(z, x):
         raise AssertionError("height-1 element is not upper unipotent")
     return z, x
@@ -155,12 +154,8 @@ def decompose(g: GroupMatrix) -> Word:
     z, x = _base_case_parameters(current)
     letters = []
     for rz, rx, transpose in records:
-        step = (
-            unipotent_transpose_word(rz, rx)
-            if transpose
-            else unipotent_word(rz, rx)
-        )
-        letters.extend(step.inverse().letters)
+        step = (unipotent_transpose_word if transpose else unipotent_word)(rz, rx)
+        letters.extend((i, -s) for i, s in reversed(step.letters))
     letters.extend(unipotent_word(z, x).letters)
     word = Word(letters)
     if evaluate_word(word, generators_upsilon()) != g:

@@ -8,6 +8,7 @@ Products work on the integer coordinates (a, b) of the entries a + b*zeta.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
@@ -16,7 +17,7 @@ from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
 class GroupMatrix:
     """Immutable 3x3 matrix over Z[zeta]."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -27,7 +28,6 @@ class GroupMatrix:
                 if not isinstance(entry, EisensteinInt):
                     raise ValueError("entries must be EisensteinInt values")
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupMatrix is immutable")
@@ -56,11 +56,7 @@ class GroupMatrix:
         return self.entries == other.entries
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.entries)
 
     def __mul__(self, other):
         if not isinstance(other, GroupMatrix):
@@ -150,7 +146,6 @@ class GroupMatrix:
 
 _new = object.__new__
 _set_entries = GroupMatrix.entries.__set__
-_set_hash = GroupMatrix._hash.__set__
 
 
 def _group_matrix(rows: tuple) -> GroupMatrix:
@@ -158,7 +153,6 @@ def _group_matrix(rows: tuple) -> GroupMatrix:
     3-tuples of three EisensteinInt by construction."""
     m = _new(GroupMatrix)
     _set_entries(m, rows)
-    _set_hash(m, None)
     return m
 
 
@@ -181,23 +175,23 @@ IDENTITY = GroupMatrix(
 ZETA_IDENTITY = IDENTITY.scalar_mul(ZETA)
 
 
-def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
-    """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2.
+def n_corner(z: EisensteinInt, x: int) -> EisensteinInt:
+    """The corner entry (-3*norm(z) + x*sqrt(-3)) / 2 of n(z, x).  As
+    sqrt(-3) = 1 + 2*zeta, it is ((x - 3*norm(z)) / 2) + x*zeta, an
+    Eisenstein integer exactly when x = norm(z) mod 2."""
+    numerator = x - 3 * z.norm()
+    if numerator % 2:
+        raise ValueError("parity violation: x must be congruent to norm(z) mod 2")
+    return EisensteinInt(numerator // 2, x)
 
-    The corner entry (-3*norm(z) + x*sqrt(-3)) / 2 is a genuine Eisenstein
-    integer exactly under the parity condition, so it is produced by exact
-    division rather than through any rational type.
-    """
+
+def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
+    """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2."""
     if not isinstance(z, EisensteinInt):
         z = EisensteinInt(z, 0)
-    if (x - z.norm()) % 2 != 0:
-        raise ValueError("parity violation: x must be congruent to norm(z) mod 2")
-    corner = (EisensteinInt(-3 * z.norm(), 0) + EisensteinInt(x, 0) * SQRT_MINUS3).div_exact(
-        EisensteinInt(2, 0)
-    )
     return GroupMatrix(
         [
-            [ONE, SQRT_MINUS3 * z, corner],
+            [ONE, SQRT_MINUS3 * z, n_corner(z, x)],
             [ZERO, ONE, SQRT_MINUS3 * z.conj()],
             [ZERO, ZERO, ONE],
         ]
@@ -209,8 +203,10 @@ def make_n_transpose(z: EisensteinInt, x: int) -> GroupMatrix:
     return make_n(z, x).transpose()
 
 
+@lru_cache(maxsize=None)
 def generators_upsilon() -> tuple:
-    """The five generators n1 = n(1,1), n2 = n(zeta,1), n3 = n(0,2), n4 = n1^t, n5 = n3^t."""
+    """The five generators n1 = n(1,1), n2 = n(zeta,1), n3 = n(0,2), n4 = n1^t,
+    n5 = n3^t, built once per process."""
     n1 = make_n(ONE, 1)
     n2 = make_n(ZETA, 1)
     n3 = make_n(ZERO, 2)

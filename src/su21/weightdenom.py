@@ -34,10 +34,11 @@ from .fpgroup import (
     OracleInconsistencyError,
     Presentation,
     Word,
+    evaluate_word,
     reidemeister_schreier,
     upsilon_presentation,
 )
-from .matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
+from .matgroup import SubgroupSpec, all_index3_vectors
 from .zlinalg import (
     IntegerMatrix,
     cokernel_invariants,
@@ -59,34 +60,16 @@ class InfiniteOrderError(RuntimeError):
 def lift_word(word: Word, images) -> CoverElement:
     """Lift of the word under generator i -> (images[i], 0), folded with the
     cover's multiplication.  Factors through free reduction."""
-    lifts = {}
-    result = COVER_IDENTITY
-    for i, s in word.letters:
-        key = (i, s)
-        step = lifts.get(key)
-        if step is None:
-            base = CoverElement(images[i], 0)
-            step = base if s == 1 else base.inverse()
-            lifts[key] = step
-        result = result * step
-    return result
+    return evaluate_word(word, [CoverElement(g) for g in images], COVER_IDENTITY)
 
 
 def central_parts(presentation: Presentation) -> tuple:
     """The integer part n of each relator's lift (I, n) through the
-    presentation's matrix images, in relator order."""
+    presentation's matrix images, in relator order.  The Presentation
+    constructor has already checked that every relator evaluates to I."""
     if presentation.images is None:
         raise ValueError("lifting relators needs a presentation with matrix images")
-    parts = []
-    for k, relator in enumerate(presentation.relators):
-        lift = lift_word(relator, presentation.images)
-        if lift.g != IDENTITY:
-            raise ValueError(
-                "relator %d does not evaluate to the identity; presentation is "
-                "broken" % (k + 1)
-            )
-        parts.append(lift.n)
-    return tuple(parts)
+    return tuple(lift_word(r, presentation.images).n for r in presentation.relators)
 
 
 @lru_cache(maxsize=None)

@@ -74,6 +74,14 @@ def divided_f_coordinates(g):
     return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
 
 
+def divided_n_corner(z, x):
+    """The corner (-3*N(z) + x*sqrt(-3)) / 2 of n(z, x) by EisensteinInt
+    arithmetic and exact division by 2 (raises NotDivisibleError, a
+    ValueError, when x and N(z) differ in parity)."""
+    numerator = EisensteinInt(-3 * z.norm(), 0) + EisensteinInt(x, 0) * SQRT_MINUS3
+    return numerator.div_exact(EisensteinInt(2, 0))
+
+
 def central_commutator_witness():
     """A 40-letter identity word whose lift has integer part -1: the product
     r4^-1 r9^-1 r10^-1 r11 of presentation relators, which concatenates with

@@ -1,8 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import su21
+from su21 import fpgroup
 from su21.cli import main
 from su21.cocycle import sigma
 from su21.fpgroup import evaluate_word
@@ -38,6 +44,35 @@ def test_verify_presentation_json(capsys):
     assert len(data) == 13
     assert all(entry["ok"] for entry in data)
     assert all("relator" in entry for entry in data)
+
+
+def test_verify_presentation_failure(monkeypatch, capsys):
+    def broken():
+        raise ValueError("relator 4 does not evaluate to the identity")
+
+    monkeypatch.setattr(fpgroup, "upsilon_presentation", broken)
+    assert main(["verify-presentation"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "presentation verification failed: relator 4" in captured.err
+
+
+def test_module_entry_point(capsys):
+    """python -m su21.cli runs main and exits with its status."""
+    assert main(["denom", "upsilon", "--json"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(su21.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "su21.cli", "denom", "upsilon", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_denom_human(capsys):
@@ -153,6 +188,24 @@ def test_sigma_unreadable_file(tmp_path, capsys):
     garbled.write_text("{not json")
     capsys.readouterr()
     assert main(["sigma", "--g", str(garbled), "--h", good]) == 2
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], None], [[0, 0], [0, 0], [1, 0]]],
+    ],
+    ids=["int-cells", "null-cell"],
+)
+def test_malformed_matrix_is_parse_error(tmp_path, capsys, entries):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"entries": entries}))
+    good = write_matrix(tmp_path, "good.json", IDENTITY)
+    for argv in (["decompose", "--matrix", str(bad)], ["sigma", "--g", good, "--h", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot read matrix" in err and "Traceback" not in err
 
 
 def test_decompose_round_trip(tmp_path, capsys):

@@ -140,6 +140,9 @@ def test_pair_round_trip():
         EisensteinInt.from_pair([1, True])
     with pytest.raises(ValueError):
         EisensteinInt.from_pair([1.0, 2])
+    for bad in (None, 1, "ab", [1, 2, 3], [None, 1]):
+        with pytest.raises(ValueError):
+            EisensteinInt.from_pair(bad)
 
 
 def test_immutability_and_hash():

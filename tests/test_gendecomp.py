@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from su21 import gendecomp, matgroup
 from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import EMPTY_WORD, Word, evaluate_word
 from su21.gendecomp import (
@@ -180,19 +182,38 @@ def test_decompose_round_trips():
         assert ev(word) == g
 
 
-def test_descent_work_is_pinned():
+def test_descent_work_is_pinned(monkeypatch):
     """Total descent steps and word letters over a seeded set of elements,
-    so that a change of nearest point or of tie-breaking shows."""
+    so that a change of nearest point or of tie-breaking shows; and the
+    work decompose does on them: one div_exact (z of the base case), one
+    make_n per step and base case, one Word per step and base case and one
+    for the result."""
     rng = random.Random(48)
-    steps = letters = 0
-    for _ in range(20):
-        g = ev(random_word(rng, 64, min_len=8))
-        current = g
+    elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
+    steps = 0
+    for current in elements:
         while first_column_height(current) > 1:
             _, current = _descend_step(current)
             steps += 1
-        letters += len(decompose(g))
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        EisensteinInt, "div_exact", counted("div_exact", EisensteinInt.div_exact)
+    )
+    counted_make_n = counted("make_n", matgroup.make_n)
+    monkeypatch.setattr(matgroup, "make_n", counted_make_n)
+    monkeypatch.setattr(gendecomp, "make_n", counted_make_n)
+    monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
+    letters = sum(len(decompose(g)) for g in elements)
     assert (steps, letters) == (300, 1003)
+    assert counts == {"div_exact": 20, "make_n": 300 + 20, "Word": 300 + 2 * 20}
 
 
 def test_decompose_inverts_each_generator_once(monkeypatch):

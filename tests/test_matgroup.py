@@ -18,11 +18,13 @@ from su21.matgroup import (
     in_upsilon,
     make_n,
     make_n_transpose,
+    n_corner,
 )
 from helpers import (
     GENERATORS,
     conj_transpose,
     divided_f_coordinates,
+    divided_n_corner,
     in_index3,
     lattice_specs,
     random_eisenstein,
@@ -56,6 +58,16 @@ def test_make_n_shape():
     assert g[1][2] == SQRT_MINUS3 * z.conj()
     assert g[1][0] == ZERO and g[2][0] == ZERO and g[2][1] == ZERO
     assert g[0][2] * 2 == SQRT_MINUS3 * 1 - 3 * z.norm()
+    # the closed form against the EisensteinInt-and-div_exact oracle
+    rng = random.Random(9)
+    bound = 10**6
+    for _ in range(20000):
+        z = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        x = rng.randint(-bound, bound)
+        x += (x - z.norm()) % 2
+        assert n_corner(z, x) == make_n(z, x)[0][2] == divided_n_corner(z, x)
+        with pytest.raises(ValueError):
+            n_corner(z, x + 1)
 
 
 def test_make_n_parity_validation():
