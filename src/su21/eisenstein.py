@@ -132,10 +132,6 @@ class EisensteinInt:
             raise NotDivisibleError("%s is not divisible by %s" % (self, w))
         return EisensteinInt(qa, qb)
 
-    def residue_mod_sqrt_minus3(self) -> int:
-        """Image in F_3 under reduction mod sqrt(-3), where zeta = 1."""
-        return (self.a + self.b) % 3
-
     def residue_mod_3(self) -> tuple:
         """Componentwise image in F_3 x F_3 under reduction mod 3."""
         return (self.a % 3, self.b % 3)

@@ -13,6 +13,7 @@ weight denominator needs, so no subgroup word or presentation is built.
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .matgroup import IDENTITY, GroupMatrix
 
@@ -215,23 +216,14 @@ def upsilon_presentation() -> Presentation:
     return Presentation(names, relators, generators_upsilon())
 
 
-class CosetGraph:
+class CosetGraph(NamedTuple):
     """The coset graph: vertex 0 is the identity representative, and each
     edge (v, letter) -> w means that representative v times the letter lies
     in the coset of representative w."""
 
-    __slots__ = ("vertices", "edges", "generator_count")
-
-    def __init__(self, vertices, edges, generator_count):
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "edges", dict(edges))
-        object.__setattr__(self, "generator_count", generator_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CosetGraph is immutable")
-
-    def __reduce__(self):
-        return (CosetGraph, (self.vertices, self.edges, self.generator_count))
+    vertices: tuple
+    edges: dict
+    generator_count: int
 
     @property
     def index(self) -> int:
@@ -348,5 +340,5 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                 )
             rows.append({s: e for s, e in row.items() if e})
 
-    graph = CosetGraph(vertices, edges, ambient.generator_count)
+    graph = CosetGraph(tuple(vertices), edges, ambient.generator_count)
     return rows, len(symbol_of), graph

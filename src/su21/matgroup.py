@@ -93,8 +93,7 @@ class GroupMatrix:
         return _group_matrix(tuple(rows))
 
     def transpose(self) -> "GroupMatrix":
-        e = self.entries
-        return GroupMatrix(tuple(zip(*e)))
+        return _group_matrix(tuple(zip(*self.entries)))
 
     def inverse(self) -> "GroupMatrix":
         """Inverse of a J-unitary matrix, J * conj(g)^t * J: entry (i, j)
@@ -189,18 +188,19 @@ def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
     """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2."""
     if not isinstance(z, EisensteinInt):
         z = EisensteinInt(z, 0)
-    return GroupMatrix(
-        [
-            [ONE, SQRT_MINUS3 * z, n_corner(z, x)],
-            [ZERO, ONE, SQRT_MINUS3 * z.conj()],
-            [ZERO, ZERO, ONE],
-        ]
+    return _group_matrix(
+        (
+            (ONE, SQRT_MINUS3 * z, n_corner(z, x)),
+            (ZERO, ONE, SQRT_MINUS3 * z.conj()),
+            (ZERO, ZERO, ONE),
+        )
     )
 
 
 def make_n_transpose(z: EisensteinInt, x: int) -> GroupMatrix:
     """The transpose of make_n(z, x)."""
-    return make_n(z, x).transpose()
+    (_, b, c), (_, _, f), _ = make_n(z, x).entries
+    return _group_matrix(((ONE, ZERO, ZERO), (b, ONE, ZERO), (c, f, ONE)))
 
 
 @lru_cache(maxsize=None)

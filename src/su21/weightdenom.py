@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cocycle import COVER_IDENTITY, CoverElement
 from .fpgroup import (
@@ -80,73 +81,21 @@ def base_relator_lifts() -> tuple:
     return base, central_parts(base)
 
 
-class DenominatorReport:
+class DenominatorReport(NamedTuple):
     """Result of a weight-denominator computation."""
 
-    __slots__ = (
-        "group",
-        "index_in_upsilon",
-        "generator_count",
-        "relator_count",
-        "weight_denominator",
-        "torsion_invariants",
-        "free_rank",
-        "notes",
-    )
-
-    def __init__(
-        self,
-        group,
-        index_in_upsilon,
-        generator_count,
-        relator_count,
-        weight_denominator,
-        torsion_invariants,
-        free_rank,
-        notes=(),
-    ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index_in_upsilon", index_in_upsilon)
-        object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "relator_count", relator_count)
-        object.__setattr__(self, "weight_denominator", weight_denominator)
-        object.__setattr__(self, "torsion_invariants", tuple(torsion_invariants))
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "notes", tuple(notes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenominatorReport is immutable")
-
-    def __reduce__(self):
-        return (
-            DenominatorReport,
-            (
-                self.group,
-                self.index_in_upsilon,
-                self.generator_count,
-                self.relator_count,
-                self.weight_denominator,
-                self.torsion_invariants,
-                self.free_rank,
-                self.notes,
-            ),
-        )
-
-    def __repr__(self):
-        return "DenominatorReport(group=%r, weight_denominator=%r)" % (
-            self.group,
-            self.weight_denominator,
-        )
+    group: str | None
+    index_in_upsilon: int | None
+    generator_count: int
+    relator_count: int
+    weight_denominator: int
+    torsion_invariants: tuple
+    free_rank: int
+    notes: tuple = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "index_in_upsilon": self.index_in_upsilon,
-            "generator_count": self.generator_count,
-            "relator_count": self.relator_count,
-            "weight_denominator": self.weight_denominator,
+        return self._asdict() | {
             "torsion_invariants": list(self.torsion_invariants),
-            "free_rank": self.free_rank,
             "notes": list(self.notes),
         }
 
@@ -178,7 +127,7 @@ def weight_denominator(
         weight_denominator=order,
         torsion_invariants=torsion,
         free_rank=free_rank,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 
@@ -203,9 +152,9 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "the direct product of that complement with its order-3 scalar "
             "center, which leaves the weight denominator unchanged"
         )
-        fields = weight_denominator_of(SubgroupSpec(())).to_json_dict()
-        fields.update(group=spec.name(), index_in_upsilon=None, notes=[note])
-        return DenominatorReport(**fields)
+        return weight_denominator_of(SubgroupSpec(()))._replace(
+            group=spec.name(), index_in_upsilon=None, notes=(note,)
+        )
     base, base_central = base_relator_lifts()
     expected = spec.index_in_upsilon()
     try:

@@ -60,10 +60,6 @@ class IntegerMatrix:
     def __repr__(self):
         return "IntegerMatrix(<%d x %d>)" % (self.rows, self.cols)
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
 
 def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
     """A matrix with the same cokernel and the same class of the last

@@ -68,10 +68,13 @@ def exponent_sums(word, generator_count):
 
 def divided_f_coordinates(g):
     """F_map's four coordinates by dividing each off-corner entry
-    (g12, g13, g21, g31) by sqrt(-3) and reducing the quotient mod
-    sqrt(-3); no membership check."""
+    (g12, g13, g21, g31) by sqrt(-3) and reducing the quotient a + b*zeta
+    mod sqrt(-3) to (a + b) mod 3, as zeta = 1 mod sqrt(-3); no membership
+    check."""
     coords = (g[0][1], g[0][2], g[1][0], g[2][0])
-    return tuple(c.div_exact(SQRT_MINUS3).residue_mod_sqrt_minus3() for c in coords)
+    return tuple(
+        (q.a + q.b) % 3 for q in (c.div_exact(SQRT_MINUS3) for c in coords)
+    )
 
 
 def divided_n_corner(z, x):

@@ -269,7 +269,7 @@ def test_criterion_08_f_map_suite():
     for _ in range(200):
         z = EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
         x = 2 * rng.randint(-5, 5) + (z.norm() % 2)
-        r = z.residue_mod_sqrt_minus3()
+        r = (z.a + z.b) % 3  # zeta = 1 mod sqrt(-3)
         assert F_map(make_n(z, x)) == (r, (2 * x) % 3, 0, 0)
         assert F_map(make_n_transpose(z, x)) == (0, 0, r, (2 * x) % 3)
 

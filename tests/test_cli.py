@@ -113,6 +113,165 @@ def test_denom_vector_canonicalization(capsys):
     assert data["weight_denominator"] == 3
 
 
+GAMMA_SQRT3_NOTE = (
+    "computed from the index-3 unipotent complement: the group is the "
+    "direct product of that complement with its order-3 scalar center, "
+    "which leaves the weight denominator unchanged"
+)
+
+DENOM_OUTPUT = {
+    ("upsilon",): """\
+group:              upsilon
+index:              1
+generators:         5
+relators:           13
+weight denominator: 1
+torsion invariants: 3, 3, 3
+free rank:          2
+""",
+    ("upsilon", "--json"): """\
+{
+  "free_rank": 2,
+  "generator_count": 5,
+  "group": "upsilon",
+  "index_in_upsilon": 1,
+  "notes": [],
+  "relator_count": 13,
+  "torsion_invariants": [
+    3,
+    3,
+    3
+  ],
+  "weight_denominator": 1
+}
+""",
+    ("gamma_sqrt3",): """\
+group:              gamma_sqrt3
+generators:         5
+relators:           13
+weight denominator: 1
+torsion invariants: 3, 3, 3
+free rank:          2
+note: %s
+"""
+    % GAMMA_SQRT3_NOTE,
+    ("gamma_sqrt3", "--json"): """\
+{
+  "free_rank": 2,
+  "generator_count": 5,
+  "group": "gamma_sqrt3",
+  "index_in_upsilon": null,
+  "notes": [
+    "%s"
+  ],
+  "relator_count": 13,
+  "torsion_invariants": [
+    3,
+    3,
+    3
+  ],
+  "weight_denominator": 1
+}
+"""
+    % GAMMA_SQRT3_NOTE,
+    ("gamma3",): """\
+group:              gamma3
+index:              81
+generators:         325
+relators:           1053
+weight denominator: 3
+torsion invariants: 3, 3, 3, 3, 3, 3, 3
+free rank:          10
+""",
+    ("gamma3", "--json"): """\
+{
+  "free_rank": 10,
+  "generator_count": 325,
+  "group": "gamma3",
+  "index_in_upsilon": 81,
+  "notes": [],
+  "relator_count": 1053,
+  "torsion_invariants": [
+    3,
+    3,
+    3,
+    3,
+    3,
+    3,
+    3
+  ],
+  "weight_denominator": 3
+}
+""",
+    ("index3:1,0,0,0",): """\
+group:              index3:1,0,0,0
+index:              3
+generators:         13
+relators:           39
+weight denominator: 3
+torsion invariants: 3, 3, 9
+free rank:          2
+""",
+    ("index3:1,0,0,0", "--json"): """\
+{
+  "free_rank": 2,
+  "generator_count": 13,
+  "group": "index3:1,0,0,0",
+  "index_in_upsilon": 3,
+  "notes": [],
+  "relator_count": 39,
+  "torsion_invariants": [
+    3,
+    3,
+    9
+  ],
+  "weight_denominator": 3
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(DENOM_OUTPUT), ids=" ".join)
+def test_denom_output_bytes(capsys, argv):
+    """The whole output of su21 denom, byte for byte."""
+    assert main(["denom", *argv]) == 0
+    assert capsys.readouterr().out == DENOM_OUTPUT[argv]
+
+
+# weight denominator of each index-3 group, in the survey's vector order
+SURVEY_DENOMINATORS = {
+    "0,0,0,1": 1, "0,0,1,0": 3, "0,0,1,1": 3, "0,0,1,2": 3,
+    "0,1,0,0": 1, "0,1,0,1": 1, "0,1,0,2": 1, "0,1,1,0": 3,
+    "0,1,1,1": 1, "0,1,1,2": 1, "0,1,2,0": 3, "0,1,2,1": 1,
+    "0,1,2,2": 1, "1,0,0,0": 3, "1,0,0,1": 3, "1,0,0,2": 3,
+    "1,0,1,0": 1, "1,0,1,1": 1, "1,0,1,2": 1, "1,0,2,0": 3,
+    "1,0,2,1": 1, "1,0,2,2": 1, "1,1,0,0": 3, "1,1,0,1": 1,
+    "1,1,0,2": 1, "1,1,1,0": 1, "1,1,1,1": 1, "1,1,1,2": 1,
+    "1,1,2,0": 1, "1,1,2,1": 1, "1,1,2,2": 3, "1,2,0,0": 3,
+    "1,2,0,1": 1, "1,2,0,2": 1, "1,2,1,0": 1, "1,2,1,1": 1,
+    "1,2,1,2": 1, "1,2,2,0": 1, "1,2,2,1": 3, "1,2,2,2": 1,
+}
+
+
+def test_survey_json_output_bytes(capsys):
+    """The whole output of su21 survey-index3 --json, byte for byte: the
+    payload below written with two-space indent and sorted keys."""
+    payload = {
+        "groups": [
+            {
+                "canonical": "index3:" + vector,
+                "vector": [int(c) for c in vector.split(",")],
+                "weight_denominator": d,
+            }
+            for vector, d in SURVEY_DENOMINATORS.items()
+        ],
+        "summary": {"denominator_1": 27, "denominator_3": 13},
+    }
+    assert main(["survey-index3", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_sigma_round_trip(tmp_path, capsys):
     g = write_matrix(tmp_path, "g.json", ZETA_IDENTITY)
     assert main(["sigma", "--g", g, "--h", g]) == 0

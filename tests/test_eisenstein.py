@@ -111,16 +111,8 @@ def test_division_by_zero():
     assert ZERO.is_divisible_by(ZERO)
 
 
-@given(eis)
-def test_residue_mod_sqrt_minus3(z):
-    r = z.residue_mod_sqrt_minus3()
-    assert r in (0, 1, 2)
-    assert (z - r).is_divisible_by(SQRT_MINUS3)
-
-
 def test_zeta_congruent_one_mod_sqrt_minus3():
     assert (ZETA - 1).is_divisible_by(SQRT_MINUS3)
-    assert ZETA.residue_mod_sqrt_minus3() == 1
 
 
 @given(eis)

@@ -93,7 +93,7 @@ def test_relator_lift_invariants():
 
 def test_relation_matrix_shape_and_rows():
     m = relation_matrix(UPSILON)
-    assert m.shape == (13, 6)
+    assert (m.rows, m.cols) == (13, 6)
     for row, relator in zip(m.entries, UPSILON.relators):
         assert list(row[:5]) == exponent_sums(relator, 5)
         assert row[5] == -lift_word(relator, UPSILON.images).n
@@ -262,11 +262,24 @@ def test_report_immutable_pickle_json():
     assert "DenominatorReport" in repr(report)
 
 
+def test_gamma_sqrt3_report_is_upsilon_report_renamed():
+    """Reports are values: gamma_sqrt3's equals upsilon's with only the
+    name, the index and the notes replaced."""
+    upsilon = weight_denominator_of(SubgroupSpec.parse("upsilon"))
+    report = weight_denominator_of(SubgroupSpec.parse("gamma_sqrt3"))
+    renamed = upsilon._replace(
+        group="gamma_sqrt3", index_in_upsilon=None, notes=report.notes
+    )
+    assert report == renamed and hash(report) == hash(renamed)
+    assert report != upsilon
+    assert len(report.notes) == 1
+
+
 def test_weight_denominator_runs_one_hnf(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append((args[0].rows, args[0].cols))
         return original(*args, **kwargs)
 
     original = zlinalg.hermite_normal_form
@@ -425,7 +438,7 @@ def test_gamma3_counters(monkeypatch):
     def eliminating(rows, cols):
         shape = (len(rows), cols)
         reduced = original_eliminate(rows, cols)
-        shapes.append((shape, reduced.shape))
+        shapes.append((shape, (reduced.rows, reduced.cols)))
         return reduced
 
     original_eliminate = weightdenom.eliminate_unit_pivots
@@ -489,6 +502,7 @@ def test_index3_membership_checks_unitarity_once(monkeypatch):
         CoverElement(GENERATORS[0], 5),
         BallPoint(-2.0, 0.5j),
         CosetGraph([IDENTITY], {(0, (0, 1)): 0}, 1),
+        DenominatorReport("upsilon", 1, 5, 13, 1, (3, 3, 3), 2),
     ],
     ids=lambda value: type(value).__name__,
 )

@@ -48,7 +48,7 @@ def hnf_structure_ok(h: IntegerMatrix) -> bool:
 
 def test_integer_matrix_validation():
     m = IntegerMatrix([[1, 2], [3, 4]])
-    assert m.shape == (2, 2)
+    assert (m.rows, m.cols) == (2, 2)
     assert m[1] == (3, 4)
     with pytest.raises(ValueError):
         IntegerMatrix([[1], [2, 3]])
@@ -59,7 +59,7 @@ def test_integer_matrix_validation():
     with pytest.raises(ValueError):
         IntegerMatrix([])
     empty = IntegerMatrix([], cols=3)
-    assert empty.shape == (0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
     with pytest.raises(AttributeError):
         m.entries = ()
 
@@ -259,7 +259,8 @@ def test_eliminate_unit_pivots_known_cases():
     # a zero column is a free generator and is kept
     m = IntegerMatrix([[1, 0, 0, 2]])
     assert eliminate(m) == IntegerMatrix([], cols=3)
-    assert eliminate_unit_pivots([], 0).shape == (0, 0)
+    empty = eliminate_unit_pivots([], 0)
+    assert (empty.rows, empty.cols) == (0, 0)
 
 
 def test_eliminate_unit_pivots_preserves_quotient():
