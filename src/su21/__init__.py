@@ -1,123 +1,37 @@
 """Exact computation of weight denominators for arithmetic subgroups of
-SU(2,1) over the Eisenstein integers."""
+SU(2,1) over the Eisenstein integers.
 
-from .eisenstein import (
-    ONE,
-    SQRT_MINUS3,
-    ZERO,
-    ZETA,
-    EisensteinInt,
-    NotDivisibleError,
-)
-from .matgroup import (
-    IDENTITY,
-    J,
-    ZETA_IDENTITY,
-    GroupMatrix,
-    SubgroupSpec,
-    F_map,
-    all_index3_vectors,
-    generators_upsilon,
-    in_gamma_beta,
-    in_upsilon,
-    make_n,
-    make_n_transpose,
-)
-from .cocycle import (
-    COVER_IDENTITY,
-    CoverElement,
-    cover_inv,
-    cover_mul,
-    sigma,
-)
-from .fpgroup import (
-    EMPTY_WORD,
-    CosetGraph,
-    IndexOverflowError,
-    OracleInconsistencyError,
-    Presentation,
-    Word,
-    evaluate_word,
-    reidemeister_schreier,
-    upsilon_presentation,
-)
-from .zlinalg import (
-    IntegerMatrix,
-    cokernel_invariants,
-    eliminate_unit_pivots,
-    hermite_normal_form,
-    last_coordinate_order_of_hnf,
-    smith_normal_form,
-)
+The package namespace holds the documented API; everything else is imported
+from the module that defines it, e.g. ``from su21.fpgroup import Word``."""
+
+from .eisenstein import EisensteinInt
+from .matgroup import GroupMatrix, SubgroupSpec, generators_upsilon
+from .cocycle import sigma
+from .fpgroup import IndexOverflowError, OracleInconsistencyError
 from .weightdenom import (
     DenominatorReport,
     InfiniteOrderError,
-    lift_word,
     multiplier_system_exists,
     survey_index3,
-    weight_denominator,
     weight_denominator_of,
 )
-from .gendecomp import (
-    decompose,
-    first_column_height,
-    nearest_lattice_point,
-    unipotent_transpose_word,
-    unipotent_word,
-)
+from .gendecomp import decompose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "COVER_IDENTITY",
-    "CosetGraph",
-    "CoverElement",
     "DenominatorReport",
-    "EMPTY_WORD",
     "EisensteinInt",
-    "F_map",
     "GroupMatrix",
-    "IDENTITY",
     "IndexOverflowError",
     "InfiniteOrderError",
-    "IntegerMatrix",
-    "J",
-    "NotDivisibleError",
-    "ONE",
     "OracleInconsistencyError",
-    "Presentation",
-    "SQRT_MINUS3",
     "SubgroupSpec",
-    "Word",
-    "ZERO",
-    "ZETA",
-    "ZETA_IDENTITY",
-    "all_index3_vectors",
-    "cokernel_invariants",
-    "cover_inv",
-    "cover_mul",
     "decompose",
-    "eliminate_unit_pivots",
-    "evaluate_word",
-    "first_column_height",
     "generators_upsilon",
-    "hermite_normal_form",
-    "in_gamma_beta",
-    "in_upsilon",
-    "last_coordinate_order_of_hnf",
-    "lift_word",
-    "make_n",
-    "make_n_transpose",
     "multiplier_system_exists",
-    "nearest_lattice_point",
-    "reidemeister_schreier",
     "sigma",
-    "smith_normal_form",
     "survey_index3",
-    "unipotent_transpose_word",
-    "unipotent_word",
-    "upsilon_presentation",
-    "weight_denominator",
     "weight_denominator_of",
     "__version__",
 ]

@@ -13,12 +13,10 @@ import sys
 from fractions import Fraction
 
 from .cocycle import sigma
-from .fpgroup import IndexOverflowError, OracleInconsistencyError
-from .matgroup import GroupMatrix, SubgroupSpec
-from .weightdenom import (
-    survey_index3,
-    weight_denominator_of,
-)
+from .fpgroup import IndexOverflowError, OracleInconsistencyError, upsilon_presentation
+from .gendecomp import decompose
+from .matgroup import GENERATOR_NAMES, GroupMatrix, SubgroupSpec
+from .weightdenom import multiplier_system_exists, survey_index3, weight_denominator_of
 
 
 _GROUP_HELP = (
@@ -56,8 +54,6 @@ def _parse_spec(text: str) -> SubgroupSpec:
 
 
 def _cmd_verify_presentation(args) -> int:
-    from .fpgroup import upsilon_presentation
-
     try:
         presentation = upsilon_presentation()
     except ValueError as exc:
@@ -150,8 +146,6 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    from .gendecomp import GENERATOR_NAMES, decompose
-
     g = _load_matrix(args.matrix)
     try:
         word = decompose(g)
@@ -166,8 +160,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_exists(args) -> int:
-    from .weightdenom import multiplier_system_exists
-
     spec = _parse_spec(args.group)
     try:
         weight = Fraction(args.weight)
@@ -228,7 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         "exists", help="does the subgroup carry a multiplier system of this weight"
     )
     p.add_argument("group", help=_GROUP_HELP)
-    p.add_argument("weight", help="rational weight, e.g. 2/3")
+    p.add_argument(
+        "weight",
+        help="rational weight, e.g. 2/3; put a negative one after --, "
+        "as in: su21 exists gamma3 -- -1/3",
+    )
     _add_common(p)
     p.set_defaults(handler=_cmd_exists)
 

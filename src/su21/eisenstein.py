@@ -87,19 +87,6 @@ class EisensteinInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers leave the ring")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def conj(self) -> "EisensteinInt":
         """Complex conjugate: conj(zeta) = zeta^2 = -1 - zeta."""
         return EisensteinInt(self.a - self.b, -self.b)
@@ -107,10 +94,6 @@ class EisensteinInt:
     def norm(self) -> int:
         """z * conj(z) = a^2 - a*b + b^2, a nonnegative rational integer."""
         return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def trace(self) -> int:
-        """z + conj(z) = 2a - b."""
-        return 2 * self.a - self.b
 
     def is_divisible_by(self, w: "EisensteinInt") -> bool:
         if w.is_zero():

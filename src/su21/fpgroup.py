@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .matgroup import IDENTITY, GroupMatrix
+from .matgroup import GENERATOR_NAMES, IDENTITY, generators_upsilon
 
 
 class IndexOverflowError(RuntimeError):
@@ -194,10 +194,7 @@ def upsilon_presentation() -> Presentation:
     """The five-generator, thirteen-relator presentation of the group
     generated by the unipotent elements n1 = n(1,1), n2 = n(zeta,1),
     n3 = n(0,2), n4 = n1^t, n5 = n3^t."""
-    from .matgroup import generators_upsilon
-
-    names = ("n1", "n2", "n3", "n4", "n5")
-    w = lambda text: Word.from_string(text, names)
+    w = lambda text: Word.from_string(text, GENERATOR_NAMES)
     relators = (
         w("n1 n3 n1^-1 n3^-1"),
         w("n2 n3 n2^-1 n3^-1"),
@@ -213,7 +210,7 @@ def upsilon_presentation() -> Presentation:
         w("n3^-1 n1 n4 n2 n3 n1 n5^-1 n1^-1 n4^-1 n5 n1^-1 n2^-1"),
         w("n4^-1 n3^-1 n5 n3 n1^-1 n4^-1 n2 n1 n3^-1 n4 n1 n5^-1 n4 n2^-1 n1^-1 n3"),
     )
-    return Presentation(names, relators, generators_upsilon())
+    return Presentation(GENERATOR_NAMES, relators, generators_upsilon())
 
 
 class CosetGraph(NamedTuple):

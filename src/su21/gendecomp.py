@@ -14,10 +14,9 @@ from __future__ import annotations
 from .eisenstein import SQRT_MINUS3, EisensteinInt
 from .fpgroup import Word, evaluate_word
 from .matgroup import (
-    GroupMatrix, generators_upsilon, in_upsilon, make_n, make_n_transpose, n_corner
+    GENERATOR_NAMES, GroupMatrix, generators_upsilon, in_upsilon, make_n,
+    make_n_transpose, n_corner,
 )
-
-GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
 
 # n2^t expressed in n1..n5; every multiplier word below factors through this.
 N2_TRANSPOSE_WORD = Word.from_string("n3^-1 n1 n4 n1 n3^-2 n2", GENERATOR_NAMES)

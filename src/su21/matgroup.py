@@ -203,6 +203,9 @@ def make_n_transpose(z: EisensteinInt, x: int) -> GroupMatrix:
     return _group_matrix(((ONE, ZERO, ZERO), (b, ONE, ZERO), (c, f, ONE)))
 
 
+GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
+
+
 @lru_cache(maxsize=None)
 def generators_upsilon() -> tuple:
     """The five generators n1 = n(1,1), n2 = n(zeta,1), n3 = n(0,2), n4 = n1^t,

@@ -101,7 +101,7 @@ class DenominatorReport(NamedTuple):
 
 
 def weight_denominator(
-    rows, cols: int, *, group=None, index_in_upsilon=None, notes=()
+    rows, cols: int, *, group=None, index_in_upsilon=None
 ) -> DenominatorReport:
     """Weight denominator of a group, plus the abelian invariants of its
     central extension, from that extension's abelianized relations: rows is
@@ -127,7 +127,6 @@ def weight_denominator(
         weight_denominator=order,
         torsion_invariants=torsion,
         free_rank=free_rank,
-        notes=tuple(notes),
     )
 
 

@@ -305,7 +305,7 @@ def window_nearest_lattice_point(num, den):
     window = (
         EisensteinInt(p0 + dp, q0 + dq) for dp in (-1, 0, 1, 2) for dq in (-1, 0, 1, 2)
     )
-    return min(window, key=lambda w: (frac_norm(x - w.a, y - w.b), w.trace(), w.b))
+    return min(window, key=lambda w: (frac_norm(x - w.a, y - w.b), 2 * w.a - w.b, w.b))
 
 
 def fraction_rounded_half(u, n):

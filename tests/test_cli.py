@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import su21
-from su21 import fpgroup
+from su21 import cli
 from su21.cli import main
 from su21.cocycle import sigma
-from su21.fpgroup import evaluate_word
-from su21.gendecomp import GENERATOR_NAMES
+from su21.fpgroup import Word, evaluate_word
 from su21.matgroup import (
+    GENERATOR_NAMES,
     IDENTITY,
     ZETA_IDENTITY,
     GroupMatrix,
@@ -50,7 +50,7 @@ def test_verify_presentation_failure(monkeypatch, capsys):
     def broken():
         raise ValueError("relator 4 does not evaluate to the identity")
 
-    monkeypatch.setattr(fpgroup, "upsilon_presentation", broken)
+    monkeypatch.setattr(cli, "upsilon_presentation", broken)
     assert main(["verify-presentation"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -372,8 +372,6 @@ def test_decompose_round_trip(tmp_path, capsys):
     path = write_matrix(tmp_path, "g.json", g)
     assert main(["decompose", "--matrix", path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    from su21.fpgroup import Word
-
     word = Word.from_string(data["word"], GENERATOR_NAMES)
     assert evaluate_word(word, GENERATORS) == g
     assert data["length"] == len(word)
@@ -392,6 +390,19 @@ def test_exists(capsys):
     assert capsys.readouterr().out.strip() == "no"
     assert main(["exists", "index3:1,0,0,0", "2/3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"exists": True}
+
+
+def test_exists_negative_weight(capsys):
+    """argparse reads -1/3 as an option (though it takes -1 and -0.5 as
+    numbers), so a negative fractional weight goes after --."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["exists", "gamma3", "-1/3"])
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: weight" in capsys.readouterr().err
+    assert main(["exists", "gamma3", "--", "-1/3"]) == 0
+    assert capsys.readouterr().out.strip() == "yes"
+    assert main(["exists", "upsilon", "-1"]) == 0
+    assert capsys.readouterr().out.strip() == "yes"
 
 
 def test_exists_bad_weight(capsys):
@@ -441,8 +452,6 @@ def test_index_overflow_is_domain_error(capsys, monkeypatch, argv):
 
 
 def test_inconsistent_enumeration_is_domain_error(capsys, monkeypatch):
-    from su21.matgroup import SubgroupSpec
-
     monkeypatch.setattr(SubgroupSpec, "membership", lambda self, g: False)
     assert main(["denom", "index3:1,0,0,0"]) == 1
     err = capsys.readouterr().err

@@ -7,7 +7,6 @@ from su21 import gendecomp, matgroup
 from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import EMPTY_WORD, Word, evaluate_word
 from su21.gendecomp import (
-    GENERATOR_NAMES,
     N2_TRANSPOSE_WORD,
     _descend_step,
     _rounded_half,
@@ -18,6 +17,7 @@ from su21.gendecomp import (
     unipotent_word,
 )
 from su21.matgroup import (
+    GENERATOR_NAMES,
     IDENTITY,
     ZETA_IDENTITY,
     GroupMatrix,

@@ -1,11 +1,142 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
 import su21
+
+SRC = Path(su21.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+
+# README's Python API, the types it takes or returns, and the errors
+# weight_denominator_of raises
+API = [
+    "DenominatorReport",
+    "EisensteinInt",
+    "GroupMatrix",
+    "IndexOverflowError",
+    "InfiniteOrderError",
+    "OracleInconsistencyError",
+    "SubgroupSpec",
+    "decompose",
+    "generators_upsilon",
+    "multiplier_system_exists",
+    "sigma",
+    "survey_index3",
+    "weight_denominator_of",
+    "__version__",
+]
+
+# names the package namespace used to re-export, by the module defining them
+MODULE_ONLY = {
+    "eisenstein": ("NotDivisibleError", "ONE", "SQRT_MINUS3", "ZERO", "ZETA"),
+    "matgroup": (
+        "F_map", "IDENTITY", "J", "ZETA_IDENTITY", "all_index3_vectors",
+        "in_gamma_beta", "in_upsilon", "make_n", "make_n_transpose",
+    ),
+    "cocycle": ("COVER_IDENTITY", "CoverElement", "cover_inv", "cover_mul"),
+    "fpgroup": (
+        "CosetGraph", "EMPTY_WORD", "Presentation", "Word", "evaluate_word",
+        "reidemeister_schreier", "upsilon_presentation",
+    ),
+    "zlinalg": (
+        "IntegerMatrix", "cokernel_invariants", "eliminate_unit_pivots",
+        "hermite_normal_form", "last_coordinate_order_of_hnf", "smith_normal_form",
+    ),
+    "weightdenom": ("lift_word", "weight_denominator"),
+    "gendecomp": (
+        "first_column_height", "nearest_lattice_point", "unipotent_transpose_word",
+        "unipotent_word",
+    ),
+}
 
 
 def test_star_import_resolves_every_exported_name():
     namespace = {}
     exec("from su21 import *", namespace)  # raises AttributeError on a stale name
-    assert sorted(set(su21.__all__)) == sorted(su21.__all__)
+    assert su21.__all__ == API
     assert [name for name in su21.__all__ if name not in namespace] == []
     # helpers that only tests called live in tests/helpers.py
     for removed in ("order_of_last_coordinate", "central_commutator_witness"):
         assert not hasattr(su21, removed)
+
+
+def test_other_names_import_only_from_their_modules():
+    """Each name dropped from the package namespace is still defined in
+    its own module, so only the second import path went."""
+    assert sum(len(names) for names in MODULE_ONLY.values()) == 37
+    for module_name, names in MODULE_ONLY.items():
+        module = importlib.import_module("su21." + module_name)
+        for name in names:
+            value = getattr(module, name)
+            if callable(value):
+                assert value.__module__ == module.__name__, name
+            assert name not in vars(su21), name
+
+
+def _readme_python_block() -> str:
+    section = README.read_text().split("## Python API", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_api_block_runs_as_commented():
+    """README's Python API block runs, and each expression line whose
+    comment is a literal evaluates to that literal."""
+    block = _readme_python_block()
+    lines = block.splitlines()
+    namespace, values, comments = {}, {}, {}
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        comment = lines[statement.end_lineno - 1].partition("#")[2].strip()
+        try:
+            comments[code] = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue  # a prose comment
+        values[code] = value
+    assert values == comments
+    assert comments == {
+        "report.weight_denominator": 3,
+        "report.index_in_upsilon": 81,
+        "report.torsion_invariants": (3,) * 7,
+        "report.free_rank": 10,
+        'multiplier_system_exists(SubgroupSpec.parse("gamma3"), Fraction(1, 3))': True,
+        "spec.name()": "index9:1,0,0,0;0,1,0,0",
+        "spec.index_in_upsilon()": 9,
+    }
+
+
+def _import_problems(path: Path) -> list:
+    """Imports below module level, and imported names the module never
+    reads (from __future__ imports aside)."""
+    tree = ast.parse(path.read_text())
+    problems, bound = [], {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if node not in tree.body:
+            problems.append("line %d: import below module level" % node.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    problems += [
+        "line %d: %s is imported but never used" % (line, name)
+        for name, line in bound.items()
+        if name not in used
+    ]
+    return problems
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_module_imports_are_top_level_and_used(path):
+    assert _import_problems(path) == []
