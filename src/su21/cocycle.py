@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from .eisenstein import EisensteinInt
 from .matgroup import IDENTITY, GroupMatrix
+from .value import Value
 
 
 def X_of(g: GroupMatrix) -> EisensteinInt:
@@ -68,7 +69,7 @@ def sigma(g: GroupMatrix, h: GroupMatrix) -> int:
     )
 
 
-class CoverElement:
+class CoverElement(Value):
     """A pair (g, n) in the universal cover with the sigma-twisted product."""
 
     __slots__ = ("g", "n")
@@ -76,23 +77,6 @@ class CoverElement:
     def __init__(self, g: GroupMatrix, n: int = 0):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverElement is immutable")
-
-    def __reduce__(self):
-        return (CoverElement, (self.g, self.n))
-
-    def __repr__(self):
-        return "CoverElement(%r, %d)" % (self.g, self.n)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverElement):
-            return NotImplemented
-        return self.n == other.n and self.g == other.g
-
-    def __hash__(self):
-        return hash((self.g, self.n))
 
     def __mul__(self, other):
         if not isinstance(other, CoverElement):

@@ -7,12 +7,14 @@ the root with positive imaginary part.
 
 from __future__ import annotations
 
+from .value import Value
+
 
 class NotDivisibleError(ValueError):
     """Raised by div_exact when the divisor does not divide the dividend."""
 
 
-class EisensteinInt:
+class EisensteinInt(Value):
     """The Eisenstein integer a + b*zeta, immutable and hashable."""
 
     __slots__ = ("a", "b")
@@ -20,15 +22,6 @@ class EisensteinInt:
     def __init__(self, a: int, b: int = 0):
         _set_a(self, a)
         _set_b(self, b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EisensteinInt is immutable")
-
-    def __reduce__(self):
-        return (EisensteinInt, (self.a, self.b))
-
-    def __repr__(self):
-        return "EisensteinInt(%d, %d)" % (self.a, self.b)
 
     def __str__(self):
         if self.b == 0:
@@ -45,7 +38,7 @@ class EisensteinInt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

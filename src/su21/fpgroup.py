@@ -16,6 +16,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .matgroup import GENERATOR_NAMES, IDENTITY, generators_upsilon
+from .value import Value
 
 
 class IndexOverflowError(RuntimeError):
@@ -26,14 +27,16 @@ class OracleInconsistencyError(RuntimeError):
     """The membership predicate is inconsistent with a subgroup structure."""
 
 
-class Word:
+class Word(Value):
     """A freely reduced word; letters are (generator index, exponent +-1)."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters=(), reduce: bool = True):
-        letters = tuple((int(i), int(s)) for i, s in letters)
+        letters = tuple((i, s) for i, s in letters)
         for i, s in letters:
+            if type(i) is not int or type(s) is not int:
+                raise TypeError("letters must be pairs of ints, got %r" % ((i, s),))
             if i < 0:
                 raise ValueError("generator index out of range: %d" % i)
             if s not in (1, -1):
@@ -42,28 +45,11 @@ class Word:
             letters = _free_reduce_letters(letters)
         object.__setattr__(self, "letters", letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __reduce__(self):
-        return (Word, (self.letters, False))
-
     def __len__(self):
         return len(self.letters)
 
     def __iter__(self):
         return iter(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return "Word(%r)" % (list(self.letters),)
 
     def __str__(self):
         return self.to_string()
@@ -144,7 +130,7 @@ def evaluate_word(word: Word, images, identity=None):
     return result
 
 
-class Presentation:
+class Presentation(Value):
     """Generators, relator words, and optional one-matrix-per-generator images.
 
     When images are present, every relator is verified to evaluate to the
@@ -175,12 +161,6 @@ class Presentation:
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    def __reduce__(self):
-        return (Presentation, (self.generator_names, self.relators, self.images))
 
     def __repr__(self):
         return "Presentation(%r, <%d relators>%s)" % (

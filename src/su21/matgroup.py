@@ -12,9 +12,10 @@ from functools import lru_cache
 from itertools import product
 
 from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
+from .value import Value
 
 
-class GroupMatrix:
+class GroupMatrix(Value):
     """Immutable 3x3 matrix over Z[zeta]."""
 
     __slots__ = ("entries",)
@@ -29,19 +30,8 @@ class GroupMatrix:
                     raise ValueError("entries must be EisensteinInt values")
         object.__setattr__(self, "entries", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupMatrix is immutable")
-
-    def __reduce__(self):
-        return (GroupMatrix, (self.entries,))
-
     def __getitem__(self, index):
         return self.entries[index]
-
-    def __repr__(self):
-        return "GroupMatrix(%r)" % (
-            [[e.to_pair() for e in row] for row in self.entries],
-        )
 
     def __str__(self):
         cells = [[str(e) for e in row] for row in self.entries]
@@ -49,14 +39,6 @@ class GroupMatrix:
         return "\n".join(
             "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __mul__(self, other):
         if not isinstance(other, GroupMatrix):
@@ -270,7 +252,9 @@ def _echelon(rows) -> tuple:
     zeros above and below them."""
     basis = {}  # pivot column -> row
     for row in rows:
-        v = [int(x) % 3 for x in row]
+        if any(type(x) is not int for x in row):
+            raise TypeError("rows must hold ints, got %r" % (row,))
+        v = [x % 3 for x in row]
         if len(v) != 4:
             raise ValueError("expected rows of four integers")
         for p, b in basis.items():
@@ -291,7 +275,7 @@ _ALIASES = {
 }
 
 
-class SubgroupSpec:
+class SubgroupSpec(Value):
     """A named congruence subgroup.  Every group between Gamma(3) and the
     unipotent-generated group is F_map^-1(W) for a subspace W of F_3^4,
     given by rows: a reduced row-echelon basis over F_3 of the vectors
@@ -304,23 +288,6 @@ class SubgroupSpec:
 
     def __init__(self, rows):
         object.__setattr__(self, "rows", None if rows is None else _echelon(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupSpec is immutable")
-
-    def __reduce__(self):
-        return (SubgroupSpec, (self.rows,))
-
-    def __eq__(self, other):
-        if not isinstance(other, SubgroupSpec):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "SubgroupSpec(%r)" % (self.rows,)
 
     def __str__(self):
         return self.name()

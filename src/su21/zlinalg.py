@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from math import gcd
 
+from .value import Value
 
-class IntegerMatrix:
+
+class IntegerMatrix(Value):
     """An immutable rectangular matrix of Python ints."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -40,22 +42,8 @@ class IntegerMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
-
-    def __reduce__(self):
-        return (IntegerMatrix, (self.entries, self.cols))
-
     def __getitem__(self, index):
         return self.entries[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
 
     def __repr__(self):
         return "IntegerMatrix(<%d x %d>)" % (self.rows, self.cols)

@@ -27,6 +27,7 @@ from su21.matgroup import (
     all_index3_vectors,
     generators_upsilon,
 )
+from su21.value import Value
 from su21.weightdenom import central_parts
 from su21.zlinalg import IntegerMatrix, hermite_normal_form, last_coordinate_order_of_hnf
 
@@ -514,7 +515,7 @@ class BranchToleranceError(ArithmeticError):
     """The cocycle value failed to round to an integer within tolerance."""
 
 
-class BallPoint:
+class BallPoint(Value):
     """A point (tau1, tau2) of the symmetric space: 2*Re(tau1) + |tau2|^2 < 0.
 
     The domain is open, so boundary points (defect exactly 0) are rejected.
@@ -535,20 +536,6 @@ class BallPoint:
             )
         object.__setattr__(self, "tau1", tau1)
         object.__setattr__(self, "tau2", tau2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BallPoint is immutable")
-
-    def __reduce__(self):
-        return (BallPoint, (self.tau1, self.tau2))
-
-    def __repr__(self):
-        return "BallPoint(%r, %r)" % (self.tau1, self.tau2)
-
-    def __eq__(self, other):
-        if not isinstance(other, BallPoint):
-            return NotImplemented
-        return self.tau1 == other.tau1 and self.tau2 == other.tau2
 
 
 BASE_POINT = BallPoint(-2.0, 0.0)

@@ -143,6 +143,11 @@ def test_immutability_and_hash():
         z.a = 5
     assert hash(EisensteinInt(1, 2)) == hash(z)
     assert len({EisensteinInt(1, 2), EisensteinInt(1, 2), ZETA}) == 2
+    # a real value equals its int, so it hashes like it too
+    assert len({EisensteinInt(3, 0), 3}) == 1
+    assert 3 in {EisensteinInt(3, 0)} and EisensteinInt(-5, 0) in {-5}
+    assert {EisensteinInt(3, 0): "z"}[3] == "z"
+    assert {3: "n"}[EisensteinInt(3, 0)] == "n"
 
 
 def test_repr_and_str():

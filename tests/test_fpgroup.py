@@ -44,6 +44,9 @@ def test_word_validation():
         Word([(0, 2)])
     with pytest.raises(ValueError):
         Word([(-1, 1)])
+    for letters in ([(0, 1.5)], [("2", "-1")], [(True, 1)], [(0, True)], [(0.0, 1)]):
+        with pytest.raises(TypeError):
+            Word(letters)
 
 
 @given(words)

@@ -372,6 +372,9 @@ def test_subgroup_spec():
         SubgroupSpec.parse("index3:0,0,0")
     with pytest.raises(ValueError):
         SubgroupSpec(((1, 0, 0),))
+    for row in ((1.5, 0, 0, 0), ("2", 0, 0, 0), (True, 0, 0, 0), (1, 0, 0, 2.0)):
+        with pytest.raises(TypeError):
+            SubgroupSpec([row])
     assert SubgroupSpec.parse("index3:1,0,0,0") == spec
     assert len({spec, SubgroupSpec.parse("index3:2,0,0,0")}) == 1
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import su21
+from su21.value import Value
 
 SRC = Path(su21.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
@@ -140,3 +141,51 @@ def _import_problems(path: Path) -> list:
 )
 def test_module_imports_are_top_level_and_used(path):
     assert _import_problems(path) == []
+
+
+# Value writes the protocol of the immutable value types once; EisensteinInt
+# also writes equality and hashing, since a real one equals its int
+PROTOCOL = {"__setattr__", "__reduce__", "__setstate__", "__eq__", "__hash__"}
+WRITES_PROTOCOL = {"Value": PROTOCOL, "EisensteinInt": {"__eq__", "__hash__"}}
+VALUE_TYPES = {
+    "eisenstein": ("EisensteinInt",),
+    "matgroup": ("GroupMatrix", "SubgroupSpec"),
+    "fpgroup": ("Word", "Presentation"),
+    "cocycle": ("CoverElement",),
+    "zlinalg": ("IntegerMatrix",),
+}
+
+
+def _protocol_problems(path: Path) -> list:
+    """Classes that write their own copy of the value-type protocol, and
+    Value subclasses that declare no __slots__ of their own."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for name in sorted(defined & PROTOCOL - WRITES_PROTOCOL.get(node.name, set())):
+            problems.append("line %d: %s defines %s" % (node.lineno, node.name, name))
+        assigned = {
+            target.id
+            for item in node.body
+            if isinstance(item, ast.Assign)
+            for target in item.targets
+            if isinstance(target, ast.Name)
+        }
+        subclasses_value = any(isinstance(b, ast.Name) and b.id == "Value" for b in node.bases)
+        if subclasses_value and "__slots__" not in assigned:
+            problems.append("line %d: %s declares no __slots__" % (node.lineno, node.name))
+    return problems
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_value_protocol_is_written_once(path):
+    assert _protocol_problems(path) == []
+
+
+def test_value_types_subclass_value():
+    for module_name, names in VALUE_TYPES.items():
+        module = importlib.import_module("su21." + module_name)
+        for name in names:
+            assert issubclass(getattr(module, name), Value), name
