@@ -1,20 +1,21 @@
 """Presentation calculus: words, finitely presented groups with matrix images,
 and Reidemeister-Schreier relation rows of finite-index subgroups.
 
-Words are freely reduced sequences of (generator index, +-1) letters.  The
-Reidemeister-Schreier engine is generic over the element type: it needs only
-multiplication, .inverse() and a coset key for the elements, so it runs both
-on matrix images and on abstract words (used to validate the engine against
-classical free-group facts).  It traces each relator straight into a sparse
-exponent-sum row over the Schreier generators; the rows are all that the
-weight denominator needs, so no subgroup word or presentation is built.
+Words are freely reduced sequences of (generator index, +-1) letters.  A
+Presentation lifts each relator through the universal cover once, which
+checks it and keeps its central part.  The Reidemeister-Schreier engine
+traces each relator straight into a sparse row over the Schreier
+generators and the central generator z; the rows are all that the weight
+denominator needs, so no subgroup word or presentation is built.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import NamedTuple
 
+from .cocycle import COVER_IDENTITY, CoverElement
 from .matgroup import GENERATOR_NAMES, IDENTITY, generators_upsilon
 from .value import Value
 
@@ -32,7 +33,7 @@ class Word(Value):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters=(), reduce: bool = True):
+    def __init__(self, letters=()):
         letters = tuple((i, s) for i, s in letters)
         for i, s in letters:
             if type(i) is not int or type(s) is not int:
@@ -41,9 +42,7 @@ class Word(Value):
                 raise ValueError("generator index out of range: %d" % i)
             if s not in (1, -1):
                 raise ValueError("letter exponents must be +1 or -1, got %d" % s)
-        if reduce:
-            letters = _free_reduce_letters(letters)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", _free_reduce_letters(letters))
 
     def __len__(self):
         return len(self.letters)
@@ -60,9 +59,7 @@ class Word(Value):
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(
-            tuple((i, -s) for i, s in reversed(self.letters)), reduce=False
-        )
+        return Word((i, -s) for i, s in reversed(self.letters))
 
     def __pow__(self, exponent: int) -> "Word":
         if exponent < 0:
@@ -110,11 +107,9 @@ def _free_reduce_letters(letters):
 EMPTY_WORD = Word(())
 
 
-def evaluate_word(word: Word, images, identity=None):
+def evaluate_word(word: Word, images, identity=IDENTITY):
     """Product of the images along the word; inverse letters use .inverse(),
     taken once per generator and call."""
-    if identity is None:
-        identity = EMPTY_WORD if images and isinstance(images[0], Word) else IDENTITY
     inverses = {}
     result = identity
     for i, s in word.letters:
@@ -130,16 +125,23 @@ def evaluate_word(word: Word, images, identity=None):
     return result
 
 
-class Presentation(Value):
-    """Generators, relator words, and optional one-matrix-per-generator images.
+def lift_word(word: Word, images) -> CoverElement:
+    """Lift of the word under generator i -> (images[i], 0), folded with the
+    cover's multiplication.  Factors through free reduction."""
+    return evaluate_word(word, [CoverElement(g) for g in images], COVER_IDENTITY)
 
-    When images are present, every relator is verified to evaluate to the
-    identity at construction time, so a mistranscribed relator fails loudly.
+
+class Presentation(Value):
+    """Generators, relator words, one matrix image per generator, and the
+    central part n of each relator's lift (I, n) to the universal cover.
+
+    Each relator is lifted once at construction time; a lift whose matrix
+    part is not I means a mistranscribed relator, which fails loudly.
     """
 
-    __slots__ = ("generator_count", "generator_names", "relators", "images")
+    __slots__ = ("generator_count", "generator_names", "relators", "images", "central")
 
-    def __init__(self, generator_names, relators, images=None):
+    def __init__(self, generator_names, relators, images):
         names = tuple(str(n) for n in generator_names)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
@@ -147,33 +149,33 @@ class Presentation(Value):
         for r in relators:
             if any(i >= len(names) for i, _ in r.letters):
                 raise ValueError("relator uses a generator index out of range")
-        if images is not None:
-            images = tuple(images)
-            if len(images) != len(names):
-                raise ValueError("need exactly one image per generator")
-            identity = EMPTY_WORD if images and isinstance(images[0], Word) else IDENTITY
-            for k, r in enumerate(relators):
-                if evaluate_word(r, images, identity) != identity:
-                    raise ValueError(
-                        "relator %d does not evaluate to the identity" % (k + 1)
-                    )
+        images = tuple(images)
+        if len(images) != len(names):
+            raise ValueError("need exactly one image per generator")
+        central = []
+        for k, r in enumerate(relators):
+            lift = lift_word(r, images)
+            if lift.g != IDENTITY:
+                raise ValueError("relator %d does not evaluate to the identity" % (k + 1))
+            central.append(lift.n)
         object.__setattr__(self, "generator_count", len(names))
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "central", tuple(central))
 
     def __repr__(self):
-        return "Presentation(%r, <%d relators>%s)" % (
+        return "Presentation(%r, <%d relators>)" % (
             list(self.generator_names),
             len(self.relators),
-            "" if self.images is None else ", with images",
         )
 
 
+@lru_cache(maxsize=None)
 def upsilon_presentation() -> Presentation:
     """The five-generator, thirteen-relator presentation of the group
     generated by the unipotent elements n1 = n(1,1), n2 = n(zeta,1),
-    n3 = n(0,2), n4 = n1^t, n5 = n3^t."""
+    n3 = n(0,2), n4 = n1^t, n5 = n3^t, built and lifted once per process."""
     w = lambda text: Word.from_string(text, GENERATOR_NAMES)
     relators = (
         w("n1 n3 n1^-1 n3^-1"),
@@ -210,9 +212,10 @@ class CosetGraph(NamedTuple):
         return "CosetGraph(<%d cosets, %d edges>)" % (len(self.vertices), len(self.edges))
 
 
-def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_index: int = 512):
-    """Relation rows of the finite-index subgroup H whose right cosets H*g
-    coset_key tells apart: (rows, generator_count, graph).
+def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_index: int):
+    """Relation rows of the central extension of the finite-index subgroup H
+    whose right cosets H*g coset_key tells apart:
+    (rows, generator_count, graph).
 
     coset_key(g) must be a hashable value that is the same for two elements
     exactly when they lie in the same coset, such as the image of g under a
@@ -232,23 +235,25 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
     Group Theory, 2.4 and 5): one per positive-letter edge r * x -> r' off
     the breadth-first spanning tree, standing for r * x * r'^-1, numbered
     in order of (coset, generator); tree edges stand for the identity.
-    Subgroup relators: every ambient relator traced from every coset.  Each
-    trace is returned only as its row {generator: exponent sum}, zero sums
-    dropped, and empty traces are kept, so rows[k * index + v] is ambient
-    relator k traced from coset v.
+    Subgroup relators: every ambient relator traced from every coset, in
+    (relator, coset) order, each returned only as its sparse row
+    {column: nonzero entry}, empty rows kept.  The row holds the trace's
+    exponent sum of each generator, and -n_R in column generator_count, the
+    central generator z = (I, 1), for ambient relator R with lift (I, n_R).
+
+    That z entry needs no lift of the subgroup.  Lift each coset
+    representative along the spanning tree (the lift of r * x is
+    lift(r) * lift(x)), and lift the generator of a non-tree edge
+    r * x -> r' as lift(r) * lift(x) * lift(r')^-1.  The trace of R from
+    coset r then telescopes to lift(r) * (I, n_R) * lift(r)^-1 = (I, n_R),
+    as (I, n_R) is central, so n_R comes from ambient.central.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    if ambient.images is None:
-        images = [Word([(i, 1)]) for i in range(ambient.generator_count)]
-        identity = EMPTY_WORD
-    else:
-        images = list(ambient.images)
-        identity = IDENTITY
-    steps = [((1, image), (-1, image.inverse())) for image in images]
+    steps = [((1, image), (-1, image.inverse())) for image in ambient.images]
 
-    vertices = [identity]
-    coset_of = {coset_key(identity): 0}
+    vertices = [IDENTITY]
+    coset_of = {coset_key(IDENTITY): 0}
     edges = {}
     products = {}  # positive edge (v, generator) -> r * x, for the Schreier generators
     tree = set()  # positive edges (v, generator) of the spanning tree
@@ -278,7 +283,7 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
     inverses = [v.inverse() for v in vertices]
     symbol_of = {}
     for vi in range(len(vertices)):
-        for gi in range(len(images)):
+        for gi in range(ambient.generator_count):
             wj = edges[(vi, (gi, 1))]
             if edges[(wj, (gi, -1))] != vi:
                 raise OracleInconsistencyError(
@@ -295,9 +300,10 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                 )
             symbol_of[(vi, gi)] = len(symbol_of)
 
+    z = len(symbol_of)  # the column of the central generator
     # A negative letter traverses the positive edge that ends where it ends.
     rows = []
-    for rel in ambient.relators:
+    for rel, n in zip(ambient.relators, ambient.central):
         for vi in range(len(vertices)):
             row = {}
             current = vi
@@ -315,7 +321,10 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                 raise OracleInconsistencyError(
                     "relator trace from coset %d did not close up" % vi
                 )
-            rows.append({s: e for s, e in row.items() if e})
+            row = {s: e for s, e in row.items() if e}
+            if n:
+                row[z] = -n
+            rows.append(row)
 
     graph = CosetGraph(tuple(vertices), edges, ambient.generator_count)
     return rows, len(symbol_of), graph

@@ -2,9 +2,10 @@
 
 A subclass of Value lists every field in its own __slots__ and sets them in
 its validating constructor through object.__setattr__.  Its instances are
-then immutable, compare and hash by their field values (the exact type must
-match), pickle through the field values without running the constructor
-again, and have the positional repr Type(v1, v2, ...).
+then immutable (no field can be set or deleted), compare and hash by their
+field values (the exact type must match), pickle through the field values
+without running the constructor again, and have the positional repr
+Type(v1, v2, ...).
 """
 
 from copyreg import __newobj__
@@ -17,6 +18,9 @@ class Value:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __eq__(self, other):

@@ -10,14 +10,9 @@ multiplier system are exactly (1/d) * Z.
 
 Every subgroup of the ambient group, that group itself included (index 1),
 goes through coset enumeration and Reidemeister-Schreier, which trace the 13
-ambient relators from every coset straight into sparse exponent-sum rows.
-A subgroup needs no images and no cocycle.  Lift each coset representative
-along the spanning tree (the lift of r * x is lift(r) * lift(x)), and lift
-the generator of a non-tree edge r * x -> r' as
-lift(r) * lift(x) * lift(r')^-1.  The trace of ambient relator R from
-coset r then telescopes to lift(r) * (I, n_R) * lift(r)^-1 = (I, n_R), so
-its row takes -n_R in the z column, and sigma is evaluated only to lift
-the 13 relators of the ambient presentation, once per process.
+ambient relators from every coset straight into these sparse rows, taking
+each z entry from the ambient relator's lift; sigma is evaluated only to
+lift those 13 relators, once per process.
 
 The sparse rows are shrunk by unit-pivot elimination before a single
 Hermite normal form, which gives d; its nonzero rows give the invariants.
@@ -26,16 +21,11 @@ Hermite normal form, which gives d; its nonzero rows give the invariants.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-from .cocycle import COVER_IDENTITY, CoverElement
 from .fpgroup import (
     IndexOverflowError,
     OracleInconsistencyError,
-    Presentation,
-    Word,
-    evaluate_word,
     reidemeister_schreier,
     upsilon_presentation,
 )
@@ -56,29 +46,6 @@ class InfiniteOrderError(RuntimeError):
     this package computes with; it indicates a broken presentation or an
     inconsistent relation matrix.
     """
-
-
-def lift_word(word: Word, images) -> CoverElement:
-    """Lift of the word under generator i -> (images[i], 0), folded with the
-    cover's multiplication.  Factors through free reduction."""
-    return evaluate_word(word, [CoverElement(g) for g in images], COVER_IDENTITY)
-
-
-def central_parts(presentation: Presentation) -> tuple:
-    """The integer part n of each relator's lift (I, n) through the
-    presentation's matrix images, in relator order.  The Presentation
-    constructor has already checked that every relator evaluates to I."""
-    if presentation.images is None:
-        raise ValueError("lifting relators needs a presentation with matrix images")
-    return tuple(lift_word(r, presentation.images).n for r in presentation.relators)
-
-
-@lru_cache(maxsize=None)
-def base_relator_lifts() -> tuple:
-    """The five-generator presentation of the ambient group and the integer
-    parts of its 13 relator lifts, computed once per process."""
-    base = upsilon_presentation()
-    return base, central_parts(base)
 
 
 class DenominatorReport(NamedTuple):
@@ -135,8 +102,7 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
 
     The five-generator unipotent group (index 1, key ()) and its
     finite-index subgroups all go through coset enumeration keyed by
-    SubgroupSpec.coset_key and Reidemeister-Schreier rows, whose z entries
-    are the central parts of the ambient relators they trace.  The full
+    SubgroupSpec.coset_key and Reidemeister-Schreier rows.  The full
     level-sqrt(-3) group is the direct product of the unipotent group with
     its order-3 scalar center, and a central scalar factor does not change
     which weights admit multiplier systems, so that case reuses the
@@ -154,11 +120,10 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
         return weight_denominator_of(SubgroupSpec(()))._replace(
             group=spec.name(), index_in_upsilon=None, notes=(note,)
         )
-    base, base_central = base_relator_lifts()
     expected = spec.index_in_upsilon()
     try:
         rows, generator_count, graph = reidemeister_schreier(
-            base, spec.coset_key, spec.membership, max_index=expected
+            upsilon_presentation(), spec.coset_key, spec.membership, max_index=expected
         )
     except (IndexOverflowError, OracleInconsistencyError) as exc:
         raise type(exc)("%s: %s" % (spec.name(), exc)) from exc
@@ -167,11 +132,6 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "%s: coset enumeration found index %d, expected %d"
             % (spec.name(), graph.index, expected)
         )
-    # row k * index + v is base relator k traced from coset v
-    for k, n in enumerate(base_central):
-        if n:
-            for row in rows[k * graph.index : (k + 1) * graph.index]:
-                row[generator_count] = -n
     return weight_denominator(
         rows, generator_count + 1, group=spec.name(), index_in_upsilon=graph.index
     )

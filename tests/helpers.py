@@ -10,7 +10,6 @@ from math import ceil, floor, gcd
 from su21.cocycle import X_of
 from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import (
-    EMPTY_WORD,
     IndexOverflowError,
     OracleInconsistencyError,
     Presentation,
@@ -28,7 +27,6 @@ from su21.matgroup import (
     generators_upsilon,
 )
 from su21.value import Value
-from su21.weightdenom import central_parts
 from su21.zlinalg import IntegerMatrix, hermite_normal_form, last_coordinate_order_of_hnf
 
 GENERATORS = generators_upsilon()
@@ -368,21 +366,16 @@ def trace_words(ambient, graph):
 # exponent sums followed by -n for the relator's lift (I, n).
 
 
-def relation_matrix(presentation, central=None):
+def relation_matrix(presentation):
     """The s x (r+1) abelianized relation matrix of the centrally extended
     group: one row per relator, columns = generator exponent sums plus the
-    z-coefficient -n, where (I, n) is the relator's lift.  central gives
-    those n in relator order; without it they are lifted through the
-    presentation's images."""
-    if central is None:
-        central = central_parts(presentation)
-    elif len(central) != len(presentation.relators):
-        raise ValueError("need exactly one central part per relator")
+    z-coefficient -n, where (I, n) is the relator's lift, read from the
+    presentation's central parts."""
     r = presentation.generator_count
     return IntegerMatrix(
         (
             exponent_sums(relator, r) + [-n]
-            for relator, n in zip(presentation.relators, central)
+            for relator, n in zip(presentation.relators, presentation.central)
         ),
         r + 1,
     )
@@ -400,28 +393,23 @@ def sparse_rows(rows):
 # existing representative with the membership predicate (O(index^2) calls),
 # labels each edge with its subgroup element r * x * r'^-1, takes the
 # distinct non-identity labels as generators and returns them as the
-# presentation's images, so the Presentation constructor re-verifies every
-# traced relator and the relation matrix lifts each one through sigma.  It
-# shares no code with the keyed engine or with its telescoped lifts.
+# presentation's images, so the Presentation constructor lifts every traced
+# relator through sigma, which checks it and gives the relation matrix its
+# z column.  It shares no code with the keyed engine or with its telescoped
+# lifts.
 
 
 def predicate_scan_presentation(ambient, membership, max_index=512):
     """(subgroup presentation, index) by predicate-only coset identification."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    abstract = ambient.images is None
-    if abstract:
-        images = [Word([(i, 1)]) for i in range(ambient.generator_count)]
-        identity = EMPTY_WORD
-    else:
-        images = list(ambient.images)
-        identity = IDENTITY
-    if not membership(identity):
+    images = ambient.images
+    if not membership(IDENTITY):
         raise OracleInconsistencyError("the identity fails the membership predicate")
     inverse_images = [im.inverse() for im in images]
 
-    vertices = [identity]
-    vertex_inverses = [identity]
+    vertices = [IDENTITY]
+    vertex_inverses = [IDENTITY]
     edges = {}
     queue = deque([0])
     while queue:
@@ -451,14 +439,14 @@ def predicate_scan_presentation(ambient, membership, max_index=512):
                     vertices.append(m)
                     vertex_inverses.append(m.inverse())
                     queue.append(len(vertices) - 1)
-                    edges[(vi, (gi, sign))] = (len(vertices) - 1, identity)
+                    edges[(vi, (gi, sign))] = (len(vertices) - 1, IDENTITY)
 
     symbol_of = {}
     generator_images = []
     for vi in range(len(vertices)):
         for gi in range(ambient.generator_count):
             _, h = edges[(vi, (gi, 1))]
-            if h != identity and h not in symbol_of:
+            if h != IDENTITY and h not in symbol_of:
                 symbol_of[h] = len(generator_images)
                 generator_images.append(h)
 
@@ -469,7 +457,7 @@ def predicate_scan_presentation(ambient, membership, max_index=512):
             current = vi
             for gi, sign in rel.letters:
                 current, h = edges[(current, (gi, sign))]
-                if h == identity:
+                if h == IDENTITY:
                     continue
                 if sign == 1:
                     letters.append((symbol_of[h], 1))
@@ -484,10 +472,7 @@ def predicate_scan_presentation(ambient, membership, max_index=512):
                 relators.append(trace)
 
     names = tuple("h%d" % (k + 1) for k in range(len(generator_images)))
-    presentation = Presentation(
-        names, relators, None if abstract else generator_images
-    )
-    return presentation, len(vertices)
+    return Presentation(names, relators, generator_images), len(vertices)
 
 
 # --- float cocycle oracle ------------------------------------------------------
@@ -602,3 +587,20 @@ def float_sigma(g, h, tolerance: float = SIGMA_TOLERANCE) -> int:
         "cocycle residuals exceeded %g at all base points: %s"
         % (tolerance, ", ".join("%r -> %g" % f for f in failures))
     )
+
+
+def float_central_part(word, images):
+    """The integer part n of the word's lift (g, n) through generator
+    i -> (images[i], 0), folded with float_sigma and matrix products only:
+    a letter x adds sigma(prefix, x), and an inverse letter g^-1, whose lift
+    is (g^-1, -sigma(g, g^-1)), adds -sigma(g, g^-1) + sigma(prefix, g^-1)."""
+    prefix, n = IDENTITY, 0
+    for i, s in word.letters:
+        factor = images[i]
+        if s == -1:
+            inverse = factor.inverse()
+            n -= float_sigma(factor, inverse)
+            factor = inverse
+        n += float_sigma(prefix, factor)
+        prefix = prefix * factor
+    return n

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from su21.cocycle import X_of, sigma
 from su21.eisenstein import EisensteinInt
-from su21.fpgroup import evaluate_word, upsilon_presentation
+from su21.fpgroup import evaluate_word, lift_word, upsilon_presentation
 from su21.gendecomp import _descend_step, decompose, first_column_height
 from su21.matgroup import (
     IDENTITY,
@@ -22,11 +22,7 @@ from su21.matgroup import (
     make_n,
     make_n_transpose,
 )
-from su21.weightdenom import (
-    lift_word,
-    survey_index3,
-    weight_denominator_of,
-)
+from su21.weightdenom import survey_index3, weight_denominator_of
 from su21.zlinalg import IntegerMatrix, hermite_normal_form, smith_normal_form
 from helpers import (
     BASE_POINT,

@@ -12,12 +12,15 @@ from su21.fpgroup import (
     reidemeister_schreier,
     upsilon_presentation,
 )
+from su21.eisenstein import SQRT_MINUS3
 from su21.matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
 from helpers import (
     GENERATORS,
     cyclic_shift,
     exponent_sums,
+    float_central_part,
     predicate_scan_presentation,
+    relation_matrix,
     schreier_edges,
     sparse_rows,
     trace_words,
@@ -110,9 +113,11 @@ def test_evaluate_word():
     w = Word.from_string("n1 n3^-1", ("n1", "n2", "n3", "n4", "n5"))
     assert evaluate_word(w, GENERATORS) == n1 * n3.inverse()
     assert evaluate_word(EMPTY_WORD, GENERATORS) == IDENTITY
-    # abstract evaluation: words as images
+    # abstract evaluation: words as images, from the free group's identity
     imgs = [Word([(i, 1)]) for i in range(5)]
-    assert evaluate_word(w, imgs) == w
+    assert evaluate_word(w, imgs, EMPTY_WORD) == w
+    with pytest.raises(TypeError):  # the default identity is the matrix I
+        evaluate_word(w, imgs)
 
 
 def test_presentation_verifies_relators():
@@ -121,6 +126,7 @@ def test_presentation_verifies_relators():
         ("n1", "n3"), (Word([(0, 1), (1, 1), (0, -1), (1, -1)]),), (n1, n3)
     )
     assert good.relators[0] != EMPTY_WORD
+    assert good.central == (0,)
     with pytest.raises(ValueError):
         # n1 and n4 do not commute
         Presentation(
@@ -132,11 +138,13 @@ def test_presentation_verifies_relators():
 
 def test_presentation_validation():
     with pytest.raises(ValueError):
-        Presentation(("a", "a"), ())
+        Presentation(("a", "a"), (), (IDENTITY, IDENTITY))
     with pytest.raises(ValueError):
-        Presentation(("a",), (Word([(1, 1)]),))
+        Presentation(("a",), (Word([(1, 1)]),), (IDENTITY,))
     with pytest.raises(ValueError):
         Presentation(("a", "b"), (), (IDENTITY,))
+    with pytest.raises(TypeError):  # a presentation has matrix images
+        Presentation(("a",), ())
 
 
 def test_upsilon_presentation_structure():
@@ -151,6 +159,16 @@ def test_upsilon_presentation_structure():
     assert sorted(len(r) for r in p.relators) == sorted(
         (4, 4, 4, 6, 7, 9, 10, 10, 11, 11, 12, 12, 16)
     )
+    assert upsilon_presentation() is p  # built once per process
+
+
+def test_upsilon_central_parts_match_float_sigma_fold():
+    """Only relator 4, (n3 n5)^3, lifts to a nonzero central element; the
+    float cocycle folded along each relator, which shares no code with the
+    exact sigma or the cover multiplication, gives the same parts."""
+    p = upsilon_presentation()
+    assert p.central == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert p.central == tuple(float_central_part(r, p.images) for r in p.relators)
 
 
 def test_upsilon_relators_fix_generator_images():
@@ -164,22 +182,35 @@ def test_upsilon_relators_fix_generator_images():
     assert g * g * g == IDENTITY
 
 
-def exponent_sum_key(generator, modulus, generator_count=2):
-    """Coset key and membership of the kernel of w -> (exponent sum of one
+# n1 = n(1, 1) and n2 = n(zeta, 1) add in the top middle entry: a product
+# of them has sqrt(-3) * (a + b*zeta) there, where a and b are the exponent
+# sums of n1 and n2.  Any subgroup of Z^2 then gives a coset key on the free
+# group on those two images, which has no relators.
+N1, N2 = GENERATORS[0], GENERATORS[1]
+
+
+def translation(g):
+    """(a, b) with g[0][1] = sqrt(-3) * (a + b*zeta)."""
+    q = g[0][1].div_exact(SQRT_MINUS3)
+    return q.a, q.b
+
+
+def exponent_sum_key(generator, modulus):
+    """Coset key and membership of the kernel of g -> (exponent sum of one
     generator) mod modulus."""
 
-    def key(w):
-        return exponent_sums(w, generator_count)[generator] % modulus
+    def key(g):
+        return translation(g)[generator] % modulus
 
-    return key, lambda w: key(w) == 0
+    return key, lambda g: key(g) == 0
 
 
-def parity_key(w):
-    return sum(exponent_sums(w, 2)) % 2
+def parity_key(g):
+    return sum(translation(g)) % 2
 
 
 def test_reidemeister_schreier_free_group_index3():
-    free = Presentation(("a", "b"), ())
+    free = Presentation(("a", "b"), (), (N1, N2))
     rows, generator_count, graph = reidemeister_schreier(
         free, *exponent_sum_key(0, 3), max_index=16
     )
@@ -189,9 +220,9 @@ def test_reidemeister_schreier_free_group_index3():
 
 
 def test_reidemeister_schreier_free_group_index2():
-    free = Presentation(("a", "b"), ())
+    free = Presentation(("a", "b"), (), (N1, N2))
     rows, generator_count, graph = reidemeister_schreier(
-        free, parity_key, lambda w: parity_key(w) == 0, max_index=16
+        free, parity_key, lambda g: parity_key(g) == 0, max_index=16
     )
     assert graph.index == 2
     assert generator_count == 3
@@ -199,14 +230,28 @@ def test_reidemeister_schreier_free_group_index2():
 
 
 def test_reidemeister_schreier_cyclic_quotient():
-    # Z = <a | > ; subgroup 4Z has index 4 and is generated by a^4
-    free = Presentation(("a",), ())
+    # Z = <a | > with a -> n1; subgroup 4Z has index 4 and is generated by a^4
+    free = Presentation(("a",), (), (N1,))
     rows, generator_count, graph = reidemeister_schreier(
-        free, *exponent_sum_key(0, 4, generator_count=1), max_index=8
+        free, *exponent_sum_key(0, 4), max_index=8
     )
     assert graph.index == 4
     assert generator_count == 1
     assert len(rows) == 0
+
+
+@pytest.mark.parametrize("name", ["upsilon", "index3:1,0,0,0", "gamma3"])
+def test_reidemeister_schreier_nielsen_schreier_count(name):
+    """The Schreier generators generate the preimage of H in the free group
+    on n1..n5, which has rank index * (5 - 1) + 1 (Nielsen-Schreier)."""
+    spec = SubgroupSpec.parse(name)
+    index = spec.index_in_upsilon()
+    rows, generator_count, graph = reidemeister_schreier(
+        upsilon_presentation(), spec.coset_key, spec.membership, max_index=index
+    )
+    assert graph.index == index
+    assert generator_count == index * (5 - 1) + 1
+    assert len(rows) == 13 * index
 
 
 def test_reidemeister_schreier_with_matrix_images():
@@ -242,9 +287,9 @@ def test_reidemeister_schreier_with_matrix_images():
 
 def test_relation_rows_are_trace_exponent_sums():
     """The rows Reidemeister-Schreier traces straight from the coset graph
-    are the exponent sums of the trace words, for upsilon (index 1, whose
-    rows are the 13 relators' exponent sums), the 40 index-3 groups and
-    gamma3."""
+    are the exponent sums of the trace words, with the traced relator's
+    central part in the z column, for upsilon (index 1, whose rows are the
+    rows of its relation matrix), the 40 index-3 groups and gamma3."""
     p = upsilon_presentation()
     specs = [SubgroupSpec.parse("upsilon"), SubgroupSpec.parse("gamma3")]
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
@@ -254,54 +299,65 @@ def test_relation_rows_are_trace_exponent_sums():
         )
         assert graph.index == spec.index_in_upsilon()
         assert generator_count == len(schreier_edges(graph))
+        # the trace of relator k from any coset takes relator k's -n in z
         traces = trace_words(p, graph)
-        assert rows == sparse_rows(exponent_sums(t, generator_count) for t in traces)
+        assert rows == sparse_rows(
+            exponent_sums(t, generator_count) + [-p.central[k // graph.index]]
+            for k, t in enumerate(traces)
+        )
         if spec.rows == ():
-            assert rows == sparse_rows(exponent_sums(r, 5) for r in p.relators)
+            assert rows == sparse_rows(relation_matrix(p).entries)
 
 
 def test_reidemeister_schreier_index_overflow():
-    free = Presentation(("a", "b"), ())
+    # the gamma3 key separates 81 cosets, so enumeration stops at the fourth
+    gamma3 = SubgroupSpec.parse("gamma3")
     with pytest.raises(IndexOverflowError):
-        reidemeister_schreier(free, *exponent_sum_key(0, 7), max_index=3)
+        reidemeister_schreier(
+            upsilon_presentation(), gamma3.coset_key, gamma3.membership, max_index=3
+        )
     with pytest.raises(ValueError):
-        reidemeister_schreier(free, *exponent_sum_key(0, 7), max_index=0)
+        reidemeister_schreier(
+            upsilon_presentation(), gamma3.coset_key, gamma3.membership, max_index=0
+        )
 
 
-def clamped_key(w):
-    # not constant on the cosets of any subgroup: a^2 and a^3 share a key
-    return min(max(exponent_sums(w, 1)[0], 0), 2)
+def clamped_key(g):
+    # not constant on the cosets of any subgroup: n1^2 and n1^3 share a key
+    return min(max(translation(g)[0], 0), 2)
+
+
+INDEX3_A = SubgroupSpec.parse("index3:1,0,0,0")
+INDEX3_B = SubgroupSpec.parse("index3:0,1,0,0")
 
 
 @pytest.mark.parametrize(
     "key, membership",
     [
-        # the index-3 key with the index-2 predicate
-        (lambda w: exponent_sums(w, 1)[0] % 3, lambda w: exponent_sums(w, 1)[0] % 2 == 0),
+        # the key of one index-3 group with the membership of another
+        (lambda g: INDEX3_A.coset_key(g), lambda g: INDEX3_B.membership(g)),
         # a key whose inverse edges do not reverse its positive edges
-        (clamped_key, lambda w: exponent_sums(w, 1)[0] == 0),
+        (clamped_key, lambda g: translation(g)[0] == 0),
     ],
 )
 def test_reidemeister_schreier_key_disagreeing_with_membership(key, membership):
-    free = Presentation(("a",), (Word([(0, 1)] * 6),))
     with pytest.raises(OracleInconsistencyError):
-        reidemeister_schreier(free, key, membership, max_index=16)
+        reidemeister_schreier(upsilon_presentation(), key, membership, max_index=16)
 
 
 def test_reidemeister_schreier_identity_not_member():
     # predicate-scan oracle: the identity must pass the predicate
-    free = Presentation(("a",), ())
     with pytest.raises(OracleInconsistencyError):
-        predicate_scan_presentation(free, lambda w: False, max_index=4)
+        predicate_scan_presentation(upsilon_presentation(), lambda g: False, max_index=4)
 
 
 def test_reidemeister_schreier_inconsistent_predicate():
-    # exponent sum in {0, 1} mod 3 is not closed under multiplication, so
-    # the oracle's coset identification must detect a double match
-    free = Presentation(("a", "b"), ())
-    with pytest.raises(OracleInconsistencyError):
+    # exponent sum of n1 in {0, 1} mod 3 is not closed under multiplication,
+    # so the oracle's coset identification must detect a double match
+    free = Presentation(("a", "b"), (), (N1, N2))
+    with pytest.raises(OracleInconsistencyError, match="cosets at once"):
         predicate_scan_presentation(
-            free, lambda w: exponent_sums(w, 2)[0] % 3 in (0, 1), max_index=16
+            free, lambda g: translation(g)[0] % 3 in (0, 1), max_index=16
         )
 
 

@@ -13,6 +13,7 @@ from su21.fpgroup import (
     OracleInconsistencyError,
     Presentation,
     Word,
+    lift_word,
     reidemeister_schreier,
     upsilon_presentation,
 )
@@ -27,9 +28,6 @@ from su21.matgroup import (
 from su21.weightdenom import (
     DenominatorReport,
     InfiniteOrderError,
-    base_relator_lifts,
-    central_parts,
-    lift_word,
     multiplier_system_exists,
     weight_denominator,
     weight_denominator_of,
@@ -40,6 +38,7 @@ from helpers import (
     central_commutator_witness,
     cyclic_shift,
     exponent_sums,
+    float_central_part,
     founding_edges,
     in_row_kernel,
     lattice_specs,
@@ -100,12 +99,18 @@ def test_relation_matrix_shape_and_rows():
 
 
 def test_relation_matrix_needs_images():
-    abstract = Presentation(("a",), (Word(((0, 1), (0, 1), (0, 1))),))
-    with pytest.raises(ValueError):
-        relation_matrix(abstract)
-    assert relation_matrix(abstract, [2]).entries == ((3, -2),)
-    with pytest.raises(ValueError):
-        relation_matrix(abstract, [2, 0])
+    # a presentation has images, and its relation matrix reads the z column
+    # off the relators' lifts: (n3 n5)^3 = I lifts to (I, 1) through the
+    # single image n3 n5, by the exact and the float sigma alike
+    cube = Word(((0, 1), (0, 1), (0, 1)))
+    with pytest.raises(TypeError):
+        Presentation(("a",), (cube,))
+    image = GENERATORS[2] * GENERATORS[4]
+    p = Presentation(("a",), (cube,), (image,))
+    assert p.central == (float_central_part(cube, (image,)),) == (1,)
+    assert relation_matrix(p).entries == ((3, -1),)
+    inverse = Presentation(("a",), (cube.inverse(),), (image,))
+    assert relation_matrix(inverse).entries == ((-3, 1),)
 
 
 def test_relator_traces_telescope_to_base_lifts():
@@ -113,12 +118,12 @@ def test_relator_traces_telescope_to_base_lifts():
     Schreier generator as lift(r) * lift(x) * lift(r')^-1: then the trace
     of ambient relator k from any coset multiplies out to (I, n_k), the
     central part the relation matrix puts in its row."""
-    base, base_central = base_relator_lifts()
+    base = upsilon_presentation()
     steps = [CoverElement(g, 0) for g in base.images]
     for name in ("index3:1,0,0,0", "index3:0,1,1,2"):
         spec = SubgroupSpec.parse(name)
         _, generator_count, graph = reidemeister_schreier(
-            base, spec.coset_key, spec.membership
+            base, spec.coset_key, spec.membership, max_index=3
         )
         lifts = [COVER_IDENTITY] * graph.index
         for wj, (vi, (gi, sign)) in sorted(founding_edges(graph).items()):
@@ -134,7 +139,7 @@ def test_relator_traces_telescope_to_base_lifts():
             product = COVER_IDENTITY
             for i, s in trace.letters:
                 product = product * (generators[i] if s == 1 else generators[i].inverse())
-            assert product == CoverElement(IDENTITY, base_central[k // graph.index])
+            assert product == CoverElement(IDENTITY, base.central[k // graph.index])
 
 
 def upsilon_rows():
@@ -344,7 +349,7 @@ def oracle_answer(spec):
         presentation, index = UPSILON, 1
     else:
         presentation, index = predicate_scan_presentation(UPSILON, oracle_membership(spec))
-    matrix = relation_matrix(presentation, central_parts(presentation))
+    matrix = relation_matrix(presentation)
     oracle = report_answer(weight_denominator(sparse_rows(matrix.entries), matrix.cols))
     assert oracle == full_matrix_answer(matrix)
     return oracle, index
@@ -420,7 +425,7 @@ def test_gamma3_counters(monkeypatch):
     """Deterministic work of a cold gamma3 computation: sigma lifts only
     the 13 ambient relators, membership checks each Schreier generator
     once, the relations have one row per relator trace, matrix products
-    number 1,848 (inverse() makes none, is_unitary() one, and each Schreier
+    number 1,732 (inverse() makes none, is_unitary() one, and each Schreier
     generator reuses the product r * x of its enumeration step), and the relator
     traces go straight into sparse rows: no subgroup Presentation, no
     trace Word and no dense relation matrix is built."""
@@ -450,7 +455,7 @@ def test_gamma3_counters(monkeypatch):
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     for cls in (Word, Presentation, IntegerMatrix):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-    base_relator_lifts.cache_clear()
+    upsilon_presentation.cache_clear()
     report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
     assert report_answer(report) == (3, (3,) * 7, 10)
     # one sigma per letter of the 13 relators (116) and one per inverse
@@ -465,7 +470,10 @@ def test_gamma3_counters(monkeypatch):
     assert report.generator_count == 325
     assert report.relator_count == 13 * 81
     assert shapes == [((1053, 326), (484, 17))]
-    assert counts["mul"] == 2173 - 325 == 1848
+    # the relators are evaluated once, in the cover: their 116 letters cost
+    # two products each (one in cover_mul, one in sigma), and the matrix-only
+    # check that took 116 more before the lift is gone
+    assert counts["mul"] == 2173 - 325 - letters == 1732
     # the ambient presentation is the only Presentation; the relation
     # matrix is born reduced, then comes the HNF and its nonzero rows
     assert counts["Presentation"] == 1
@@ -544,7 +552,7 @@ def test_pickles_that_call_the_constructors_still_load():
     g = GENERATORS[0]
     for value, reduced in [
         (IntegerMatrix([[1, -2], [0, 3]]), (IntegerMatrix, (((1, -2), (0, 3)), 2))),
-        (Word([(0, 1), (2, -1)]), (Word, (((0, 1), (2, -1)), False))),
+        (Word([(0, 1), (2, -1)]), (Word, (((0, 1), (2, -1)),))),
         (UPSILON, (Presentation, (UPSILON.generator_names, UPSILON.relators, UPSILON.images))),
         (SubgroupSpec.parse("index3:2,0,1,0"), (SubgroupSpec, (((1, 0, 2, 0),),))),
         (g, (GroupMatrix, (g.entries,))),
@@ -571,8 +579,30 @@ def test_repr_evaluates_back(value):
 
 
 def test_presentation_compares_by_value():
-    again = upsilon_presentation()
+    again = Presentation(UPSILON.generator_names, UPSILON.relators, UPSILON.images)
     assert again is not UPSILON
     assert again == UPSILON
     assert hash(again) == hash(UPSILON)
-    assert Presentation(UPSILON.generator_names, UPSILON.relators) != UPSILON
+    fewer = Presentation(UPSILON.generator_names, UPSILON.relators[:12], UPSILON.images)
+    assert fewer != UPSILON
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        IntegerMatrix([[1, -2], [0, 3]]),
+        Word([(0, 1), (2, -1)]),
+        UPSILON,
+        SubgroupSpec.parse("index3:2,0,1,0"),
+        GENERATORS[1],
+        EisensteinInt(1, 2),
+        CoverElement(GENERATORS[0], 5),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_value_fields_cannot_be_deleted(value):
+    before = repr(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match="%s is immutable" % type(value).__name__):
+            delattr(value, name)
+    assert repr(value) == before
