@@ -100,7 +100,7 @@ def _cmd_survey(args) -> int:
     groups = [
         {
             "vector": list(vector),
-            "canonical": "index3:%s" % ",".join(str(v) for v in vector),
+            "canonical": report.group,
             "weight_denominator": report.weight_denominator,
         }
         for vector, report in results

@@ -88,13 +88,6 @@ class EisensteinInt(Value):
         """z * conj(z) = a^2 - a*b + b^2, a nonnegative rational integer."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def is_divisible_by(self, w: "EisensteinInt") -> bool:
-        if w.is_zero():
-            return self.is_zero()
-        n = w.norm()
-        zc = self * w.conj()
-        return zc.a % n == 0 and zc.b % n == 0
-
     def div_exact(self, w: "EisensteinInt") -> "EisensteinInt":
         """Exact quotient self / w; raises NotDivisibleError if w does not divide."""
         w = _coerce(w)
@@ -107,10 +100,6 @@ class EisensteinInt(Value):
         if ra or rb:
             raise NotDivisibleError("%s is not divisible by %s" % (self, w))
         return EisensteinInt(qa, qb)
-
-    def residue_mod_3(self) -> tuple:
-        """Componentwise image in F_3 x F_3 under reduction mod 3."""
-        return (self.a % 3, self.b % 3)
 
     def to_pair(self) -> list:
         """JSON encoding: the two-element integer array [a, b]."""

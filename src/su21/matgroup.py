@@ -168,8 +168,6 @@ def n_corner(z: EisensteinInt, x: int) -> EisensteinInt:
 
 def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
     """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2."""
-    if not isinstance(z, EisensteinInt):
-        z = EisensteinInt(z, 0)
     return _group_matrix(
         (
             (ONE, SQRT_MINUS3 * z, n_corner(z, x)),
@@ -198,16 +196,13 @@ def generators_upsilon() -> tuple:
     return (n1, n2, n3, n1.transpose(), n3.transpose())
 
 
-def in_gamma_beta(g: GroupMatrix, beta) -> bool:
-    """Membership in the principal congruence subgroup: g = I mod beta, unitary, det 1."""
-    if isinstance(beta, int) and not isinstance(beta, bool):
-        beta = EisensteinInt(beta, 0)
-    for i in range(3):
-        for j in range(3):
-            entry = g[i][j]
-            if i == j:
-                entry = entry - ONE
-            if not entry.is_divisible_by(beta):
+def in_gamma_sqrt3(g: GroupMatrix) -> bool:
+    """Membership in the principal congruence subgroup of level sqrt(-3):
+    g = I mod sqrt(-3), unitary, det 1.  As zeta = 1 mod sqrt(-3), an entry
+    a + b*zeta is divisible by sqrt(-3) exactly when 3 divides a + b."""
+    for i, row in enumerate(g.entries):
+        for j, e in enumerate(row):
+            if (e.a + e.b - (i == j)) % 3:
                 return False
     return g.det() == ONE and g.is_unitary()
 
@@ -215,9 +210,8 @@ def in_gamma_beta(g: GroupMatrix, beta) -> bool:
 def in_upsilon(g: GroupMatrix) -> bool:
     """Membership in the index-3 complement of the centre inside level sqrt(-3):
     unitary, det 1, g = I mod sqrt(-3), and top-left entry = 1 mod 3."""
-    if (g[0][0] - ONE).residue_mod_3() != (0, 0):
-        return False
-    return in_gamma_beta(g, SQRT_MINUS3)
+    a = g[0][0]
+    return (a.a - 1) % 3 == 0 and a.b % 3 == 0 and in_gamma_sqrt3(g)
 
 
 def F_map(g: GroupMatrix) -> tuple:
@@ -325,7 +319,7 @@ class SubgroupSpec(Value):
 
     def membership(self, g: GroupMatrix) -> bool:
         if self.rows is None:
-            return in_gamma_beta(g, SQRT_MINUS3)
+            return in_gamma_sqrt3(g)
         return in_upsilon(g) and not any(self.coset_key(g))
 
     def coset_key(self, g: GroupMatrix) -> tuple:

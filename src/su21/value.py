@@ -35,6 +35,11 @@ class Value:
         return __newobj__, (type(self),), self._values()
 
     def __setstate__(self, values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                "%s takes %d field values, got %d"
+                % (type(self).__name__, len(self.__slots__), len(values))
+            )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

@@ -12,7 +12,7 @@ dense IntegerMatrix.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .value import Value
 
@@ -222,8 +222,11 @@ def _snf_diagonal(mat, m, n):
     nonzero, so its pivot is positive.  For p > 0 the next pass's first
     pivot is the gcd of the first row, which divides p.  So either p
     strictly decreases, or the first row and column are cleared and stay
-    cleared, and the argument repeats on the rest.  The diagonal is then
-    sorted and brought into divisibility order."""
+    cleared, and the argument repeats on the rest.  One pass then replaces
+    each pair d_i, d_j (i < j) of the diagonal by their gcd and lcm, which
+    keeps the cokernel: once its pairs are done, d_i is the gcd of the
+    entries from i on, so it divides every later one and is 0 only when
+    they all are."""
     a = mat
     while True:
         a = _hnf_rows(a, m, n)
@@ -231,23 +234,8 @@ def _snf_diagonal(mat, m, n):
             break
         a = list(zip(*a))
         m, n = n, m
-    diagonal = sorted((a[t][t] for t in range(min(m, n))), key=lambda d: (d == 0, d))
-    return _divisibility_fixup(diagonal)
-
-
-def _divisibility_fixup(diagonal):
-    # Adjacent gcd/lcm sweeps; after at most len(diagonal) sweeps the chain
-    # d_1 | d_2 | ... holds (each sweep freezes the final lcm in place).
-    d = list(diagonal)
-    for _ in range(len(d) + 1):
-        changed = False
-        for i in range(len(d) - 1):
-            x, y = d[i], d[i + 1]
-            g = gcd(x, y)
-            l = (x * y) // g if g else 0
-            if (g, l) != (x, y):
-                d[i], d[i + 1] = g, l
-                changed = True
-        if not changed:
-            return d
-    raise AssertionError("divisibility fixup failed to stabilize")
+    d = [a[t][t] for t in range(min(m, n))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d

@@ -101,6 +101,31 @@ def order_of_last_coordinate(matrix):
     return last_coordinate_order_of_hnf(hermite_normal_form(matrix))
 
 
+def divides(w, z):
+    """Whether the Eisenstein integer w divides z: z * conj(w) reduced mod
+    N(w), which is zero exactly when z / w = z * conj(w) / N(w) is integral."""
+    n = w.norm()
+    if n == 0:
+        return z.is_zero()
+    zc = z * w.conj()
+    return zc.a % n == 0 and zc.b % n == 0
+
+
+def in_gamma_beta(g, beta):
+    """Membership in the principal congruence subgroup of level beta, an
+    Eisenstein integer or int: g = I mod beta, unitary, det 1.  Each entry
+    is tested by divides, so it shares no code with the residue rule of
+    in_gamma_sqrt3 or with the coset key."""
+    if isinstance(beta, int):
+        beta = EisensteinInt(beta, 0)
+    for i in range(3):
+        for j in range(3):
+            entry = g[i][j] - (1 if i == j else 0)
+            if not divides(beta, entry):
+                return False
+    return g.det() == 1 and reference_is_unitary(g)
+
+
 def in_index3(g, v):
     """Whether v . F_map(g) = 0 in F_3."""
     return in_row_kernel(g, (v,))

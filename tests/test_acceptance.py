@@ -18,7 +18,6 @@ from su21.matgroup import (
     F_map,
     SubgroupSpec,
     generators_upsilon,
-    in_gamma_beta,
     make_n,
     make_n_transpose,
 )
@@ -32,6 +31,7 @@ from helpers import (
     central_commutator_witness,
     embed,
     exponent_sums,
+    in_gamma_beta,
     j_factor,
     lattices_equal,
     random_matrix_rows,

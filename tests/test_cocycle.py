@@ -12,7 +12,7 @@ from su21.cocycle import (
     sigma,
     X_of,
 )
-from su21.eisenstein import ONE, ZETA
+from su21.eisenstein import ONE, ZERO, ZETA
 from su21.matgroup import IDENTITY, ZETA_IDENTITY, generators_upsilon, make_n
 from helpers import (
     BASE_POINT,
@@ -84,7 +84,7 @@ def test_j_factor_cocycle_rule():
 
 
 def test_x_of_branches():
-    n3 = make_n(0, 2)
+    n3 = make_n(ZERO, 2)
     assert X_of(n3) == ONE  # zero lower-left entry: the corner is used
     n5 = n3.transpose()
     assert X_of(n5) == -n5[2][0]

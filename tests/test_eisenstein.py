@@ -12,7 +12,7 @@ from su21.eisenstein import (
     EisensteinInt,
     NotDivisibleError,
 )
-from helpers import embed
+from helpers import divides, embed
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 eis = st.builds(EisensteinInt, coords, coords)
@@ -92,12 +92,12 @@ def test_div_exact_multiplies_back(w, q):
     if w.is_zero():
         return
     z = w * q
-    assert z.is_divisible_by(w)
+    assert divides(w, z)
     assert z.div_exact(w) == q
 
 
 def test_div_exact_rejects_nondivisible():
-    assert not ONE.is_divisible_by(SQRT_MINUS3)
+    assert not divides(SQRT_MINUS3, ONE)
     with pytest.raises(NotDivisibleError):
         ONE.div_exact(SQRT_MINUS3)
     with pytest.raises(NotDivisibleError):
@@ -107,19 +107,13 @@ def test_div_exact_rejects_nondivisible():
 def test_division_by_zero():
     with pytest.raises(NotDivisibleError):
         ONE.div_exact(ZERO)
-    assert not ONE.is_divisible_by(ZERO)
-    assert ZERO.is_divisible_by(ZERO)
+    assert not divides(ZERO, ONE)
+    assert divides(ZERO, ZERO)
 
 
 def test_zeta_congruent_one_mod_sqrt_minus3():
-    assert (ZETA - 1).is_divisible_by(SQRT_MINUS3)
-
-
-@given(eis)
-def test_residue_mod_3(z):
-    ra, rb = z.residue_mod_3()
-    assert 0 <= ra < 3 and 0 <= rb < 3
-    assert (z - EisensteinInt(ra, rb)).is_divisible_by(EisensteinInt(3, 0))
+    assert divides(SQRT_MINUS3, ZETA - 1)
+    assert (ZETA - 1).div_exact(SQRT_MINUS3) * SQRT_MINUS3 == ZETA - 1
 
 
 def test_pair_round_trip():

@@ -14,7 +14,7 @@ from su21.matgroup import (
     SubgroupSpec,
     all_index3_vectors,
     generators_upsilon,
-    in_gamma_beta,
+    in_gamma_sqrt3,
     in_upsilon,
     make_n,
     make_n_transpose,
@@ -24,7 +24,9 @@ from helpers import (
     GENERATORS,
     conj_transpose,
     divided_f_coordinates,
+    divides,
     divided_n_corner,
+    in_gamma_beta,
     in_index3,
     lattice_specs,
     random_eisenstein,
@@ -81,11 +83,6 @@ def test_make_n_parity_validation():
         make_n(EisensteinInt(0, 0), 1)
 
 
-def test_make_n_accepts_plain_int():
-    assert make_n(0, 2) == make_n(ZERO, 2)
-    assert make_n(1, 1) == make_n(ONE, 1)
-
-
 def test_heisenberg_multiplication_law():
     rng = random.Random(99)
     for _ in range(200):
@@ -122,6 +119,7 @@ def test_generators_membership():
         assert g.is_unitary()
         assert g.det() == ONE
         assert in_gamma_beta(g, SQRT_MINUS3)
+        assert in_gamma_sqrt3(g)
         assert in_upsilon(g)
 
 
@@ -272,7 +270,7 @@ def test_det_multiplicative():
 
 
 def test_zeta_identity_outside_upsilon():
-    assert in_gamma_beta(ZETA_IDENTITY, SQRT_MINUS3)
+    assert in_gamma_sqrt3(ZETA_IDENTITY)
     assert not in_upsilon(ZETA_IDENTITY)
     assert ZETA_IDENTITY * ZETA_IDENTITY * ZETA_IDENTITY == IDENTITY
 
@@ -281,6 +279,89 @@ def test_in_gamma_beta_rejects():
     n1 = generators_upsilon()[0]
     assert not in_gamma_beta(n1, EisensteinInt(3, 0))
     assert in_gamma_beta(IDENTITY, EisensteinInt(3, 0))
+
+
+def _oracle_in_upsilon(g):
+    return in_gamma_beta(g, SQRT_MINUS3) and divides(EisensteinInt(3, 0), g[0][0] - ONE)
+
+
+def _check_membership(g):
+    """in_gamma_sqrt3, in_upsilon and the membership of three specs agree
+    with the divisibility oracle on g; returns the two oracle answers."""
+    at_sqrt3 = in_gamma_beta(g, SQRT_MINUS3)
+    in_ambient = _oracle_in_upsilon(g)
+    assert in_gamma_sqrt3(g) == at_sqrt3
+    assert SubgroupSpec.parse("gamma_sqrt3").membership(g) == at_sqrt3
+    assert in_upsilon(g) == in_ambient
+    assert SubgroupSpec.parse("upsilon").membership(g) == in_ambient
+    at_3 = in_gamma_beta(g, EisensteinInt(3, 0))
+    assert SubgroupSpec.parse("gamma3").membership(g) == at_3
+    return at_sqrt3, in_ambient
+
+
+def test_membership_matches_the_divisibility_oracle():
+    """The residue rule (3 divides a + b - [i == j] for every entry), the
+    det check and the unitarity check, each made to decide on its own."""
+    rng = random.Random(14)
+    for g in GENERATORS:
+        assert _check_membership(g) == (True, True)
+    seen = Counter()
+    for _ in range(100):
+        g = random_upsilon_element(rng, 10)
+        assert _check_membership(g) == (True, True)
+        for x in (ZETA_IDENTITY * g, g.scalar_mul(SQRT_MINUS3)):
+            seen[_check_membership(x)] += 1
+    assert seen == {(True, False): 100, (False, False): 100}
+    diag_zeta = GroupMatrix([[ZETA, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ZETA]])
+    shear = GroupMatrix([[ONE, SQRT_MINUS3, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    # congruent to I, unitary, det zeta^2: only the det check rejects it
+    assert diag_zeta.is_unitary() and diag_zeta.det() == ZETA * ZETA
+    # congruent to I, det 1, not unitary: only the unitarity check rejects it
+    assert shear.det() == ONE and not shear.is_unitary()
+    for g, expected in [
+        (ZETA_IDENTITY, (True, False)),
+        (diag_zeta, (False, False)),
+        (shear, (False, False)),
+        (IDENTITY.scalar_mul(EisensteinInt(2, 0)), (False, False)),
+    ]:
+        assert _check_membership(g) == expected
+
+
+def test_entry_rule_matches_the_divisibility_oracle(monkeypatch):
+    """With the det and unitarity checks made to pass, in_gamma_sqrt3
+    decides by the entries alone: every a + b*zeta with |a|, |b| <= 6 in
+    each of the nine places of I; in_upsilon adds g00 = 1 mod 3."""
+    tails = Counter()
+
+    def det(self):
+        tails["det"] += 1
+        return ONE
+
+    def is_unitary(self):
+        tails["is_unitary"] += 1
+        return True
+
+    monkeypatch.setattr(GroupMatrix, "det", det)
+    monkeypatch.setattr(GroupMatrix, "is_unitary", is_unitary)
+    three = EisensteinInt(3, 0)
+    members = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            z = EisensteinInt(a, b)
+            for i in range(3):
+                for j in range(3):
+                    g = GroupMatrix(
+                        [[z if (r, c) == (i, j) else IDENTITY[r][c] for c in range(3)] for r in range(3)]
+                    )
+                    congruent = divides(SQRT_MINUS3, z - (1 if i == j else 0))
+                    assert in_gamma_sqrt3(g) == congruent
+                    expected = congruent and divides(three, g[0][0] - ONE)
+                    assert in_upsilon(g) == expected
+                    members += congruent
+    # of the 169 values, 57 have a + b = 0 mod 3 and 56 have a + b = 1; each
+    # member reaches both tail checks once per in_gamma_sqrt3 call
+    assert members == 6 * 57 + 3 * 56
+    assert tails["det"] == tails["is_unitary"] > members
 
 
 def test_scalar_matrix_not_unitary_unless_unit():

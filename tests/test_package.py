@@ -34,7 +34,7 @@ MODULE_ONLY = {
     "eisenstein": ("NotDivisibleError", "ONE", "SQRT_MINUS3", "ZERO", "ZETA"),
     "matgroup": (
         "F_map", "IDENTITY", "J", "ZETA_IDENTITY", "all_index3_vectors",
-        "in_gamma_beta", "in_upsilon", "make_n", "make_n_transpose",
+        "in_gamma_sqrt3", "in_upsilon", "make_n", "make_n_transpose",
     ),
     "cocycle": ("COVER_IDENTITY", "CoverElement", "cover_inv", "cover_mul"),
     "fpgroup": (

@@ -23,12 +23,12 @@ from su21.matgroup import (
     SubgroupSpec,
     all_index3_vectors,
     generators_upsilon,
-    in_gamma_beta,
 )
 from su21.weightdenom import (
     DenominatorReport,
     InfiniteOrderError,
     multiplier_system_exists,
+    survey_index3,
     weight_denominator,
     weight_denominator_of,
 )
@@ -40,6 +40,7 @@ from helpers import (
     exponent_sums,
     float_central_part,
     founding_edges,
+    in_gamma_beta,
     in_row_kernel,
     lattice_specs,
     predicate_scan_presentation,
@@ -482,6 +483,38 @@ def test_gamma3_counters(monkeypatch):
     assert counts["Word"] == 20
 
 
+def test_warm_survey_and_gamma3_counters(monkeypatch):
+    """Deterministic work with upsilon_presentation() already built, a
+    regression gate for the survey: the 40 index-3 groups have 3 * 5 - 2 =
+    13 Schreier generators each, and membership checks each one once;
+    gamma3 has 325.  A membership call that passes makes 32 EisensteinInt
+    values: 14 for det() and 18 for is_unitary() (9 conjugates, 9 product
+    entries); the residue rule makes none."""
+    counts = {"membership": 0, "mul": 0, "EisensteinInt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def work(run):
+        counts.update(dict.fromkeys(counts, 0))
+        run()
+        return counts["membership"], counts["mul"], counts["EisensteinInt"]
+
+    upsilon_presentation()
+    monkeypatch.setattr(
+        SubgroupSpec, "membership", counted("membership", SubgroupSpec.membership)
+    )
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
+    monkeypatch.setattr(EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__))
+    gamma3 = SubgroupSpec.parse("gamma3")
+    assert work(survey_index3) == (40 * 13, 2240, 35000)
+    assert work(lambda: weight_denominator_of(gamma3)) == (325, 1460, 21389)
+
+
 def test_index3_membership_checks_unitarity_once(monkeypatch):
     """An index-3 group has 3 * 5 - 2 = 13 Schreier generators, and
     membership tests each one for unitarity once."""
@@ -560,6 +593,18 @@ def test_pickles_that_call_the_constructors_still_load():
         (CoverElement(g, 5), (CoverElement, (g, 5))),
     ]:
         assert pickle.loads(pickle.dumps(_Reduced(reduced))) == value
+
+
+def test_pickles_with_the_wrong_number_of_fields_fail_to_load():
+    """A state that does not fill every slot, such as a Presentation pickled
+    before central existed, fails at load time, not at first use."""
+    old = (UPSILON.generator_count, UPSILON.generator_names, UPSILON.relators, UPSILON.images)
+    for reduced, message in [
+        ((object.__new__, (Presentation,), old), "Presentation takes 5 field values, got 4"),
+        ((object.__new__, (EisensteinInt,), (3,)), "EisensteinInt takes 2 field values, got 1"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            pickle.loads(pickle.dumps(_Reduced(reduced)))
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,10 @@ def test_snf_random_against_minor_gcd_oracle():
         m = IntegerMatrix(rows, cols)
         s = smith_normal_form(m)
         assert list(s) == smith_via_minor_gcds(rows, cols)
+    # a diagonal out of divisibility order, zeros first and in between
+    rows = [[d if i == j else 0 for j in range(5)] for i, d in enumerate((0, 6, 4, 0, 9))]
+    assert smith_normal_form(IntegerMatrix(rows)) == (1, 6, 36, 0, 0)
+    assert smith_via_minor_gcds(rows, 5) == [1, 6, 36, 0, 0]
 
 
 def test_snf_divisibility_chain():
