@@ -81,8 +81,6 @@ def _print_report(report) -> None:
         % (", ".join(str(d) for d in report.torsion_invariants) or "none")
     )
     print("free rank:          %d" % report.free_rank)
-    for note in report.notes:
-        print("note: %s" % note)
 
 
 def _cmd_denom(args) -> int:

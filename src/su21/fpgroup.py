@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cocycle import COVER_IDENTITY, CoverElement
-from .matgroup import GENERATOR_NAMES, IDENTITY, generators_upsilon
+from .matgroup import GENERATOR_NAMES, IDENTITY, ZETA_IDENTITY, generators_upsilon
 from .value import Value
 
 
@@ -193,6 +193,18 @@ def upsilon_presentation() -> Presentation:
         w("n4^-1 n3^-1 n5 n3 n1^-1 n4^-1 n2 n1 n3^-1 n4 n1 n5^-1 n4 n2^-1 n1^-1 n3"),
     )
     return Presentation(GENERATOR_NAMES, relators, generators_upsilon())
+
+
+@lru_cache(maxsize=None)
+def gamma_sqrt3_presentation() -> Presentation:
+    """The level-sqrt(-3) group, the unipotent group times its centre <c>
+    for c = zeta*I: upsilon_presentation() plus the generator c and the
+    relators c^3 and [c, n_i], built and lifted once per process."""
+    upsilon = upsilon_presentation()
+    names = upsilon.generator_names + ("c",)
+    w = lambda text: Word.from_string(text, names)
+    relators = (w("c^3"),) + tuple(w("c %s c^-1 %s^-1" % (n, n)) for n in GENERATOR_NAMES)
+    return Presentation(names, upsilon.relators + relators, upsilon.images + (ZETA_IDENTITY,))
 
 
 class CosetGraph(NamedTuple):

@@ -179,8 +179,7 @@ def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
 
 def make_n_transpose(z: EisensteinInt, x: int) -> GroupMatrix:
     """The transpose of make_n(z, x)."""
-    (_, b, c), (_, _, f), _ = make_n(z, x).entries
-    return _group_matrix(((ONE, ZERO, ZERO), (b, ONE, ZERO), (c, f, ONE)))
+    return make_n(z, x).transpose()
 
 
 GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
@@ -330,16 +329,16 @@ class SubgroupSpec(Value):
 
         g must lie in the ambient group, and unlike F_map this does not
         check it: coset enumeration keys only products of the ambient
-        generators, and checks every Schreier generator with membership."""
+        generators, and checks every Schreier generator with membership.
+        gamma_sqrt3 is its own ambient group, so its key is ()."""
         if self.rows is None:
-            raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
+            return ()
         f0, f1, f2, f3 = _f_coordinates(g)
         return tuple((a * f0 + b * f1 + c * f2 + d * f3) % 3 for a, b, c, d in self.rows)
 
     def index_in_upsilon(self) -> int:
-        """Index inside the ambient unipotent-generated group.  The level
-        sqrt(-3) group is not a subgroup of it (it is handled by the
-        centre-quotient reduction in the weight-denominator pipeline)."""
+        """Index inside the ambient unipotent-generated group, which does
+        not contain the level sqrt(-3) group."""
         if self.rows is None:
             raise ValueError("gamma_sqrt3 is not a subgroup of the ambient group")
         return 3 ** len(self.rows)

@@ -8,11 +8,11 @@ generator z = (I, 1).  The order d of the image of z in that finitely
 generated abelian group is the weight denominator: the weights admitting a
 multiplier system are exactly (1/d) * Z.
 
-Every subgroup of the ambient group, that group itself included (index 1),
-goes through coset enumeration and Reidemeister-Schreier, which trace the 13
-ambient relators from every coset straight into these sparse rows, taking
-each z entry from the ambient relator's lift; sigma is evaluated only to
-lift those 13 relators, once per process.
+Every named group goes through coset enumeration and Reidemeister-Schreier
+over its ambient presentation, which trace the ambient relators from every
+coset straight into these sparse rows, taking each z entry from the ambient
+relator's lift; sigma is evaluated only to lift those relators, once per
+process per ambient group.
 
 The sparse rows are shrunk by unit-pivot elimination before a single
 Hermite normal form, which gives d; its nonzero rows give the invariants.
@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .fpgroup import (
     IndexOverflowError,
     OracleInconsistencyError,
+    gamma_sqrt3_presentation,
     reidemeister_schreier,
     upsilon_presentation,
 )
@@ -58,13 +59,9 @@ class DenominatorReport(NamedTuple):
     weight_denominator: int
     torsion_invariants: tuple
     free_rank: int
-    notes: tuple = ()
 
     def to_json_dict(self) -> dict:
-        return self._asdict() | {
-            "torsion_invariants": list(self.torsion_invariants),
-            "notes": list(self.notes),
-        }
+        return self._asdict() | {"torsion_invariants": list(self.torsion_invariants)}
 
 
 def weight_denominator(
@@ -98,32 +95,22 @@ def weight_denominator(
 
 
 def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
-    """Weight denominator of a named subgroup.
-
-    The five-generator unipotent group (index 1, key ()) and its
-    finite-index subgroups all go through coset enumeration keyed by
-    SubgroupSpec.coset_key and Reidemeister-Schreier rows.  The full
-    level-sqrt(-3) group is the direct product of the unipotent group with
-    its order-3 scalar center, and a central scalar factor does not change
-    which weights admit multiplier systems, so that case reuses the
-    unipotent group's report (with a note saying so).
+    """Weight denominator of a named subgroup, from coset enumeration keyed
+    by SubgroupSpec.coset_key and Reidemeister-Schreier rows over the
+    unipotent group's presentation, or for gamma_sqrt3 over its own (index
+    1, no index_in_upsilon).
 
     Enumeration stops beyond the subgroup's known index.  Enumeration
     errors (IndexOverflowError, OracleInconsistencyError) name the group.
     """
     if spec.rows is None:
-        note = (
-            "computed from the index-3 unipotent complement: the group is "
-            "the direct product of that complement with its order-3 scalar "
-            "center, which leaves the weight denominator unchanged"
-        )
-        return weight_denominator_of(SubgroupSpec(()))._replace(
-            group=spec.name(), index_in_upsilon=None, notes=(note,)
-        )
-    expected = spec.index_in_upsilon()
+        ambient, expected, index_in_upsilon = gamma_sqrt3_presentation(), 1, None
+    else:
+        ambient, expected = upsilon_presentation(), spec.index_in_upsilon()
+        index_in_upsilon = expected
     try:
         rows, generator_count, graph = reidemeister_schreier(
-            upsilon_presentation(), spec.coset_key, spec.membership, max_index=expected
+            ambient, spec.coset_key, spec.membership, max_index=expected
         )
     except (IndexOverflowError, OracleInconsistencyError) as exc:
         raise type(exc)("%s: %s" % (spec.name(), exc)) from exc
@@ -133,7 +120,7 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             % (spec.name(), graph.index, expected)
         )
     return weight_denominator(
-        rows, generator_count + 1, group=spec.name(), index_in_upsilon=graph.index
+        rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
     )
 
 
@@ -147,7 +134,9 @@ def survey_index3() -> list:
 def multiplier_system_exists(spec: SubgroupSpec, weight: Fraction) -> bool:
     """Whether the subgroup carries a multiplier system of the given weight:
     true exactly when the weight's reduced denominator divides the group's
-    weight denominator."""
+    weight denominator.  A float weight raises TypeError."""
+    if isinstance(weight, float):
+        raise TypeError("weight must be exact (an int, Fraction or str), not %r" % weight)
     weight = Fraction(weight)
     report = weight_denominator_of(spec)
     return report.weight_denominator % weight.denominator == 0

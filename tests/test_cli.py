@@ -92,11 +92,14 @@ def test_denom_json(capsys):
     assert data["group"] == "index3:1,0,0,0"
 
 
-def test_denom_gamma_sqrt3_prints_note(capsys):
-    assert main(["denom", "gamma_sqrt3"]) == 0
-    out = capsys.readouterr().out
-    assert "weight denominator: 1" in out
-    assert "note:" in out
+def test_exists_gamma_sqrt3(capsys):
+    """Gamma(sqrt(-3)) has weight denominator 1 through its own
+    presentation: it carries no weight-1/3 multiplier system, and "no" is
+    an answer with exit code 0."""
+    assert main(["exists", "gamma_sqrt3", "1/3"]) == 0
+    assert capsys.readouterr().out == "no\n"
+    assert main(["exists", "gamma_sqrt3", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exists": True}
 
 
 def test_denom_bad_group_is_usage_error(capsys):
@@ -112,12 +115,6 @@ def test_denom_vector_canonicalization(capsys):
     assert data["group"] == "index3:1,0,0,0"
     assert data["weight_denominator"] == 3
 
-
-GAMMA_SQRT3_NOTE = (
-    "computed from the index-3 unipotent complement: the group is the "
-    "direct product of that complement with its order-3 scalar center, "
-    "which leaves the weight denominator unchanged"
-)
 
 DENOM_OUTPUT = {
     ("upsilon",): """\
@@ -135,7 +132,6 @@ free rank:          2
   "generator_count": 5,
   "group": "upsilon",
   "index_in_upsilon": 1,
-  "notes": [],
   "relator_count": 13,
   "torsion_invariants": [
     3,
@@ -147,33 +143,28 @@ free rank:          2
 """,
     ("gamma_sqrt3",): """\
 group:              gamma_sqrt3
-generators:         5
-relators:           13
+generators:         6
+relators:           19
 weight denominator: 1
-torsion invariants: 3, 3, 3
+torsion invariants: 3, 3, 3, 3
 free rank:          2
-note: %s
-"""
-    % GAMMA_SQRT3_NOTE,
+""",
     ("gamma_sqrt3", "--json"): """\
 {
   "free_rank": 2,
-  "generator_count": 5,
+  "generator_count": 6,
   "group": "gamma_sqrt3",
   "index_in_upsilon": null,
-  "notes": [
-    "%s"
-  ],
-  "relator_count": 13,
+  "relator_count": 19,
   "torsion_invariants": [
+    3,
     3,
     3,
     3
   ],
   "weight_denominator": 1
 }
-"""
-    % GAMMA_SQRT3_NOTE,
+""",
     ("gamma3",): """\
 group:              gamma3
 index:              81
@@ -189,7 +180,6 @@ free rank:          10
   "generator_count": 325,
   "group": "gamma3",
   "index_in_upsilon": 81,
-  "notes": [],
   "relator_count": 1053,
   "torsion_invariants": [
     3,
@@ -218,7 +208,6 @@ free rank:          2
   "generator_count": 13,
   "group": "index3:1,0,0,0",
   "index_in_upsilon": 3,
-  "notes": [],
   "relator_count": 39,
   "torsion_invariants": [
     3,

@@ -561,8 +561,9 @@ def test_subgroup_spec_coset_key():
                 same = spec.coset_key(g) == spec.coset_key(h)
                 assert same == spec.membership(g * h.inverse()), spec.name()
     assert SubgroupSpec.parse("gamma3").coset_key(elements[0]) == F_map(elements[0])
-    with pytest.raises(ValueError):
-        SubgroupSpec.parse("gamma_sqrt3").coset_key(IDENTITY)
+    # gamma_sqrt3 is its own ambient group: one coset, one key
+    assert SubgroupSpec.parse("gamma_sqrt3").coset_key(IDENTITY) == ()
+    assert SubgroupSpec.parse("gamma_sqrt3").coset_key(ZETA_IDENTITY) == ()
 
 
 def test_json_round_trip():

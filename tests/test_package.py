@@ -196,7 +196,6 @@ def test_value_types_subclass_value():
 UNREAD_BY_DESIGN = {
     "EMPTY_WORD": "the free group's identity, for evaluate_word over Word images",
     "J": "the Hermitian form that defines the group",
-    "ZETA_IDENTITY": "the scalar zeta * I, a test fixture of the centre",
     "F_map": "the checked homomorphism onto F_3^4, a test fixture beside coset_key",
 }
 

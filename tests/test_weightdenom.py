@@ -13,6 +13,7 @@ from su21.fpgroup import (
     OracleInconsistencyError,
     Presentation,
     Word,
+    gamma_sqrt3_presentation,
     lift_word,
     reidemeister_schreier,
     upsilon_presentation,
@@ -188,13 +189,37 @@ def test_weight_denominator_of_upsilon():
     assert report.weight_denominator == 1
 
 
-def test_weight_denominator_of_gamma_sqrt3_routes_through_complement():
+def test_weight_denominator_of_gamma_sqrt3():
+    """The level-sqrt(-3) group is upsilon times the order-3 centre <zeta*I>,
+    presented by upsilon's generators and relators, c = zeta*I, c^3 and
+    [c, n_i]; it runs the one pipeline at index 1."""
+    presentation = gamma_sqrt3_presentation()
+    assert presentation.generator_names == UPSILON.generator_names + ("c",)
+    assert presentation.relators[:13] == UPSILON.relators
+    assert presentation.central[:13] == UPSILON.central
+    # c^3 lifts to (I, -1) and each commutator to (I, 0)
+    assert presentation.central[13:] == (-1, 0, 0, 0, 0, 0)
     report = weight_denominator_of(SubgroupSpec.parse("gamma_sqrt3"))
-    assert report.weight_denominator == 1
-    assert report.index_in_upsilon is None
-    assert report.torsion_invariants == (3, 3, 3)
-    assert len(report.notes) == 1
-    assert "scalar center" in report.notes[0]
+    assert report == DenominatorReport("gamma_sqrt3", None, 6, 19, 1, (3, 3, 3, 3), 2)
+
+
+def test_gamma_sqrt3_report_extends_upsilon_report():
+    """Reports are values: gamma_sqrt3's is upsilon's with the name, the
+    index, the one extra generator and six extra relators replaced, and one
+    more factor 3 in the torsion; d and the free rank are upsilon's."""
+    upsilon = weight_denominator_of(SubgroupSpec.parse("upsilon"))
+    report = weight_denominator_of(SubgroupSpec.parse("gamma_sqrt3"))
+    extended = upsilon._replace(
+        group="gamma_sqrt3",
+        index_in_upsilon=None,
+        generator_count=upsilon.generator_count + 1,
+        relator_count=upsilon.relator_count + 6,
+        torsion_invariants=upsilon.torsion_invariants + (3,),
+    )
+    assert report == extended and hash(report) == hash(extended)
+    assert report != upsilon
+    assert report.weight_denominator == upsilon.weight_denominator
+    assert report.free_rank == upsilon.free_rank
 
 
 def test_weight_denominator_of_index3_subgroup():
@@ -246,6 +271,13 @@ def test_multiplier_system_exists():
     assert multiplier_system_exists(sub, Fraction(5))
     assert not multiplier_system_exists(sub, Fraction(1, 2))
     assert not multiplier_system_exists(sub, Fraction(1, 9))
+    assert multiplier_system_exists(sub, "1/3")
+    assert multiplier_system_exists(sub, "-2/3")
+    # the float 1/3 is 6004799503160661 / 2**54, whose denominator divides
+    # no weight denominator, so a float weight is refused
+    for weight in (1 / 3, 1.0, float("nan")):
+        with pytest.raises(TypeError, match="weight must be exact"):
+            multiplier_system_exists(SubgroupSpec.parse("gamma3"), weight)
 
 
 def test_report_immutable_pickle_json():
@@ -264,21 +296,8 @@ def test_report_immutable_pickle_json():
     assert d["index_in_upsilon"] == 1
     assert d["generator_count"] == 5
     assert d["relator_count"] == 13
-    assert d["notes"] == []
+    assert "notes" not in d
     assert "DenominatorReport" in repr(report)
-
-
-def test_gamma_sqrt3_report_is_upsilon_report_renamed():
-    """Reports are values: gamma_sqrt3's equals upsilon's with only the
-    name, the index and the notes replaced."""
-    upsilon = weight_denominator_of(SubgroupSpec.parse("upsilon"))
-    report = weight_denominator_of(SubgroupSpec.parse("gamma_sqrt3"))
-    renamed = upsilon._replace(
-        group="gamma_sqrt3", index_in_upsilon=None, notes=report.notes
-    )
-    assert report == renamed and hash(report) == hash(renamed)
-    assert report != upsilon
-    assert len(report.notes) == 1
 
 
 def test_weight_denominator_runs_one_hnf(monkeypatch):
@@ -344,9 +363,11 @@ def oracle_membership(spec):
 
 def oracle_answer(spec):
     """(answer, index) of the predicate-scan oracle for a subgroup of
-    upsilon: its report agrees with HNF+SNF of its unreduced relation
-    matrix."""
-    if spec.rows == ():
+    upsilon, or of gamma_sqrt3's own presentation: its report agrees with
+    HNF+SNF of its unreduced relation matrix."""
+    if spec.rows is None:
+        presentation, index = gamma_sqrt3_presentation(), None
+    elif spec.rows == ():
         presentation, index = UPSILON, 1
     else:
         presentation, index = predicate_scan_presentation(UPSILON, oracle_membership(spec))
@@ -362,21 +383,19 @@ def test_reduced_path_matches_full_normal_forms():
     with membership predicates that share no code with the key: the
     report of weight_denominator_of, the oracle's report and HNF+SNF of the
     oracle's unreduced relation matrix agree, for all 43 reports
-    (gamma_sqrt3 is checked against upsilon's oracle)."""
+    (gamma_sqrt3's oracle matrix is the 19x7 one of its own presentation)."""
     specs = [SubgroupSpec.parse(name) for name in ("upsilon", "gamma_sqrt3", "gamma3")]
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
     answers = {}
     for spec in specs:
         keyed = weight_denominator_of(spec)
-        if spec.rows is None:
-            assert report_answer(keyed) == answers["upsilon"]
-            continue
         oracle, index = oracle_answer(spec)
         assert report_answer(keyed) == oracle, spec.name()
         assert keyed.index_in_upsilon == index
         answers[spec.name()] = oracle
-    assert len(answers) == 42
+    assert len(answers) == 43
     assert answers["upsilon"] == (1, (3, 3, 3), 2)
+    assert answers["gamma_sqrt3"] == (1, (3, 3, 3, 3), 2)
     assert answers["gamma3"] == (3, (3,) * 7, 10)
     assert sum(d == 3 for d, _, _ in answers.values()) == 14
 
@@ -513,6 +532,17 @@ def test_warm_survey_and_gamma3_counters(monkeypatch):
     gamma3 = SubgroupSpec.parse("gamma3")
     assert work(survey_index3) == (40 * 13, 2240, 35000)
     assert work(lambda: weight_denominator_of(gamma3)) == (325, 1460, 21389)
+
+
+def test_gamma3_and_survey_leave_gamma_sqrt3_presentation_unbuilt():
+    """Only gamma_sqrt3 builds its presentation: a cold gamma3 and the
+    40-group survey run on upsilon's alone."""
+    upsilon_presentation.cache_clear()
+    gamma_sqrt3_presentation.cache_clear()
+    weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    survey_index3()
+    assert gamma_sqrt3_presentation.cache_info().currsize == 0
+    assert upsilon_presentation.cache_info().currsize == 1
 
 
 def test_index3_membership_checks_unitarity_once(monkeypatch):
