@@ -63,7 +63,7 @@ class Word(Value):
 
     def __pow__(self, exponent: int) -> "Word":
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise ValueError("negative exponent %d: use inverse() ** %d" % (exponent, -exponent))
         return Word(self.letters * exponent)
 
     def to_string(self, names=None) -> str:

@@ -12,9 +12,12 @@ dense IntegerMatrix.
 
 from __future__ import annotations
 
+import logging
 from math import gcd, lcm
 
 from .value import Value
+
+_log = logging.getLogger(__name__)
 
 
 class IntegerMatrix(Value):
@@ -64,30 +67,51 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
     round scans the rows in order and takes each row's cheapest unit pivot
     within the round's limit; a round that takes none raises the limit
     (0, 1, 3, 7, ...).  The result is deterministic.
+
+    Each row's cheapest unit pivot (cost, column) is cached.  A pivot
+    changes only its targets' entries and the lengths of its own row's
+    columns, so only the targets and the rows holding one of those columns
+    (the last excepted, which is never a pivot) are costed again, when the
+    scan reaches them.  A round that takes nothing changes nothing, so the
+    limit is raised at once, along the same sequence, to the first value at
+    or above the cheapest cost it deferred: the pivot sequence, and so the
+    result, are those of a rescan of every row in every round.  Each round
+    that takes pivots logs one DEBUG line on this module's logger.
     """
     last = cols - 1
     holders = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for c in row:
             holders[c].add(i)
+    cheapest_pivot = [None] * len(rows)
+    stale = set(range(len(rows)))
     eliminated = set()
+    debug = _log.isEnabledFor(logging.DEBUG)
     limit = 0
     while True:
-        taken = deferred = False
+        taken = 0
+        deferred = None
         for i, row in enumerate(rows):
-            costs = [
-                ((len(row) - 1) * (len(holders[c]) - 1), c)
-                for c, v in row.items()
-                if c != last and (v == 1 or v == -1)
-            ]
-            if not costs:
+            if i in stale:
+                stale.discard(i)
+                length = len(row) - 1
+                costs = [
+                    (length * (len(holders[c]) - 1), c)
+                    for c, v in row.items()
+                    if c != last and (v == 1 or v == -1)
+                ]
+                cheapest_pivot[i] = min(costs) if costs else None
+            pivot = cheapest_pivot[i]
+            if pivot is None:
                 continue
-            cost, col = min(costs)
+            cost, col = pivot
             if cost > limit:
-                deferred = True
+                if deferred is None or cost < deferred:
+                    deferred = cost
                 continue
             sign = row[col]
-            for k in sorted(holders[col] - {i}):
+            targets = holders[col] - {i}
+            for k in targets:
                 other = rows[k]
                 factor = other[col] * sign
                 for c, v in row.items():
@@ -98,15 +122,26 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
                     else:
                         del other[c]
                         holders[c].discard(k)
+            stale |= targets
             for c in row:
                 holders[c].discard(i)
+                if c != last:
+                    stale |= holders[c]
             rows[i] = {}
+            cheapest_pivot[i] = None
             eliminated.add(col)
-            taken = True
-        if not taken:
-            if not deferred:
-                break
-            limit = 2 * limit + 1
+            taken += 1
+        if taken:
+            if debug:
+                _log.debug(
+                    "unit pivots: limit %d, %d taken, %d rows left",
+                    limit, taken, sum(1 for row in rows if row),
+                )
+        elif deferred is None:
+            break
+        else:
+            while limit < deferred:
+                limit = 2 * limit + 1
     kept = [c for c in range(cols) if c not in eliminated]
     return IntegerMatrix([[row.get(c, 0) for c in kept] for row in rows if row], len(kept))
 

@@ -411,6 +411,59 @@ def sparse_rows(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
+def rescanning_elimination(rows, cols):
+    """Unit-pivot elimination as zlinalg.eliminate_unit_pivots defines it,
+    written the direct way: every round costs every row afresh, scans the
+    rows in order and takes each row's cheapest unit pivot within the
+    round's limit, substituting into the other rows in index order; a round
+    that takes none raises the limit by one step of 0, 1, 3, 7, ...  The
+    rows are consumed."""
+    last = cols - 1
+    holders = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    eliminated = set()
+    limit = 0
+    while True:
+        taken = deferred = False
+        for i, row in enumerate(rows):
+            costs = [
+                ((len(row) - 1) * (len(holders[c]) - 1), c)
+                for c, v in row.items()
+                if c != last and (v == 1 or v == -1)
+            ]
+            if not costs:
+                continue
+            cost, col = min(costs)
+            if cost > limit:
+                deferred = True
+                continue
+            sign = row[col]
+            for k in sorted(holders[col] - {i}):
+                other = rows[k]
+                factor = other[col] * sign
+                for c, v in row.items():
+                    value = other.get(c, 0) - factor * v
+                    if value:
+                        other[c] = value
+                        holders[c].add(k)
+                    else:
+                        del other[c]
+                        holders[c].discard(k)
+            for c in row:
+                holders[c].discard(i)
+            rows[i] = {}
+            eliminated.add(col)
+            taken = True
+        if not taken:
+            if not deferred:
+                break
+            limit = 2 * limit + 1
+    kept = [c for c in range(cols) if c not in eliminated]
+    return IntegerMatrix([[row.get(c, 0) for c in kept] for row in rows if row], len(kept))
+
+
 # --- predicate-scan Reidemeister-Schreier oracle -----------------------------
 #
 # The coset enumeration the package used before it keyed cosets by their

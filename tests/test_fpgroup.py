@@ -69,13 +69,19 @@ def test_word_associativity(u, v, w):
     assert (u * v) * w == u * (v * w)
 
 
-@given(words, st.integers(min_value=-4, max_value=4))
+@given(words, st.integers(min_value=0, max_value=4))
 def test_word_powers(w, k):
     direct = EMPTY_WORD
-    base = w if k >= 0 else w.inverse()
-    for _ in range(abs(k)):
-        direct = direct * base
+    for _ in range(k):
+        direct = direct * w
     assert w**k == direct
+
+
+@given(words)
+def test_word_power_exponent_is_nonnegative(w):
+    assert w**0 == EMPTY_WORD
+    with pytest.raises(ValueError):
+        w ** -1
 
 
 @given(words, st.integers(min_value=0, max_value=10))

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -500,6 +501,35 @@ def test_gamma3_counters(monkeypatch):
     assert counts["IntegerMatrix"] == 3
     # the 20 Words spell out the 13 ambient relators, and none is a trace
     assert counts["Word"] == 20
+
+
+def test_elimination_shapes_and_entries(monkeypatch):
+    """A regression gate for the pivot rule: the reduced shapes of the 40
+    index-3 groups as a multiset, and the largest reduced |entry| of gamma3
+    and of the survey."""
+    reduced = []
+
+    def eliminating(rows, cols):
+        result = original_eliminate(rows, cols)
+        reduced.append(result)
+        return result
+
+    original_eliminate = weightdenom.eliminate_unit_pivots
+    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+
+    def largest(matrices):
+        return max(abs(v) for m in matrices for row in m.entries for v in row)
+
+    survey_index3()
+    assert Counter((m.rows, m.cols) for m in reduced) == {
+        (6, 6): 3, (9, 6): 6, (12, 5): 9, (12, 6): 3, (14, 5): 2, (14, 6): 2, (17, 5): 1,
+        (18, 5): 2, (18, 6): 2, (19, 5): 3, (19, 6): 1, (20, 5): 3, (21, 5): 3,
+    }
+    assert largest(reduced) == 27
+    reduced.clear()
+    weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    assert [(m.rows, m.cols) for m in reduced] == [(484, 17)]
+    assert largest(reduced) == 24
 
 
 def test_warm_survey_and_gamma3_counters(monkeypatch):

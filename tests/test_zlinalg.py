@@ -1,9 +1,13 @@
+import copy
+import logging
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su21 import weightdenom
+from su21.matgroup import SubgroupSpec, all_index3_vectors
 from su21.zlinalg import (
     IntegerMatrix,
     cokernel_invariants,
@@ -17,6 +21,7 @@ from helpers import (
     lattices_equal,
     order_of_last_coordinate,
     random_matrix_rows,
+    rescanning_elimination,
     smith_via_minor_gcds,
     sparse_rows,
 )
@@ -279,3 +284,86 @@ def test_eliminate_unit_pivots_preserves_quotient():
         assert cokernel_invariants(r) == cokernel_invariants(m)
         assert order_of_last_coordinate(r) == order_of_last_coordinate(m)
         assert eliminate(r) == r
+
+
+def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
+    """The cached elimination against the rescanning oracle on the rows the
+    pipeline hands it: gamma3, upsilon, gamma_sqrt3 and the 40 index-3
+    groups."""
+    shapes = []
+
+    def checked(rows, cols):
+        expected = rescanning_elimination(copy.deepcopy(rows), cols)
+        shapes.append((len(rows), cols))
+        reduced = eliminate_unit_pivots(rows, cols)
+        assert reduced == expected
+        return reduced
+
+    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", checked)
+    specs = [SubgroupSpec.parse(name) for name in ("gamma3", "upsilon", "gamma_sqrt3")]
+    specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
+    for spec in specs:
+        weightdenom.weight_denominator_of(spec)
+    assert shapes[:3] == [(1053, 326), (13, 6), (19, 7)]
+    assert shapes[3:] == [(39, 14)] * 40
+
+
+def random_sparse_rows(rng):
+    """Sparse rows over 1 to 8 columns with entries in -3..3, mixing empty
+    rows, rows of one entry, rows whose only unit is in the last column and
+    general rows of small entries."""
+    cols = rng.randrange(1, 9)
+    last = cols - 1
+    rows = []
+    for _ in range(rng.randrange(0, 12)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            row = {}
+        elif kind == 1:
+            row = {rng.randrange(cols): rng.choice((1, -1, 2, -3))}
+        elif kind == 2:
+            row = {c: rng.choice((2, -2, 3, -3)) for c in range(last) if rng.random() < 0.4}
+            row[last] = rng.choice((1, -1))
+        else:
+            density = rng.choice((0.2, 0.5, 0.9))
+            row = {c: rng.choice((1, -1, 1, -1, 2, -2, 3)) for c in range(cols) if rng.random() < density}
+        rows.append(row)
+    return rows, cols
+
+
+def test_elimination_matches_rescanning_oracle_on_random_rows():
+    rng = random.Random(27)
+    features = dict.fromkeys(("empty row", "one entry", "unit only in last", "one column"), 0)
+    for _ in range(2500):
+        rows, cols = random_sparse_rows(rng)
+        last = cols - 1
+        features["empty row"] += any(not row for row in rows)
+        features["one entry"] += any(len(row) == 1 for row in rows)
+        features["unit only in last"] += any(
+            row.get(last) in (1, -1) and all(v not in (1, -1) for c, v in row.items() if c != last)
+            for row in rows
+        )
+        features["one column"] += cols == 1
+        expected = rescanning_elimination(copy.deepcopy(rows), cols)
+        assert eliminate_unit_pivots(rows, cols) == expected
+    assert min(features.values()) > 200, features
+
+
+def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
+    """One DEBUG line per round that takes pivots; at the default level
+    nothing is logged and the logger's debug is never called."""
+    m = IntegerMatrix([[1, 1, -2], [3, 1, 1], [0, 2, 1]])
+    with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
+        assert eliminate(m) == IntegerMatrix([[-2, 7], [2, 1]])
+    assert [r.getMessage() for r in caplog.records] == [
+        "unit pivots: limit 3, 1 taken, 2 rows left"
+    ]
+    caplog.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("debug called with DEBUG off")
+
+    monkeypatch.setattr(logging.getLogger("su21.zlinalg"), "debug", refuse)
+    with caplog.at_level(logging.WARNING):
+        assert eliminate(m) == IntegerMatrix([[-2, 7], [2, 1]])
+    assert not caplog.records
