@@ -33,10 +33,10 @@ from .value import Value
 
 def X_of(g: GroupMatrix) -> EisensteinInt:
     """-a when the bottom-left entry a is nonzero, else the bottom-right entry c."""
-    a = g[2][0]
+    a = g.entry(2, 0)
     if not a.is_zero():
         return -a
-    c = g[2][2]
+    c = g.entry(2, 2)
     if c.is_zero():
         raise ValueError("matrix has a zero bottom row; not in the group")
     return c
@@ -59,7 +59,7 @@ def _eps(u: EisensteinInt, v: EisensteinInt) -> int:
 def sigma(g: GroupMatrix, h: GroupMatrix) -> int:
     """The integer cocycle sigma(g, h), by exact sign tests at tau0 = (-2, 0)."""
     gh = g * h
-    j = gh[2][2] - 2 * gh[2][0]
+    j = gh.entry(2, 2) - 2 * gh.entry(2, 0)
     x_g, x_h, x_gh = X_of(g), X_of(h), X_of(gh)
     x_g_x_h = x_g * x_h
     return (

@@ -48,7 +48,7 @@ def nearest_lattice_point(num: EisensteinInt, den: int) -> EisensteinInt:
 
 def first_column_height(g: GroupMatrix) -> int:
     """N(g[0][0]) + N(g[2][0]); the descent's strictly decreasing measure."""
-    return g[0][0].norm() + g[2][0].norm()
+    return g.entry(0, 0).norm() + g.entry(2, 0).norm()
 
 
 def _n3_exponent(z: EisensteinInt, x: int) -> int:
@@ -89,17 +89,14 @@ def _rounded_half(u: int, n: int) -> int:
 
 
 def _descend_step(g: GroupMatrix):
-    """One height-reduction step: returns ((z, x, transpose), m*g) where m is
-    n(z, x) or its transpose.
+    """One height-reduction step: returns ((z, x, transpose), m*g, height)
+    where m is n(z, x) or its transpose and height is that of m*g.
 
     The pivot is whichever of a = g[0][0] and c = g[2][0] has the smaller
     norm.  Against c, n(z, x) reduces b and then the real-direction part of
     a; against a, the transposed step reduces b and then c."""
-    a = g[0][0]
-    b = g[1][0]
-    c = g[2][0]
-    na = a.norm()
-    nc = c.norm()
+    a, b, c = g.entry(0, 0), g.entry(1, 0), g.entry(2, 0)
+    na, nc = a.norm(), c.norm()
     if na == nc:
         raise AssertionError("first-column norms can never be equal here")
     transpose = na < nc
@@ -120,17 +117,18 @@ def _descend_step(g: GroupMatrix):
         reduced = a + SQRT_MINUS3 * z * b + corner * c
     x = x0 - 2 * _rounded_half((reduced * pivot.conj()).b, n_pivot)
     result = make(z, x) * g
-    assert result[1][0].norm() <= n_pivot
-    assert result[row][0].norm() <= n_pivot
-    assert first_column_height(result) < first_column_height(g)
-    return (z, x, transpose), result
+    assert result.entry(1, 0).norm() <= n_pivot
+    assert result.entry(row, 0).norm() <= n_pivot
+    height = first_column_height(result)
+    assert height < na + nc
+    return (z, x, transpose), result, height
 
 
 def _base_case_parameters(g: GroupMatrix):
     """Read (z, x) off a height-1 element, which is exactly n(z, x): x is
     the zeta-coordinate of its corner (see n_corner)."""
-    z = g[0][1].div_exact(SQRT_MINUS3)
-    x = g[0][2].b
+    z = g.entry(0, 1).div_exact(SQRT_MINUS3)
+    x = g.entry(0, 2).b
     if g != make_n(z, x):
         raise AssertionError("height-1 element is not upper unipotent")
     return z, x
@@ -146,9 +144,9 @@ def decompose(g: GroupMatrix) -> Word:
     if not in_upsilon(g):
         raise ValueError("matrix is not in the five-generator unipotent group")
     records = []
-    current = g
-    while first_column_height(current) > 1:
-        record, current = _descend_step(current)
+    current, height = g, first_column_height(g)
+    while height > 1:
+        record, current, height = _descend_step(current)
         records.append(record)
     z, x = _base_case_parameters(current)
     letters = []

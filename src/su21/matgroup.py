@@ -1,37 +1,65 @@
 """The group SU(2,1) over the Eisenstein integers and its congruence subgroups.
 
 Matrices are 3x3 over Z[zeta] and unitary with respect to the antidiagonal
-Hermitian form J.  The inverse of a unitary matrix is J * conj(g)^t * J, an
-index permutation with conjugated entries, so inverting multiplies nothing.
-Products work on the integer coordinates (a, b) of the entries a + b*zeta.
+Hermitian form J.  A GroupMatrix holds the integer coordinates (a, b) of its
+entries a + b*zeta, and this module alone knows their layout: products,
+inverses, det, unitarity and membership compute on the ints, and other
+modules read an entry through GroupMatrix.entry.  The inverse of a unitary
+matrix is J * conj(g)^t * J, an index permutation with conjugated entries,
+so inverting multiplies nothing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
-from .eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
+from .eisenstein import ONE, ZERO, ZETA, EisensteinInt
 from .value import Value
 
 
 class GroupMatrix(Value):
-    """Immutable 3x3 matrix over Z[zeta]."""
+    """Immutable 3x3 matrix over Z[zeta], held as coords: the 18 ints (a, b)
+    of its entries a + b*zeta, row by row.  Every kernel computes on them;
+    an EisensteinInt is built only for a caller that asks for an entry
+    (entry, entries, g[i], str, JSON) or for the value of det()."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("coords",)
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("expected a 3x3 matrix")
-        for row in rows:
-            for entry in row:
-                if not isinstance(entry, EisensteinInt):
-                    raise ValueError("entries must be EisensteinInt values")
-        object.__setattr__(self, "entries", rows)
+        if not all(isinstance(entry, EisensteinInt) for row in rows for entry in row):
+            raise ValueError("entries must be EisensteinInt values")
+        _set_coords(self, tuple(v for row in rows for entry in row for v in (entry.a, entry.b)))
 
-    def __getitem__(self, index):
-        return self.entries[index]
+    def __setstate__(self, values):
+        """Value's restore, refusing the rows that older pickles hold."""
+        Value.__setstate__(self, values)
+        if type(self.coords) is not tuple or tuple(map(type, self.coords)) != (int,) * 18:
+            raise TypeError("GroupMatrix takes a tuple of 18 int coordinates")
+
+    def entry(self, i: int, j: int) -> EisensteinInt:
+        """The entry in row i, column j, for i and j in 0, 1, 2."""
+        if not (0 <= i < 3 and 0 <= j < 3):
+            raise IndexError("no entry (%r, %r) in a 3x3 matrix" % (i, j))
+        k = 6 * i + 2 * j
+        return EisensteinInt(self.coords[k], self.coords[k + 1])
+
+    @property
+    def entries(self) -> tuple:
+        """The rows, as 3-tuples of EisensteinInt."""
+        return self[0], self[1], self[2]
+
+    def __getitem__(self, i):
+        """Row i, as a 3-tuple of EisensteinInt; a negative i counts from the end."""
+        i = range(3)[i]
+        return self.entry(i, 0), self.entry(i, 1), self.entry(i, 2)
+
+    def __repr__(self):
+        return "GroupMatrix(%r)" % (self.entries,)
 
     def __str__(self):
         cells = [[str(e) for e in row] for row in self.entries]
@@ -46,56 +74,43 @@ class GroupMatrix(Value):
         # Entry (i, j) is sum_k (a + b*zeta)(c + d*zeta) over row i of self
         # and column j of other; with zeta^2 = -1 - zeta that is
         # (sum ac - sum bd) + (sum ad + bc - sum bd)*zeta.
-        (p, q, r), (s, t, u), (v, w, x) = other.entries
-        c00, d00, c01, d01, c02, d02 = p.a, p.b, q.a, q.b, r.a, r.b
-        c10, d10, c11, d11, c12, d12 = s.a, s.b, t.a, t.b, u.a, u.b
-        c20, d20, c21, d21, c22, d22 = v.a, v.b, w.a, w.b, x.a, x.b
-        rows = []
-        for e0, e1, e2 in self.entries:
-            a0, b0, a1, b1, a2, b2 = e0.a, e0.b, e1.a, e1.b, e2.a, e2.b
+        (c00, d00, c01, d01, c02, d02, c10, d10, c11, d11, c12, d12,
+         c20, d20, c21, d21, c22, d22) = other.coords
+        s = self.coords
+        out = ()
+        for i in (0, 6, 12):
+            a0, b0, a1, b1, a2, b2 = s[i : i + 6]
             bd0 = b0 * d00 + b1 * d10 + b2 * d20
             bd1 = b0 * d01 + b1 * d11 + b2 * d21
             bd2 = b0 * d02 + b1 * d12 + b2 * d22
-            rows.append(
-                (
-                    EisensteinInt(
-                        a0 * c00 + a1 * c10 + a2 * c20 - bd0,
-                        a0 * d00 + b0 * c00 + a1 * d10 + b1 * c10 + a2 * d20 + b2 * c20 - bd0,
-                    ),
-                    EisensteinInt(
-                        a0 * c01 + a1 * c11 + a2 * c21 - bd1,
-                        a0 * d01 + b0 * c01 + a1 * d11 + b1 * c11 + a2 * d21 + b2 * c21 - bd1,
-                    ),
-                    EisensteinInt(
-                        a0 * c02 + a1 * c12 + a2 * c22 - bd2,
-                        a0 * d02 + b0 * c02 + a1 * d12 + b1 * c12 + a2 * d22 + b2 * c22 - bd2,
-                    ),
-                )
+            out += (
+                a0 * c00 + a1 * c10 + a2 * c20 - bd0,
+                a0 * d00 + b0 * c00 + a1 * d10 + b1 * c10 + a2 * d20 + b2 * c20 - bd0,
+                a0 * c01 + a1 * c11 + a2 * c21 - bd1,
+                a0 * d01 + b0 * c01 + a1 * d11 + b1 * c11 + a2 * d21 + b2 * c21 - bd1,
+                a0 * c02 + a1 * c12 + a2 * c22 - bd2,
+                a0 * d02 + b0 * c02 + a1 * d12 + b1 * c12 + a2 * d22 + b2 * c22 - bd2,
             )
-        return _group_matrix(tuple(rows))
+        return _group_matrix(out)
 
     def transpose(self) -> "GroupMatrix":
-        return _group_matrix(tuple(zip(*self.entries)))
+        return _group_matrix(_transposed(self.coords))
 
     def inverse(self) -> "GroupMatrix":
         """Inverse of a J-unitary matrix, J * conj(g)^t * J: entry (i, j)
-        is conj(g[2 - j][2 - i])."""
-        (p, q, r), (s, t, u), (v, w, x) = self.entries
-        return _group_matrix(
-            (
-                (x.conj(), u.conj(), r.conj()),
-                (w.conj(), t.conj(), q.conj()),
-                (v.conj(), s.conj(), p.conj()),
-            )
-        )
+        is conj(g[2 - j][2 - i]), and conj(a + b*zeta) = (a - b) - b*zeta."""
+        p, P, q, Q, r, R, s, S, t, T, u, U, v, V, w, W, x, X = self.coords
+        return _group_matrix((x - X, -X, u - U, -U, r - R, -R,
+                              w - W, -W, t - T, -T, q - Q, -Q,
+                              v - V, -V, s - S, -S, p - P, -P))
 
     def det(self) -> EisensteinInt:
-        e = self.entries
-        return (
-            e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-        )
+        """Cofactor expansion along the first row, on the coordinates."""
+        p, P, q, Q, r, R, s, S, t, T, u, U, v, V, w, W, x, X = self.coords
+        a0, b0 = _times(p, P, *_minor(t, T, u, U, w, W, x, X))
+        a1, b1 = _times(q, Q, *_minor(s, S, u, U, v, V, x, X))
+        a2, b2 = _times(r, R, *_minor(s, S, t, T, v, V, w, W))
+        return EisensteinInt(a0 - a1 + a2, b0 - b1 + b2)
 
     def is_unitary(self) -> bool:
         """Whether conj(g)^t * J * g = J, that is (as J^2 = I) whether
@@ -125,34 +140,34 @@ class GroupMatrix(Value):
         return cls(out)
 
 
+def _times(a: int, b: int, c: int, d: int) -> tuple:
+    """(a + b*zeta)(c + d*zeta) as its coordinates, with zeta^2 = -1 - zeta."""
+    bd = b * d
+    return a * c - bd, a * d + b * c - bd
+
+
+def _minor(a: int, b: int, c: int, d: int, e: int, f: int, g: int, h: int) -> tuple:
+    """(a + b*zeta)(g + h*zeta) - (c + d*zeta)(e + f*zeta) as its coordinates."""
+    p, q = _times(a, b, g, h)
+    r, s = _times(c, d, e, f)
+    return p - r, q - s
+
+
 _new = object.__new__
-_set_entries = GroupMatrix.entries.__set__
+_set_coords = GroupMatrix.coords.__set__
+# coords[k] of the transpose, for each k: entry (i, j) comes from (j, i)
+_transposed = itemgetter(0, 1, 6, 7, 12, 13, 2, 3, 8, 9, 14, 15, 4, 5, 10, 11, 16, 17)
 
 
-def _group_matrix(rows: tuple) -> GroupMatrix:
-    """GroupMatrix(rows) without its checks, for kernels whose rows are
-    3-tuples of three EisensteinInt by construction."""
+def _group_matrix(coords: tuple) -> GroupMatrix:
+    """The GroupMatrix with these 18 int coordinates, unchecked."""
     m = _new(GroupMatrix)
-    _set_entries(m, rows)
+    _set_coords(m, coords)
     return m
 
 
-J = GroupMatrix(
-    [
-        [ZERO, ZERO, ONE],
-        [ZERO, ONE, ZERO],
-        [ONE, ZERO, ZERO],
-    ]
-)
-
-IDENTITY = GroupMatrix(
-    [
-        [ONE, ZERO, ZERO],
-        [ZERO, ONE, ZERO],
-        [ZERO, ZERO, ONE],
-    ]
-)
-
+J = _group_matrix((0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0))
+IDENTITY = _group_matrix((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0))
 ZETA_IDENTITY = IDENTITY.scalar_mul(ZETA)
 
 
@@ -167,14 +182,14 @@ def n_corner(z: EisensteinInt, x: int) -> EisensteinInt:
 
 
 def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
-    """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2."""
-    return _group_matrix(
-        (
-            (ONE, SQRT_MINUS3 * z, n_corner(z, x)),
-            (ZERO, ONE, SQRT_MINUS3 * z.conj()),
-            (ZERO, ZERO, ONE),
-        )
-    )
+    """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2.
+    With z = p + q*zeta, sqrt(-3)*z = (p - 2q) + (2p - q)*zeta and
+    sqrt(-3)*conj(z) = (p + q) + (2p - q)*zeta."""
+    p, q = z.a, z.b
+    corner = n_corner(z, x)
+    return _group_matrix((1, 0, p - 2 * q, 2 * p - q, corner.a, corner.b,
+                          0, 0, 1, 0, p + q, 2 * p - q,
+                          0, 0, 0, 0, 1, 0))
 
 
 def make_n_transpose(z: EisensteinInt, x: int) -> GroupMatrix:
@@ -199,18 +214,17 @@ def in_gamma_sqrt3(g: GroupMatrix) -> bool:
     """Membership in the principal congruence subgroup of level sqrt(-3):
     g = I mod sqrt(-3), unitary, det 1.  As zeta = 1 mod sqrt(-3), an entry
     a + b*zeta is divisible by sqrt(-3) exactly when 3 divides a + b."""
-    for i, row in enumerate(g.entries):
-        for j, e in enumerate(row):
-            if (e.a + e.b - (i == j)) % 3:
-                return False
+    c = g.coords
+    if any((a + b - one) % 3 for a, b, one in zip(c[::2], c[1::2], IDENTITY.coords[::2])):
+        return False
     return g.det() == ONE and g.is_unitary()
 
 
 def in_upsilon(g: GroupMatrix) -> bool:
     """Membership in the index-3 complement of the centre inside level sqrt(-3):
     unitary, det 1, g = I mod sqrt(-3), and top-left entry = 1 mod 3."""
-    a = g[0][0]
-    return (a.a - 1) % 3 == 0 and a.b % 3 == 0 and in_gamma_sqrt3(g)
+    c = g.coords
+    return (c[0] - 1) % 3 == 0 and c[1] % 3 == 0 and in_gamma_sqrt3(g)
 
 
 def F_map(g: GroupMatrix) -> tuple:
@@ -229,7 +243,8 @@ def _f_coordinates(g: GroupMatrix) -> tuple:
     is c = sqrt(-3) * (x + y*zeta) = (x - 2y) + (2x - y)*zeta, and the
     quotient reduces to x + y = c.b - c.a mod sqrt(-3), so no division is
     needed."""
-    return tuple((c.b - c.a) % 3 for c in (g[0][1], g[0][2], g[1][0], g[2][0]))
+    c = g.coords
+    return (c[3] - c[2]) % 3, (c[5] - c[4]) % 3, (c[7] - c[6]) % 3, (c[13] - c[12]) % 3
 
 
 def all_index3_vectors() -> list:

@@ -152,10 +152,11 @@ def lattice_specs():
 
 # --- reference GroupMatrix arithmetic -------------------------------------
 #
-# Matrix products as sums of EisensteinInt products, and the inverse and the
+# Matrix products as sums of EisensteinInt products, the inverse and the
 # unitarity test written with them as J * conj(g)^t * J and
-# conj(g)^t * J * g = J.  GroupMatrix's integer-coordinate kernel is checked
-# against these; they never call GroupMatrix.__mul__.
+# conj(g)^t * J * g = J, and the determinant by cofactors over EisensteinInt.
+# GroupMatrix's integer-coordinate kernels are checked against these; they
+# never call GroupMatrix.__mul__ or det.
 
 
 def reference_product(g, h):
@@ -164,6 +165,15 @@ def reference_product(g, h):
             [g[i][0] * h[0][j] + g[i][1] * h[1][j] + g[i][2] * h[2][j] for j in range(3)]
             for i in range(3)
         ]
+    )
+
+
+def reference_det(g):
+    e = g.entries
+    return (
+        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
     )
 
 

@@ -229,7 +229,7 @@ def test_criterion_07_decomposition_round_trip():
         current = g
         height = first_column_height(current)
         while height > 1:
-            (z, x, transpose), reduced = _descend_step(current)
+            (z, x, transpose), reduced, _ = _descend_step(current)
             m = make_n_transpose(z, x) if transpose else make_n(z, x)
             assert m * current == reduced
             pivot = current[0][0] if transpose else current[2][0]

@@ -166,7 +166,7 @@ def test_descend_step_strictly_decreases_height():
         g = random_upsilon_element(rng, max_len=18)
         h = first_column_height(g)
         while h > 1:
-            (z, x, transpose), reduced = _descend_step(g)
+            (z, x, transpose), reduced, _ = _descend_step(g)
             m = make_n_transpose(z, x) if transpose else make_n(z, x)
             assert m * g == reduced
             h2 = first_column_height(reduced)
@@ -187,13 +187,15 @@ def test_descent_work_is_pinned(monkeypatch):
     so that a change of nearest point or of tie-breaking shows; and the
     work decompose does on them: one div_exact (z of the base case), one
     make_n per step and base case, one Word per step and base case and one
-    for the result."""
+    for the result, and the EisensteinInt values its Eisenstein arithmetic
+    and entry reads make (matrix products and membership make none but the
+    value of det())."""
     rng = random.Random(48)
     elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
     steps = 0
     for current in elements:
         while first_column_height(current) > 1:
-            _, current = _descend_step(current)
+            _, current, _ = _descend_step(current)
             steps += 1
     counts = Counter()
 
@@ -211,9 +213,17 @@ def test_descent_work_is_pinned(monkeypatch):
     monkeypatch.setattr(matgroup, "make_n", counted_make_n)
     monkeypatch.setattr(gendecomp, "make_n", counted_make_n)
     monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
+    monkeypatch.setattr(
+        EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
+    )
     letters = sum(len(decompose(g)) for g in elements)
     assert (steps, letters) == (300, 1003)
-    assert counts == {"div_exact": 20, "make_n": 300 + 20, "Word": 300 + 2 * 20}
+    assert counts == {
+        "div_exact": 20,
+        "make_n": 300 + 20,
+        "Word": 300 + 2 * 20,
+        "EisensteinInt": 6480,
+    }
 
 
 def test_decompose_inverts_each_generator_once(monkeypatch):

@@ -32,6 +32,7 @@ from helpers import (
     random_eisenstein,
     random_upsilon_element,
     random_word,
+    reference_det,
     reference_inverse,
     reference_is_unitary,
     reference_product,
@@ -180,6 +181,8 @@ def test_product_matches_reference_on_group_elements():
                 for e in row:
                     assert type(e) is EisensteinInt
                     assert type(e.a) is int and type(e.b) is int
+            assert product.det() == reference_det(product)
+            assert GroupMatrix(product.entries) == product
 
 
 def test_product_matches_reference_on_arbitrary_matrices():
@@ -189,6 +192,8 @@ def test_product_matches_reference_on_arbitrary_matrices():
             g = _arbitrary_matrix(rng, bound)
             h = _arbitrary_matrix(rng, bound)
             assert g * h == reference_product(g, h)
+            assert g.det() == reference_det(g)
+            assert GroupMatrix(g.entries) == g
 
 
 def test_inverse_matches_reference():
@@ -575,6 +580,21 @@ def test_json_round_trip():
         GroupMatrix.from_json_dict({"entries": [[[0, 0]] * 3] * 2})
     with pytest.raises(ValueError):
         GroupMatrix.from_json_dict({})
+
+
+def test_entry_and_rows_read_the_coordinates():
+    rng = random.Random(15)
+    for _ in range(20):
+        rows = [[random_eisenstein(rng, 10**6) for _ in range(3)] for _ in range(3)]
+        g = GroupMatrix(rows)
+        assert [[g.entry(i, j) for j in range(3)] for i in range(3)] == rows
+        assert [list(row) for row in g] == [list(row) for row in g.entries] == rows
+        assert g[-1] == g[2]
+    for i, j in [(0, 3), (3, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            g.entry(i, j)
+    with pytest.raises(IndexError):
+        g[3]
 
 
 def test_matrix_immutability_and_hash():

@@ -144,9 +144,15 @@ def test_module_imports_are_top_level_and_used(path):
 
 
 # Value writes the protocol of the immutable value types once; EisensteinInt
-# also writes equality and hashing, since a real one equals its int
+# also writes equality and hashing, since a real one equals its int, and
+# GroupMatrix extends Value's __setstate__ with a check of its coordinates,
+# since a pickle from before that field existed holds rows of EisensteinInt
 PROTOCOL = {"__setattr__", "__delattr__", "__reduce__", "__setstate__", "__eq__", "__hash__"}
-WRITES_PROTOCOL = {"Value": PROTOCOL, "EisensteinInt": {"__eq__", "__hash__"}}
+WRITES_PROTOCOL = {
+    "Value": PROTOCOL,
+    "EisensteinInt": {"__eq__", "__hash__"},
+    "GroupMatrix": {"__setstate__"},
+}
 VALUE_TYPES = {
     "eisenstein": ("EisensteinInt",),
     "matgroup": ("GroupMatrix", "SubgroupSpec"),
