@@ -4,9 +4,10 @@ The height of g is N(a) + N(c), where (a, b, c) is the first column.  One
 descent step multiplies g on the left by a unipotent element (or a
 transposed one) chosen via a nearest-lattice-point computation, and strictly
 decreases the height; height 1 forces g upper unipotent, which is read off
-directly.  The descent runs on Python ints only: the nearest lattice point
-and every rounding compare integers, and every norm inequality along the way
-is asserted on integers.
+directly.  A step computes on the six ints of GroupMatrix.first_column:
+the nearest lattice point and every rounding compare integers, and every
+norm inequality along the way is asserted on integers.  decompose builds
+one Word, from the letters of all steps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from .eisenstein import SQRT_MINUS3, EisensteinInt
 from .fpgroup import Word, evaluate_word
 from .matgroup import (
-    GENERATOR_NAMES, GroupMatrix, generators_upsilon, in_upsilon, make_n,
+    GENERATOR_NAMES, GroupMatrix, _times, generators_upsilon, in_upsilon, make_n,
     make_n_transpose, n_corner,
 )
 
@@ -22,33 +23,40 @@ from .matgroup import (
 N2_TRANSPOSE_WORD = Word.from_string("n3^-1 n1 n4 n1 n3^-2 n2", GENERATOR_NAMES)
 
 
-def nearest_lattice_point(num: EisensteinInt, den: int) -> EisensteinInt:
-    """The Eisenstein integer nearest to num / den (den > 0) in the norm
-    metric.  num / den lies in the lattice cell with corners
-    c0 + {0, 1, zeta, 1 + zeta}, c0 = (num.a // den) + (num.b // den)*zeta;
-    its short diagonal (length 1) cuts it into two equilateral lattice
-    triangles, so every lattice point off the cell is strictly farther than
-    the nearest corner.  Corners are compared by N(num - den*c), then by
-    the lexicographically smallest (trace, zeta-coordinate)."""
+def nearest_lattice_point(a: int, b: int, den: int) -> tuple:
+    """The coordinates (p, q) of the Eisenstein integer p + q*zeta nearest
+    to (a + b*zeta) / den (den > 0) in the norm metric.  The target lies in
+    the lattice cell with corners c0 + {0, 1, zeta, 1 + zeta},
+    c0 = (a // den) + (b // den)*zeta; its short diagonal (length 1) cuts
+    it into two equilateral lattice triangles, so every lattice point off
+    the cell is strictly farther than the nearest corner.  Corners are
+    compared by N(a + b*zeta - den*c), then by the lexicographically
+    smallest (trace, zeta-coordinate)."""
     if den <= 0:
         raise ValueError("den must be positive, got %r" % (den,))
-    p0 = num.a // den
-    q0 = num.b // den
+    p0 = a // den
+    q0 = b // den
     best_key = None
     for p in (p0, p0 + 1):
-        x = num.a - den * p
+        x = a - den * p
         for q in (q0, q0 + 1):
-            y = num.b - den * q
+            y = b - den * q
             key = (x * x - x * y + y * y, 2 * p - q, q)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (p, q)
-    return EisensteinInt(*best)
+    return best
+
+
+def _norm(a: int, b: int) -> int:
+    """N(a + b*zeta) = a^2 - a*b + b^2."""
+    return a * a - a * b + b * b
 
 
 def first_column_height(g: GroupMatrix) -> int:
     """N(g[0][0]) + N(g[2][0]); the descent's strictly decreasing measure."""
-    return g.entry(0, 0).norm() + g.entry(2, 0).norm()
+    a0, a1, _, _, c0, c1 = g.first_column()
+    return _norm(a0, a1) + _norm(c0, c1)
 
 
 def _n3_exponent(z: EisensteinInt, x: int) -> int:
@@ -67,19 +75,19 @@ def _power(letters, exponent: int) -> list:
     return list(letters) * abs(exponent)
 
 
-def unipotent_word(z: EisensteinInt, x: int) -> Word:
-    """n(z, x) as a word: n1^p n2^q n3^k with z = p + q*zeta and k as in
-    _n3_exponent."""
+def _unipotent_letters(z: EisensteinInt, x: int) -> list:
+    """The letters of n(z, x): n1^p n2^q n3^k with z = p + q*zeta and k as
+    in _n3_exponent."""
     k = _n3_exponent(z, x)
-    return Word(_power([(0, 1)], z.a) + _power([(1, 1)], z.b) + _power([(2, 1)], k))
+    return _power([(0, 1)], z.a) + _power([(1, 1)], z.b) + _power([(2, 1)], k)
 
 
-def unipotent_transpose_word(z: EisensteinInt, x: int) -> Word:
-    """n(z, x)^t as a word: transposing reverses n1^p n2^q n3^k onto
+def _unipotent_transpose_letters(z: EisensteinInt, x: int) -> list:
+    """The letters of n(z, x)^t: transposing reverses n1^p n2^q n3^k onto
     n5^k (n2^t)^q n4^p."""
     k = _n3_exponent(z, x)
     letters = _power([(4, 1)], k) + _power(N2_TRANSPOSE_WORD.letters, z.b)
-    return Word(letters + _power([(3, 1)], z.a))
+    return letters + _power([(3, 1)], z.a)
 
 
 def _rounded_half(u: int, n: int) -> int:
@@ -94,32 +102,45 @@ def _descend_step(g: GroupMatrix):
 
     The pivot is whichever of a = g[0][0] and c = g[2][0] has the smaller
     norm.  Against c, n(z, x) reduces b and then the real-direction part of
-    a; against a, the transposed step reduces b and then c."""
-    a, b, c = g.entry(0, 0), g.entry(1, 0), g.entry(2, 0)
-    na, nc = a.norm(), c.norm()
+    a; against a, the transposed step reduces b and then c.  Every entry is
+    handled as its two coordinates."""
+    a0, a1, b0, b1, c0, c1 = g.first_column()
+    na, nc = _norm(a0, a1), _norm(c0, c1)
     if na == nc:
         raise AssertionError("first-column norms can never be equal here")
     transpose = na < nc
     if transpose:
-        pivot, n_pivot, row, make = a, na, 2, make_n_transpose
+        p0, p1, o0, o1, n_pivot, make = a0, a1, c0, c1, na, make_n_transpose
     else:
-        pivot, n_pivot, row, make = c, nc, 0, make_n
+        p0, p1, o0, o1, n_pivot, make = c0, c1, a0, a1, nc, make_n
     assert n_pivot > 0
-    w = nearest_lattice_point(b * pivot.conj() * SQRT_MINUS3, 3 * n_pivot)
-    z = w if transpose else w.conj()
-    x0 = z.norm() % 2
-    # row `row` of make(z, x0) is (1, sqrt(-3) z, corner) or (corner,
-    # sqrt(-3) conj(z), 1)
+    # b * conj(pivot), with conj(p0 + p1*zeta) = (p0 - p1) - p1*zeta, then
+    # times sqrt(-3) = 1 + 2*zeta
+    u = b0 * p0 - b0 * p1 + b1 * p1
+    v = b1 * p0 - b0 * p1
+    w0, w1 = nearest_lattice_point(u - 2 * v, 2 * u - v, 3 * n_pivot)
+    zp, zq = (w0, w1) if transpose else (w0 - w1, -w1)
+    z = EisensteinInt(zp, zq)
+    x0 = _norm(zp, zq) % 2
     corner = n_corner(z, x0)
+    # the reduced entry is row 0 of make(z, x0), (1, sqrt(-3) z, corner),
+    # or row 2, (corner, sqrt(-3) conj(z), 1), times the first column; see
+    # make_n for the coordinates of sqrt(-3) z and sqrt(-3) conj(z)
     if transpose:
-        reduced = corner * a + SQRT_MINUS3 * z.conj() * b + c
+        s0, s1 = zp + zq, 2 * zp - zq
     else:
-        reduced = a + SQRT_MINUS3 * z * b + corner * c
-    x = x0 - 2 * _rounded_half((reduced * pivot.conj()).b, n_pivot)
+        s0, s1 = zp - 2 * zq, 2 * zp - zq
+    k0, k1 = _times(corner.a, corner.b, p0, p1)
+    m0, m1 = _times(s0, s1, b0, b1)
+    r0, r1 = k0 + m0 + o0, k1 + m1 + o1
+    # r1*p0 - r0*p1 is the zeta-coordinate of reduced * conj(pivot)
+    x = x0 - 2 * _rounded_half(r1 * p0 - r0 * p1, n_pivot)
     result = make(z, x) * g
-    assert result.entry(1, 0).norm() <= n_pivot
-    assert result.entry(row, 0).norm() <= n_pivot
-    height = first_column_height(result)
+    e0, e1, f0, f1, h0, h1 = result.first_column()
+    n_top, n_bottom = _norm(e0, e1), _norm(h0, h1)
+    assert _norm(f0, f1) <= n_pivot
+    assert (n_bottom if transpose else n_top) <= n_pivot
+    height = n_top + n_bottom
     assert height < na + nc
     return (z, x, transpose), result, height
 
@@ -137,9 +158,9 @@ def _base_case_parameters(g: GroupMatrix):
 def decompose(g: GroupMatrix) -> Word:
     """A word in n1..n5 evaluating to g.
 
-    Raises ValueError when g is not in the group (level sqrt(-3), corner
-    entry 1 mod 3).  The returned word is re-evaluated against g, so a
-    wrong answer is impossible.
+    Raises ValueError when g is not in the group (level sqrt(-3) and
+    top-left entry 1 mod 3, as in_upsilon tests).  The returned word is
+    re-evaluated against g, so a wrong answer is impossible.
     """
     if not in_upsilon(g):
         raise ValueError("matrix is not in the five-generator unipotent group")
@@ -151,10 +172,9 @@ def decompose(g: GroupMatrix) -> Word:
     z, x = _base_case_parameters(current)
     letters = []
     for rz, rx, transpose in records:
-        step = (unipotent_transpose_word if transpose else unipotent_word)(rz, rx)
-        letters.extend((i, -s) for i, s in reversed(step.letters))
-    letters.extend(unipotent_word(z, x).letters)
-    word = Word(letters)
+        step = (_unipotent_transpose_letters if transpose else _unipotent_letters)(rz, rx)
+        letters.extend((i, -s) for i, s in reversed(step))
+    word = Word(letters + _unipotent_letters(z, x))
     if evaluate_word(word, generators_upsilon()) != g:
         raise AssertionError("decomposition failed verification")
     return word

@@ -4,7 +4,8 @@ Matrices are 3x3 over Z[zeta] and unitary with respect to the antidiagonal
 Hermitian form J.  A GroupMatrix holds the integer coordinates (a, b) of its
 entries a + b*zeta, and this module alone knows their layout: products,
 inverses, det, unitarity and membership compute on the ints, and other
-modules read an entry through GroupMatrix.entry.  The inverse of a unitary
+modules read an entry through GroupMatrix.entry, or the first column's
+six ints through GroupMatrix.first_column.  The inverse of a unitary
 matrix is J * conj(g)^t * J, an index permutation with conjugated entries,
 so inverting multiplies nothing.
 """
@@ -47,6 +48,11 @@ class GroupMatrix(Value):
             raise IndexError("no entry (%r, %r) in a 3x3 matrix" % (i, j))
         k = 6 * i + 2 * j
         return EisensteinInt(self.coords[k], self.coords[k + 1])
+
+    def first_column(self) -> tuple:
+        """The coordinates (a0, a1, b0, b1, c0, c1) of the first column
+        (a, b, c), each entry x0 + x1*zeta, as six ints."""
+        return _first_column(self.coords)
 
     @property
     def entries(self) -> tuple:
@@ -155,6 +161,8 @@ def _minor(a: int, b: int, c: int, d: int, e: int, f: int, g: int, h: int) -> tu
 
 _new = object.__new__
 _set_coords = GroupMatrix.coords.__set__
+# the coordinates of entries (0, 0), (1, 0) and (2, 0)
+_first_column = itemgetter(0, 1, 6, 7, 12, 13)
 # coords[k] of the transpose, for each k: entry (i, j) comes from (j, i)
 _transposed = itemgetter(0, 1, 6, 7, 12, 13, 2, 3, 8, 9, 14, 15, 4, 5, 10, 11, 16, 17)
 

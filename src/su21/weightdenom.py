@@ -32,7 +32,7 @@ from .fpgroup import (
 )
 from .matgroup import SubgroupSpec, all_index3_vectors
 from .zlinalg import (
-    IntegerMatrix,
+    _integer_matrix,
     cokernel_invariants,
     eliminate_unit_pivots,
     hermite_normal_form,
@@ -79,10 +79,8 @@ def weight_denominator(
         raise InfiniteOrderError(
             "central generator has infinite order in the abelianization"
         )
-    nonzero = [row for row in h.entries if any(row)]
-    torsion, free_rank = cokernel_invariants(
-        IntegerMatrix(nonzero, reduced.cols)
-    )
+    nonzero = tuple(row for row in h.entries if any(row))
+    torsion, free_rank = cokernel_invariants(_integer_matrix(nonzero, reduced.cols))
     return DenominatorReport(
         group=group,
         index_in_upsilon=index_in_upsilon,

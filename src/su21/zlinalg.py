@@ -52,6 +52,15 @@ class IntegerMatrix(Value):
         return "IntegerMatrix(<%d x %d>)" % (self.rows, self.cols)
 
 
+def _integer_matrix(entries: tuple, cols: int) -> IntegerMatrix:
+    """The IntegerMatrix with these rows, tuples of cols ints, unchecked."""
+    m = object.__new__(IntegerMatrix)
+    object.__setattr__(m, "rows", len(entries))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
+
+
 def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
     """A matrix with the same cokernel and the same class of the last
     coordinate as the relations given by rows, a list of sparse rows
@@ -143,14 +152,16 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
             while limit < deferred:
                 limit = 2 * limit + 1
     kept = [c for c in range(cols) if c not in eliminated]
-    return IntegerMatrix([[row.get(c, 0) for c in kept] for row in rows if row], len(kept))
+    return _integer_matrix(
+        tuple(tuple(row.get(c, 0) for c in kept) for row in rows if row), len(kept)
+    )
 
 
 def hermite_normal_form(matrix: IntegerMatrix) -> IntegerMatrix:
     """Row Hermite normal form: zero rows last, positive pivots in strictly
     increasing columns, entries above each pivot reduced into [0, pivot)."""
     rows = _hnf_rows(matrix.entries, matrix.rows, matrix.cols)
-    return IntegerMatrix(rows, matrix.cols)
+    return _integer_matrix(tuple(map(tuple, rows)), matrix.cols)
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> tuple:

@@ -17,6 +17,7 @@ from su21.fpgroup import (
     evaluate_word,
     upsilon_presentation,
 )
+from su21.gendecomp import _unipotent_letters, _unipotent_transpose_letters
 from su21.matgroup import (
     IDENTITY,
     J,
@@ -25,6 +26,9 @@ from su21.matgroup import (
     SubgroupSpec,
     all_index3_vectors,
     generators_upsilon,
+    make_n,
+    make_n_transpose,
+    n_corner,
 )
 from su21.value import Value
 from su21.zlinalg import IntegerMatrix, hermite_normal_form, last_coordinate_order_of_hnf
@@ -345,6 +349,50 @@ def window_nearest_lattice_point(num, den):
 def fraction_rounded_half(u, n):
     """Nearest integer to (u/n)/2, ties toward the smaller, in Fraction."""
     return ceil(Fraction(u, n) / 2 - Fraction(1, 2))
+
+
+def reference_descend_step(g):
+    """One descent step in EisensteinInt arithmetic, the oracle of
+    gendecomp's integer step: ((z, x, transpose), m*g, height of m*g), with
+    the nearest lattice point from the rational window search and the x
+    rounding in Fraction."""
+    a, b, c = g.entry(0, 0), g.entry(1, 0), g.entry(2, 0)
+    na, nc = a.norm(), c.norm()
+    if na == nc:
+        raise AssertionError("first-column norms can never be equal here")
+    transpose = na < nc
+    if transpose:
+        pivot, n_pivot, row, make = a, na, 2, make_n_transpose
+    else:
+        pivot, n_pivot, row, make = c, nc, 0, make_n
+    assert n_pivot > 0
+    w = window_nearest_lattice_point(b * pivot.conj() * SQRT_MINUS3, 3 * n_pivot)
+    z = w if transpose else w.conj()
+    x0 = z.norm() % 2
+    # row `row` of make(z, x0) is (1, sqrt(-3) z, corner) or (corner,
+    # sqrt(-3) conj(z), 1)
+    corner = n_corner(z, x0)
+    if transpose:
+        reduced = corner * a + SQRT_MINUS3 * z.conj() * b + c
+    else:
+        reduced = a + SQRT_MINUS3 * z * b + corner * c
+    x = x0 - 2 * fraction_rounded_half((reduced * pivot.conj()).b, n_pivot)
+    result = make(z, x) * g
+    assert result.entry(1, 0).norm() <= n_pivot
+    assert result.entry(row, 0).norm() <= n_pivot
+    height = result.entry(0, 0).norm() + result.entry(2, 0).norm()
+    assert height < na + nc
+    return (z, x, transpose), result, height
+
+
+def unipotent_word(z, x):
+    """n(z, x) as a Word, from the letter formula decompose uses."""
+    return Word(_unipotent_letters(z, x))
+
+
+def unipotent_transpose_word(z, x):
+    """n(z, x)^t as a Word, from the letter formula decompose uses."""
+    return Word(_unipotent_transpose_letters(z, x))
 
 
 def founding_edges(graph):

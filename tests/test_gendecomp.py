@@ -13,8 +13,6 @@ from su21.gendecomp import (
     decompose,
     first_column_height,
     nearest_lattice_point,
-    unipotent_transpose_word,
-    unipotent_word,
 )
 from su21.matgroup import (
     GENERATOR_NAMES,
@@ -29,6 +27,9 @@ from helpers import (
     fraction_rounded_half,
     random_upsilon_element,
     random_word,
+    reference_descend_step,
+    unipotent_transpose_word,
+    unipotent_word,
     window_nearest_lattice_point,
 )
 
@@ -43,24 +44,24 @@ def test_nearest_lattice_point_fixes_integers():
     rng = random.Random(40)
     for _ in range(50):
         z = EisensteinInt(rng.randint(-9, 9), rng.randint(-9, 9))
-        assert nearest_lattice_point(z, 1) == z
+        assert nearest_lattice_point(z.a, z.b, 1) == (z.a, z.b)
         k = rng.randint(2, 9)
-        assert nearest_lattice_point(z * k, k) == z
+        assert nearest_lattice_point(k * z.a, k * z.b, k) == (z.a, z.b)
 
 
 def test_nearest_lattice_point_tie_break():
     # 1/2 is equidistant from 0 and 1; the tie-break picks the
     # lexicographically smaller (trace, zeta-coordinate), i.e. 0.
-    assert nearest_lattice_point(EisensteinInt(1, 0), 2) == EisensteinInt(0, 0)
+    assert nearest_lattice_point(1, 0, 2) == (0, 0)
     # (2 + zeta)/3, the centre of the triangle 0, 1, 1 + zeta, is
     # equidistant from all three; trace 0 < 1 picks 0 again.
-    assert nearest_lattice_point(EisensteinInt(2, 1), 3) == EisensteinInt(0, 0)
+    assert nearest_lattice_point(2, 1, 3) == (0, 0)
 
 
 def test_nearest_lattice_point_rejects_nonpositive_den():
     for den in (0, -3):
         with pytest.raises(ValueError):
-            nearest_lattice_point(EisensteinInt(1, 0), den)
+            nearest_lattice_point(1, 0, den)
 
 
 def test_nearest_lattice_point_is_a_minimizer():
@@ -68,7 +69,7 @@ def test_nearest_lattice_point_is_a_minimizer():
     for _ in range(150):
         num = EisensteinInt(rng.randint(-40, 40), rng.randint(-40, 40))
         den = rng.randint(1, 12)
-        best = nearest_lattice_point(num, den)
+        best = EisensteinInt(*nearest_lattice_point(num.a, num.b, den))
         d = (num - best * den).norm()
         # covering radius of the triangular lattice in this norm is 1/3
         assert 3 * d <= den * den
@@ -103,7 +104,8 @@ def test_nearest_lattice_point_matches_window_oracle():
             den = rng.randint(1, 10**6)
             bound = 10**30
         num = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        assert nearest_lattice_point(num, den) == window_nearest_lattice_point(num, den)
+        best = window_nearest_lattice_point(num, den)
+        assert nearest_lattice_point(num.a, num.b, den) == (best.a, best.b)
         ties += _window_ties(num, den) > 1
     assert ties > 100
 
@@ -174,6 +176,44 @@ def test_descend_step_strictly_decreases_height():
             g, h = reduced, h2
 
 
+def _large_entry_elements(rng, count):
+    """Products of six unipotents, alternately transposed, with parameters
+    of 20 to 40 digits, between short random words: entries of hundreds of
+    digits, and steps that clear a large unipotent at once."""
+    elements = []
+    for _ in range(count):
+        g = ev(random_word(rng, 8))
+        for i in range(6):
+            bound = 10 ** rng.randint(20, 40)
+            z = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            x = 2 * rng.randint(-bound, bound) + z.norm() % 2
+            g = g * (make_n_transpose if i % 2 else make_n)(z, x) * ev(random_word(rng, 8))
+        elements.append(g)
+    return elements
+
+
+def test_descend_step_matches_eisenstein_oracle():
+    """The integer step equals its EisensteinInt oracle, record, matrix and
+    height, at every step of seeded elements: both pivot branches occur,
+    and entries run to hundreds of digits."""
+    rng = random.Random(53)
+    elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
+    elements += _large_entry_elements(rng, 6)
+    digits = max(
+        len(str(abs(v))) for g in elements for row in g.entries for e in row for v in (e.a, e.b)
+    )
+    branches = Counter()
+    for g in elements:
+        while first_column_height(g) > 1:
+            step = _descend_step(g)
+            assert step == reference_descend_step(g)
+            assert type(step[0][0]) is EisensteinInt
+            branches[step[0][2]] += 1
+            g = step[1]
+    assert digits >= 300
+    assert branches[False] >= 100 and branches[True] >= 100
+
+
 def test_decompose_round_trips():
     rng = random.Random(44)
     for _ in range(60):
@@ -186,10 +226,12 @@ def test_descent_work_is_pinned(monkeypatch):
     """Total descent steps and word letters over a seeded set of elements,
     so that a change of nearest point or of tie-breaking shows; and the
     work decompose does on them: one div_exact (z of the base case), one
-    make_n per step and base case, one Word per step and base case and one
-    for the result, and the EisensteinInt values its Eisenstein arithmetic
-    and entry reads make (matrix products and membership make none but the
-    value of det())."""
+    make_n per step and base case, one Word (the result) per call, one
+    matrix product per step, per letter of the word check and for the
+    unitarity test of membership, and the EisensteinInt values it builds:
+    per step z and the corners n_corner builds for the step and for make_n,
+    and per call the value of det(), the base case's two entry reads, the
+    three values of its division and its make_n corner."""
     rng = random.Random(48)
     elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
     steps = 0
@@ -213,6 +255,7 @@ def test_descent_work_is_pinned(monkeypatch):
     monkeypatch.setattr(matgroup, "make_n", counted_make_n)
     monkeypatch.setattr(gendecomp, "make_n", counted_make_n)
     monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted("product", GroupMatrix.__mul__))
     monkeypatch.setattr(
         EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
     )
@@ -221,8 +264,9 @@ def test_descent_work_is_pinned(monkeypatch):
     assert counts == {
         "div_exact": 20,
         "make_n": 300 + 20,
-        "Word": 300 + 2 * 20,
-        "EisensteinInt": 6480,
+        "Word": 20,
+        "product": 300 + 1003 + 20,
+        "EisensteinInt": 3 * 300 + 7 * 20,
     }
 
 

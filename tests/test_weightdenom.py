@@ -451,7 +451,7 @@ def test_gamma3_counters(monkeypatch):
     traces go straight into sparse rows: no subgroup Presentation, no
     trace Word and no dense relation matrix is built."""
     counts = {"sigma": 0, "membership": 0, "mul": 0}
-    counts.update(Word=0, Presentation=0, IntegerMatrix=0)
+    counts.update(Word=0, Presentation=0, IntegerMatrix=0, unchecked=0)
     shapes = []
 
     def counted(name, fn):
@@ -476,6 +476,9 @@ def test_gamma3_counters(monkeypatch):
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     for cls in (Word, Presentation, IntegerMatrix):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    counted_matrix = counted("unchecked", zlinalg._integer_matrix)
+    monkeypatch.setattr(zlinalg, "_integer_matrix", counted_matrix)
+    monkeypatch.setattr(weightdenom, "_integer_matrix", counted_matrix)
     upsilon_presentation.cache_clear()
     report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
     assert report_answer(report) == (3, (3,) * 7, 10)
@@ -496,9 +499,10 @@ def test_gamma3_counters(monkeypatch):
     # check that took 116 more before the lift is gone
     assert counts["mul"] == 2173 - 325 - letters == 1732
     # the ambient presentation is the only Presentation; the relation
-    # matrix is born reduced, then comes the HNF and its nonzero rows
+    # matrix is born reduced, then comes the HNF and its nonzero rows, all
+    # three built unchecked
     assert counts["Presentation"] == 1
-    assert counts["IntegerMatrix"] == 3
+    assert (counts["IntegerMatrix"], counts["unchecked"]) == (0, 3)
     # the 20 Words spell out the 13 ambient relators, and none is a trace
     assert counts["Word"] == 20
 
