@@ -210,11 +210,14 @@ def gamma_sqrt3_presentation() -> Presentation:
 class CosetGraph(NamedTuple):
     """The coset graph: vertex 0 is the identity representative, and each
     edge (v, letter) -> w means that representative v times the letter lies
-    in the coset of representative w."""
+    in the coset of representative w.  symbol_of maps each positive edge
+    (v, generator) off the spanning tree to the column of its Schreier
+    generator in the relation rows."""
 
     vertices: tuple
     edges: dict
     generator_count: int
+    symbol_of: dict
 
     @property
     def index(self) -> int:
@@ -338,5 +341,5 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                 row[z] = -n
             rows.append(row)
 
-    graph = CosetGraph(tuple(vertices), edges, ambient.generator_count)
+    graph = CosetGraph(tuple(vertices), edges, ambient.generator_count, symbol_of)
     return rows, len(symbol_of), graph

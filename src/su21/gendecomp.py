@@ -7,16 +7,19 @@ decreases the height; height 1 forces g upper unipotent, which is read off
 directly.  A step computes on the six ints of GroupMatrix.first_column:
 the nearest lattice point and every rounding compare integers, and every
 norm inequality along the way is asserted on integers.  decompose builds
-one Word, from the letters of all steps.
+one Word, from the letters of all steps, and checks it by multiplying out
+the generator matrices.  Every factor, the step's n(z, x) or its transpose
+and each letter's generator or inverse, is unitriangular, so each product
+goes through matgroup.unitriangular_times.
 """
 
 from __future__ import annotations
 
 from .eisenstein import SQRT_MINUS3, EisensteinInt
-from .fpgroup import Word, evaluate_word
+from .fpgroup import Word
 from .matgroup import (
-    GENERATOR_NAMES, GroupMatrix, _times, generators_upsilon, in_upsilon, make_n,
-    make_n_transpose, n_corner,
+    GENERATOR_NAMES, IDENTITY, GroupMatrix, _times, generators_upsilon, in_upsilon,
+    make_n, make_n_transpose, n_corner, unitriangular_times,
 )
 
 # n2^t expressed in n1..n5; every multiplier word below factors through this.
@@ -135,7 +138,7 @@ def _descend_step(g: GroupMatrix):
     r0, r1 = k0 + m0 + o0, k1 + m1 + o1
     # r1*p0 - r0*p1 is the zeta-coordinate of reduced * conj(pivot)
     x = x0 - 2 * _rounded_half(r1 * p0 - r0 * p1, n_pivot)
-    result = make(z, x) * g
+    result = unitriangular_times(make(z, x), g)
     e0, e1, f0, f1, h0, h1 = result.first_column()
     n_top, n_bottom = _norm(e0, e1), _norm(h0, h1)
     assert _norm(f0, f1) <= n_pivot
@@ -160,7 +163,9 @@ def decompose(g: GroupMatrix) -> Word:
 
     Raises ValueError when g is not in the group (level sqrt(-3) and
     top-left entry 1 mod 3, as in_upsilon tests).  The returned word is
-    re-evaluated against g, so a wrong answer is impossible.
+    re-evaluated against g, so a wrong answer is impossible: from I, each
+    letter from the last to the first multiplies the product on the left
+    by its generator's matrix or that matrix's inverse.
     """
     if not in_upsilon(g):
         raise ValueError("matrix is not in the five-generator unipotent group")
@@ -175,6 +180,11 @@ def decompose(g: GroupMatrix) -> Word:
         step = (_unipotent_transpose_letters if transpose else _unipotent_letters)(rz, rx)
         letters.extend((i, -s) for i, s in reversed(step))
     word = Word(letters + _unipotent_letters(z, x))
-    if evaluate_word(word, generators_upsilon()) != g:
+    images = generators_upsilon()
+    inverses = [n.inverse() for n in images]
+    product = IDENTITY
+    for i, s in reversed(word.letters):
+        product = unitriangular_times(images[i] if s == 1 else inverses[i], product)
+    if product != g:
         raise AssertionError("decomposition failed verification")
     return word

@@ -7,7 +7,10 @@ inverses, det, unitarity and membership compute on the ints, and other
 modules read an entry through GroupMatrix.entry, or the first column's
 six ints through GroupMatrix.first_column.  The inverse of a unitary
 matrix is J * conj(g)^t * J, an index permutation with conjugated entries,
-so inverting multiplies nothing.
+so inverting multiplies nothing.  unitriangular_times(u, g) is u * g for a
+unitriangular u, upper or lower, such as a generator, its inverse or n(z, x):
+it multiplies by u's three off-diagonal entries only, 9 entry products
+where the general product makes 27.
 """
 
 from __future__ import annotations
@@ -172,6 +175,46 @@ def _group_matrix(coords: tuple) -> GroupMatrix:
     m = _new(GroupMatrix)
     _set_coords(m, coords)
     return m
+
+
+# the diagonal, then the entries below it or above it: a unitriangular
+# matrix reads _UNIT there
+_upper_shape = itemgetter(0, 1, 8, 9, 16, 17, 6, 7, 12, 13, 14, 15)
+_lower_shape = itemgetter(0, 1, 8, 9, 16, 17, 2, 3, 4, 5, 10, 11)
+_UNIT = (1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+# J * g, which reverses the rows of g
+_reversed_rows = itemgetter(12, 13, 14, 15, 16, 17, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5)
+
+
+def unitriangular_times(u: GroupMatrix, g: GroupMatrix) -> GroupMatrix:
+    """u * g for a unitriangular u, upper or lower, in 9 products of
+    entries where u * g makes 27.  A lower u goes through the upper body
+    as J * (J u J) * (J * g), since J^2 = I and J u J (entry (i, j) is
+    u[2 - i][2 - j]) is upper.  Raises ValueError for any other u."""
+    c = u.coords
+    if _upper_shape(c) == _UNIT:
+        return _group_matrix(_upper_times(c[2], c[3], c[4], c[5], c[10], c[11], g.coords))
+    if _lower_shape(c) == _UNIT:
+        s = _upper_times(c[14], c[15], c[12], c[13], c[6], c[7], _reversed_rows(g.coords))
+        return _group_matrix(_reversed_rows(s))
+    raise ValueError("u is not unitriangular")
+
+
+def _upper_times(p, P, q, Q, r, R, s) -> tuple:
+    """The coordinates of u * g for the upper unitriangular u with entries
+    u01 = p + P*zeta, u02 = q + Q*zeta, u12 = r + R*zeta and g's coords s:
+    row 0 gains u01 * row 1 + u02 * row 2, row 1 gains u12 * row 2 (see
+    _times for one product)."""
+    a0, A0, a1, A1, a2, A2, b0, B0, b1, B1, b2, B2, c0, C0, c1, C1, c2, C2 = s
+    t0, t1, t2 = P * B0 + Q * C0, P * B1 + Q * C1, P * B2 + Q * C2
+    m0, m1, m2 = R * C0, R * C1, R * C2
+    return (a0 + p * b0 + q * c0 - t0, A0 + p * B0 + P * b0 + q * C0 + Q * c0 - t0,
+            a1 + p * b1 + q * c1 - t1, A1 + p * B1 + P * b1 + q * C1 + Q * c1 - t1,
+            a2 + p * b2 + q * c2 - t2, A2 + p * B2 + P * b2 + q * C2 + Q * c2 - t2,
+            b0 + r * c0 - m0, B0 + r * C0 + R * c0 - m0,
+            b1 + r * c1 - m1, B1 + r * C1 + R * c1 - m1,
+            b2 + r * c2 - m2, B2 + r * C2 + R * c2 - m2,
+            c0, C0, c1, C1, c2, C2)
 
 
 J = _group_matrix((0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0))

@@ -9,6 +9,7 @@ from su21.fpgroup import (
     Presentation,
     Word,
     evaluate_word,
+    gamma_sqrt3_presentation,
     reidemeister_schreier,
     upsilon_presentation,
 )
@@ -313,6 +314,24 @@ def test_relation_rows_are_trace_exponent_sums():
         )
         if spec.rows == ():
             assert rows == sparse_rows(relation_matrix(p).entries)
+
+
+def test_graph_keeps_the_symbol_map():
+    """graph.symbol_of numbers the edges off the spanning tree as
+    schreier_edges lists them, on upsilon, gamma3, gamma_sqrt3 (over its
+    own presentation) and the 40 index-3 groups."""
+    specs = [SubgroupSpec.parse(name) for name in ("upsilon", "gamma3", "gamma_sqrt3")]
+    specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
+    for spec in specs:
+        if spec.rows is None:
+            ambient, index = gamma_sqrt3_presentation(), 1
+        else:
+            ambient, index = upsilon_presentation(), spec.index_in_upsilon()
+        _, generator_count, graph = reidemeister_schreier(
+            ambient, spec.coset_key, spec.membership, max_index=index
+        )
+        assert graph.symbol_of == {e: k for k, e in enumerate(schreier_edges(graph))}
+        assert len(graph.symbol_of) == generator_count
 
 
 def test_reidemeister_schreier_index_overflow():

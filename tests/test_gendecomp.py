@@ -227,8 +227,9 @@ def test_descent_work_is_pinned(monkeypatch):
     so that a change of nearest point or of tie-breaking shows; and the
     work decompose does on them: one div_exact (z of the base case), one
     make_n per step and base case, one Word (the result) per call, one
-    matrix product per step, per letter of the word check and for the
-    unitarity test of membership, and the EisensteinInt values it builds:
+    unitriangular product per step and per letter of the word check, one
+    general matrix product per call (the unitarity test of membership),
+    and the EisensteinInt values it builds:
     per step z and the corners n_corner builds for the step and for make_n,
     and per call the value of det(), the base case's two entry reads, the
     three values of its division and its make_n corner."""
@@ -257,6 +258,11 @@ def test_descent_work_is_pinned(monkeypatch):
     monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("product", GroupMatrix.__mul__))
     monkeypatch.setattr(
+        gendecomp,
+        "unitriangular_times",
+        counted("unitriangular", gendecomp.unitriangular_times),
+    )
+    monkeypatch.setattr(
         EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
     )
     letters = sum(len(decompose(g)) for g in elements)
@@ -265,14 +271,16 @@ def test_descent_work_is_pinned(monkeypatch):
         "div_exact": 20,
         "make_n": 300 + 20,
         "Word": 20,
-        "product": 300 + 1003 + 20,
+        "unitriangular": 300 + 1003,
+        "product": 20,
         "EisensteinInt": 3 * 300 + 7 * 20,
     }
 
 
 def test_decompose_inverts_each_generator_once(monkeypatch):
-    """Verifying the word evaluates it with one inverse per generator;
-    the unitarity check on g inverts g once more."""
+    """The word check multiplies by the five generators and their five
+    inverses, which each call forms with one inverse() per generator; the
+    unitarity check on g inverts g once more."""
     rng = random.Random(47)
     word = EMPTY_WORD
     while len(word) < 60:
@@ -288,9 +296,25 @@ def test_decompose_inverts_each_generator_once(monkeypatch):
     monkeypatch.setattr(GroupMatrix, "inverse", counted)
     found = decompose(g)
     assert calls.count(g) == 1
-    assert len(calls) - 1 <= 5
+    assert sorted(map(GENERATORS.index, set(calls) - {g})) == [0, 1, 2, 3, 4]
+    assert len(calls) == 6
     monkeypatch.undo()
     assert len(word) == 60 and ev(found) == g
+
+
+def test_decompose_word_check_bites(monkeypatch):
+    """A letter formula that writes one letter too many gives a word that
+    does not evaluate to g, and the final check raises."""
+    original = gendecomp._unipotent_letters
+
+    def one_letter_more(z, x):
+        return original(z, x) + [(0, 1)]
+
+    monkeypatch.setattr(gendecomp, "_unipotent_letters", one_letter_more)
+    rng = random.Random(54)
+    for g in [IDENTITY, *GENERATORS, *(ev(random_word(rng, 40, min_len=8)) for _ in range(5))]:
+        with pytest.raises(AssertionError, match="^decomposition failed verification$"):
+            decompose(g)
 
 
 def test_decompose_rejects_non_members():

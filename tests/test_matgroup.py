@@ -19,6 +19,7 @@ from su21.matgroup import (
     make_n,
     make_n_transpose,
     n_corner,
+    unitriangular_times,
 )
 from helpers import (
     GENERATORS,
@@ -194,6 +195,49 @@ def test_product_matches_reference_on_arbitrary_matrices():
             assert g * h == reference_product(g, h)
             assert g.det() == reference_det(g)
             assert GroupMatrix(g.entries) == g
+
+
+def _unitriangular_factors(rng):
+    """The ten generator and inverse images, I, and n(z, x) and its
+    transpose for z with 1 to 40 digits."""
+    factors = [*GENERATORS, *(n.inverse() for n in GENERATORS), IDENTITY]
+    for digits in range(1, 41):
+        bound = 10**digits - 1
+        z = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        x = 2 * rng.randint(-bound, bound) + z.norm() % 2
+        factors += [make_n(z, x), make_n_transpose(z, x)]
+    return factors
+
+
+def test_unitriangular_times_matches_product():
+    """The three-entry kernel equals the general product, value and hash,
+    on group elements with entries of hundreds of digits and on arbitrary
+    matrices with zero entries and entries of either sign."""
+    rng = random.Random(18)
+    factors = _unitriangular_factors(rng)
+    elements = _large_elements(19)
+    assert max(_digits(g) for g in elements) >= 280
+    others = [_arbitrary_matrix(rng, bound) for bound in (1, 50, 10**40) for _ in range(5)]
+    for u in factors:
+        for g in elements + others:
+            product = unitriangular_times(u, g)
+            assert product == u * g
+            assert hash(product) == hash(u * g)
+
+
+def test_unitriangular_times_rejects_other_factors():
+    n1 = GENERATORS[0]
+    changed_diagonal = GroupMatrix(
+        [[n1[i][j] + (ONE if (i, j) == (1, 1) else ZERO) for j in range(3)] for i in range(3)]
+    )
+    # a unit diagonal with entries above and below it
+    both_sides = GroupMatrix(
+        [[n1[i][j] + (ONE if (i, j) == (2, 0) else ZERO) for j in range(3)] for i in range(3)]
+    )
+    minus_identity = IDENTITY.scalar_mul(EisensteinInt(-1, 0))
+    for u in (J, ZETA_IDENTITY, minus_identity, changed_diagonal, both_sides):
+        with pytest.raises(ValueError, match="not unitriangular"):
+            unitriangular_times(u, IDENTITY)
 
 
 def test_inverse_matches_reference():

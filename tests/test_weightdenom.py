@@ -606,7 +606,7 @@ def test_index3_membership_checks_unitarity_once(monkeypatch):
         EisensteinInt(3, -4),
         CoverElement(GENERATORS[0], 5),
         BallPoint(-2.0, 0.5j),
-        CosetGraph([IDENTITY], {(0, (0, 1)): 0}, 1),
+        CosetGraph([IDENTITY], {(0, (0, 1)): 0}, 1, {(0, 0): 0}),
         DenominatorReport("upsilon", 1, 5, 13, 1, (3, 3, 3), 2),
     ],
     ids=lambda value: type(value).__name__,
@@ -615,7 +615,7 @@ def test_pickle_round_trip(value):
     clone = pickle.loads(pickle.dumps(value))
     assert type(clone) is type(value)
     assert clone == value
-    if not isinstance(value, CosetGraph):  # its edges dict cannot be hashed
+    if not isinstance(value, CosetGraph):  # its dicts cannot be hashed
         assert hash(clone) == hash(value)
     with pytest.raises(AttributeError):
         clone.extra = 1
