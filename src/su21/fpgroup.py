@@ -4,9 +4,11 @@ and Reidemeister-Schreier relation rows of finite-index subgroups.
 Words are freely reduced sequences of (generator index, +-1) letters.  A
 Presentation lifts each relator through the universal cover once, which
 checks it and keeps its central part.  The Reidemeister-Schreier engine
-traces each relator straight into a sparse row over the Schreier
-generators and the central generator z; the rows are all that the weight
-denominator needs, so no subgroup word or presentation is built.
+enumerates cosets as the points of a finite action of the generators, so
+it multiplies no matrices, and traces each relator straight into a sparse
+row over the Schreier generators and the central generator z; the rows
+are all that the weight denominator needs, so no subgroup word or
+presentation is built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ class IndexOverflowError(RuntimeError):
 
 
 class OracleInconsistencyError(RuntimeError):
-    """The membership predicate is inconsistent with a subgroup structure."""
+    """A coset action disagrees with the presentation, as an inverse edge
+    that does not step back or a relator trace that does not close up, or
+    the enumeration found a different index than the subgroup has."""
 
 
 class Word(Value):
@@ -102,9 +106,6 @@ def _free_reduce_letters(letters):
         else:
             stack.append(letter)
     return tuple(stack)
-
-
-EMPTY_WORD = Word(())
 
 
 def evaluate_word(word: Word, images, identity=IDENTITY):
@@ -208,9 +209,9 @@ def gamma_sqrt3_presentation() -> Presentation:
 
 
 class CosetGraph(NamedTuple):
-    """The coset graph: vertex 0 is the identity representative, and each
-    edge (v, letter) -> w means that representative v times the letter lies
-    in the coset of representative w.  symbol_of maps each positive edge
+    """The coset graph: vertices are the points of the coset action, vertex
+    0 the base point, and each edge (v, letter) -> w means that the letter
+    moves point v to point w.  symbol_of maps each positive edge
     (v, generator) off the spanning tree to the column of its Schreier
     generator in the relation rows."""
 
@@ -227,24 +228,24 @@ class CosetGraph(NamedTuple):
         return "CosetGraph(<%d cosets, %d edges>)" % (len(self.vertices), len(self.edges))
 
 
-def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_index: int):
+def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     """Relation rows of the central extension of the finite-index subgroup H
-    whose right cosets H*g coset_key tells apart:
-    (rows, generator_count, graph).
+    that fixes base in a transitive action of the ambient group on finitely
+    many points, one per right coset H*g: (rows, generator_count, graph).
 
-    coset_key(g) must be a hashable value that is the same for two elements
-    exactly when they lie in the same coset, such as the image of g under a
-    homomorphism onto a finite group with kernel H.  Enumeration is
-    breadth-first with a FIFO queue; each dequeued representative r steps
-    by the generators in index order, the generator before its inverse, and
-    the step r * x joins the coset with its key (one dict lookup) or founds
-    a new one, so coset numbering is reproducible.
+    act(point, generator, sign) is the point reached from point by the
+    generator with that index, or by its inverse for sign -1; points are
+    hashable.  Enumeration is breadth-first with a FIFO queue; each
+    dequeued point steps by the generators in index order, the generator
+    before its inverse, and the image joins the coset with that point (one
+    dict lookup) or founds a new one, so coset numbering is reproducible.
 
-    The key is checked, not trusted; OracleInconsistencyError is raised
-    unless every inverse edge reverses its positive edge, membership holds
-    for every Schreier generator, and every relator trace closes up.  A key
-    that separates a subgroup of H passes these checks and yields that
-    subgroup, so callers compare the index with the one they expect.
+    The action is checked, not trusted; OracleInconsistencyError is raised
+    unless every inverse edge reverses its positive edge and every relator
+    trace closes up, which together prove that the points carry an action
+    of the presented group.  The stabiliser of base is then the subgroup
+    whose rows are returned, and callers compare the index with the one
+    they expect.
 
     Subgroup generators (Holt, Eick and O'Brien, Handbook of Computational
     Group Theory, 2.4 and 5): one per positive-letter edge r * x -> r' off
@@ -265,39 +266,29 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    steps = [((1, image), (-1, image.inverse())) for image in ambient.images]
-
-    vertices = [IDENTITY]
-    coset_of = {coset_key(IDENTITY): 0}
+    coset_of = {base: 0}  # point -> coset number, in the order found
     edges = {}
-    products = {}  # positive edge (v, generator) -> r * x, for the Schreier generators
     tree = set()  # positive edges (v, generator) of the spanning tree
-    queue = deque([0])
+    queue = deque([base])
     while queue:
-        vi = queue.popleft()
-        r = vertices[vi]
-        for gi, pair in enumerate(steps):
-            for sign, step in pair:
-                m = r * step
-                key = coset_key(m)
-                wj = coset_of.get(key)
+        point = queue.popleft()
+        vi = coset_of[point]
+        for gi in range(ambient.generator_count):
+            for sign in (1, -1):
+                image = act(point, gi, sign)
+                wj = coset_of.get(image)
                 if wj is None:
-                    if len(vertices) >= max_index:
+                    if len(coset_of) >= max_index:
                         raise IndexOverflowError(
                             "subgroup index exceeds max_index = %d" % max_index
                         )
-                    wj = len(vertices)
-                    vertices.append(m)
-                    coset_of[key] = wj
-                    queue.append(wj)
+                    wj = coset_of[image] = len(coset_of)
+                    queue.append(image)
                     tree.add((vi, gi) if sign == 1 else (wj, gi))
                 edges[(vi, (gi, sign))] = wj
-                if sign == 1:
-                    products[(vi, gi)] = m
 
-    inverses = [v.inverse() for v in vertices]
     symbol_of = {}
-    for vi in range(len(vertices)):
+    for vi in range(len(coset_of)):
         for gi in range(ambient.generator_count):
             wj = edges[(vi, (gi, 1))]
             if edges[(wj, (gi, -1))] != vi:
@@ -305,21 +296,14 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                     "coset %d steps by generator %d to coset %d, but its inverse "
                     "does not step back" % (vi, gi, wj)
                 )
-            if (vi, gi) in tree:
-                continue
-            if not membership(products[(vi, gi)] * inverses[wj]):
-                raise OracleInconsistencyError(
-                    "the Schreier generator of coset %d and generator %d is not "
-                    "in the subgroup: the coset key disagrees with membership"
-                    % (vi, gi)
-                )
-            symbol_of[(vi, gi)] = len(symbol_of)
+            if (vi, gi) not in tree:
+                symbol_of[(vi, gi)] = len(symbol_of)
 
     z = len(symbol_of)  # the column of the central generator
     # A negative letter traverses the positive edge that ends where it ends.
     rows = []
     for rel, n in zip(ambient.relators, ambient.central):
-        for vi in range(len(vertices)):
+        for vi in range(len(coset_of)):
             row = {}
             current = vi
             for gi, sign in rel.letters:
@@ -341,5 +325,5 @@ def reidemeister_schreier(ambient: Presentation, coset_key, membership, max_inde
                 row[z] = -n
             rows.append(row)
 
-    graph = CosetGraph(tuple(vertices), edges, ambient.generator_count, symbol_of)
+    graph = CosetGraph(tuple(coset_of), edges, ambient.generator_count, symbol_of)
     return rows, len(symbol_of), graph

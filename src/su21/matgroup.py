@@ -11,6 +11,9 @@ so inverting multiplies nothing.  unitriangular_times(u, g) is u * g for a
 unitriangular u, upper or lower, such as a generator, its inverse or n(z, x):
 it multiplies by u's three off-diagonal entries only, 9 entry products
 where the general product makes 27.
+
+SubgroupSpec.coset_action gives a subgroup's cosets as the points of a
+finite action, on which coset enumeration runs without matrices.
 """
 
 from __future__ import annotations
@@ -281,21 +284,22 @@ def in_upsilon(g: GroupMatrix) -> bool:
 def F_map(g: GroupMatrix) -> tuple:
     """The homomorphism to F_3^4 sending g to the four off-corner entries
     (g12, g13, g21, g31) divided by sqrt(-3) and reduced mod sqrt(-3).
-
     Its kernel is the principal congruence subgroup of level 3.
+
+    An entry divisible by sqrt(-3) is c = sqrt(-3) * (x + y*zeta) =
+    (x - 2y) + (2x - y)*zeta, and the quotient reduces to x + y = c.b - c.a
+    mod sqrt(-3), so no division is needed.
     """
     if not in_upsilon(g):
         raise ValueError("F_map is defined only on the unipotent-generated congruence group")
-    return _f_coordinates(g)
-
-
-def _f_coordinates(g: GroupMatrix) -> tuple:
-    """F_map without the membership check.  An entry divisible by sqrt(-3)
-    is c = sqrt(-3) * (x + y*zeta) = (x - 2y) + (2x - y)*zeta, and the
-    quotient reduces to x + y = c.b - c.a mod sqrt(-3), so no division is
-    needed."""
     c = g.coords
     return (c[3] - c[2]) % 3, (c[5] - c[4]) % 3, (c[7] - c[6]) % 3, (c[13] - c[12]) % 3
+
+
+@lru_cache(maxsize=None)
+def _generator_f_images() -> tuple:
+    """F_map of the five generators, taken once per process."""
+    return tuple(map(F_map, generators_upsilon()))
 
 
 def all_index3_vectors() -> list:
@@ -382,25 +386,24 @@ class SubgroupSpec(Value):
             )
         return spec
 
-    def membership(self, g: GroupMatrix) -> bool:
+    def coset_action(self) -> tuple:
+        """(base, act): the right cosets H*g in the ambient group as points,
+        base the coset of I, and act(point, i, sign) the point reached by
+        ambient generator i, or its inverse for sign -1.  The point of H*g
+        is rows . F_map(g) mod 3, so generator i adds sign * rows . F(n_i).
+        gamma_sqrt3 is its own ambient group: its one point () is fixed
+        by every generator."""
         if self.rows is None:
-            return in_gamma_sqrt3(g)
-        return in_upsilon(g) and not any(self.coset_key(g))
+            return (), lambda point, generator, sign: point
+        shifts = [
+            tuple(sum(r * x for r, x in zip(row, f)) % 3 for row in self.rows)
+            for f in _generator_f_images()
+        ]
 
-    def coset_key(self, g: GroupMatrix) -> tuple:
-        """The image of g in the quotient of the ambient group by this
-        subgroup: rows . F_map(g) mod 3, one entry per row.  Two elements of
-        the ambient group lie in the same right coset exactly when their
-        keys are equal.
+        def act(point, generator, sign):
+            return tuple((p + sign * s) % 3 for p, s in zip(point, shifts[generator]))
 
-        g must lie in the ambient group, and unlike F_map this does not
-        check it: coset enumeration keys only products of the ambient
-        generators, and checks every Schreier generator with membership.
-        gamma_sqrt3 is its own ambient group, so its key is ()."""
-        if self.rows is None:
-            return ()
-        f0, f1, f2, f3 = _f_coordinates(g)
-        return tuple((a * f0 + b * f1 + c * f2 + d * f3) % 3 for a, b, c, d in self.rows)
+        return (0,) * len(self.rows), act
 
     def index_in_upsilon(self) -> int:
         """Index inside the ambient unipotent-generated group, which does

@@ -8,11 +8,11 @@ generator z = (I, 1).  The order d of the image of z in that finitely
 generated abelian group is the weight denominator: the weights admitting a
 multiplier system are exactly (1/d) * Z.
 
-Every named group goes through coset enumeration and Reidemeister-Schreier
-over its ambient presentation, which trace the ambient relators from every
-coset straight into these sparse rows, taking each z entry from the ambient
-relator's lift; sigma is evaluated only to lift those relators, once per
-process per ambient group.
+Every named group goes through coset enumeration on its spec's coset
+action and Reidemeister-Schreier over its ambient presentation, which
+trace the ambient relators from every coset straight into these sparse
+rows, taking each z entry from the ambient relator's lift; sigma is
+evaluated only to lift those relators, once per process per ambient group.
 
 The sparse rows are shrunk by unit-pivot elimination before a single
 Hermite normal form, which gives d; its nonzero rows give the invariants.
@@ -93,8 +93,8 @@ def weight_denominator(
 
 
 def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
-    """Weight denominator of a named subgroup, from coset enumeration keyed
-    by SubgroupSpec.coset_key and Reidemeister-Schreier rows over the
+    """Weight denominator of a named subgroup, from coset enumeration on
+    SubgroupSpec.coset_action and Reidemeister-Schreier rows over the
     unipotent group's presentation, or for gamma_sqrt3 over its own (index
     1, no index_in_upsilon).
 
@@ -108,7 +108,7 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
         index_in_upsilon = expected
     try:
         rows, generator_count, graph = reidemeister_schreier(
-            ambient, spec.coset_key, spec.membership, max_index=expected
+            ambient, *spec.coset_action(), max_index=expected
         )
     except (IndexOverflowError, OracleInconsistencyError) as exc:
         raise type(exc)("%s: %s" % (spec.name(), exc)) from exc

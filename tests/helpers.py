@@ -10,6 +10,7 @@ from math import ceil, floor, gcd
 from su21.cocycle import X_of
 from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import (
+    CosetGraph,
     IndexOverflowError,
     OracleInconsistencyError,
     Presentation,
@@ -26,6 +27,8 @@ from su21.matgroup import (
     SubgroupSpec,
     all_index3_vectors,
     generators_upsilon,
+    in_gamma_sqrt3,
+    in_upsilon,
     make_n,
     make_n_transpose,
     n_corner,
@@ -520,6 +523,129 @@ def rescanning_elimination(rows, cols):
             limit = 2 * limit + 1
     kept = [c for c in range(cols) if c not in eliminated]
     return IntegerMatrix([[row.get(c, 0) for c in kept] for row in rows if row], len(kept))
+
+
+# --- keyed Reidemeister-Schreier oracle ----------------------------------------
+#
+# The enumeration the package ran before it enumerated cosets on the spec's
+# finite action.  It walks coset representatives as matrices, finds the
+# coset of each step r * x by one dict lookup on its coset key, and checks
+# every Schreier generator r * x * r'^-1 with the subgroup's membership
+# test.  With spec_coset_key and spec_membership it must give the action
+# engine's rows, generator count, edges and symbol map on every group a
+# SubgroupSpec can name.
+
+
+def spec_coset_key(spec, g):
+    """The image rows . F(g) mod 3 of an element g of the ambient group,
+    F by dividing each entry (no membership check); () for gamma_sqrt3,
+    which is its own ambient group."""
+    if spec.rows is None:
+        return ()
+    f = divided_f_coordinates(g)
+    return tuple(sum(r * x for r, x in zip(row, f)) % 3 for row in spec.rows)
+
+
+def spec_membership(spec, g):
+    """Whether g lies in the subgroup the spec names."""
+    if spec.rows is None:
+        return in_gamma_sqrt3(g)
+    return in_upsilon(g) and not any(spec_coset_key(spec, g))
+
+
+def keyed_reidemeister_schreier(ambient, coset_key, membership, max_index):
+    """(rows, generator_count, graph) as reidemeister_schreier returns them,
+    with the coset representatives as the graph's vertices."""
+    if max_index < 1:
+        raise ValueError("max_index must be at least 1")
+    steps = [((1, image), (-1, image.inverse())) for image in ambient.images]
+
+    vertices = [IDENTITY]
+    coset_of = {coset_key(IDENTITY): 0}
+    edges = {}
+    products = {}  # positive edge (v, generator) -> r * x, for the Schreier generators
+    tree = set()  # positive edges (v, generator) of the spanning tree
+    queue = deque([0])
+    while queue:
+        vi = queue.popleft()
+        r = vertices[vi]
+        for gi, pair in enumerate(steps):
+            for sign, step in pair:
+                m = r * step
+                key = coset_key(m)
+                wj = coset_of.get(key)
+                if wj is None:
+                    if len(vertices) >= max_index:
+                        raise IndexOverflowError(
+                            "subgroup index exceeds max_index = %d" % max_index
+                        )
+                    wj = len(vertices)
+                    vertices.append(m)
+                    coset_of[key] = wj
+                    queue.append(wj)
+                    tree.add((vi, gi) if sign == 1 else (wj, gi))
+                edges[(vi, (gi, sign))] = wj
+                if sign == 1:
+                    products[(vi, gi)] = m
+
+    inverses = [v.inverse() for v in vertices]
+    symbol_of = {}
+    for vi in range(len(vertices)):
+        for gi in range(ambient.generator_count):
+            wj = edges[(vi, (gi, 1))]
+            if edges[(wj, (gi, -1))] != vi:
+                raise OracleInconsistencyError(
+                    "coset %d steps by generator %d to coset %d, but its inverse "
+                    "does not step back" % (vi, gi, wj)
+                )
+            if (vi, gi) in tree:
+                continue
+            if not membership(products[(vi, gi)] * inverses[wj]):
+                raise OracleInconsistencyError(
+                    "the Schreier generator of coset %d and generator %d is not "
+                    "in the subgroup: the coset key disagrees with membership"
+                    % (vi, gi)
+                )
+            symbol_of[(vi, gi)] = len(symbol_of)
+
+    z = len(symbol_of)  # the column of the central generator
+    # A negative letter traverses the positive edge that ends where it ends.
+    rows = []
+    for rel, n in zip(ambient.relators, ambient.central):
+        for vi in range(len(vertices)):
+            row = {}
+            current = vi
+            for gi, sign in rel.letters:
+                if sign == 1:
+                    edge = (current, gi)
+                    current = edges[(current, (gi, 1))]
+                else:
+                    current = edges[(current, (gi, -1))]
+                    edge = (current, gi)
+                symbol = symbol_of.get(edge)
+                if symbol is not None:
+                    row[symbol] = row.get(symbol, 0) + sign
+            if current != vi:
+                raise OracleInconsistencyError(
+                    "relator trace from coset %d did not close up" % vi
+                )
+            row = {s: e for s, e in row.items() if e}
+            if n:
+                row[z] = -n
+            rows.append(row)
+
+    graph = CosetGraph(tuple(vertices), edges, ambient.generator_count, symbol_of)
+    return rows, len(symbol_of), graph
+
+
+def coset_representatives(ambient, graph):
+    """One matrix per coset of the graph, the product of the ambient images
+    along the spanning-tree path that founded it, from I at coset 0."""
+    representatives = [IDENTITY] * graph.index
+    for wj, (vi, (gi, sign)) in sorted(founding_edges(graph).items()):
+        step = ambient.images[gi] if sign == 1 else ambient.images[gi].inverse()
+        representatives[wj] = representatives[vi] * step
+    return representatives
 
 
 # --- predicate-scan Reidemeister-Schreier oracle -----------------------------

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from su21.fpgroup import (
-    EMPTY_WORD,
     IndexOverflowError,
     OracleInconsistencyError,
     Presentation,
@@ -17,12 +16,17 @@ from su21.eisenstein import SQRT_MINUS3
 from su21.matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
 from helpers import (
     GENERATORS,
+    coset_representatives,
     cyclic_shift,
     exponent_sums,
     float_central_part,
+    keyed_reidemeister_schreier,
+    lattice_specs,
     predicate_scan_presentation,
     relation_matrix,
     schreier_edges,
+    spec_coset_key,
+    spec_membership,
     sparse_rows,
     trace_words,
 )
@@ -36,9 +40,9 @@ words = st.builds(Word, letters)
 
 def test_word_free_reduction():
     w = Word([(0, 1), (0, -1)])
-    assert w == EMPTY_WORD
+    assert w == Word()
     w = Word([(0, 1), (1, 1), (1, -1), (0, -1)])
-    assert w == EMPTY_WORD
+    assert w == Word()
     w = Word([(0, 1), (1, 1), (0, -1)])
     assert len(w) == 3
 
@@ -61,7 +65,7 @@ def test_free_reduce_idempotent(w):
 @given(words, words)
 def test_inverse_of_product(u, v):
     assert (u * v).inverse() == v.inverse() * u.inverse()
-    assert (u * u.inverse()) == EMPTY_WORD
+    assert (u * u.inverse()) == Word()
     assert u.inverse().inverse() == u
 
 
@@ -72,7 +76,7 @@ def test_word_associativity(u, v, w):
 
 @given(words, st.integers(min_value=0, max_value=4))
 def test_word_powers(w, k):
-    direct = EMPTY_WORD
+    direct = Word()
     for _ in range(k):
         direct = direct * w
     assert w**k == direct
@@ -80,7 +84,7 @@ def test_word_powers(w, k):
 
 @given(words)
 def test_word_power_exponent_is_nonnegative(w):
-    assert w**0 == EMPTY_WORD
+    assert w**0 == Word()
     with pytest.raises(ValueError):
         w ** -1
 
@@ -108,7 +112,7 @@ def test_word_string_round_trip():
     for text in ("n1 n3^-1 n5", "n2^3 n4^-2", ""):
         w = Word.from_string(text, names)
         assert Word.from_string(w.to_string(names), names) == w
-    assert Word.from_string("n1^0", names) == EMPTY_WORD
+    assert Word.from_string("n1^0", names) == Word()
     with pytest.raises(ValueError):
         Word.from_string("bogus", names)
     with pytest.raises(ValueError):
@@ -119,10 +123,10 @@ def test_evaluate_word():
     n1, n2, n3, n4, n5 = GENERATORS
     w = Word.from_string("n1 n3^-1", ("n1", "n2", "n3", "n4", "n5"))
     assert evaluate_word(w, GENERATORS) == n1 * n3.inverse()
-    assert evaluate_word(EMPTY_WORD, GENERATORS) == IDENTITY
+    assert evaluate_word(Word(), GENERATORS) == IDENTITY
     # abstract evaluation: words as images, from the free group's identity
     imgs = [Word([(i, 1)]) for i in range(5)]
-    assert evaluate_word(w, imgs, EMPTY_WORD) == w
+    assert evaluate_word(w, imgs, Word()) == w
     with pytest.raises(TypeError):  # the default identity is the matrix I
         evaluate_word(w, imgs)
 
@@ -132,7 +136,7 @@ def test_presentation_verifies_relators():
     good = Presentation(
         ("n1", "n3"), (Word([(0, 1), (1, 1), (0, -1), (1, -1)]),), (n1, n3)
     )
-    assert good.relators[0] != EMPTY_WORD
+    assert good.relators[0] != Word()
     assert good.central == (0,)
     with pytest.raises(ValueError):
         # n1 and n4 do not commute
@@ -191,8 +195,7 @@ def test_upsilon_relators_fix_generator_images():
 
 # n1 = n(1, 1) and n2 = n(zeta, 1) add in the top middle entry: a product
 # of them has sqrt(-3) * (a + b*zeta) there, where a and b are the exponent
-# sums of n1 and n2.  Any subgroup of Z^2 then gives a coset key on the free
-# group on those two images, which has no relators.
+# sums of n1 and n2.  The predicate-scan oracle's tests read them there.
 N1, N2 = GENERATORS[0], GENERATORS[1]
 
 
@@ -202,24 +205,21 @@ def translation(g):
     return q.a, q.b
 
 
-def exponent_sum_key(generator, modulus):
-    """Coset key and membership of the kernel of g -> (exponent sum of one
-    generator) mod modulus."""
+def exponent_sum_action(modulus, generators):
+    """The action of a free group on Z/modulus by the exponent sum of the
+    given generators; a free group has no relators, so every action of its
+    generators is one, and the kernel of that sum fixes the base point 0."""
 
-    def key(g):
-        return translation(g)[generator] % modulus
+    def act(point, generator, sign):
+        return (point + sign) % modulus if generator in generators else point
 
-    return key, lambda g: key(g) == 0
-
-
-def parity_key(g):
-    return sum(translation(g)) % 2
+    return 0, act
 
 
 def test_reidemeister_schreier_free_group_index3():
     free = Presentation(("a", "b"), (), (N1, N2))
     rows, generator_count, graph = reidemeister_schreier(
-        free, *exponent_sum_key(0, 3), max_index=16
+        free, *exponent_sum_action(3, {0}), max_index=16
     )
     assert graph.index == 3
     assert generator_count == 4  # Nielsen-Schreier: 1 + 3*(2-1)
@@ -229,7 +229,7 @@ def test_reidemeister_schreier_free_group_index3():
 def test_reidemeister_schreier_free_group_index2():
     free = Presentation(("a", "b"), (), (N1, N2))
     rows, generator_count, graph = reidemeister_schreier(
-        free, parity_key, lambda g: parity_key(g) == 0, max_index=16
+        free, *exponent_sum_action(2, {0, 1}), max_index=16
     )
     assert graph.index == 2
     assert generator_count == 3
@@ -240,9 +240,10 @@ def test_reidemeister_schreier_cyclic_quotient():
     # Z = <a | > with a -> n1; subgroup 4Z has index 4 and is generated by a^4
     free = Presentation(("a",), (), (N1,))
     rows, generator_count, graph = reidemeister_schreier(
-        free, *exponent_sum_key(0, 4), max_index=8
+        free, *exponent_sum_action(4, {0}), max_index=8
     )
     assert graph.index == 4
+    assert graph.vertices == (0, 1, 3, 2)
     assert generator_count == 1
     assert len(rows) == 0
 
@@ -254,7 +255,7 @@ def test_reidemeister_schreier_nielsen_schreier_count(name):
     spec = SubgroupSpec.parse(name)
     index = spec.index_in_upsilon()
     rows, generator_count, graph = reidemeister_schreier(
-        upsilon_presentation(), spec.coset_key, spec.membership, max_index=index
+        upsilon_presentation(), *spec.coset_action(), max_index=index
     )
     assert graph.index == index
     assert generator_count == index * (5 - 1) + 1
@@ -265,31 +266,63 @@ def test_reidemeister_schreier_with_matrix_images():
     p = upsilon_presentation()
     spec = SubgroupSpec(((1, 0, 0, 0),))
     rows, generator_count, graph = reidemeister_schreier(
-        p, spec.coset_key, spec.membership, max_index=16
+        p, *spec.coset_action(), max_index=16
     )
     assert graph.index == 3
     # one generator per positive edge off the spanning tree, one relator per
     # ambient relator and coset, in that order
     assert generator_count == 3 * 5 - 2
     assert len(rows) == 13 * 3
-    assert graph.vertices[0] == IDENTITY
-    # every edge v -> w joins the cosets of r_v * step and r_w
+    assert graph.vertices[0] == (0,)
+    # the representatives the spanning tree spells out: each point is its
+    # representative's coset key, and every edge v -> w joins the cosets of
+    # r_v * step and r_w
+    representatives = coset_representatives(p, graph)
+    assert representatives[0] == IDENTITY
+    assert [spec_coset_key(spec, r) for r in representatives] == list(graph.vertices)
     for (vi, (gi, sign)), wj in graph.edges.items():
         step = p.images[gi] if sign == 1 else p.images[gi].inverse()
-        m = graph.vertices[vi] * step
-        assert spec.coset_key(m) == spec.coset_key(graph.vertices[wj])
-        assert spec.membership(m * graph.vertices[wj].inverse())
+        m = representatives[vi] * step
+        assert spec_membership(spec, m * representatives[wj].inverse())
     # with generator k standing for r * x * r'^-1 of the k-th Schreier edge,
     # the trace of relator k from coset v is r_v * relator * r_v^-1 = I
     images = [
-        graph.vertices[vi] * p.images[gi] * graph.vertices[graph.edges[(vi, (gi, 1))]].inverse()
+        representatives[vi] * p.images[gi] * representatives[graph.edges[(vi, (gi, 1))]].inverse()
         for vi, gi in schreier_edges(graph)
     ]
     assert len(images) == generator_count
+    assert all(spec_membership(spec, h) for h in images)
     traces = trace_words(p, graph)
     assert len(traces) == len(rows)
     for trace in traces:
         assert evaluate_word(trace, images) == IDENTITY
+
+
+def test_action_matches_the_keyed_engine():
+    """On every group a SubgroupSpec can name, the 212 lattice groups and
+    gamma_sqrt3, enumeration on the spec's action gives the rows,
+    generator count, edges and symbol map of the keyed engine, which walks
+    representatives as matrices and checks each Schreier generator with
+    membership; each point is its representative's coset key."""
+    specs = lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),)
+    assert len(specs) == 213
+    for spec in specs:
+        if spec.rows is None:
+            ambient, index = gamma_sqrt3_presentation(), 1
+        else:
+            ambient, index = upsilon_presentation(), spec.index_in_upsilon()
+        rows, generator_count, graph = reidemeister_schreier(
+            ambient, *spec.coset_action(), max_index=index
+        )
+        keyed_rows, keyed_count, keyed = keyed_reidemeister_schreier(
+            ambient,
+            lambda g: spec_coset_key(spec, g),
+            lambda g: spec_membership(spec, g),
+            max_index=index,
+        )
+        assert (rows, generator_count) == (keyed_rows, keyed_count), spec.name()
+        assert (graph.edges, graph.symbol_of) == (keyed.edges, keyed.symbol_of), spec.name()
+        assert graph.vertices == tuple(spec_coset_key(spec, r) for r in keyed.vertices)
 
 
 def test_relation_rows_are_trace_exponent_sums():
@@ -302,7 +335,7 @@ def test_relation_rows_are_trace_exponent_sums():
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
     for spec in specs:
         rows, generator_count, graph = reidemeister_schreier(
-            p, spec.coset_key, spec.membership, max_index=spec.index_in_upsilon()
+            p, *spec.coset_action(), max_index=spec.index_in_upsilon()
         )
         assert graph.index == spec.index_in_upsilon()
         assert generator_count == len(schreier_edges(graph))
@@ -328,46 +361,40 @@ def test_graph_keeps_the_symbol_map():
         else:
             ambient, index = upsilon_presentation(), spec.index_in_upsilon()
         _, generator_count, graph = reidemeister_schreier(
-            ambient, spec.coset_key, spec.membership, max_index=index
+            ambient, *spec.coset_action(), max_index=index
         )
         assert graph.symbol_of == {e: k for k, e in enumerate(schreier_edges(graph))}
         assert len(graph.symbol_of) == generator_count
 
 
 def test_reidemeister_schreier_index_overflow():
-    # the gamma3 key separates 81 cosets, so enumeration stops at the fourth
-    gamma3 = SubgroupSpec.parse("gamma3")
+    # the gamma3 action has 81 points, so enumeration stops at the fourth
+    gamma3 = SubgroupSpec.parse("gamma3").coset_action()
     with pytest.raises(IndexOverflowError):
-        reidemeister_schreier(
-            upsilon_presentation(), gamma3.coset_key, gamma3.membership, max_index=3
-        )
+        reidemeister_schreier(upsilon_presentation(), *gamma3, max_index=3)
     with pytest.raises(ValueError):
-        reidemeister_schreier(
-            upsilon_presentation(), gamma3.coset_key, gamma3.membership, max_index=0
-        )
+        reidemeister_schreier(upsilon_presentation(), *gamma3, max_index=0)
 
 
-def clamped_key(g):
-    # not constant on the cosets of any subgroup: n1^2 and n1^3 share a key
-    return min(max(translation(g)[0], 0), 2)
+def clamped_act(point, generator, sign):
+    # n1 clamps to 0..2, so it moves 2 to 2 while its inverse moves 2 to 1
+    return min(max(point + sign, 0), 2) if generator == 0 else point
 
 
-INDEX3_A = SubgroupSpec.parse("index3:1,0,0,0")
-INDEX3_B = SubgroupSpec.parse("index3:0,1,0,0")
+def n3_parity_act(point, generator, sign):
+    # a permutation of {0, 1}, but relator 5 holds n3 with exponent sum 3,
+    # so its trace does not close up
+    return (point + sign) % 2 if generator == 2 else point
 
 
 @pytest.mark.parametrize(
-    "key, membership",
-    [
-        # the key of one index-3 group with the membership of another
-        (lambda g: INDEX3_A.coset_key(g), lambda g: INDEX3_B.membership(g)),
-        # a key whose inverse edges do not reverse its positive edges
-        (clamped_key, lambda g: translation(g)[0] == 0),
-    ],
+    "act, message",
+    [(clamped_act, "does not step back"), (n3_parity_act, "did not close up")],
+    ids=["inverse_edge", "relator_trace"],
 )
-def test_reidemeister_schreier_key_disagreeing_with_membership(key, membership):
-    with pytest.raises(OracleInconsistencyError):
-        reidemeister_schreier(upsilon_presentation(), key, membership, max_index=16)
+def test_reidemeister_schreier_rejects_an_action_of_another_group(act, message):
+    with pytest.raises(OracleInconsistencyError, match=message):
+        reidemeister_schreier(upsilon_presentation(), 0, act, max_index=16)
 
 
 def test_reidemeister_schreier_identity_not_member():

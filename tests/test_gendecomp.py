@@ -5,7 +5,7 @@ import pytest
 
 from su21 import gendecomp, matgroup
 from su21.eisenstein import SQRT_MINUS3, EisensteinInt
-from su21.fpgroup import EMPTY_WORD, Word, evaluate_word
+from su21.fpgroup import Word, evaluate_word
 from su21.gendecomp import (
     N2_TRANSPOSE_WORD,
     _descend_step,
@@ -149,7 +149,7 @@ def test_n2_transpose_word_identity():
 
 
 def test_decompose_identity_and_generators():
-    assert decompose(IDENTITY) == EMPTY_WORD
+    assert decompose(IDENTITY) == Word()
     for i, g in enumerate(GENERATORS):
         word = decompose(g)
         assert ev(word) == g
@@ -282,7 +282,7 @@ def test_decompose_inverts_each_generator_once(monkeypatch):
     inverses, which each call forms with one inverse() per generator; the
     unitarity check on g inverts g once more."""
     rng = random.Random(47)
-    word = EMPTY_WORD
+    word = Word()
     while len(word) < 60:
         word = word * random_word(rng, 1)
     g = ev(word)

@@ -37,6 +37,8 @@ from helpers import (
     reference_inverse,
     reference_is_unitary,
     reference_product,
+    spec_coset_key,
+    spec_membership,
 )
 
 
@@ -340,11 +342,11 @@ def _check_membership(g):
     at_sqrt3 = in_gamma_beta(g, SQRT_MINUS3)
     in_ambient = _oracle_in_upsilon(g)
     assert in_gamma_sqrt3(g) == at_sqrt3
-    assert SubgroupSpec.parse("gamma_sqrt3").membership(g) == at_sqrt3
+    assert spec_membership(SubgroupSpec.parse("gamma_sqrt3"), g) == at_sqrt3
     assert in_upsilon(g) == in_ambient
-    assert SubgroupSpec.parse("upsilon").membership(g) == in_ambient
+    assert spec_membership(SubgroupSpec.parse("upsilon"), g) == in_ambient
     at_3 = in_gamma_beta(g, EisensteinInt(3, 0))
-    assert SubgroupSpec.parse("gamma3").membership(g) == at_3
+    assert spec_membership(SubgroupSpec.parse("gamma3"), g) == at_3
     return at_sqrt3, in_ambient
 
 
@@ -582,7 +584,7 @@ def test_gamma3_membership_is_the_level_3_test():
         h = random_upsilon_element(rng, 8)
         for x in (g, g * g * g, g * h * g.inverse() * h.inverse(), ZETA_IDENTITY * g):
             expected = in_gamma_beta(x, three)
-            assert gamma3.membership(x) == expected
+            assert spec_membership(gamma3, x) == expected
             seen[expected] += 1
     assert seen[True] >= 120
     assert seen[False] >= 60
@@ -590,13 +592,13 @@ def test_gamma3_membership_is_the_level_3_test():
 
 def test_subgroup_spec_membership():
     n1 = generators_upsilon()[0]
-    assert SubgroupSpec.parse("upsilon").membership(n1)
-    assert SubgroupSpec.parse("gamma_sqrt3").membership(n1)
-    assert SubgroupSpec.parse("gamma_sqrt3").membership(ZETA_IDENTITY)
-    assert not SubgroupSpec.parse("gamma3").membership(n1)
-    assert not SubgroupSpec.parse("index3:1,0,0,0").membership(n1)
+    assert spec_membership(SubgroupSpec.parse("upsilon"), n1)
+    assert spec_membership(SubgroupSpec.parse("gamma_sqrt3"), n1)
+    assert spec_membership(SubgroupSpec.parse("gamma_sqrt3"), ZETA_IDENTITY)
+    assert not spec_membership(SubgroupSpec.parse("gamma3"), n1)
+    assert not spec_membership(SubgroupSpec.parse("index3:1,0,0,0"), n1)
     cube = n1 * n1 * n1
-    assert SubgroupSpec.parse("index3:1,0,0,0").membership(cube)
+    assert spec_membership(SubgroupSpec.parse("index3:1,0,0,0"), cube)
 
 
 def test_subgroup_spec_coset_key():
@@ -607,12 +609,35 @@ def test_subgroup_spec_coset_key():
     for spec in specs:
         for g in elements:
             for h in elements:
-                same = spec.coset_key(g) == spec.coset_key(h)
-                assert same == spec.membership(g * h.inverse()), spec.name()
-    assert SubgroupSpec.parse("gamma3").coset_key(elements[0]) == F_map(elements[0])
+                same = spec_coset_key(spec, g) == spec_coset_key(spec, h)
+                assert same == spec_membership(spec, g * h.inverse()), spec.name()
+    assert spec_coset_key(SubgroupSpec.parse("gamma3"), elements[0]) == F_map(elements[0])
     # gamma_sqrt3 is its own ambient group: one coset, one key
-    assert SubgroupSpec.parse("gamma_sqrt3").coset_key(IDENTITY) == ()
-    assert SubgroupSpec.parse("gamma_sqrt3").coset_key(ZETA_IDENTITY) == ()
+    assert spec_coset_key(SubgroupSpec.parse("gamma_sqrt3"), IDENTITY) == ()
+    assert spec_coset_key(SubgroupSpec.parse("gamma_sqrt3"), ZETA_IDENTITY) == ()
+
+
+def test_coset_action_moves_points_as_the_key():
+    """Acting with the letters of a word from the base point reaches the
+    coset key of the word's value, on upsilon, gamma3 and six index-3, 9
+    and 27 groups; gamma_sqrt3's one point () is fixed by all six of its
+    generators, c = zeta*I included."""
+    rng = random.Random(16)
+    names = ("upsilon", "gamma3", "index3:1,2,0,1", "index3:0,0,0,1",
+             "index9:1,0,0,0;0,1,0,0", "index9:1,1,0,2;0,0,1,1",
+             "index27:1,0,0,0;0,1,0,0;0,0,1,2", "index27:1,0,2,0;0,1,1,0;0,0,0,1")
+    for spec in map(SubgroupSpec.parse, names):
+        base, act = spec.coset_action()
+        assert base == spec_coset_key(spec, IDENTITY) == (0,) * len(spec.rows)
+        for _ in range(20):
+            word = random_word(rng, 12)
+            point = base
+            for i, s in word.letters:
+                point = act(point, i, s)
+            assert point == spec_coset_key(spec, evaluate_word(word, GENERATORS)), spec.name()
+    base, act = SubgroupSpec.parse("gamma_sqrt3").coset_action()
+    assert base == ()
+    assert {act(base, i, s) for i in range(6) for s in (1, -1)} == {()}
 
 
 def test_json_round_trip():

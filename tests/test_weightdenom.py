@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from su21 import cocycle, weightdenom, zlinalg
+from su21 import cocycle, matgroup, weightdenom, zlinalg
 from su21.cocycle import COVER_IDENTITY, CoverElement
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
@@ -38,6 +38,7 @@ from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
 from helpers import (
     BallPoint,
     central_commutator_witness,
+    coset_representatives,
     cyclic_shift,
     exponent_sums,
     float_central_part,
@@ -50,6 +51,7 @@ from helpers import (
     relation_matrix,
     schreier_edges,
     sparse_rows,
+    spec_coset_key,
     trace_words,
 )
 
@@ -126,13 +128,14 @@ def test_relator_traces_telescope_to_base_lifts():
     for name in ("index3:1,0,0,0", "index3:0,1,1,2"):
         spec = SubgroupSpec.parse(name)
         _, generator_count, graph = reidemeister_schreier(
-            base, spec.coset_key, spec.membership, max_index=3
+            base, *spec.coset_action(), max_index=3
         )
         lifts = [COVER_IDENTITY] * graph.index
         for wj, (vi, (gi, sign)) in sorted(founding_edges(graph).items()):
             step = steps[gi] if sign == 1 else steps[gi].inverse()
             lifts[wj] = lifts[vi] * step
-            assert lifts[wj].g == graph.vertices[wj]
+        assert [lift.g for lift in lifts] == coset_representatives(base, graph)
+        assert [spec_coset_key(spec, lift.g) for lift in lifts] == list(graph.vertices)
         generators = [
             lifts[vi] * steps[gi] * lifts[graph.edges[(vi, (gi, 1))]].inverse()
             for vi, gi in schreier_edges(graph)
@@ -235,21 +238,19 @@ def test_weight_denominator_of_index3_subgroup():
 
 
 def test_weight_denominator_of_respects_max_index(monkeypatch):
-    # the enumeration bound is the subgroup's own index: the gamma3 key
-    # separates 81 cosets, so enumeration stops at the fourth
-    gamma3_key = SubgroupSpec.parse("gamma3").coset_key
-    monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: gamma3_key(g))
+    # the enumeration bound is the subgroup's own index: the gamma3 action
+    # has 81 points, so enumeration stops at the fourth
+    gamma3_action = SubgroupSpec.parse("gamma3").coset_action()
+    monkeypatch.setattr(SubgroupSpec, "coset_action", lambda self: gamma3_action)
     with pytest.raises(IndexOverflowError, match="index3:1,0,0,0: .*max_index = 3"):
         weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
 
 
 def test_weight_denominator_of_checks_the_index(monkeypatch):
-    # upsilon's key and membership describe a consistent group of index 1:
-    # the engine accepts them, and the index check catches it
-    upsilon = SubgroupSpec.parse("upsilon")
-    upsilon_key, upsilon_membership = upsilon.coset_key, upsilon.membership
-    monkeypatch.setattr(SubgroupSpec, "coset_key", lambda self, g: upsilon_key(g))
-    monkeypatch.setattr(SubgroupSpec, "membership", lambda self, g: upsilon_membership(g))
+    # upsilon's action is a consistent action of index 1: the engine
+    # accepts it, and the index check catches it
+    upsilon_action = SubgroupSpec.parse("upsilon").coset_action()
+    monkeypatch.setattr(SubgroupSpec, "coset_action", lambda self: upsilon_action)
     with pytest.raises(OracleInconsistencyError, match="index3:1,0,0,0: .*index 1, expected 3"):
         weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
 
@@ -444,13 +445,12 @@ def test_lattice_group_matches_predicate_scan(index):
 
 def test_gamma3_counters(monkeypatch):
     """Deterministic work of a cold gamma3 computation: sigma lifts only
-    the 13 ambient relators, membership checks each Schreier generator
-    once, the relations have one row per relator trace, matrix products
-    number 1,732 (inverse() makes none, is_unitary() one, and each Schreier
-    generator reuses the product r * x of its enumeration step), and the relator
-    traces go straight into sparse rows: no subgroup Presentation, no
-    trace Word and no dense relation matrix is built."""
-    counts = {"sigma": 0, "membership": 0, "mul": 0}
+    the 13 ambient relators, the relations have one row per relator trace,
+    matrix products number 277 (the relators' lifts and F_map of the five
+    generators; enumeration on the coset action multiplies none), and the
+    relator traces go straight into sparse rows: no subgroup Presentation,
+    no trace Word and no dense relation matrix is built."""
+    counts = {"sigma": 0, "mul": 0}
     counts.update(Word=0, Presentation=0, IntegerMatrix=0, unchecked=0)
     shapes = []
 
@@ -469,9 +469,6 @@ def test_gamma3_counters(monkeypatch):
 
     original_eliminate = weightdenom.eliminate_unit_pivots
     monkeypatch.setattr(cocycle, "sigma", counted("sigma", cocycle.sigma))
-    monkeypatch.setattr(
-        SubgroupSpec, "membership", counted("membership", SubgroupSpec.membership)
-    )
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     for cls in (Word, Presentation, IntegerMatrix):
@@ -480,6 +477,7 @@ def test_gamma3_counters(monkeypatch):
     monkeypatch.setattr(zlinalg, "_integer_matrix", counted_matrix)
     monkeypatch.setattr(weightdenom, "_integer_matrix", counted_matrix)
     upsilon_presentation.cache_clear()
+    matgroup._generator_f_images.cache_clear()
     report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
     assert report_answer(report) == (3, (3,) * 7, 10)
     # one sigma per letter of the 13 relators (116) and one per inverse
@@ -488,16 +486,16 @@ def test_gamma3_counters(monkeypatch):
     inverses = sum(len({i for i, s in r.letters if s == -1}) for r in UPSILON.relators)
     assert (letters, inverses) == (116, 40)
     assert counts["sigma"] == letters + inverses == 156
-    # 81 cosets: 810 edges, 80 of which span the tree; the predicate sees
-    # the 325 positive edges off it
-    assert counts["membership"] == 81 * 5 - 80 == 325
-    assert report.generator_count == 325
+    # 81 cosets: 810 edges, 80 of which span the tree, and a Schreier
+    # generator for each of the 325 positive edges off it
+    assert report.generator_count == 81 * 5 - 80 == 325
     assert report.relator_count == 13 * 81
     assert shapes == [((1053, 326), (484, 17))]
     # the relators are evaluated once, in the cover: their 116 letters cost
-    # two products each (one in cover_mul, one in sigma), and the matrix-only
-    # check that took 116 more before the lift is gone
-    assert counts["mul"] == 2173 - 325 - letters == 1732
+    # two products each (one in cover_mul, one in sigma) and the 40 inverses
+    # one each (sigma(g, g^-1)); F_map's unitarity test makes one product
+    # per generator
+    assert counts["mul"] == 2 * letters + inverses + 5 == 277
     # the ambient presentation is the only Presentation; the relation
     # matrix is born reduced, then comes the HNF and its nonzero rows, all
     # three built unchecked
@@ -538,12 +536,10 @@ def test_elimination_shapes_and_entries(monkeypatch):
 
 def test_warm_survey_and_gamma3_counters(monkeypatch):
     """Deterministic work with upsilon_presentation() already built, a
-    regression gate for the survey: the 40 index-3 groups have 3 * 5 - 2 =
-    13 Schreier generators each, and membership checks each one once;
-    gamma3 has 325.  A membership call that passes makes one EisensteinInt
-    value, the one det() returns: det, is_unitary (an inverse and a product)
-    and the residue rule compute on integer coordinates."""
-    counts = {"membership": 0, "mul": 0, "EisensteinInt": 0}
+    regression gate for the survey: enumeration steps on the points of the
+    coset action, so the 40 index-3 groups and gamma3 make no matrix
+    product and no EisensteinInt value."""
+    counts = {"mul": 0, "EisensteinInt": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -555,17 +551,15 @@ def test_warm_survey_and_gamma3_counters(monkeypatch):
     def work(run):
         counts.update(dict.fromkeys(counts, 0))
         run()
-        return counts["membership"], counts["mul"], counts["EisensteinInt"]
+        return counts["mul"], counts["EisensteinInt"]
 
     upsilon_presentation()
-    monkeypatch.setattr(
-        SubgroupSpec, "membership", counted("membership", SubgroupSpec.membership)
-    )
+    gamma3 = SubgroupSpec.parse("gamma3")
+    gamma3.coset_action()  # F_map of the five generators, once per process
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     monkeypatch.setattr(EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__))
-    gamma3 = SubgroupSpec.parse("gamma3")
-    assert work(survey_index3) == (40 * 13, 2240, 40 * 13)
-    assert work(lambda: weight_denominator_of(gamma3)) == (325, 1460, 325)
+    assert work(survey_index3) == (0, 0)
+    assert work(lambda: weight_denominator_of(gamma3)) == (0, 0)
 
 
 def test_gamma3_and_survey_leave_gamma_sqrt3_presentation_unbuilt():
@@ -579,9 +573,10 @@ def test_gamma3_and_survey_leave_gamma_sqrt3_presentation_unbuilt():
     assert upsilon_presentation.cache_info().currsize == 1
 
 
-def test_index3_membership_checks_unitarity_once(monkeypatch):
+def test_index3_enumeration_checks_no_unitarity(monkeypatch):
     """An index-3 group has 3 * 5 - 2 = 13 Schreier generators, and
-    membership tests each one for unitarity once."""
+    enumeration on the coset action tests none of them, nor any matrix,
+    for unitarity."""
     calls = []
     original = GroupMatrix.is_unitary
 
@@ -589,11 +584,13 @@ def test_index3_membership_checks_unitarity_once(monkeypatch):
         calls.append(self)
         return original(self)
 
+    upsilon_presentation()
+    SubgroupSpec.parse("index3:1,0,0,0").coset_action()  # F_map of the generators
     monkeypatch.setattr(GroupMatrix, "is_unitary", counted)
     report = weight_denominator_of(SubgroupSpec.parse("index3:1,0,0,0"))
     assert report.weight_denominator == 3
     assert report.generator_count == 13
-    assert len(calls) == 13
+    assert calls == []
 
 @pytest.mark.parametrize(
     "value",
@@ -606,7 +603,7 @@ def test_index3_membership_checks_unitarity_once(monkeypatch):
         EisensteinInt(3, -4),
         CoverElement(GENERATORS[0], 5),
         BallPoint(-2.0, 0.5j),
-        CosetGraph([IDENTITY], {(0, (0, 1)): 0}, 1, {(0, 0): 0}),
+        CosetGraph([(0,)], {(0, (0, 1)): 0}, 1, {(0, 0): 0}),
         DenominatorReport("upsilon", 1, 5, 13, 1, (3, 3, 3), 2),
     ],
     ids=lambda value: type(value).__name__,
