@@ -220,7 +220,6 @@ def _upper_times(p, P, q, Q, r, R, s) -> tuple:
             c0, C0, c1, C1, c2, C2)
 
 
-J = _group_matrix((0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0))
 IDENTITY = _group_matrix((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0))
 ZETA_IDENTITY = IDENTITY.scalar_mul(ZETA)
 

@@ -77,15 +77,15 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
     within the round's limit; a round that takes none raises the limit
     (0, 1, 3, 7, ...).  The result is deterministic.
 
-    Each row's cheapest unit pivot (cost, column) is cached.  A pivot
-    changes only its targets' entries and the lengths of its own row's
-    columns, so only the targets and the rows holding one of those columns
-    (the last excepted, which is never a pivot) are costed again, when the
-    scan reaches them.  A round that takes nothing changes nothing, so the
-    limit is raised at once, along the same sequence, to the first value at
-    or above the cheapest cost it deferred: the pivot sequence, and so the
+    A row's candidates share its length, so its cheapest is the unit
+    column in the fewest rows (the least on a tie), cached until a pivot
+    changes the row or one of its columns.  A pivot pops its column from
+    its row and targets, and a row joins or leaves a column's holders only
+    when its entry there appears or cancels.  A round that takes nothing
+    raises the limit at once, along the same sequence, to the first value
+    at or above the cheapest cost it deferred: the pivots, and so the
     result, are those of a rescan of every row in every round.  Each round
-    that takes pivots logs one DEBUG line on this module's logger.
+    that takes pivots logs one DEBUG line.
     """
     last = cols - 1
     holders = [set() for _ in range(cols)]
@@ -103,13 +103,13 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
         for i, row in enumerate(rows):
             if i in stale:
                 stale.discard(i)
-                length = len(row) - 1
-                costs = [
-                    (length * (len(holders[c]) - 1), c)
-                    for c, v in row.items()
-                    if c != last and (v == 1 or v == -1)
-                ]
-                cheapest_pivot[i] = min(costs) if costs else None
+                col = None
+                for c, v in row.items():
+                    if (v == 1 or v == -1) and c != last:
+                        length = len(holders[c])
+                        if col is None or length < least or (length == least and c < col):
+                            col, least = c, length
+                cheapest_pivot[i] = None if col is None else ((len(row) - 1) * (least - 1), col)
             pivot = cheapest_pivot[i]
             if pivot is None:
                 continue
@@ -118,24 +118,31 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
                 if deferred is None or cost < deferred:
                     deferred = cost
                 continue
-            sign = row[col]
-            targets = holders[col] - {i}
+            sign = row.pop(col)
+            targets = holders[col]
+            holders[col] = set()
+            targets.discard(i)
+            entries = [(c, v, holders[c]) for c, v in row.items()]
             for k in targets:
                 other = rows[k]
-                factor = other[col] * sign
-                for c, v in row.items():
-                    value = other.get(c, 0) - factor * v
-                    if value:
-                        other[c] = value
-                        holders[c].add(k)
+                factor = other.pop(col) * sign
+                for c, v, holding in entries:
+                    value = other.get(c)
+                    if value is None:
+                        other[c] = -factor * v
+                        holding.add(k)
                     else:
-                        del other[c]
-                        holders[c].discard(k)
+                        value -= factor * v
+                        if value:
+                            other[c] = value
+                        else:
+                            del other[c]
+                            holding.discard(k)
             stale |= targets
-            for c in row:
-                holders[c].discard(i)
+            for c, v, holding in entries:
+                holding.discard(i)
                 if c != last:
-                    stale |= holders[c]
+                    stale |= holding
             rows[i] = {}
             cheapest_pivot[i] = None
             eliminated.add(col)

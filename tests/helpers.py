@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random sampling and independent oracles."""
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +9,7 @@ from itertools import combinations
 from math import ceil, floor, gcd
 
 from su21.cocycle import X_of
-from su21.eisenstein import SQRT_MINUS3, EisensteinInt
+from su21.eisenstein import ONE, SQRT_MINUS3, ZERO, EisensteinInt
 from su21.fpgroup import (
     CosetGraph,
     IndexOverflowError,
@@ -21,7 +22,6 @@ from su21.fpgroup import (
 from su21.gendecomp import _unipotent_letters, _unipotent_transpose_letters
 from su21.matgroup import (
     IDENTITY,
-    J,
     F_map,
     GroupMatrix,
     SubgroupSpec,
@@ -157,6 +157,18 @@ def lattice_specs():
     return tuple(sorted(found, key=lambda s: (len(s.rows), s.rows)))
 
 
+def lattice_sample():
+    """upsilon, the 40 index-3 groups and a seeded sample of the 130
+    index-9 and 40 index-27 groups."""
+    by_index = {}
+    for spec in lattice_specs():
+        by_index.setdefault(spec.index_in_upsilon(), []).append(spec)
+    rng = random.Random(9)
+    return (
+        by_index[1] + by_index[3] + rng.sample(by_index[9], 8) + rng.sample(by_index[27], 5)
+    )
+
+
 # --- reference GroupMatrix arithmetic -------------------------------------
 #
 # Matrix products as sums of EisensteinInt products, the inverse and the
@@ -164,6 +176,9 @@ def lattice_specs():
 # conj(g)^t * J * g = J, and the determinant by cofactors over EisensteinInt.
 # GroupMatrix's integer-coordinate kernels are checked against these; they
 # never call GroupMatrix.__mul__ or det.
+
+# the antidiagonal Hermitian form that defines the group
+J = GroupMatrix([[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [ONE, ZERO, ZERO]])
 
 
 def reference_product(g, h):
@@ -472,19 +487,22 @@ def sparse_rows(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-def rescanning_elimination(rows, cols):
+def rescanning_elimination(rows, cols, events=None):
     """Unit-pivot elimination as zlinalg.eliminate_unit_pivots defines it,
     written the direct way: every round costs every row afresh, scans the
     rows in order and takes each row's cheapest unit pivot within the
     round's limit, substituting into the other rows in index order; a round
     that takes none raises the limit by one step of 0, 1, 3, 7, ...  The
-    rows are consumed."""
+    rows are consumed.  A given events Counter counts the substitutions
+    that empty a target row ("emptied") and the entries filled in again
+    after cancelling to 0 ("refilled")."""
     last = cols - 1
     holders = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for c in row:
             holders[c].add(i)
     eliminated = set()
+    cancelled = set()
     limit = 0
     while True:
         taken = deferred = False
@@ -507,11 +525,16 @@ def rescanning_elimination(rows, cols):
                 for c, v in row.items():
                     value = other.get(c, 0) - factor * v
                     if value:
+                        if events is not None and c not in other and (k, c) in cancelled:
+                            events["refilled"] += 1
                         other[c] = value
                         holders[c].add(k)
                     else:
                         del other[c]
                         holders[c].discard(k)
+                        cancelled.add((k, c))
+                if events is not None and not other:
+                    events["emptied"] += 1
             for c in row:
                 holders[c].discard(i)
             rows[i] = {}

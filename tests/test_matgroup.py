@@ -7,7 +7,6 @@ from su21.eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
 from su21.fpgroup import evaluate_word
 from su21.matgroup import (
     IDENTITY,
-    J,
     ZETA_IDENTITY,
     F_map,
     GroupMatrix,
@@ -23,6 +22,7 @@ from su21.matgroup import (
 )
 from helpers import (
     GENERATORS,
+    J,
     conj_transpose,
     divided_f_coordinates,
     divides,

@@ -1,3 +1,4 @@
+import logging
 import pickle
 import random
 from collections import Counter
@@ -45,7 +46,7 @@ from helpers import (
     founding_edges,
     in_gamma_beta,
     in_row_kernel,
-    lattice_specs,
+    lattice_sample,
     predicate_scan_presentation,
     random_word,
     relation_matrix,
@@ -402,18 +403,6 @@ def test_reduced_path_matches_full_normal_forms():
     assert sum(d == 3 for d, _, _ in answers.values()) == 14
 
 
-def lattice_sample():
-    """upsilon, the 40 index-3 groups and a seeded sample of the 130
-    index-9 and 40 index-27 groups."""
-    by_index = {}
-    for spec in lattice_specs():
-        by_index.setdefault(spec.index_in_upsilon(), []).append(spec)
-    rng = random.Random(9)
-    return (
-        by_index[1] + by_index[3] + rng.sample(by_index[9], 8) + rng.sample(by_index[27], 5)
-    )
-
-
 def test_lattice_denominators_divide_index_and_descend():
     """On the sample: d(H) divides [upsilon : H], since the transfer sends
     the central z to z^[upsilon : H] and d(upsilon) = 1; and d(H') divides
@@ -532,6 +521,23 @@ def test_elimination_shapes_and_entries(monkeypatch):
     weight_denominator_of(SubgroupSpec.parse("gamma3"))
     assert [(m.rows, m.cols) for m in reduced] == [(484, 17)]
     assert largest(reduced) == 24
+
+
+def test_gamma3_pivot_schedule(caplog):
+    """A regression gate for the rounds, not only the final shape: the
+    DEBUG line of each of the 12 rounds of gamma3's elimination that take
+    pivots, 309 pivots in all."""
+    with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
+        weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    schedule = [
+        (0, 40, 1013), (31, 46, 954), (63, 48, 906), (127, 73, 783),
+        (255, 20, 751), (511, 25, 720), (1023, 23, 676), (2047, 13, 657),
+        (2047, 1, 656), (4095, 18, 548), (4095, 1, 547), (8191, 1, 484),
+    ]
+    assert [r.getMessage() for r in caplog.records] == [
+        "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
+    ]
+    assert sum(taken for _, taken, _ in schedule) == 309
 
 
 def test_warm_survey_and_gamma3_counters(monkeypatch):

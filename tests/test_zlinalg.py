@@ -1,6 +1,7 @@
 import copy
 import logging
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from su21.zlinalg import (
 )
 from helpers import (
     LatticeOracle,
+    lattice_sample,
     lattices_equal,
     order_of_last_coordinate,
     random_matrix_rows,
@@ -288,8 +290,8 @@ def test_eliminate_unit_pivots_preserves_quotient():
 
 def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     """The cached elimination against the rescanning oracle on the rows the
-    pipeline hands it: gamma3, upsilon, gamma_sqrt3 and the 40 index-3
-    groups."""
+    pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
+    and the seeded sample of 8 index-9 and 5 index-27 groups."""
     shapes = []
 
     def checked(rows, cols):
@@ -302,10 +304,12 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", checked)
     specs = [SubgroupSpec.parse(name) for name in ("gamma3", "upsilon", "gamma_sqrt3")]
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
+    specs += [spec for spec in lattice_sample() if spec.index_in_upsilon() > 3]
     for spec in specs:
         weightdenom.weight_denominator_of(spec)
     assert shapes[:3] == [(1053, 326), (13, 6), (19, 7)]
-    assert shapes[3:] == [(39, 14)] * 40
+    assert shapes[3:43] == [(39, 14)] * 40
+    assert shapes[43:] == [(117, 38)] * 8 + [(351, 110)] * 5
 
 
 def random_sparse_rows(rng):
@@ -331,9 +335,33 @@ def random_sparse_rows(rng):
     return rows, cols
 
 
+def random_unit_rows(rng):
+    """Dense rows of entries +-1 over 3 to 8 columns, whose substitutions
+    often cancel an entry and fill it in again later."""
+    cols = rng.randrange(3, 9)
+    rows = [
+        {c: rng.choice((1, -1)) for c in range(cols) if rng.random() < 0.6}
+        for _ in range(rng.randrange(3, 12))
+    ]
+    return rows, cols
+
+
 def test_elimination_matches_rescanning_oracle_on_random_rows():
+    """Besides the features of the input rows, the oracle counts two of the
+    elimination: a target row emptied by a substitution, and an entry that
+    cancels to 0 and is filled in again.  The oracle takes the same pivots
+    in the same order, so the rows pass through the same states in both."""
     rng = random.Random(27)
     features = dict.fromkeys(("empty row", "one entry", "unit only in last", "one column"), 0)
+    features.update(emptied=0, refilled=0)
+
+    def check(rows, cols):
+        events = Counter()
+        expected = rescanning_elimination(copy.deepcopy(rows), cols, events)
+        assert eliminate_unit_pivots(rows, cols) == expected
+        for name in events:
+            features[name] += 1
+
     for _ in range(2500):
         rows, cols = random_sparse_rows(rng)
         last = cols - 1
@@ -344,8 +372,10 @@ def test_elimination_matches_rescanning_oracle_on_random_rows():
             for row in rows
         )
         features["one column"] += cols == 1
-        expected = rescanning_elimination(copy.deepcopy(rows), cols)
-        assert eliminate_unit_pivots(rows, cols) == expected
+        check(rows, cols)
+    rng = random.Random(28)
+    for _ in range(800):
+        check(*random_unit_rows(rng))
     assert min(features.values()) > 200, features
 
 
