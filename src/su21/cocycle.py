@@ -20,53 +20,57 @@ j(h, tau0) / X(h) add without wrapping, so
     sigma(g, h) = eps(j / X(gh), X(gh)) - eps(X(g), X(h))
                   - eps(j / (X(g) X(h)), X(g) X(h)).
 
-Multiplying by a conjugate instead of dividing scales by a positive norm,
-which changes no argument, so every eps is a sign test on integers.
+Multiplying by a conjugate, conj(a + b*zeta) = (a - b) - b*zeta, instead of
+dividing scales by a positive norm, which changes no argument, so every eps
+is a sign test on the coordinates (a, b) of bottom-row entries a + b*zeta.
 """
 
 from __future__ import annotations
 
-from .eisenstein import EisensteinInt
-from .matgroup import IDENTITY, GroupMatrix
+from .matgroup import IDENTITY, GroupMatrix, _times
 from .value import Value
 
 
-def X_of(g: GroupMatrix) -> EisensteinInt:
-    """-a when the bottom-left entry a is nonzero, else the bottom-right entry c."""
-    a = g.entry(2, 0)
-    if not a.is_zero():
-        return -a
-    c = g.entry(2, 2)
-    if c.is_zero():
-        raise ValueError("matrix has a zero bottom row; not in the group")
-    return c
+def _x(a0: int, a1: int, c0: int, c1: int) -> tuple:
+    """X of a bottom row (a, b, c), as a coordinate pair: -a, or c when a = 0."""
+    if a0 or a1:
+        return -a0, -a1
+    if c0 or c1:
+        return c0, c1
+    raise ValueError("matrix has a zero bottom row; not in the group")
 
 
-def _upper(u: EisensteinInt) -> bool:
-    """Whether Arg u lies in (0, pi]: Im u = b*sqrt(3)/2, Re u = (2a - b)/2."""
-    return u.b > 0 or (u.b == 0 and u.a < 0)
+def _upper(a: int, b: int) -> bool:
+    """Whether Arg(a + b*zeta) lies in (0, pi]: Im = b*sqrt(3)/2, Re = (2a - b)/2."""
+    return b > 0 or (b == 0 and a < 0)
 
 
-def _eps(u: EisensteinInt, v: EisensteinInt) -> int:
-    """(Arg u + Arg v - Arg uv) / (2*pi) for nonzero u, v: 1, 0 or -1."""
-    if _upper(u) and _upper(v):
-        return 0 if _upper(u * v) else 1
-    if u.b < 0 and v.b < 0:
-        return -1 if _upper(u * v) else 0
+def _eps(u0: int, u1: int, v0: int, v1: int) -> int:
+    """(Arg u + Arg v - Arg uv) / (2*pi) for nonzero u = (u0, u1), v = (v0, v1): 1, 0, -1."""
+    if _upper(u0, u1) and _upper(v0, v1):
+        return 0 if _upper(*_times(u0, u1, v0, v1)) else 1
+    if u1 < 0 and v1 < 0:
+        return -1 if _upper(*_times(u0, u1, v0, v1)) else 0
     return 0
 
 
 def sigma(g: GroupMatrix, h: GroupMatrix) -> int:
-    """The integer cocycle sigma(g, h), by exact sign tests at tau0 = (-2, 0)."""
-    gh = g * h
-    j = gh.entry(2, 2) - 2 * gh.entry(2, 0)
-    x_g, x_h, x_gh = X_of(g), X_of(h), X_of(gh)
-    x_g_x_h = x_g * x_h
-    return (
-        _eps(j * x_gh.conj(), x_gh)
-        - _eps(x_g, x_h)
-        - _eps(j * x_g_x_h.conj(), x_g_x_h)
-    )
+    """The integer cocycle sigma(g, h); (gh)31 = p and (gh)33 = q are row 2 of g
+    against columns 0 and 2 of h, 6 entry products (sums as in GroupMatrix.__mul__)."""
+    a0, b0, a1, b1, a2, b2 = g.coords[12:]
+    c00, d00, _, _, c02, d02, c10, d10, _, _, c12, d12, c20, d20, _, _, c22, d22 = h.coords
+    bd0, bd2 = b0 * d00 + b1 * d10 + b2 * d20, b0 * d02 + b1 * d12 + b2 * d22
+    p0 = a0 * c00 + a1 * c10 + a2 * c20 - bd0
+    p1 = a0 * d00 + b0 * c00 + a1 * d10 + b1 * c10 + a2 * d20 + b2 * c20 - bd0
+    q0 = a0 * c02 + a1 * c12 + a2 * c22 - bd2
+    q1 = a0 * d02 + b0 * c02 + a1 * d12 + b1 * c12 + a2 * d22 + b2 * c22 - bd2
+    j0, j1 = q0 - 2 * p0, q1 - 2 * p1
+    g0, g1 = _x(a0, b0, a2, b2)
+    h0, h1 = _x(c20, d20, c22, d22)
+    x0, x1 = _x(p0, p1, q0, q1)
+    y0, y1 = _times(g0, g1, h0, h1)
+    return (_eps(*_times(j0, j1, x0 - x1, -x1), x0, x1) - _eps(g0, g1, h0, h1)
+            - _eps(*_times(j0, j1, y0 - y1, -y1), y0, y1))
 
 
 class CoverElement(Value):

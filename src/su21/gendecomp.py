@@ -10,16 +10,19 @@ norm inequality along the way is asserted on integers.  decompose builds
 one Word, from the letters of all steps, and checks it by multiplying out
 the generator matrices.  Every factor, the step's n(z, x) or its transpose
 and each letter's generator or inverse, is unitriangular, so each product
-goes through matgroup.unitriangular_times.
+goes through matgroup._upper_times, a step's by unitriangular_times.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .eisenstein import SQRT_MINUS3, EisensteinInt
 from .fpgroup import Word
 from .matgroup import (
-    GENERATOR_NAMES, IDENTITY, GroupMatrix, _times, generators_upsilon, in_upsilon,
-    make_n, make_n_transpose, n_corner, unitriangular_times,
+    GENERATOR_NAMES, IDENTITY, GroupMatrix, _reversed_rows, _times, _unitriangular_factors,
+    _upper_times, generators_upsilon, in_upsilon, make_n, make_n_transpose, n_corner,
+    unitriangular_times,
 )
 
 # n2^t expressed in n1..n5; every multiplier word below factors through this.
@@ -158,14 +161,32 @@ def _base_case_parameters(g: GroupMatrix):
     return z, x
 
 
+@lru_cache(maxsize=None)
+def _letter_factors() -> dict:
+    """_unitriangular_factors of each letter's matrix, built once per process."""
+    return {(i, s): _unitriangular_factors(m) for i, n in enumerate(generators_upsilon())
+            for s, m in ((1, n), (-1, n.inverse()))}
+
+
+def _word_coords(letters) -> tuple:
+    """The coordinates of the letters' product P, multiplied from the last letter; while
+    lower letters u act, P is held as J * P (rows reversed), on which J u J is upper."""
+    table = _letter_factors()
+    s, flipped = IDENTITY.coords, False
+    for letter in reversed(letters):
+        upper, factors = table[letter]
+        if upper == flipped:
+            s, flipped = _reversed_rows(s), not flipped
+        s = _upper_times(*factors, s)
+    return _reversed_rows(s) if flipped else s
+
+
 def decompose(g: GroupMatrix) -> Word:
     """A word in n1..n5 evaluating to g.
 
     Raises ValueError when g is not in the group (level sqrt(-3) and
     top-left entry 1 mod 3, as in_upsilon tests).  The returned word is
-    re-evaluated against g, so a wrong answer is impossible: from I, each
-    letter from the last to the first multiplies the product on the left
-    by its generator's matrix or that matrix's inverse.
+    re-evaluated against g by _word_coords, so a wrong answer is impossible.
     """
     if not in_upsilon(g):
         raise ValueError("matrix is not in the five-generator unipotent group")
@@ -180,11 +201,6 @@ def decompose(g: GroupMatrix) -> Word:
         step = (_unipotent_transpose_letters if transpose else _unipotent_letters)(rz, rx)
         letters.extend((i, -s) for i, s in reversed(step))
     word = Word(letters + _unipotent_letters(z, x))
-    images = generators_upsilon()
-    inverses = [n.inverse() for n in images]
-    product = IDENTITY
-    for i, s in reversed(word.letters):
-        product = unitriangular_times(images[i] if s == 1 else inverses[i], product)
-    if product != g:
+    if _word_coords(word.letters) != g.coords:
         raise AssertionError("decomposition failed verification")
     return word

@@ -2,10 +2,10 @@
 
 Matrices are 3x3 over Z[zeta] and unitary with respect to the antidiagonal
 Hermitian form J.  A GroupMatrix holds the integer coordinates (a, b) of its
-entries a + b*zeta, and this module alone knows their layout: products,
-inverses, det, unitarity and membership compute on the ints, and other
-modules read an entry through GroupMatrix.entry, or the first column's
-six ints through GroupMatrix.first_column.  The inverse of a unitary
+entries a + b*zeta, row by row: products, inverses, det, unitarity and
+membership compute on the ints, as cocycle.sigma does on bottom rows, and
+other modules read an entry through GroupMatrix.entry, or the first
+column's six ints through GroupMatrix.first_column.  The inverse of a unitary
 matrix is J * conj(g)^t * J, an index permutation with conjugated entries,
 so inverting multiplies nothing.  unitriangular_times(u, g) is u * g for a
 unitriangular u, upper or lower, such as a generator, its inverse or n(z, x):
@@ -194,12 +194,19 @@ def unitriangular_times(u: GroupMatrix, g: GroupMatrix) -> GroupMatrix:
     entries where u * g makes 27.  A lower u goes through the upper body
     as J * (J u J) * (J * g), since J^2 = I and J u J (entry (i, j) is
     u[2 - i][2 - j]) is upper.  Raises ValueError for any other u."""
+    upper, factors = _unitriangular_factors(u)
+    if upper:
+        return _group_matrix(_upper_times(*factors, g.coords))
+    return _group_matrix(_reversed_rows(_upper_times(*factors, _reversed_rows(g.coords))))
+
+
+def _unitriangular_factors(u: GroupMatrix) -> tuple:
+    """(upper, the six ints _upper_times takes: u01, u02, u12 of u, or of J u J if lower)."""
     c = u.coords
     if _upper_shape(c) == _UNIT:
-        return _group_matrix(_upper_times(c[2], c[3], c[4], c[5], c[10], c[11], g.coords))
+        return True, (c[2], c[3], c[4], c[5], c[10], c[11])
     if _lower_shape(c) == _UNIT:
-        s = _upper_times(c[14], c[15], c[12], c[13], c[6], c[7], _reversed_rows(g.coords))
-        return _group_matrix(_reversed_rows(s))
+        return False, (c[14], c[15], c[12], c[13], c[6], c[7])
     raise ValueError("u is not unitriangular")
 
 

@@ -8,7 +8,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor, gcd
 
-from su21.cocycle import X_of
 from su21.eisenstein import ONE, SQRT_MINUS3, ZERO, EisensteinInt
 from su21.fpgroup import (
     CosetGraph,
@@ -758,6 +757,51 @@ def predicate_scan_presentation(ambient, membership, max_index=512):
 
     names = tuple("h%d" % (k + 1) for k in range(len(generator_images)))
     return Presentation(names, relators, generator_images), len(vertices)
+
+
+# --- exact cocycle oracle ------------------------------------------------------
+#
+# sigma as the package computed it on EisensteinInt values, from the full
+# product g * h: the same sign tests at tau0 = (-2, 0), with X read through
+# GroupMatrix.entry.
+
+
+def X_of(g: GroupMatrix) -> EisensteinInt:
+    """-a when the bottom-left entry a is nonzero, else the bottom-right entry c."""
+    a = g.entry(2, 0)
+    if not a.is_zero():
+        return -a
+    c = g.entry(2, 2)
+    if c.is_zero():
+        raise ValueError("matrix has a zero bottom row; not in the group")
+    return c
+
+
+def _reference_upper(u: EisensteinInt) -> bool:
+    """Whether Arg u lies in (0, pi]: Im u = b*sqrt(3)/2, Re u = (2a - b)/2."""
+    return u.b > 0 or (u.b == 0 and u.a < 0)
+
+
+def reference_eps(u: EisensteinInt, v: EisensteinInt) -> int:
+    """(Arg u + Arg v - Arg uv) / (2*pi) for nonzero u, v: 1, 0 or -1."""
+    if _reference_upper(u) and _reference_upper(v):
+        return 0 if _reference_upper(u * v) else 1
+    if u.b < 0 and v.b < 0:
+        return -1 if _reference_upper(u * v) else 0
+    return 0
+
+
+def reference_sigma(g: GroupMatrix, h: GroupMatrix) -> int:
+    """The integer cocycle sigma(g, h) on EisensteinInt values, from g * h."""
+    gh = g * h
+    j = gh.entry(2, 2) - 2 * gh.entry(2, 0)
+    x_g, x_h, x_gh = X_of(g), X_of(h), X_of(gh)
+    x_g_x_h = x_g * x_h
+    return (
+        reference_eps(j * x_gh.conj(), x_gh)
+        - reference_eps(x_g, x_h)
+        - reference_eps(j * x_g_x_h.conj(), x_g_x_h)
+    )
 
 
 # --- float cocycle oracle ------------------------------------------------------

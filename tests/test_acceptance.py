@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from su21.cocycle import X_of, sigma
+from su21.cocycle import sigma
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import evaluate_word, lift_word, upsilon_presentation
 from su21.gendecomp import _descend_step, decompose, first_column_height
@@ -28,6 +28,7 @@ from helpers import (
     FALLBACK_BASE_POINTS,
     BallPoint,
     LatticeOracle,
+    X_of,
     central_commutator_witness,
     embed,
     exponent_sums,

@@ -1,25 +1,29 @@
 import cmath
 import random
+from collections import Counter
 
 import pytest
 
+from su21 import cocycle
 from su21.cocycle import (
     COVER_IDENTITY,
     CoverElement,
     _eps,
+    _x,
     cover_inv,
     cover_mul,
     sigma,
-    X_of,
 )
-from su21.eisenstein import ONE, ZERO, ZETA
-from su21.matgroup import IDENTITY, ZETA_IDENTITY, generators_upsilon, make_n
+from su21.eisenstein import ONE, ZERO, ZETA, EisensteinInt
+from su21.fpgroup import evaluate_word, upsilon_presentation
+from su21.matgroup import IDENTITY, ZETA_IDENTITY, GroupMatrix, generators_upsilon, make_n
 from helpers import (
     BASE_POINT,
     FALLBACK_BASE_POINTS,
     SIGMA_TOLERANCE,
     BallPoint,
     BranchToleranceError,
+    X_of,
     act,
     embed,
     float_sigma,
@@ -27,6 +31,9 @@ from helpers import (
     j_tilde,
     random_eisenstein,
     random_upsilon_element,
+    random_word,
+    reference_eps,
+    reference_sigma,
     sigma_at,
 )
 
@@ -85,11 +92,26 @@ def test_j_factor_cocycle_rule():
 
 def test_x_of_branches():
     n3 = make_n(ZERO, 2)
-    assert X_of(n3) == ONE  # zero lower-left entry: the corner is used
+    # zero lower-left entry: the corner is used
+    assert _x(*_bottom_corners(n3)) == tuple(ONE.to_pair())
+    assert X_of(n3) == ONE
     n5 = n3.transpose()
+    assert _x(*_bottom_corners(n5)) == tuple((-n5[2][0]).to_pair())
     assert X_of(n5) == -n5[2][0]
+    zero_row = _zero_bottom_row_matrix()
     with pytest.raises(ValueError):
-        X_of(_zero_bottom_row_matrix())
+        _x(*_bottom_corners(zero_row))
+    with pytest.raises(ValueError):
+        X_of(zero_row)
+    for g, h in ((zero_row, IDENTITY), (IDENTITY, zero_row), (zero_row, n5)):
+        with pytest.raises(ValueError, match="zero bottom row"):
+            sigma(g, h)
+
+
+def _bottom_corners(g):
+    """The coordinates (a0, a1, c0, c1) of the bottom row's entries a and c."""
+    a, _, c = g[2]
+    return a.a, a.b, c.a, c.b
 
 
 def _zero_bottom_row_matrix():
@@ -226,7 +248,8 @@ ZETA_BAR = ZETA.conj()
     ],
 )
 def test_eps_on_the_branch_cut(u, v, expected):
-    assert _eps(u, v) == expected
+    assert _eps(u.a, u.b, v.a, v.b) == expected
+    assert reference_eps(u, v) == expected
 
 
 def test_eps_matches_phase():
@@ -239,4 +262,89 @@ def test_eps_matches_phase():
         turns = (
             cmath.phase(embed(u)) + cmath.phase(embed(v)) - cmath.phase(embed(u * v))
         ) / TWO_PI
-        assert _eps(u, v) == round(turns), (u, v)
+        assert _eps(u.a, u.b, v.a, v.b) == reference_eps(u, v) == round(turns), (u, v)
+
+
+def _elements_pairs(rng, count):
+    """Pairs as the benchmark's elements workload makes them: g and h from
+    8- to 64-letter words, and (g, h), (gh, k), (g, hk) and (h, k) for a
+    third such k."""
+    pairs = []
+    for _ in range(count):
+        g, h, k = (random_upsilon_element(rng, 64, min_len=8) for _ in range(3))
+        pairs += [(g, h), (g * h, k), (g, h * k), (h, k)]
+    return pairs
+
+
+def _zero_corner_pairs(rng, count):
+    """Pairs with (gh)[2][0] = 0, where X(gh) falls back to the corner:
+    h = g^-1 u for u upper (a word in n1, n2, n3, times a central
+    factor), and pairs of upper elements."""
+    pairs = [(ZETA_IDENTITY, ZETA_IDENTITY)]
+    for _ in range(count):
+        g = random_element(rng, 12)
+        u = evaluate_word(random_word(rng, 10, n_gens=3), generators_upsilon())
+        for _ in range(rng.randrange(3)):
+            u = u * ZETA_IDENTITY
+        pairs += [(g, g.inverse() * u), (u, u), (g.inverse(), g)]
+    return pairs
+
+
+def _relator_lift_pairs(monkeypatch):
+    """The pairs sigma sees while the 13 relators of the ambient
+    presentation are lifted to the cover."""
+    pairs = []
+    original = cocycle.sigma
+
+    def recording(g, h):
+        pairs.append((g, h))
+        return original(g, h)
+
+    monkeypatch.setattr(cocycle, "sigma", recording)
+    upsilon_presentation.cache_clear()
+    upsilon_presentation()
+    monkeypatch.undo()
+    upsilon_presentation.cache_clear()
+    return pairs
+
+
+def test_sigma_matches_reference(monkeypatch):
+    """sigma on integer coordinates equals the EisensteinInt sigma from the
+    full product g * h: on elements-style pairs with large entries, on
+    pairs with (gh)[2][0] = 0, and on every pair the relator lifts make."""
+    rng = random.Random(21)
+    elements = _elements_pairs(rng, 20)
+    corner = _zero_corner_pairs(rng, 20)
+    assert all((g * h).entry(2, 0).is_zero() for g, h in corner)
+    relators = _relator_lift_pairs(monkeypatch)
+    assert (len(elements), len(corner), len(relators)) == (80, 61, 156)
+    values = Counter()
+    for g, h in elements + corner + relators:
+        value = sigma(g, h)
+        assert value == reference_sigma(g, h), (g, h)
+        values[value] += 1
+    assert set(values) == {-1, 0, 1}
+
+
+def test_sigma_forms_no_product_and_no_eisenstein_int(monkeypatch):
+    """sigma reads bottom rows and multiplies coordinate pairs only: no
+    GroupMatrix product and no EisensteinInt, on the seeded pairs of
+    test_sigma_matches_reference."""
+    rng = random.Random(21)
+    pairs = _elements_pairs(rng, 20) + _zero_corner_pairs(rng, 20)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted("product", GroupMatrix.__mul__))
+    monkeypatch.setattr(
+        EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
+    )
+    for g, h in pairs:
+        sigma(g, h)
+    assert counts == {}

@@ -9,7 +9,9 @@ from su21.fpgroup import Word, evaluate_word
 from su21.gendecomp import (
     N2_TRANSPOSE_WORD,
     _descend_step,
+    _letter_factors,
     _rounded_half,
+    _word_coords,
     decompose,
     first_column_height,
     nearest_lattice_point,
@@ -227,8 +229,9 @@ def test_descent_work_is_pinned(monkeypatch):
     so that a change of nearest point or of tie-breaking shows; and the
     work decompose does on them: one div_exact (z of the base case), one
     make_n per step and base case, one Word (the result) per call, one
-    unitriangular product per step and per letter of the word check, one
-    general matrix product per call (the unitarity test of membership),
+    unitriangular kernel product (_upper_times) per step and per letter of
+    the word check, one general matrix product per call (the unitarity
+    test of membership),
     and the EisensteinInt values it builds:
     per step z and the corners n_corner builds for the step and for make_n,
     and per call the value of det(), the base case's two entry reads, the
@@ -257,11 +260,9 @@ def test_descent_work_is_pinned(monkeypatch):
     monkeypatch.setattr(gendecomp, "make_n", counted_make_n)
     monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("product", GroupMatrix.__mul__))
-    monkeypatch.setattr(
-        gendecomp,
-        "unitriangular_times",
-        counted("unitriangular", gendecomp.unitriangular_times),
-    )
+    counted_kernel = counted("unitriangular", matgroup._upper_times)
+    monkeypatch.setattr(matgroup, "_upper_times", counted_kernel)
+    monkeypatch.setattr(gendecomp, "_upper_times", counted_kernel)
     monkeypatch.setattr(
         EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
     )
@@ -279,13 +280,17 @@ def test_descent_work_is_pinned(monkeypatch):
 
 def test_decompose_inverts_each_generator_once(monkeypatch):
     """The word check multiplies by the five generators and their five
-    inverses, which each call forms with one inverse() per generator; the
-    unitarity check on g inverts g once more."""
+    inverses, which the letter table forms once per process with one
+    inverse() per generator; the unitarity check on g inverts g once per
+    call."""
     rng = random.Random(47)
-    word = Word()
-    while len(word) < 60:
-        word = word * random_word(rng, 1)
-    g = ev(word)
+    elements, words = [], []
+    for _ in range(2):
+        word = Word()
+        while len(word) < 60:
+            word = word * random_word(rng, 1)
+        words.append(word)
+        elements.append(ev(word))
     calls = []
     original = GroupMatrix.inverse
 
@@ -294,17 +299,21 @@ def test_decompose_inverts_each_generator_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(GroupMatrix, "inverse", counted)
-    found = decompose(g)
-    assert calls.count(g) == 1
-    assert sorted(map(GENERATORS.index, set(calls) - {g})) == [0, 1, 2, 3, 4]
-    assert len(calls) == 6
+    _letter_factors.cache_clear()
+    found = [decompose(g) for g in elements]
+    assert [calls.count(g) for g in elements] == [1, 1]
+    assert sorted(map(GENERATORS.index, set(calls) - set(elements))) == [0, 1, 2, 3, 4]
+    assert len(calls) == 5 + 2
     monkeypatch.undo()
-    assert len(word) == 60 and ev(found) == g
+    assert [len(w) for w in words] == [60, 60]
+    assert [ev(w) for w in found] == elements
 
 
 def test_decompose_word_check_bites(monkeypatch):
     """A letter formula that writes one letter too many gives a word that
-    does not evaluate to g, and the final check raises."""
+    does not evaluate to g, and the final check raises: in the upper
+    steps' letters, and in the transposed steps' letters (n4, n5 and those
+    of N2_TRANSPOSE_WORD), which reach the check's row-reversed path."""
     original = gendecomp._unipotent_letters
 
     def one_letter_more(z, x):
@@ -315,6 +324,47 @@ def test_decompose_word_check_bites(monkeypatch):
     for g in [IDENTITY, *GENERATORS, *(ev(random_word(rng, 40, min_len=8)) for _ in range(5))]:
         with pytest.raises(AssertionError, match="^decomposition failed verification$"):
             decompose(g)
+    monkeypatch.undo()
+    original_transpose = gendecomp._unipotent_transpose_letters
+    calls = []
+    elements = [GENERATORS[3], GENERATORS[4], *(ev(random_word(rng, 40, min_len=8)) for _ in range(5))]
+    for extra in [(3, 1), (4, -1), *N2_TRANSPOSE_WORD.letters]:
+
+        def transpose_letter_more(z, x):
+            calls.append((z, x))
+            return original_transpose(z, x) + [extra]
+
+        monkeypatch.setattr(gendecomp, "_unipotent_transpose_letters", transpose_letter_more)
+        for g in elements:
+            calls.clear()
+            with pytest.raises(AssertionError, match="^decomposition failed verification$"):
+                decompose(g)
+            assert calls
+
+
+def test_word_check_product_matches_matrix_fold():
+    """_word_coords equals the product of the letters' matrices by
+    GroupMatrix.__mul__, on words of upper runs (n1..n3) and lower runs
+    (n4, n5, and n2^t's letters), starting and ending with either."""
+    rng = random.Random(56)
+    matrices = {
+        (i, s): n if s == 1 else n.inverse() for i, n in enumerate(GENERATORS) for s in (1, -1)
+    }
+    words = [[], [(3, 1)], [(0, -1)], list(N2_TRANSPOSE_WORD.letters)]
+    for _ in range(40):
+        letters = []
+        for run in range(rng.randint(1, 6)):
+            pool = (0, 1, 2) if (run + rng.randrange(2)) % 2 else (3, 4)
+            letters += [(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+        words.append(letters)
+    runs = set()
+    for letters in words:
+        product = IDENTITY
+        for letter in letters:
+            product = product * matrices[letter]
+        assert _word_coords(tuple(letters)) == product.coords, letters
+        runs.add(tuple(i < 3 for i, _ in letters[:1] + letters[-1:]))
+    assert runs >= {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_decompose_rejects_non_members():

@@ -435,10 +435,10 @@ def test_lattice_group_matches_predicate_scan(index):
 def test_gamma3_counters(monkeypatch):
     """Deterministic work of a cold gamma3 computation: sigma lifts only
     the 13 ambient relators, the relations have one row per relator trace,
-    matrix products number 277 (the relators' lifts and F_map of the five
-    generators; enumeration on the coset action multiplies none), and the
-    relator traces go straight into sparse rows: no subgroup Presentation,
-    no trace Word and no dense relation matrix is built."""
+    matrix products number 121 (the relators' lifts and F_map of the five
+    generators; sigma and enumeration on the coset action multiply none),
+    and the relator traces go straight into sparse rows: no subgroup
+    Presentation, no trace Word and no dense relation matrix is built."""
     counts = {"sigma": 0, "mul": 0}
     counts.update(Word=0, Presentation=0, IntegerMatrix=0, unchecked=0)
     shapes = []
@@ -480,11 +480,11 @@ def test_gamma3_counters(monkeypatch):
     assert report.generator_count == 81 * 5 - 80 == 325
     assert report.relator_count == 13 * 81
     assert shapes == [((1053, 326), (484, 17))]
-    # the relators are evaluated once, in the cover: their 116 letters cost
-    # two products each (one in cover_mul, one in sigma) and the 40 inverses
-    # one each (sigma(g, g^-1)); F_map's unitarity test makes one product
-    # per generator
-    assert counts["mul"] == 2 * letters + inverses + 5 == 277
+    # the relators are evaluated once, in the cover: each of their 116
+    # letters costs one product, in cover_mul; sigma reads the bottom row of
+    # the product without forming it, so sigma(g, g^-1) for the 40 inverses
+    # costs none; F_map's unitarity test makes one product per generator
+    assert counts["mul"] == letters + 5 == 121
     # the ambient presentation is the only Presentation; the relation
     # matrix is born reduced, then comes the HNF and its nonzero rows, all
     # three built unchecked
