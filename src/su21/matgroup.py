@@ -40,7 +40,10 @@ class GroupMatrix(Value):
             raise ValueError("expected a 3x3 matrix")
         if not all(isinstance(entry, EisensteinInt) for row in rows for entry in row):
             raise ValueError("entries must be EisensteinInt values")
-        _set_coords(self, tuple(v for row in rows for entry in row for v in (entry.a, entry.b)))
+        coords = tuple(v for row in rows for entry in row for v in (entry.a, entry.b))
+        if tuple(map(type, coords)) != (int,) * 18:
+            raise ValueError("entries must have int coordinates")
+        _set_coords(self, coords)
 
     def __setstate__(self, values):
         """Value's restore, refusing the rows that older pickles hold."""

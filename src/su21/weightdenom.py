@@ -32,7 +32,6 @@ from .fpgroup import (
 )
 from .matgroup import SubgroupSpec, all_index3_vectors
 from .zlinalg import (
-    _integer_matrix,
     cokernel_invariants,
     eliminate_unit_pivots,
     hermite_normal_form,
@@ -72,15 +71,14 @@ def weight_denominator(
     a list of sparse rows {column: nonzero int} over cols columns, one per
     relator, with the central generator z last.  The rows are consumed."""
     relator_count = len(rows)
-    reduced = eliminate_unit_pivots(rows, cols)
+    reduced, kept = eliminate_unit_pivots(rows, cols)
     h = hermite_normal_form(reduced)
     order = last_coordinate_order_of_hnf(h)
     if order is None:
         raise InfiniteOrderError(
             "central generator has infinite order in the abelianization"
         )
-    nonzero = tuple(row for row in h.entries if any(row))
-    torsion, free_rank = cokernel_invariants(_integer_matrix(nonzero, reduced.cols))
+    torsion, free_rank = cokernel_invariants([row for row in h if any(row)], kept)
     return DenominatorReport(
         group=group,
         index_in_upsilon=index_in_upsilon,

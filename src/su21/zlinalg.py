@@ -1,13 +1,13 @@
-"""Integer matrices, unit-pivot elimination, Hermite and Smith normal forms,
-and cokernel invariants.
+"""Unit-pivot elimination, Hermite and Smith normal forms, and cokernel
+invariants, on plain rows: equal-length sequences of Python ints.
 
 All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
 of Havas, Holt and Rees (1993), which removes every generator that a
 relation expresses in terms of the others and leaves the quotient and the
-class of the last coordinate unchanged; only its small result becomes a
-dense IntegerMatrix.
+class of the last coordinate unchanged; only its small result becomes
+dense rows.  The normal forms copy their input and never change it.
 """
 
 from __future__ import annotations
@@ -15,61 +15,19 @@ from __future__ import annotations
 import logging
 from math import gcd, lcm
 
-from .value import Value
-
 _log = logging.getLogger(__name__)
 
 
-class IntegerMatrix(Value):
-    """An immutable rectangular matrix of Python ints."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols: int = None):
-        entries = tuple(tuple(v for v in row) for row in rows)
-        if entries:
-            widths = {len(row) for row in entries}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            inferred = widths.pop()
-            if cols is not None and cols != inferred:
-                raise ValueError("cols does not match row width")
-            cols = inferred
-        elif cols is None:
-            raise ValueError("cols is required for a matrix with no rows")
-        for row in entries:
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise TypeError("entries must be ints")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __getitem__(self, index):
-        return self.entries[index]
-
-    def __repr__(self):
-        return "IntegerMatrix(<%d x %d>)" % (self.rows, self.cols)
-
-
-def _integer_matrix(entries: tuple, cols: int) -> IntegerMatrix:
-    """The IntegerMatrix with these rows, tuples of cols ints, unchecked."""
-    m = object.__new__(IntegerMatrix)
-    object.__setattr__(m, "rows", len(entries))
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "entries", entries)
-    return m
-
-
-def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
-    """A matrix with the same cokernel and the same class of the last
+def eliminate_unit_pivots(rows, cols: int) -> tuple:
+    """Relations with the same cokernel and the same class of the last
     coordinate as the relations given by rows, a list of sparse rows
     {column: nonzero int} over cols columns, which are consumed: while some
     row has an entry +-1 in a column other than the last, that row expresses
     the column's generator in terms of the others, so it is substituted into
     every other row and the row and the column are dropped.  The last column
-    is never a pivot.  Zero rows are dropped, and the kept columns keep
-    their order.
+    is never a pivot.  Returns (dense_rows, kept_cols): the rows left, as
+    int tuples over the kept_cols columns that were not pivots, which keep
+    their order.  Zero rows are dropped.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
@@ -159,65 +117,16 @@ def eliminate_unit_pivots(rows, cols: int) -> IntegerMatrix:
             while limit < deferred:
                 limit = 2 * limit + 1
     kept = [c for c in range(cols) if c not in eliminated]
-    return _integer_matrix(
-        tuple(tuple(row.get(c, 0) for c in kept) for row in rows if row), len(kept)
-    )
+    return [tuple(row.get(c, 0) for c in kept) for row in rows if row], len(kept)
 
 
-def hermite_normal_form(matrix: IntegerMatrix) -> IntegerMatrix:
-    """Row Hermite normal form: zero rows last, positive pivots in strictly
-    increasing columns, entries above each pivot reduced into [0, pivot)."""
-    rows = _hnf_rows(matrix.entries, matrix.rows, matrix.cols)
-    return _integer_matrix(tuple(map(tuple, rows)), matrix.cols)
-
-
-def smith_normal_form(matrix: IntegerMatrix) -> tuple:
-    """Smith normal form diagonal: min(rows, cols) nonnegative integers
-    d_1 | d_2 | ... with zeros trailing."""
-    return tuple(_snf_diagonal(matrix.entries, matrix.rows, matrix.cols))
-
-
-def cokernel_invariants(matrix: IntegerMatrix) -> tuple:
-    """Invariants of Z^cols / (row span): (torsion_invariants, free_rank).
-
-    torsion_invariants lists the Smith diagonal entries that are neither 0
-    nor 1, in divisibility order; free_rank counts the quotient's free
-    summands (cols minus the number of nonzero diagonal entries).
-    """
-    diagonal = smith_normal_form(matrix)
-    torsion = tuple(d for d in diagonal if d > 1)
-    free_rank = matrix.cols - sum(1 for d in diagonal if d != 0)
-    return torsion, free_rank
-
-
-def last_coordinate_order_of_hnf(h: IntegerMatrix):
-    """Order of the last standard basis vector in Z^cols / (row span of h),
-    for h in Hermite normal form, or None when that order is infinite.
-
-    The order is finite exactly when some row's first nonzero entry sits in
-    the last column, and that pivot is the order.  (Any integer combination
-    equal to a multiple of e_last cannot involve rows whose pivot lies in an
-    earlier column.)  Pivot columns increase, so only the last nonzero row
-    can have its pivot there.
-    """
-    nonzero = [row for row in h.entries if any(row)]
-    if nonzero and not any(nonzero[-1][:-1]):
-        return nonzero[-1][-1]
-    return None
-
-
-def _nearest_quotient(value, pivot):
-    # pivot > 0; quotient q with value - q*pivot in (-pivot/2, pivot/2],
-    # ties (remainder exactly pivot/2) keep the floor quotient.
-    q, r = divmod(value, pivot)
-    if 2 * r > pivot:
-        q += 1
-    return q
-
-
-def _hnf_rows(mat, m, n):
-    """Row Hermite normal form of the m x n rows, as new row lists."""
-    a = [list(row) for row in mat]
+def hermite_normal_form(rows) -> list:
+    """Row Hermite normal form of the rows, as new row lists: zero rows
+    last, positive pivots in strictly increasing columns, entries above
+    each pivot reduced into [0, pivot)."""
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
     pivot_row = 0
     for col in range(n):
         if pivot_row == m:
@@ -263,8 +172,8 @@ def _hnf_rows(mat, m, n):
     return a
 
 
-def _snf_diagonal(mat, m, n):
-    """Smith normal form diagonal of the m x n rows: min(m, n)
+def smith_normal_form(rows) -> tuple:
+    """Smith normal form diagonal of the m rows of n ints: min(m, n)
     nonnegative values d_1 | d_2 | ... with zeros trailing.
 
     Row Hermite passes alternate on the matrix and on its transpose until
@@ -280,15 +189,53 @@ def _snf_diagonal(mat, m, n):
     keeps the cokernel: once its pairs are done, d_i is the gcd of the
     entries from i on, so it divides every later one and is 0 only when
     they all are."""
-    a = mat
+    a = rows
     while True:
-        a = _hnf_rows(a, m, n)
+        a = hermite_normal_form(a)
         if not any(v for i, row in enumerate(a) for j, v in enumerate(row) if i != j):
             break
         a = list(zip(*a))
-        m, n = n, m
-    d = [a[t][t] for t in range(min(m, n))]
+    d = [row[t] for t, row in enumerate(a) if t < len(row)]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return d
+    return tuple(d)
+
+
+def cokernel_invariants(rows, cols: int) -> tuple:
+    """Invariants of Z^cols / (span of the rows, each of cols ints):
+    (torsion_invariants, free_rank).
+
+    torsion_invariants lists the Smith diagonal entries that are neither 0
+    nor 1, in divisibility order; free_rank counts the quotient's free
+    summands (cols minus the number of nonzero diagonal entries).
+    """
+    diagonal = smith_normal_form(rows)
+    torsion = tuple(d for d in diagonal if d > 1)
+    free_rank = cols - sum(1 for d in diagonal if d != 0)
+    return torsion, free_rank
+
+
+def last_coordinate_order_of_hnf(h):
+    """Order of the last standard basis vector in Z^cols / (row span of h),
+    for rows h in Hermite normal form, or None when that order is infinite.
+
+    The order is finite exactly when some row's first nonzero entry sits in
+    the last column, and that pivot is the order.  (Any integer combination
+    equal to a multiple of e_last cannot involve rows whose pivot lies in an
+    earlier column.)  Pivot columns increase, so only the last nonzero row
+    can have its pivot there.
+    """
+    nonzero = [row for row in h if any(row)]
+    if nonzero and not any(nonzero[-1][:-1]):
+        return nonzero[-1][-1]
+    return None
+
+
+def _nearest_quotient(value, pivot):
+    # pivot > 0; quotient q with value - q*pivot in (-pivot/2, pivot/2],
+    # ties (remainder exactly pivot/2) keep the floor quotient.
+    q, r = divmod(value, pivot)
+    if 2 * r > pivot:
+        q += 1
+    return q

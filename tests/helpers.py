@@ -33,7 +33,7 @@ from su21.matgroup import (
     n_corner,
 )
 from su21.value import Value
-from su21.zlinalg import IntegerMatrix, hermite_normal_form, last_coordinate_order_of_hnf
+from su21.zlinalg import hermite_normal_form, last_coordinate_order_of_hnf
 
 GENERATORS = generators_upsilon()
 
@@ -99,12 +99,12 @@ def central_commutator_witness():
     return r4.inverse() * r9.inverse() * r10.inverse() * r11
 
 
-def order_of_last_coordinate(matrix):
-    """Order of the last standard basis vector in Z^cols / (row span), or
-    None when that order is infinite."""
-    if matrix.cols == 0:
-        raise ValueError("matrix has no columns")
-    return last_coordinate_order_of_hnf(hermite_normal_form(matrix))
+def order_of_last_coordinate(rows, cols):
+    """Order of the last standard basis vector in Z^cols / (span of the
+    rows, each of cols ints), or None when that order is infinite."""
+    if cols == 0:
+        raise ValueError("no columns")
+    return last_coordinate_order_of_hnf(hermite_normal_form(rows))
 
 
 def divides(w, z):
@@ -467,18 +467,15 @@ def trace_words(ambient, graph):
 
 
 def relation_matrix(presentation):
-    """The s x (r+1) abelianized relation matrix of the centrally extended
-    group: one row per relator, columns = generator exponent sums plus the
-    z-coefficient -n, where (I, n) is the relator's lift, read from the
-    presentation's central parts."""
+    """The rows of the s x (r+1) abelianized relation matrix of the
+    centrally extended group, as int tuples: one row per relator, columns =
+    generator exponent sums plus the z-coefficient -n, where (I, n) is the
+    relator's lift, read from the presentation's central parts."""
     r = presentation.generator_count
-    return IntegerMatrix(
-        (
-            exponent_sums(relator, r) + [-n]
-            for relator, n in zip(presentation.relators, presentation.central)
-        ),
-        r + 1,
-    )
+    return [
+        tuple(exponent_sums(relator, r) + [-n])
+        for relator, n in zip(presentation.relators, presentation.central)
+    ]
 
 
 def sparse_rows(rows):
@@ -494,7 +491,8 @@ def rescanning_elimination(rows, cols, events=None):
     that takes none raises the limit by one step of 0, 1, 3, 7, ...  The
     rows are consumed.  A given events Counter counts the substitutions
     that empty a target row ("emptied") and the entries filled in again
-    after cancelling to 0 ("refilled")."""
+    after cancelling to 0 ("refilled").  Returns (dense_rows, kept_cols)
+    as eliminate_unit_pivots does."""
     last = cols - 1
     holders = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
@@ -544,7 +542,7 @@ def rescanning_elimination(rows, cols, events=None):
                 break
             limit = 2 * limit + 1
     kept = [c for c in range(cols) if c not in eliminated]
-    return IntegerMatrix([[row.get(c, 0) for c in kept] for row in rows if row], len(kept))
+    return [tuple(row.get(c, 0) for c in kept) for row in rows if row], len(kept)
 
 
 # --- keyed Reidemeister-Schreier oracle ----------------------------------------

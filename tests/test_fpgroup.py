@@ -346,7 +346,7 @@ def test_relation_rows_are_trace_exponent_sums():
             for k, t in enumerate(traces)
         )
         if spec.rows == ():
-            assert rows == sparse_rows(relation_matrix(p).entries)
+            assert rows == sparse_rows(relation_matrix(p))
 
 
 def test_graph_keeps_the_symbol_map():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 
@@ -310,6 +311,13 @@ def test_constructor_validates_entries():
         GroupMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
     with pytest.raises(ValueError):
         GroupMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
+    # every coordinate's type is int, as a pickle's restore requires
+    for odd in (EisensteinInt(True, 0), EisensteinInt(1.0, 0), EisensteinInt(1, 0.0)):
+        with pytest.raises(ValueError, match="int coordinates"):
+            GroupMatrix([[odd, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    g = GroupMatrix([[ONE, ZETA, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g and clone.coords == g.coords
 
 
 def test_det_multiplicative():

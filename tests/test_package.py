@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -42,8 +43,8 @@ MODULE_ONLY = {
         "lift_word", "reidemeister_schreier", "upsilon_presentation",
     ),
     "zlinalg": (
-        "IntegerMatrix", "cokernel_invariants", "eliminate_unit_pivots",
-        "hermite_normal_form", "last_coordinate_order_of_hnf", "smith_normal_form",
+        "cokernel_invariants", "eliminate_unit_pivots", "hermite_normal_form",
+        "last_coordinate_order_of_hnf", "smith_normal_form",
     ),
     "weightdenom": ("weight_denominator",),
     "gendecomp": ("first_column_height", "nearest_lattice_point"),
@@ -63,7 +64,7 @@ def test_star_import_resolves_every_exported_name():
 def test_other_names_import_only_from_their_modules():
     """Each name dropped from the package namespace is still defined in
     its own module, so only the second import path went."""
-    assert sum(len(names) for names in MODULE_ONLY.values()) == 33
+    assert sum(len(names) for names in MODULE_ONLY.values()) == 32
     for module_name, names in MODULE_ONLY.items():
         module = importlib.import_module("su21." + module_name)
         for name in names:
@@ -155,8 +156,11 @@ VALUE_TYPES = {
     "matgroup": ("GroupMatrix", "SubgroupSpec"),
     "fpgroup": ("Word", "Presentation"),
     "cocycle": ("CoverElement",),
-    "zlinalg": ("IntegerMatrix",),
 }
+
+
+def _subclasses_value(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "Value" for b in node.bases)
 
 
 def _protocol_problems(path: Path) -> list:
@@ -176,8 +180,7 @@ def _protocol_problems(path: Path) -> list:
             for target in item.targets
             if isinstance(target, ast.Name)
         }
-        subclasses_value = any(isinstance(b, ast.Name) and b.id == "Value" for b in node.bases)
-        if subclasses_value and "__slots__" not in assigned:
+        if _subclasses_value(node) and "__slots__" not in assigned:
             problems.append("line %d: %s declares no __slots__" % (node.lineno, node.name))
     return problems
 
@@ -187,7 +190,29 @@ def test_value_protocol_is_written_once(path):
     assert _protocol_problems(path) == []
 
 
+def _value_subclasses() -> dict:
+    """The classes under src/su21 that subclass Value, by module, in
+    source order."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _subclasses_value(node):
+                found[path.stem] = found.get(path.stem, ()) + (node.name,)
+    return found
+
+
+def _readme_value_types() -> set:
+    """The value types named by the first sentence of README's su21.value
+    entry."""
+    entry = README.read_text().split("- `su21.value` — ", 1)[1]
+    return set(re.findall(r"`(\w+)`", entry.split(". ", 1)[0])) - {"Value"}
+
+
 def test_value_types_subclass_value():
+    """VALUE_TYPES and README's list are the Value subclasses the source
+    defines, so neither can go stale."""
+    assert _value_subclasses() == VALUE_TYPES
+    assert _readme_value_types() == {name for names in VALUE_TYPES.values() for name in names}
     for module_name, names in VALUE_TYPES.items():
         module = importlib.import_module("su21." + module_name)
         for name in names:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from su21 import cocycle, matgroup, weightdenom, zlinalg
+from su21 import cocycle, matgroup, weightdenom
 from su21.cocycle import COVER_IDENTITY, CoverElement
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
@@ -35,7 +35,7 @@ from su21.weightdenom import (
     weight_denominator,
     weight_denominator_of,
 )
-from su21.zlinalg import IntegerMatrix, cokernel_invariants, hermite_normal_form
+from su21.zlinalg import cokernel_invariants, hermite_normal_form
 from helpers import (
     BallPoint,
     central_commutator_witness,
@@ -98,8 +98,8 @@ def test_relator_lift_invariants():
 
 def test_relation_matrix_shape_and_rows():
     m = relation_matrix(UPSILON)
-    assert (m.rows, m.cols) == (13, 6)
-    for row, relator in zip(m.entries, UPSILON.relators):
+    assert (len(m), len(m[0])) == (13, 6)
+    for row, relator in zip(m, UPSILON.relators):
         assert list(row[:5]) == exponent_sums(relator, 5)
         assert row[5] == -lift_word(relator, UPSILON.images).n
 
@@ -114,9 +114,9 @@ def test_relation_matrix_needs_images():
     image = GENERATORS[2] * GENERATORS[4]
     p = Presentation(("a",), (cube,), (image,))
     assert p.central == (float_central_part(cube, (image,)),) == (1,)
-    assert relation_matrix(p).entries == ((3, -1),)
+    assert relation_matrix(p) == [(3, -1)]
     inverse = Presentation(("a",), (cube.inverse(),), (image,))
-    assert relation_matrix(inverse).entries == ((-3, 1),)
+    assert relation_matrix(inverse) == [(-3, 1)]
 
 
 def test_relator_traces_telescope_to_base_lifts():
@@ -150,7 +150,7 @@ def test_relator_traces_telescope_to_base_lifts():
 
 
 def upsilon_rows():
-    return sparse_rows(relation_matrix(UPSILON).entries)
+    return sparse_rows(relation_matrix(UPSILON))
 
 
 def test_upsilon_denominator_is_one():
@@ -169,13 +169,13 @@ def test_upsilon_invariants_against_sympy():
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
     m = relation_matrix(UPSILON)
-    sm = sympy_snf(sympy.Matrix([list(r) for r in m.entries]))
+    sm = sympy_snf(sympy.Matrix([list(r) for r in m]))
     diag = [abs(int(sm[i, i])) for i in range(min(sm.rows, sm.cols))]
     nontrivial = sorted(d for d in diag if d > 1)
     zeros = sum(1 for d in diag if d == 0)
     assert nontrivial == [3, 3, 3]
     # cokernel free rank = columns - rank
-    assert (m.cols - (len(diag) - zeros)) == 2
+    assert (len(m[0]) - (len(diag) - zeros)) == 2
 
 
 def test_central_commutator_witness():
@@ -304,14 +304,15 @@ def test_report_immutable_pickle_json():
 
 
 def test_weight_denominator_runs_one_hnf(monkeypatch):
+    """The pipeline calls the Hermite form once itself; the Smith form's own
+    Hermite passes go through zlinalg's binding, which is not counted."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append((args[0].rows, args[0].cols))
-        return original(*args, **kwargs)
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
 
-    original = zlinalg.hermite_normal_form
-    monkeypatch.setattr(zlinalg, "hermite_normal_form", counting)
+    original = weightdenom.hermite_normal_form
     monkeypatch.setattr(weightdenom, "hermite_normal_form", counting)
     report = weight_denominator(upsilon_rows(), 6)
     assert report.weight_denominator == 1
@@ -337,17 +338,18 @@ def test_weight_denominator_when_only_z_has_a_unit(rows, order):
         assert weight_denominator(sparse_rows(rows), 2).weight_denominator == order
 
 
-def full_matrix_answer(matrix):
+def full_matrix_answer(rows):
     """(d, torsion, free rank) from HNF and SNF of the unreduced relation
-    matrix: d is the pivot of the HNF row that leads in the z column."""
-    h = hermite_normal_form(matrix)
+    rows: d is the pivot of the HNF row that leads in the z column."""
+    cols = len(rows[0])
+    h = hermite_normal_form(rows)
     order = None
-    for row in h.entries:
+    for row in h:
         leading = next((c for c, v in enumerate(row) if v), None)
-        if leading == matrix.cols - 1:
+        if leading == cols - 1:
             order = row[-1]
-    nonzero = [row for row in h.entries if any(row)]
-    torsion, free_rank = cokernel_invariants(IntegerMatrix(nonzero, matrix.cols))
+    nonzero = [row for row in h if any(row)]
+    torsion, free_rank = cokernel_invariants(nonzero, cols)
     return order, torsion, free_rank
 
 
@@ -375,7 +377,7 @@ def oracle_answer(spec):
     else:
         presentation, index = predicate_scan_presentation(UPSILON, oracle_membership(spec))
     matrix = relation_matrix(presentation)
-    oracle = report_answer(weight_denominator(sparse_rows(matrix.entries), matrix.cols))
+    oracle = report_answer(weight_denominator(sparse_rows(matrix), len(matrix[0])))
     assert oracle == full_matrix_answer(matrix)
     return oracle, index
 
@@ -437,10 +439,11 @@ def test_gamma3_counters(monkeypatch):
     the 13 ambient relators, the relations have one row per relator trace,
     matrix products number 121 (the relators' lifts and F_map of the five
     generators; sigma and enumeration on the coset action multiply none),
-    and the relator traces go straight into sparse rows: no subgroup
-    Presentation, no trace Word and no dense relation matrix is built."""
+    and the relator traces go straight into sparse rows, which become dense
+    only once eliminated: no subgroup Presentation and no trace Word is
+    built."""
     counts = {"sigma": 0, "mul": 0}
-    counts.update(Word=0, Presentation=0, IntegerMatrix=0, unchecked=0)
+    counts.update(Word=0, Presentation=0)
     shapes = []
 
     def counted(name, fn):
@@ -452,19 +455,16 @@ def test_gamma3_counters(monkeypatch):
 
     def eliminating(rows, cols):
         shape = (len(rows), cols)
-        reduced = original_eliminate(rows, cols)
-        shapes.append((shape, (reduced.rows, reduced.cols)))
-        return reduced
+        reduced, kept = original_eliminate(rows, cols)
+        shapes.append((shape, (len(reduced), kept)))
+        return reduced, kept
 
     original_eliminate = weightdenom.eliminate_unit_pivots
     monkeypatch.setattr(cocycle, "sigma", counted("sigma", cocycle.sigma))
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
-    for cls in (Word, Presentation, IntegerMatrix):
+    for cls in (Word, Presentation):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-    counted_matrix = counted("unchecked", zlinalg._integer_matrix)
-    monkeypatch.setattr(zlinalg, "_integer_matrix", counted_matrix)
-    monkeypatch.setattr(weightdenom, "_integer_matrix", counted_matrix)
     upsilon_presentation.cache_clear()
     matgroup._generator_f_images.cache_clear()
     report = weight_denominator_of(SubgroupSpec.parse("gamma3"))
@@ -485,11 +485,8 @@ def test_gamma3_counters(monkeypatch):
     # the product without forming it, so sigma(g, g^-1) for the 40 inverses
     # costs none; F_map's unitarity test makes one product per generator
     assert counts["mul"] == letters + 5 == 121
-    # the ambient presentation is the only Presentation; the relation
-    # matrix is born reduced, then comes the HNF and its nonzero rows, all
-    # three built unchecked
+    # the ambient presentation is the only Presentation
     assert counts["Presentation"] == 1
-    assert (counts["IntegerMatrix"], counts["unchecked"]) == (0, 3)
     # the 20 Words spell out the 13 ambient relators, and none is a trace
     assert counts["Word"] == 20
 
@@ -508,18 +505,18 @@ def test_elimination_shapes_and_entries(monkeypatch):
     original_eliminate = weightdenom.eliminate_unit_pivots
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
 
-    def largest(matrices):
-        return max(abs(v) for m in matrices for row in m.entries for v in row)
+    def largest(results):
+        return max(abs(v) for rows, _ in results for row in rows for v in row)
 
     survey_index3()
-    assert Counter((m.rows, m.cols) for m in reduced) == {
+    assert Counter((len(rows), cols) for rows, cols in reduced) == {
         (6, 6): 3, (9, 6): 6, (12, 5): 9, (12, 6): 3, (14, 5): 2, (14, 6): 2, (17, 5): 1,
         (18, 5): 2, (18, 6): 2, (19, 5): 3, (19, 6): 1, (20, 5): 3, (21, 5): 3,
     }
     assert largest(reduced) == 27
     reduced.clear()
     weight_denominator_of(SubgroupSpec.parse("gamma3"))
-    assert [(m.rows, m.cols) for m in reduced] == [(484, 17)]
+    assert [(len(rows), cols) for rows, cols in reduced] == [(484, 17)]
     assert largest(reduced) == 24
 
 
@@ -601,7 +598,6 @@ def test_index3_enumeration_checks_no_unitarity(monkeypatch):
 @pytest.mark.parametrize(
     "value",
     [
-        IntegerMatrix([[1, -2], [0, 3]]),
         Word([(0, 1), (2, -1)]),
         UPSILON,
         SubgroupSpec.parse("index3:2,0,1,0"),
@@ -651,7 +647,6 @@ def test_pickles_that_call_the_constructors_still_load():
     versions wrote them, load as equal values."""
     g = GENERATORS[0]
     for value, reduced in [
-        (IntegerMatrix([[1, -2], [0, 3]]), (IntegerMatrix, (((1, -2), (0, 3)), 2))),
         (Word([(0, 1), (2, -1)]), (Word, (((0, 1), (2, -1)),))),
         (UPSILON, (Presentation, (UPSILON.generator_names, UPSILON.relators, UPSILON.images))),
         (SubgroupSpec.parse("index3:2,0,1,0"), (SubgroupSpec, (((1, 0, 2, 0),),))),
@@ -707,7 +702,6 @@ def test_presentation_compares_by_value():
 @pytest.mark.parametrize(
     "value",
     [
-        IntegerMatrix([[1, -2], [0, 3]]),
         Word([(0, 1), (2, -1)]),
         UPSILON,
         SubgroupSpec.parse("index3:2,0,1,0"),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from su21 import weightdenom
 from su21.matgroup import SubgroupSpec, all_index3_vectors
 from su21.zlinalg import (
-    IntegerMatrix,
     cokernel_invariants,
     eliminate_unit_pivots,
     hermite_normal_form,
@@ -29,10 +28,10 @@ from helpers import (
 )
 
 
-def hnf_structure_ok(h: IntegerMatrix) -> bool:
+def hnf_structure_ok(h) -> bool:
     pivots = []
     seen_zero_row = False
-    for row in h.entries:
+    for row in h:
         leading = next((c for c, v in enumerate(row) if v), None)
         if leading is None:
             seen_zero_row = True
@@ -46,58 +45,68 @@ def hnf_structure_ok(h: IntegerMatrix) -> bool:
         pivots.append(leading)
     # entries above each pivot reduced into [0, pivot)
     for k, col in enumerate(pivots):
-        pivot = h.entries[k][col]
+        pivot = h[k][col]
         for r in range(k):
-            if not 0 <= h.entries[r][col] < pivot:
+            if not 0 <= h[r][col] < pivot:
                 return False
     return True
 
 
-def test_integer_matrix_validation():
-    m = IntegerMatrix([[1, 2], [3, 4]])
-    assert (m.rows, m.cols) == (2, 2)
-    assert m[1] == (3, 4)
-    with pytest.raises(ValueError):
-        IntegerMatrix([[1], [2, 3]])
-    with pytest.raises(TypeError):
-        IntegerMatrix([[1.5]])
-    with pytest.raises(TypeError):
-        IntegerMatrix([[True]])
-    with pytest.raises(ValueError):
-        IntegerMatrix([])
-    empty = IntegerMatrix([], cols=3)
-    assert (empty.rows, empty.cols) == (0, 3)
-    with pytest.raises(AttributeError):
-        m.entries = ()
-
-
 def test_known_hnf():
-    m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    expected = IntegerMatrix([[2, 0, 120], [0, 2, 20], [0, 0, 156]])
-    assert hermite_normal_form(m) == expected
+    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    assert hermite_normal_form(m) == [[2, 0, 120], [0, 2, 20], [0, 0, 156]]
     assert smith_normal_form(m) == (2, 2, 156)
 
 
 def test_zero_and_degenerate_cases():
-    z = IntegerMatrix([[0, 0, 0], [0, 0, 0]])
+    z = [[0, 0, 0], [0, 0, 0]]
     assert hermite_normal_form(z) == z
     assert smith_normal_form(z) == (0, 0)
-    empty = IntegerMatrix([], cols=2)
-    assert hermite_normal_form(empty) == empty
-    assert smith_normal_form(empty) == ()
-    one = IntegerMatrix([[-7]])
-    assert hermite_normal_form(one) == IntegerMatrix([[7]])
-    assert smith_normal_form(one) == (7,)
+    # no rows: Z^2 is free of rank 2
+    assert hermite_normal_form([]) == []
+    assert smith_normal_form([]) == ()
+    assert cokernel_invariants([], 2) == ((), 2)
+    assert last_coordinate_order_of_hnf([]) is None
+    # zero columns: the quotient is 0
+    assert hermite_normal_form([(), ()]) == [[], []]
+    assert smith_normal_form([(), ()]) == ()
+    assert cokernel_invariants([(), ()], 0) == ((), 0)
+    assert last_coordinate_order_of_hnf([[], []]) is None
+    assert hermite_normal_form([[-7]]) == [[7]]
+    assert smith_normal_form([[-7]]) == (7,)
+
+
+def test_normal_forms_leave_their_argument_unchanged():
+    """Each normal-form function copies its rows: a list-of-lists argument
+    is unchanged afterwards, the Hermite form shares no row with it, and
+    tuple rows give equal results."""
+    rng = random.Random(19)
+    cases = [([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)]
+    cases += [random_matrix_rows(rng, max_dim=5, bound=30) for _ in range(40)]
+    for rows, cols in cases:
+        before = copy.deepcopy(rows)
+        as_tuples = [tuple(row) for row in rows]
+        h = hermite_normal_form(rows)
+        assert rows == before
+        assert not {id(row) for row in h} & {id(row) for row in rows}
+        assert h == hermite_normal_form(as_tuples)
+        assert smith_normal_form(rows) == smith_normal_form(as_tuples)
+        assert rows == before
+        assert cokernel_invariants(rows, cols) == cokernel_invariants(as_tuples, cols)
+        assert rows == before
+        h_before = copy.deepcopy(h)
+        order = last_coordinate_order_of_hnf(h)
+        assert h == h_before
+        assert order == last_coordinate_order_of_hnf([tuple(row) for row in h])
 
 
 def test_hnf_random_against_lattice_oracle():
     rng = random.Random(20)
     for _ in range(250):
         rows, cols = random_matrix_rows(rng, max_dim=5, bound=30)
-        m = IntegerMatrix(rows, cols)
-        h = hermite_normal_form(m)
+        h = hermite_normal_form(rows)
         assert hnf_structure_ok(h)
-        assert lattices_equal(rows, h.entries, cols)
+        assert lattices_equal(rows, h, cols)
         # idempotence
         assert hermite_normal_form(h) == h
 
@@ -106,12 +115,11 @@ def test_snf_random_against_minor_gcd_oracle():
     rng = random.Random(21)
     for _ in range(120):
         rows, cols = random_matrix_rows(rng, max_dim=4, bound=12)
-        m = IntegerMatrix(rows, cols)
-        s = smith_normal_form(m)
+        s = smith_normal_form(rows)
         assert list(s) == smith_via_minor_gcds(rows, cols)
     # a diagonal out of divisibility order, zeros first and in between
     rows = [[d if i == j else 0 for j in range(5)] for i, d in enumerate((0, 6, 4, 0, 9))]
-    assert smith_normal_form(IntegerMatrix(rows)) == (1, 6, 36, 0, 0)
+    assert smith_normal_form(rows) == (1, 6, 36, 0, 0)
     assert smith_via_minor_gcds(rows, 5) == [1, 6, 36, 0, 0]
 
 
@@ -119,7 +127,7 @@ def test_snf_divisibility_chain():
     rng = random.Random(22)
     for _ in range(120):
         rows, cols = random_matrix_rows(rng, max_dim=5, bound=25)
-        s = smith_normal_form(IntegerMatrix(rows, cols))
+        s = smith_normal_form(rows)
         for a, b in zip(s, s[1:]):
             if a == 0:
                 assert b == 0
@@ -134,7 +142,7 @@ def test_against_sympy_invariants():
     rng = random.Random(23)
     for _ in range(40):
         rows, cols = random_matrix_rows(rng, max_dim=4, bound=15)
-        s = smith_normal_form(IntegerMatrix(rows, cols))
+        s = smith_normal_form(rows)
         sm = sympy_snf(sympy.Matrix(rows))
         sympy_diag = [
             abs(int(sm[i, i])) for i in range(min(sm.rows, sm.cols))
@@ -157,47 +165,42 @@ coords = st.integers(min_value=-60, max_value=60)
 )
 def test_hnf_properties_hypothesis(rows):
     cols = len(rows[0])
-    m = IntegerMatrix(rows, cols)
-    h = hermite_normal_form(m)
+    h = hermite_normal_form(rows)
     assert hnf_structure_ok(h)
-    assert lattices_equal(rows, h.entries, cols)
+    assert lattices_equal(rows, h, cols)
     assert hermite_normal_form(h) == h
 
 
 def test_huge_entries_pure_python():
     big = 10**40
-    m = IntegerMatrix([[big, 1], [0, big]])
+    m = [[big, 1], [0, big]]
     h = hermite_normal_form(m)
     assert hnf_structure_ok(h)
-    assert lattices_equal(m.entries, h.entries, 2)
+    assert lattices_equal(m, h, 2)
 
 
 def test_cokernel_invariants():
     # Z^3 / <(2,0,0), (0,3,0)> = Z/2 + Z/3 + Z
-    m = IntegerMatrix([[2, 0, 0], [0, 3, 0]])
-    torsion, free_rank = cokernel_invariants(m)
+    torsion, free_rank = cokernel_invariants([[2, 0, 0], [0, 3, 0]], 3)
     assert torsion == (6,) or torsion == (2, 3)
     assert free_rank == 1
     # full-rank case with unit factors only
-    m = IntegerMatrix([[1, 0], [0, 1]])
-    assert cokernel_invariants(m) == ((), 0)
+    assert cokernel_invariants([[1, 0], [0, 1]], 2) == ((), 0)
 
 
 def test_order_of_last_coordinate():
-    m = IntegerMatrix([[1, 0, 2], [0, 1, 1], [0, 0, 6]])
-    assert order_of_last_coordinate(m) == 6
-    assert order_of_last_coordinate(IntegerMatrix([[1, 2, 0]])) is None
-    assert order_of_last_coordinate(IntegerMatrix([], cols=2)) is None
-    assert order_of_last_coordinate(IntegerMatrix([[0, 1]])) == 1
+    assert order_of_last_coordinate([[1, 0, 2], [0, 1, 1], [0, 0, 6]], 3) == 6
+    assert order_of_last_coordinate([[1, 2, 0]], 3) is None
+    assert order_of_last_coordinate([], 2) is None
+    assert order_of_last_coordinate([[0, 1]], 2) == 1
     with pytest.raises(ValueError):
-        order_of_last_coordinate(IntegerMatrix([], cols=0))
+        order_of_last_coordinate([], 0)
 
 
 def test_order_of_last_coordinate_unaffected_by_row_mixing():
     rng = random.Random(24)
     base = [[3, 1, 2], [0, 9, 3], [0, 0, 12]]
-    m = IntegerMatrix(base)
-    expected = order_of_last_coordinate(m)
+    expected = order_of_last_coordinate(base, 3)
     for _ in range(20):
         mixed = [row[:] for row in base]
         i, j = rng.randrange(3), rng.randrange(3)
@@ -205,32 +208,30 @@ def test_order_of_last_coordinate_unaffected_by_row_mixing():
             q = rng.randint(-3, 3)
             mixed[i] = [a + q * b for a, b in zip(mixed[i], mixed[j])]
         rng.shuffle(mixed)
-        assert order_of_last_coordinate(IntegerMatrix(mixed)) == expected
+        assert order_of_last_coordinate(mixed, 3) == expected
 
 
-def mod_q_quotient(m: IntegerMatrix, q: int) -> IntegerMatrix:
-    """Relations of Z^cols / (row span + q*Z^cols): the matrix read mod q."""
-    rows = [[v % q for v in row] for row in m.entries]
-    for i in range(m.cols):
-        rows.append([q if j == i else 0 for j in range(m.cols)])
-    return IntegerMatrix(rows, m.cols)
+def mod_q_quotient(rows, cols: int, q: int) -> list:
+    """Relations of Z^cols / (row span + q*Z^cols): the rows read mod q."""
+    reduced = [[v % q for v in row] for row in rows]
+    for i in range(cols):
+        reduced.append([q if j == i else 0 for j in range(cols)])
+    return reduced
 
 
 def test_modular_order_is_only_a_lower_bound():
     # The order of the class of e_1 in Z/27 is 27, but reading the matrix
     # mod 3 can only see a divisor: the counterexample for why a modular
     # computation is not a substitute for the exact one.
-    m = IntegerMatrix([[27]])
-    assert order_of_last_coordinate(m) == 27
-    assert order_of_last_coordinate(mod_q_quotient(m, 3)) == 3
+    assert order_of_last_coordinate([[27]], 1) == 27
+    assert order_of_last_coordinate(mod_q_quotient([[27]], 1, 3), 1) == 3
     # generic property: the modular result divides the true order
     rng = random.Random(25)
     for _ in range(60):
         rows, cols = random_matrix_rows(rng, max_dim=4, bound=20)
-        m = IntegerMatrix(rows, cols)
-        true_order = order_of_last_coordinate(m)
+        true_order = order_of_last_coordinate(rows, cols)
         for q in (2, 3, 4, 9):
-            bound = order_of_last_coordinate(mod_q_quotient(m, q))
+            bound = order_of_last_coordinate(mod_q_quotient(rows, cols, q), cols)
             assert bound is not None  # the modular quotient is finite
             if true_order is not None:
                 assert true_order % bound == 0
@@ -242,50 +243,44 @@ def test_order_of_last_coordinate_against_lattice_oracle():
     rng = random.Random(25)
     for _ in range(200):
         rows, cols = random_matrix_rows(rng, max_dim=5, bound=6)
-        m = IntegerMatrix(rows, cols)
         generator = LatticeOracle(rows, cols).basis.get(cols - 1)
         expected = None if generator is None else abs(generator[-1])
-        assert order_of_last_coordinate(m) == expected
-        assert last_coordinate_order_of_hnf(hermite_normal_form(m)) == expected
+        assert order_of_last_coordinate(rows, cols) == expected
+        assert last_coordinate_order_of_hnf(hermite_normal_form(rows)) == expected
 
 
-def eliminate(m: IntegerMatrix) -> IntegerMatrix:
-    """eliminate_unit_pivots on the matrix's rows, passed sparse."""
-    return eliminate_unit_pivots(sparse_rows(m.entries), m.cols)
+def eliminate(rows, cols: int) -> tuple:
+    """eliminate_unit_pivots on dense rows, passed sparse."""
+    return eliminate_unit_pivots(sparse_rows(rows), cols)
 
 
 def test_eliminate_unit_pivots_known_cases():
     # x1 occurs only in the first row, which merely defines it: the cheapest
     # pivot drops that row and column and leaves the other row untouched
-    m = IntegerMatrix([[1, 1, -2], [3, 0, 1]])
-    assert eliminate(m) == IntegerMatrix([[3, 1]])
+    assert eliminate([[1, 1, -2], [3, 0, 1]], 3) == ([(3, 1)], 2)
     # x0 = -x1 + 2z substituted into 3*x0 + x1 + z = 0 leaves -2*x1 + 7z = 0
-    m = IntegerMatrix([[1, 1, -2], [3, 1, 1]])
-    assert eliminate(m) == IntegerMatrix([[-2, 7]])
+    assert eliminate([[1, 1, -2], [3, 1, 1]], 3) == ([(-2, 7)], 2)
     # the last column is never a pivot, even when it holds the only unit
-    assert eliminate(IntegerMatrix([[2, 1]])) == IntegerMatrix([[2, 1]])
+    assert eliminate([[2, 1]], 2) == ([(2, 1)], 2)
     # nothing to eliminate: unchanged apart from dropped zero rows
-    m = IntegerMatrix([[2, 0, 3], [0, 0, 0], [0, 4, 5]])
-    assert eliminate(m) == IntegerMatrix([[2, 0, 3], [0, 4, 5]])
+    m = [[2, 0, 3], [0, 0, 0], [0, 4, 5]]
+    assert eliminate(m, 3) == ([(2, 0, 3), (0, 4, 5)], 3)
     # a zero column is a free generator and is kept
-    m = IntegerMatrix([[1, 0, 0, 2]])
-    assert eliminate(m) == IntegerMatrix([], cols=3)
-    empty = eliminate_unit_pivots([], 0)
-    assert (empty.rows, empty.cols) == (0, 0)
+    assert eliminate_unit_pivots([{0: 1, 3: 2}], 4) == ([], 3)
+    assert eliminate_unit_pivots([], 0) == ([], 0)
 
 
 def test_eliminate_unit_pivots_preserves_quotient():
     rng = random.Random(26)
     for _ in range(300):
         rows, cols = random_matrix_rows(rng, max_dim=7, bound=rng.choice((1, 2, 5)))
-        m = IntegerMatrix(rows, cols)
-        r = eliminate(m)
-        assert r.cols <= m.cols and r.rows <= m.rows
-        assert all(any(row) for row in r.entries)
-        assert not any(v in (1, -1) for row in r.entries for v in row[:-1])
-        assert cokernel_invariants(r) == cokernel_invariants(m)
-        assert order_of_last_coordinate(r) == order_of_last_coordinate(m)
-        assert eliminate(r) == r
+        r, r_cols = eliminate(rows, cols)
+        assert r_cols <= cols and len(r) <= len(rows)
+        assert all(type(row) is tuple and len(row) == r_cols and any(row) for row in r)
+        assert not any(v in (1, -1) for row in r for v in row[:-1])
+        assert cokernel_invariants(r, r_cols) == cokernel_invariants(rows, cols)
+        assert order_of_last_coordinate(r, r_cols) == order_of_last_coordinate(rows, cols)
+        assert eliminate(r, r_cols) == (r, r_cols)
 
 
 def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
@@ -382,9 +377,9 @@ def test_elimination_matches_rescanning_oracle_on_random_rows():
 def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
     """One DEBUG line per round that takes pivots; at the default level
     nothing is logged and the logger's debug is never called."""
-    m = IntegerMatrix([[1, 1, -2], [3, 1, 1], [0, 2, 1]])
+    m = [[1, 1, -2], [3, 1, 1], [0, 2, 1]]
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
-        assert eliminate(m) == IntegerMatrix([[-2, 7], [2, 1]])
+        assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit 3, 1 taken, 2 rows left"
     ]
@@ -395,5 +390,5 @@ def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
 
     monkeypatch.setattr(logging.getLogger("su21.zlinalg"), "debug", refuse)
     with caplog.at_level(logging.WARNING):
-        assert eliminate(m) == IntegerMatrix([[-2, 7], [2, 1]])
+        assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert not caplog.records
