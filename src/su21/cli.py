@@ -126,8 +126,10 @@ def _cmd_survey(args) -> int:
 
 
 def _require_group_element(g: GroupMatrix, label: str) -> None:
-    if not g.is_unitary() or g.det() != 1:
+    if not g.is_unitary():
         raise _DomainError("%s is not in the unitary group" % label)
+    if g.det() != 1:
+        raise _DomainError("%s is unitary but has determinant %s, not 1" % (label, g.det()))
 
 
 def _cmd_sigma(args) -> int:

@@ -7,10 +7,9 @@ membership compute on the ints, as cocycle.sigma does on bottom rows, and
 other modules read an entry through GroupMatrix.entry, or the first
 column's six ints through GroupMatrix.first_column.  The inverse of a unitary
 matrix is J * conj(g)^t * J, an index permutation with conjugated entries,
-so inverting multiplies nothing.  unitriangular_times(u, g) is u * g for a
-unitriangular u, upper or lower, such as a generator, its inverse or n(z, x):
-it multiplies by u's three off-diagonal entries only, 9 entry products
-where the general product makes 27.
+so inverting multiplies nothing.  _upper_times(u01, u02, u12, s) is u * g
+for an upper unitriangular u, given by its three off-diagonal entries, and
+g's coords s: 9 entry products where the general product makes 27.
 
 SubgroupSpec.coset_action gives a subgroup's cosets as the points of a
 finite action, on which coset enumeration runs without matrices.
@@ -192,17 +191,6 @@ _UNIT = (1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 _reversed_rows = itemgetter(12, 13, 14, 15, 16, 17, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5)
 
 
-def unitriangular_times(u: GroupMatrix, g: GroupMatrix) -> GroupMatrix:
-    """u * g for a unitriangular u, upper or lower, in 9 products of
-    entries where u * g makes 27.  A lower u goes through the upper body
-    as J * (J u J) * (J * g), since J^2 = I and J u J (entry (i, j) is
-    u[2 - i][2 - j]) is upper.  Raises ValueError for any other u."""
-    upper, factors = _unitriangular_factors(u)
-    if upper:
-        return _group_matrix(_upper_times(*factors, g.coords))
-    return _group_matrix(_reversed_rows(_upper_times(*factors, _reversed_rows(g.coords))))
-
-
 def _unitriangular_factors(u: GroupMatrix) -> tuple:
     """(upper, the six ints _upper_times takes: u01, u02, u12 of u, or of J u J if lower)."""
     c = u.coords
@@ -253,11 +241,6 @@ def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
     return _group_matrix((1, 0, p - 2 * q, 2 * p - q, corner.a, corner.b,
                           0, 0, 1, 0, p + q, 2 * p - q,
                           0, 0, 0, 0, 1, 0))
-
-
-def make_n_transpose(z: EisensteinInt, x: int) -> GroupMatrix:
-    """The transpose of make_n(z, x)."""
-    return make_n(z, x).transpose()
 
 
 GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")

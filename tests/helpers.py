@@ -18,18 +18,21 @@ from su21.fpgroup import (
     evaluate_word,
     upsilon_presentation,
 )
-from su21.gendecomp import _unipotent_letters, _unipotent_transpose_letters
+from su21.gendecomp import _inverse_letters, _letter_factors, _transpose_inverse_letters
 from su21.matgroup import (
     IDENTITY,
     F_map,
     GroupMatrix,
     SubgroupSpec,
+    _group_matrix,
+    _reversed_rows,
+    _unitriangular_factors,
+    _upper_times,
     all_index3_vectors,
     generators_upsilon,
     in_gamma_sqrt3,
     in_upsilon,
     make_n,
-    make_n_transpose,
     n_corner,
 )
 from su21.value import Value
@@ -403,13 +406,51 @@ def reference_descend_step(g):
 
 
 def unipotent_word(z, x):
-    """n(z, x) as a Word, from the letter formula decompose uses."""
-    return Word(_unipotent_letters(z, x))
+    """n(z, x) as a Word: the inverse of the letters decompose writes for
+    n(z, x)^-1."""
+    letters = []
+    _inverse_letters(letters, z.a, z.b, x)
+    return Word(letters).inverse()
 
 
 def unipotent_transpose_word(z, x):
-    """n(z, x)^t as a Word, from the letter formula decompose uses."""
-    return Word(_unipotent_transpose_letters(z, x))
+    """n(z, x)^t as a Word: the inverse of the letters decompose writes for
+    (n(z, x)^t)^-1."""
+    letters = []
+    _transpose_inverse_letters(letters, z.a, z.b, x)
+    return Word(letters).inverse()
+
+
+def make_n_transpose(z, x):
+    """The transpose of make_n(z, x)."""
+    return make_n(z, x).transpose()
+
+
+def unitriangular_times(u, g):
+    """u * g for a unitriangular u, upper or lower, through the kernel
+    matgroup._upper_times, 9 products of entries where u * g makes 27.  A
+    lower u goes through the upper body as J * (J u J) * (J * g), since
+    J^2 = I and J u J (entry (i, j) is u[2 - i][2 - j]) is upper.  Raises
+    ValueError for any other u."""
+    upper, factors = _unitriangular_factors(u)
+    if upper:
+        return _group_matrix(_upper_times(*factors, g.coords))
+    return _group_matrix(_reversed_rows(_upper_times(*factors, _reversed_rows(g.coords))))
+
+
+def letterwise_word_coords(letters):
+    """The coordinates of the letters' product P, one letter at a time from
+    the last, the oracle of gendecomp's chunked word check: while lower
+    letters u act, P is held as J * P (rows reversed), on which J u J is
+    upper."""
+    table = _letter_factors()
+    s, flipped = IDENTITY.coords, False
+    for letter in reversed(letters):
+        upper, factors, _ = table[letter]
+        if upper == flipped:
+            s, flipped = _reversed_rows(s), not flipped
+        s = _upper_times(*factors, s)
+    return _reversed_rows(s) if flipped else s
 
 
 def founding_edges(graph):

@@ -19,7 +19,6 @@ from su21.matgroup import (
     SubgroupSpec,
     generators_upsilon,
     make_n,
-    make_n_transpose,
 )
 from su21.weightdenom import survey_index3, weight_denominator_of
 from su21.zlinalg import hermite_normal_form, smith_normal_form
@@ -35,6 +34,7 @@ from helpers import (
     in_gamma_beta,
     j_factor,
     lattices_equal,
+    make_n_transpose,
     random_matrix_rows,
     random_word,
     sigma_at,
@@ -230,9 +230,10 @@ def test_criterion_07_decomposition_round_trip():
         current = g
         height = first_column_height(current)
         while height > 1:
-            (z, x, transpose), reduced, _ = _descend_step(current)
-            m = make_n_transpose(z, x) if transpose else make_n(z, x)
-            assert m * current == reduced
+            (p, q, x, transpose), coords, _ = _descend_step(current.coords)
+            z = EisensteinInt(p, q)
+            reduced = (make_n_transpose(z, x) if transpose else make_n(z, x)) * current
+            assert reduced.coords == coords
             pivot = current[0][0] if transpose else current[2][0]
             assert reduced[1][0].norm() <= pivot.norm()
             new_height = first_column_height(reduced)

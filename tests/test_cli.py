@@ -276,6 +276,16 @@ def test_sigma_rejects_non_unitary(tmp_path, capsys):
     assert "not in the unitary group" in capsys.readouterr().err
 
 
+def test_sigma_names_the_determinant_of_minus_identity(tmp_path, capsys):
+    """-I is J-unitary; only its determinant, -1, keeps it out of the group."""
+    minus_identity = write_matrix(tmp_path, "minus.json", IDENTITY.scalar_mul(-1))
+    good = write_matrix(tmp_path, "good.json", IDENTITY)
+    assert main(["sigma", "--g", good, "--h", minus_identity]) == 1
+    err = capsys.readouterr().err
+    assert "h is unitary but has determinant -1, not 1" in err
+    assert "not in the unitary group" not in err
+
+
 def sigma_via_cli(tmp_path, capsys, g, h):
     g_path = write_matrix(tmp_path, "g.json", g)
     h_path = write_matrix(tmp_path, "h.json", h)

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from itertools import groupby
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,7 @@ from su21 import gendecomp, matgroup
 from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import Word, evaluate_word
 from su21.gendecomp import (
+    CHUNK,
     N2_TRANSPOSE_WORD,
     _descend_step,
     _letter_factors,
@@ -23,10 +29,11 @@ from su21.matgroup import (
     GroupMatrix,
     generators_upsilon,
     make_n,
-    make_n_transpose,
 )
 from helpers import (
     fraction_rounded_half,
+    letterwise_word_coords,
+    make_n_transpose,
     random_upsilon_element,
     random_word,
     reference_descend_step,
@@ -170,11 +177,11 @@ def test_descend_step_strictly_decreases_height():
         g = random_upsilon_element(rng, max_len=18)
         h = first_column_height(g)
         while h > 1:
-            (z, x, transpose), reduced, _ = _descend_step(g)
-            m = make_n_transpose(z, x) if transpose else make_n(z, x)
-            assert m * g == reduced
-            h2 = first_column_height(reduced)
-            assert h2 < h
+            (p, q, x, transpose), coords, h2 = _descend_step(g.coords)
+            z = EisensteinInt(p, q)
+            reduced = (make_n_transpose(z, x) if transpose else make_n(z, x)) * g
+            assert reduced.coords == coords
+            assert h2 == first_column_height(reduced) < h
             g, h = reduced, h2
 
 
@@ -195,9 +202,9 @@ def _large_entry_elements(rng, count):
 
 
 def test_descend_step_matches_eisenstein_oracle():
-    """The integer step equals its EisensteinInt oracle, record, matrix and
-    height, at every step of seeded elements: both pivot branches occur,
-    and entries run to hundreds of digits."""
+    """The integer step on coordinates equals its EisensteinInt oracle,
+    record (as ints), matrix and height, at every step of seeded elements:
+    both pivot branches occur, and entries run to hundreds of digits."""
     rng = random.Random(53)
     elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
     elements += _large_entry_elements(rng, 6)
@@ -207,11 +214,11 @@ def test_descend_step_matches_eisenstein_oracle():
     branches = Counter()
     for g in elements:
         while first_column_height(g) > 1:
-            step = _descend_step(g)
-            assert step == reference_descend_step(g)
-            assert type(step[0][0]) is EisensteinInt
-            branches[step[0][2]] += 1
-            g = step[1]
+            (p, q, x, transpose), coords, height = _descend_step(g.coords)
+            (z, rx, rt), g, rh = reference_descend_step(g)
+            assert ((p, q, x, transpose), coords, height) == ((z.a, z.b, rx, rt), g.coords, rh)
+            assert {type(v) for v in (p, q, x)} == {int}
+            branches[transpose] += 1
     assert digits >= 300
     assert branches[False] >= 100 and branches[True] >= 100
 
@@ -227,21 +234,23 @@ def test_decompose_round_trips():
 def test_descent_work_is_pinned(monkeypatch):
     """Total descent steps and word letters over a seeded set of elements,
     so that a change of nearest point or of tie-breaking shows; and the
-    work decompose does on them: one div_exact (z of the base case), one
-    make_n per step and base case, one Word (the result) per call, one
-    unitriangular kernel product (_upper_times) per step and per letter of
-    the word check, one general matrix product per call (the unitarity
-    test of membership),
-    and the EisensteinInt values it builds:
-    per step z and the corners n_corner builds for the step and for make_n,
-    and per call the value of det(), the base case's two entry reads, the
-    three values of its division and its make_n corner."""
+    work decompose does on them, from an empty chunk memo: one div_exact
+    (z of the base case) and one make_n (its check) per call, one Word
+    (the result) per call, one unitriangular kernel product (_upper_times)
+    per step, per chunk of the word check and per letter of each new memo
+    entry, one general matrix product per call (the unitarity test of
+    membership), and the EisensteinInt values it builds, all per call: the
+    value of det(), the base case's two entry reads, the three values of
+    its division and its make_n corner.  The memo then holds one entry per
+    distinct chunk, each of at most CHUNK letters, keyed by the letter
+    table's own pairs."""
     rng = random.Random(48)
     elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
     steps = 0
-    for current in elements:
-        while first_column_height(current) > 1:
-            _, current, _ = _descend_step(current)
+    for g in elements:
+        current, height = g.coords, first_column_height(g)
+        while height > 1:
+            _, current, height = _descend_step(current)
             steps += 1
     counts = Counter()
 
@@ -266,16 +275,23 @@ def test_descent_work_is_pinned(monkeypatch):
     monkeypatch.setattr(
         EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
     )
+    memo = {}
+    monkeypatch.setattr(gendecomp, "_CHUNK_FACTORS", memo)
     letters = sum(len(decompose(g)) for g in elements)
     assert (steps, letters) == (300, 1003)
     assert counts == {
         "div_exact": 20,
-        "make_n": 300 + 20,
+        "make_n": 20,
         "Word": 20,
-        "unitriangular": 300 + 1003,
+        "unitriangular": 300 + 466 + 389,  # steps, chunks, letters of new entries
         "product": 20,
-        "EisensteinInt": 3 * 300 + 7 * 20,
+        "EisensteinInt": 7 * 20,
     }
+    assert len(memo) == 127
+    assert sum(map(len, memo)) == 389
+    assert max(map(len, memo)) == CHUNK
+    table = _letter_factors()
+    assert all(letter is table[letter][2] for key in memo for letter in key)
 
 
 def test_decompose_inverts_each_generator_once(monkeypatch):
@@ -310,42 +326,43 @@ def test_decompose_inverts_each_generator_once(monkeypatch):
 
 
 def test_decompose_word_check_bites(monkeypatch):
-    """A letter formula that writes one letter too many gives a word that
+    """A letter builder that writes one letter too many gives a word that
     does not evaluate to g, and the final check raises: in the upper
-    steps' letters, and in the transposed steps' letters (n4, n5 and those
-    of N2_TRANSPOSE_WORD), which reach the check's row-reversed path."""
-    original = gendecomp._unipotent_letters
-
-    def one_letter_more(z, x):
-        return original(z, x) + [(0, 1)]
-
-    monkeypatch.setattr(gendecomp, "_unipotent_letters", one_letter_more)
+    steps' letters (n1..n3), and in the transposed steps' letters (n4, n5
+    and those of N2_TRANSPOSE_WORD), which reach the check's row-reversed
+    path."""
     rng = random.Random(54)
-    for g in [IDENTITY, *GENERATORS, *(ev(random_word(rng, 40, min_len=8)) for _ in range(5))]:
-        with pytest.raises(AssertionError, match="^decomposition failed verification$"):
-            decompose(g)
-    monkeypatch.undo()
-    original_transpose = gendecomp._unipotent_transpose_letters
-    calls = []
-    elements = [GENERATORS[3], GENERATORS[4], *(ev(random_word(rng, 40, min_len=8)) for _ in range(5))]
-    for extra in [(3, 1), (4, -1), *N2_TRANSPOSE_WORD.letters]:
+    elements = [ev(random_word(rng, 40, min_len=8)) for _ in range(5)]
+    builders = {
+        "_inverse_letters": [(0, 1), (2, -1)],
+        "_transpose_inverse_letters": [(3, 1), (4, -1), *N2_TRANSPOSE_WORD.letters],
+    }
+    for name, extras in builders.items():
+        original = getattr(gendecomp, name)
+        for extra in extras:
+            calls = []
 
-        def transpose_letter_more(z, x):
-            calls.append((z, x))
-            return original_transpose(z, x) + [extra]
+            def one_letter_more(letters, p, q, x, extra=extra):
+                calls.append((p, q, x))
+                original(letters, p, q, x)
+                letters.append(extra)
 
-        monkeypatch.setattr(gendecomp, "_unipotent_transpose_letters", transpose_letter_more)
-        for g in elements:
-            calls.clear()
-            with pytest.raises(AssertionError, match="^decomposition failed verification$"):
-                decompose(g)
-            assert calls
+            monkeypatch.setattr(gendecomp, name, one_letter_more)
+            for g in elements:
+                calls.clear()
+                with pytest.raises(AssertionError, match="^decomposition failed verification$"):
+                    decompose(g)
+                assert calls
+        monkeypatch.undo()
 
 
 def test_word_check_product_matches_matrix_fold():
     """_word_coords equals the product of the letters' matrices by
-    GroupMatrix.__mul__, on words of upper runs (n1..n3) and lower runs
-    (n4, n5, and n2^t's letters), starting and ending with either."""
+    GroupMatrix.__mul__ and the letter-by-letter fold, on words of upper
+    runs (n1..n3) and lower runs (n4, n5, and n2^t's letters), starting and
+    ending with either: runs of 1 to 3 * CHUNK letters, reduced or not, so
+    that a run is cut into several chunks, and words whose triangularity
+    alternates at every letter."""
     rng = random.Random(56)
     matrices = {
         (i, s): n if s == 1 else n.inverse() for i, n in enumerate(GENERATORS) for s in (1, -1)
@@ -355,16 +372,86 @@ def test_word_check_product_matches_matrix_fold():
         letters = []
         for run in range(rng.randint(1, 6)):
             pool = (0, 1, 2) if (run + rng.randrange(2)) % 2 else (3, 4)
-            letters += [(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+            size = rng.randint(1, 3 * CHUNK)
+            letters += [(rng.choice(pool), rng.choice((1, -1))) for _ in range(size)]
         words.append(letters)
-    runs = set()
+    for _ in range(10):
+        first = rng.randrange(2)
+        words.append([
+            (rng.choice(((0, 1, 2), (3, 4))[(first + k) % 2]), rng.choice((1, -1)))
+            for k in range(rng.randint(3, 12))
+        ])
+    runs, longest, alternating = set(), 0, 0
     for letters in words:
         product = IDENTITY
         for letter in letters:
             product = product * matrices[letter]
         assert _word_coords(tuple(letters)) == product.coords, letters
-        runs.add(tuple(i < 3 for i, _ in letters[:1] + letters[-1:]))
+        assert letterwise_word_coords(tuple(letters)) == product.coords, letters
+        upper = [i < 3 for i, _ in letters]
+        runs.add(tuple(upper[:1] + upper[-1:]))
+        longest = max([longest] + [len(list(run)) for _, run in groupby(upper)])
+        alternating += len(letters) > 2 and all(a != b for a, b in zip(upper, upper[1:]))
     assert runs >= {(True, True), (True, False), (False, True), (False, False)}
+    assert longest > 2 * CHUNK and alternating >= 5
+
+
+def test_descent_invariant_names_its_inequality(monkeypatch):
+    """A nearest point that reduces nothing breaks the step's bound
+    N(b') <= N(pivot), and the AssertionError names that inequality."""
+    monkeypatch.setattr(gendecomp, "nearest_lattice_point", lambda a, b, den: (0, 0))
+    rng = random.Random(57)
+    elements = [ev(random_word(rng, 30, min_len=8)) for _ in range(5)]
+    for g in [GENERATORS[3] * GENERATORS[0], *elements]:
+        with pytest.raises(AssertionError) as raised:
+            decompose(g)
+        assert str(raised.value) == "descent invariant failed: N(b') <= N(pivot)"
+
+
+# Runs decompose(n4 n1) under python -O with the nearest point broken as
+# above, the descent capped at 100 steps, and prints what stopped it.
+_BROKEN_DESCENT = """
+import sys
+from su21 import gendecomp
+from su21.fpgroup import Word, evaluate_word
+from su21.matgroup import GENERATOR_NAMES, generators_upsilon
+
+steps = []
+step = gendecomp._descend_step
+
+
+def capped_step(s):
+    steps.append(s)
+    if len(steps) > 100:
+        raise RuntimeError("the descent went on past 100 steps")
+    return step(s)
+
+
+gendecomp._descend_step = capped_step
+gendecomp.nearest_lattice_point = lambda a, b, den: (0, 0)
+g = evaluate_word(Word.from_string("n4 n1", GENERATOR_NAMES), generators_upsilon())
+try:
+    gendecomp.decompose(g)
+except AssertionError as exc:
+    print(sys.flags.optimize, len(steps), exc)
+"""
+
+
+def test_descent_invariants_survive_python_optimize():
+    """python -O strips assert statements; the step's invariants are
+    explicit checks, so the broken step still raises, at its first step."""
+    src = str(Path(gendecomp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_DESCENT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 1 descent invariant failed: N(b') <= N(pivot)\n"
 
 
 def test_decompose_rejects_non_members():

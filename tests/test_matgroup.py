@@ -17,9 +17,7 @@ from su21.matgroup import (
     in_gamma_sqrt3,
     in_upsilon,
     make_n,
-    make_n_transpose,
     n_corner,
-    unitriangular_times,
 )
 from helpers import (
     GENERATORS,
@@ -31,6 +29,7 @@ from helpers import (
     in_gamma_beta,
     in_index3,
     lattice_specs,
+    make_n_transpose,
     random_eisenstein,
     random_upsilon_element,
     random_word,
@@ -40,6 +39,7 @@ from helpers import (
     reference_product,
     spec_coset_key,
     spec_membership,
+    unitriangular_times,
 )
 
 
