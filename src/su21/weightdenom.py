@@ -14,12 +14,16 @@ trace the ambient relators from every coset straight into these sparse
 rows, taking each z entry from the ambient relator's lift; sigma is
 evaluated only to lift those relators, once per process per ambient group.
 
-The sparse rows are shrunk by unit-pivot elimination before a single
-Hermite normal form, which gives d; its nonzero rows give the invariants.
+Unit-pivot elimination shrinks the rows of the relators the ambient
+presentation does not hold back (upsilon's 1-10).  The held-back rows are
+then written over the columns left, which is exact for any split, and join
+them in a single Hermite normal form, which gives d; its nonzero rows give
+the invariants.  relator_count counts the rows of every traced relator.
 """
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,6 +41,8 @@ from .zlinalg import (
     hermite_normal_form,
     last_coordinate_order_of_hnf,
 )
+
+_log = logging.getLogger(__name__)
 
 
 class InfiniteOrderError(RuntimeError):
@@ -64,26 +70,30 @@ class DenominatorReport(NamedTuple):
 
 
 def weight_denominator(
-    rows, cols: int, *, group=None, index_in_upsilon=None
+    rows, cols: int, *, held_back=(), group=None, index_in_upsilon=None
 ) -> DenominatorReport:
     """Weight denominator of a group, plus the abelian invariants of its
-    central extension, from that extension's abelianized relations: rows is
-    a list of sparse rows {column: nonzero int} over cols columns, one per
-    relator, with the central generator z last.  The rows are consumed."""
-    relator_count = len(rows)
-    reduced, kept = eliminate_unit_pivots(rows, cols)
-    h = hermite_normal_form(reduced)
-    order = last_coordinate_order_of_hnf(h)
+    central extension, from that extension's abelianized relations: rows
+    and held_back are lists of sparse rows {column: nonzero int} over cols
+    columns, one per relator, with the central generator z last; only rows
+    are eliminated on.  The rows are consumed."""
+    reduced, kept = eliminate_unit_pivots(rows, cols, held_back)
+    if _log.isEnabledFor(logging.DEBUG):
+        substituted = reduced[len(reduced) - len(held_back) :]
+        message = "held-back rows: %d, %d nonzero after substitution"
+        _log.debug(message, len(substituted), sum(map(any, substituted)))
+    nonzero = [row for row in hermite_normal_form(reduced) if any(row)]
+    order = last_coordinate_order_of_hnf(nonzero)
     if order is None:
         raise InfiniteOrderError(
             "central generator has infinite order in the abelianization"
         )
-    torsion, free_rank = cokernel_invariants([row for row in h if any(row)], kept)
+    torsion, free_rank = cokernel_invariants(nonzero, kept)
     return DenominatorReport(
         group=group,
         index_in_upsilon=index_in_upsilon,
         generator_count=cols - 1,
-        relator_count=relator_count,
+        relator_count=len(rows) + len(held_back),
         weight_denominator=order,
         torsion_invariants=torsion,
         free_rank=free_rank,
@@ -115,8 +125,13 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "%s: coset enumeration found index %d, expected %d"
             % (spec.name(), graph.index, expected)
         )
+    eliminated_on, held_back = [], []
+    for k in range(len(ambient.relators)):  # the rows come in (relator, coset) order
+        block = rows[k * expected : (k + 1) * expected]
+        (held_back if k in ambient.held_back else eliminated_on).extend(block)
     return weight_denominator(
-        rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
+        eliminated_on, generator_count + 1, held_back=held_back,
+        group=spec.name(), index_in_upsilon=index_in_upsilon,
     )
 
 

@@ -4,10 +4,11 @@ invariants, on plain rows: equal-length sequences of Python ints.
 All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
-of Havas, Holt and Rees (1993), which removes every generator that a
-relation expresses in terms of the others and leaves the quotient and the
-class of the last coordinate unchanged; only its small result becomes
-dense rows.  The normal forms copy their input and never change it.
+of Havas, Holt and Rees (1993): it removes every generator that a relation
+expresses in terms of the others, rewrites the rows held back over the
+generators left, and keeps the quotient and the class of the last
+coordinate.  Only its small result becomes dense rows.  The normal forms
+copy their input and never change it.
 """
 
 from __future__ import annotations
@@ -18,32 +19,32 @@ from math import gcd, lcm
 _log = logging.getLogger(__name__)
 
 
-def eliminate_unit_pivots(rows, cols: int) -> tuple:
+def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
     """Relations with the same cokernel and the same class of the last
-    coordinate as the relations given by rows, a list of sparse rows
-    {column: nonzero int} over cols columns, which are consumed: while some
-    row has an entry +-1 in a column other than the last, that row expresses
-    the column's generator in terms of the others, so it is substituted into
-    every other row and the row and the column are dropped.  The last column
-    is never a pivot.  Returns (dense_rows, kept_cols): the rows left, as
-    int tuples over the kept_cols columns that were not pivots, which keep
-    their order.  Zero rows are dropped.
+    coordinate as rows and held_back, lists of sparse rows {column: nonzero
+    int} over cols columns, which are consumed.  While some row has an
+    entry +-1 in a column other than the last, that row expresses the
+    column's generator in terms of the others, so it is substituted into
+    every other row and the row and the column are dropped; the last column
+    is never a pivot.  Returns (dense_rows, kept_cols): the nonzero rows
+    left, then every held_back row, as int tuples over the kept_cols
+    columns that were not pivots, in their order.
+
+    Held-back rows get no fill-in, do not count towards column lengths and
+    are never pivots.  A pivot row holds only kept columns and columns
+    pivoted on later, so in reverse pivot order it gives its column's value
+    over the kept ones, and those values rewrite the held-back rows: the
+    same change of generators, so the result is exact for any split.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
     round scans the rows in order and takes each row's cheapest unit pivot
     within the round's limit; a round that takes none raises the limit
-    (0, 1, 3, 7, ...).  The result is deterministic.
-
-    A row's candidates share its length, so its cheapest is the unit
-    column in the fewest rows (the least on a tie), cached until a pivot
-    changes the row or one of its columns.  A pivot pops its column from
-    its row and targets, and a row joins or leaves a column's holders only
-    when its entry there appears or cancels.  A round that takes nothing
-    raises the limit at once, along the same sequence, to the first value
-    at or above the cheapest cost it deferred: the pivots, and so the
-    result, are those of a rescan of every row in every round.  Each round
-    that takes pivots logs one DEBUG line.
+    along 0, 1, 3, 7, ... to the first value at or above the cheapest cost
+    it deferred.  A row's cheapest pivot, the unit column in the fewest
+    rows (the least on a tie), is cached until a pivot changes the row or
+    one of its columns, so the pivots are those of a rescan of every row in
+    every round.  Each round that takes pivots logs one DEBUG line.
     """
     last = cols - 1
     holders = [set() for _ in range(cols)]
@@ -52,7 +53,7 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
             holders[c].add(i)
     cheapest_pivot = [None] * len(rows)
     stale = set(range(len(rows)))
-    eliminated = set()
+    pivots = []  # (col, sign, pivot row), in the order taken
     debug = _log.isEnabledFor(logging.DEBUG)
     limit = 0
     while True:
@@ -77,6 +78,7 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
                     deferred = cost
                 continue
             sign = row.pop(col)
+            pivots.append((col, sign, row))
             targets = holders[col]
             holders[col] = set()
             targets.discard(i)
@@ -103,7 +105,6 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
                     stale |= holding
             rows[i] = {}
             cheapest_pivot[i] = None
-            eliminated.add(col)
             taken += 1
         if taken:
             if debug:
@@ -116,8 +117,22 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
         else:
             while limit < deferred:
                 limit = 2 * limit + 1
-    kept = [c for c in range(cols) if c not in eliminated]
-    return [tuple(row.get(c, 0) for c in kept) for row in rows if row], len(kept)
+    kept = sorted(set(range(cols)).difference(col for col, _, _ in pivots))
+    value = {c: {c: 1} for c in kept}  # each column over the kept ones
+    for col, sign, row in reversed(pivots):
+        value[col] = combined = {}
+        for c, v in row.items():
+            for k, w in value[c].items():
+                combined[k] = combined.get(k, 0) - sign * v * w
+
+    def dense(row):
+        entries = dict.fromkeys(kept, 0)
+        for c, v in row.items():
+            for k, w in value[c].items():
+                entries[k] += v * w
+        return tuple(entries.values())
+
+    return [dense(row) for row in rows if row] + [dense(row) for row in held_back], len(kept)
 
 
 def hermite_normal_form(rows) -> list:
@@ -226,9 +241,9 @@ def last_coordinate_order_of_hnf(h):
     earlier column.)  Pivot columns increase, so only the last nonzero row
     can have its pivot there.
     """
-    nonzero = [row for row in h if any(row)]
-    if nonzero and not any(nonzero[-1][:-1]):
-        return nonzero[-1][-1]
+    for row in reversed(h):
+        if any(row):
+            return None if any(row[:-1]) else row[-1]
     return None
 
 

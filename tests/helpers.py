@@ -16,6 +16,8 @@ from su21.fpgroup import (
     Presentation,
     Word,
     evaluate_word,
+    gamma_sqrt3_presentation,
+    reidemeister_schreier,
     upsilon_presentation,
 )
 from su21.gendecomp import _inverse_letters, _letter_factors, _transpose_inverse_letters
@@ -36,6 +38,7 @@ from su21.matgroup import (
     n_corner,
 )
 from su21.value import Value
+from su21.weightdenom import weight_denominator
 from su21.zlinalg import hermite_normal_form, last_coordinate_order_of_hnf
 
 GENERATORS = generators_upsilon()
@@ -524,22 +527,29 @@ def sparse_rows(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-def rescanning_elimination(rows, cols, events=None):
+def rescanning_elimination(rows, cols, events=None, held_back=(), kept_out=None):
     """Unit-pivot elimination as zlinalg.eliminate_unit_pivots defines it,
     written the direct way: every round costs every row afresh, scans the
     rows in order and takes each row's cheapest unit pivot within the
     round's limit, substituting into the other rows in index order; a round
     that takes none raises the limit by one step of 0, 1, 3, 7, ...  The
-    rows are consumed.  A given events Counter counts the substitutions
-    that empty a target row ("emptied") and the entries filled in again
-    after cancelling to 0 ("refilled").  Returns (dense_rows, kept_cols)
-    as eliminate_unit_pivots does."""
+    rows and the held_back rows are consumed.  A given events Counter
+    counts the substitutions that empty a target row ("emptied") and the
+    entries filled in again after cancelling to 0 ("refilled"); a given
+    kept_out list receives the kept columns.  Returns (dense_rows,
+    kept_cols) as eliminate_unit_pivots does.
+
+    Each held_back row is then rewritten by forward substitution, where
+    the package back-substitutes: the pivot rows, kept as they were when
+    taken, are subtracted from it in the order taken, each the multiple
+    that clears its pivot column."""
     last = cols - 1
     holders = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for c in row:
             holders[c].add(i)
     eliminated = set()
+    pivots = []
     cancelled = set()
     limit = 0
     while True:
@@ -577,13 +587,38 @@ def rescanning_elimination(rows, cols, events=None):
                 holders[c].discard(i)
             rows[i] = {}
             eliminated.add(col)
+            pivots.append((col, sign, row))
             taken = True
         if not taken:
             if not deferred:
                 break
             limit = 2 * limit + 1
+    for col, sign, row in pivots:
+        for other in held_back:
+            factor = other.get(col, 0) * sign
+            for c, v in row.items():
+                other[c] = other.get(c, 0) - factor * v
     kept = [c for c in range(cols) if c not in eliminated]
-    return [tuple(row.get(c, 0) for c in kept) for row in rows if row], len(kept)
+    if kept_out is not None:
+        kept_out.extend(kept)
+    rows = [row for row in rows if row] + list(held_back)
+    return [tuple(row.get(c, 0) for c in kept) for row in rows], len(kept)
+
+
+def all_rows_report(spec):
+    """The report of weight_denominator over all the rows that
+    Reidemeister-Schreier traces for spec, with no relator held back: one
+    elimination over every row, as the pipeline ran before its ambient
+    presentations held relators back."""
+    if spec.rows is None:
+        ambient, index, index_in_upsilon = gamma_sqrt3_presentation(), 1, None
+    else:
+        ambient, index = upsilon_presentation(), spec.index_in_upsilon()
+        index_in_upsilon = index
+    rows, generator_count, _ = reidemeister_schreier(ambient, *spec.coset_action(), max_index=index)
+    return weight_denominator(
+        rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
+    )
 
 
 # --- keyed Reidemeister-Schreier oracle ----------------------------------------

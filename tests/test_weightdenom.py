@@ -36,8 +36,10 @@ from su21.weightdenom import (
     weight_denominator_of,
 )
 from su21.zlinalg import cokernel_invariants, hermite_normal_form
+import helpers
 from helpers import (
     BallPoint,
+    all_rows_report,
     central_commutator_witness,
     coset_representatives,
     cyclic_shift,
@@ -47,6 +49,7 @@ from helpers import (
     in_gamma_beta,
     in_row_kernel,
     lattice_sample,
+    lattice_specs,
     predicate_scan_presentation,
     random_word,
     relation_matrix,
@@ -58,6 +61,7 @@ from helpers import (
 
 GENERATORS = generators_upsilon()
 UPSILON = upsilon_presentation()
+UPSILON_ARGS = (UPSILON.generator_names, UPSILON.relators, UPSILON.images)
 
 
 def test_lift_word_is_multiplicative():
@@ -453,10 +457,10 @@ def test_gamma3_counters(monkeypatch):
 
         return wrapper
 
-    def eliminating(rows, cols):
+    def eliminating(rows, cols, held_back=()):
         shape = (len(rows), cols)
-        reduced, kept = original_eliminate(rows, cols)
-        shapes.append((shape, (len(reduced), kept)))
+        reduced, kept = original_eliminate(rows, cols, held_back)
+        shapes.append((shape, len(held_back), (len(reduced), kept)))
         return reduced, kept
 
     original_eliminate = weightdenom.eliminate_unit_pivots
@@ -479,7 +483,9 @@ def test_gamma3_counters(monkeypatch):
     # generator for each of the 325 positive edges off it
     assert report.generator_count == 81 * 5 - 80 == 325
     assert report.relator_count == 13 * 81
-    assert shapes == [((1053, 326), (484, 17))]
+    # relators 11-13 are held back: elimination runs on the 810 rows of
+    # relators 1-10, leaves 314 of them, and the 243 held-back rows follow
+    assert shapes == [((810, 326), 243, (314 + 243, 17))]
     # the relators are evaluated once, in the cover: each of their 116
     # letters costs one product, in cover_mul; sigma reads the bottom row of
     # the product without forming it, so sigma(g, g^-1) for the 40 inverses
@@ -493,48 +499,137 @@ def test_gamma3_counters(monkeypatch):
 
 def test_elimination_shapes_and_entries(monkeypatch):
     """A regression gate for the pivot rule: the reduced shapes of the 40
-    index-3 groups as a multiset, and the largest reduced |entry| of gamma3
-    and of the survey."""
+    index-3 groups as a multiset, each the rows left by elimination and the
+    held-back rows substituted after them, and the largest reduced |entry|
+    of gamma3 and of the survey."""
     reduced = []
 
-    def eliminating(rows, cols):
-        result = original_eliminate(rows, cols)
-        reduced.append(result)
+    def eliminating(rows, cols, held_back=()):
+        result = original_eliminate(rows, cols, held_back)
+        reduced.append((len(held_back),) + result)
         return result
 
     original_eliminate = weightdenom.eliminate_unit_pivots
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
 
     def largest(results):
-        return max(abs(v) for rows, _ in results for row in rows for v in row)
+        return max(abs(v) for _, rows, _ in results for row in rows for v in row)
 
     survey_index3()
-    assert Counter((len(rows), cols) for rows, cols in reduced) == {
-        (6, 6): 3, (9, 6): 6, (12, 5): 9, (12, 6): 3, (14, 5): 2, (14, 6): 2, (17, 5): 1,
-        (18, 5): 2, (18, 6): 2, (19, 5): 3, (19, 6): 1, (20, 5): 3, (21, 5): 3,
+    assert Counter((len(rows) - held, held, cols) for held, rows, cols in reduced) == {
+        (6, 9, 6): 9, (7, 9, 6): 2, (9, 9, 5): 13, (9, 9, 6): 3, (11, 9, 5): 2,
+        (11, 9, 6): 1, (12, 9, 5): 5, (12, 9, 6): 1, (13, 9, 5): 2, (14, 9, 5): 1,
+        (14, 9, 6): 1,
     }
-    assert largest(reduced) == 27
+    assert largest(reduced) == 30
     reduced.clear()
     weight_denominator_of(SubgroupSpec.parse("gamma3"))
-    assert [(len(rows), cols) for rows, cols in reduced] == [(484, 17)]
-    assert largest(reduced) == 24
+    assert [(len(rows) - held, held, cols) for held, rows, cols in reduced] == [(314, 243, 17)]
+    # the pivots differ from those of one elimination over all 1053 rows,
+    # which left 484 rows with largest |entry| 24
+    assert largest(reduced) == 252
 
 
 def test_gamma3_pivot_schedule(caplog):
     """A regression gate for the rounds, not only the final shape: the
-    DEBUG line of each of the 12 rounds of gamma3's elimination that take
-    pivots, 309 pivots in all."""
+    DEBUG line of each of the 15 rounds of gamma3's elimination on the 810
+    rows of relators 1-10 that take pivots, 309 pivots in all, as many as
+    one elimination over all 1053 rows took."""
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(SubgroupSpec.parse("gamma3"))
     schedule = [
-        (0, 40, 1013), (31, 46, 954), (63, 48, 906), (127, 73, 783),
-        (255, 20, 751), (511, 25, 720), (1023, 23, 676), (2047, 13, 657),
-        (2047, 1, 656), (4095, 18, 548), (4095, 1, 547), (8191, 1, 484),
+        (0, 40, 770), (15, 44, 717), (31, 2, 711), (63, 100, 603), (127, 26, 541),
+        (127, 3, 538), (255, 36, 476), (511, 20, 432), (511, 1, 431), (1023, 14, 401),
+        (1023, 2, 397), (1023, 2, 395), (1023, 1, 392), (2047, 12, 330), (4095, 6, 314),
     ]
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
     ]
     assert sum(taken for _, taken, _ in schedule) == 309
+
+
+def test_holding_relators_back_is_exact_on_every_lattice_group(monkeypatch):
+    """Elimination runs on the rows of relators 1-10, and the rows of
+    relators 11-13, held back, are substituted afterwards; that is exact for
+    any split.  On all 212 lattice groups and gamma_sqrt3 the report equals
+    that of the all-rows oracle, one elimination over every row.
+
+    The held-back rows also leave the nonzero rows of the Hermite form of
+    the rows left by elimination unchanged.  So on each of these groups the
+    rows of relators 1-10 span the lattice of all 13 relators' rows, and
+    the abelianized covers that 10 and 13 relators present are equal.  The
+    equal invariants alone give that: the 10-relator group maps onto the
+    13-relator one, and a finitely generated abelian group is Hopfian, so
+    a map onto a group isomorphic to it is an isomorphism."""
+    results = []
+
+    def eliminating(rows, cols, held_back=()):
+        result = original_eliminate(rows, cols, held_back)
+        results.append((len(held_back),) + result)
+        return result
+
+    def nonzero_hnf(rows):
+        return [row for row in hermite_normal_form(rows) if any(row)]
+
+    original_eliminate = weightdenom.eliminate_unit_pivots
+    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    specs = lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),)
+    assert len(specs) == 213
+    substituted = Counter()
+    for spec in specs:
+        results.clear()
+        report = weight_denominator_of(spec)
+        assert report == all_rows_report(spec), spec.name()
+        (held, reduced, _), (none_held, _, _) = results
+        assert (held, none_held) == (3 * (report.index_in_upsilon or 1), 0)
+        eliminated = reduced[: len(reduced) - held]
+        assert nonzero_hnf(eliminated) == nonzero_hnf(reduced), spec.name()
+        substituted.update(any(row) for row in reduced[len(eliminated) :])
+    # most held-back rows are not zero after substitution, so the check bites
+    assert substituted[True] > substituted[False] > 0
+
+
+def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
+    """The substitution is exercised, not trusted: with the first held-back
+    row of an index-3 group of d = 3, relator 11 traced from coset 0,
+    replaced by the row of z, z is trivial and d is 1, as the all-rows
+    oracle finds on the same rows."""
+    spec = SubgroupSpec.parse("index3:1,0,0,0")
+    assert weight_denominator_of(spec).weight_denominator == 3
+    original = reidemeister_schreier
+
+    def faulty(ambient, *args, **kwargs):
+        rows, generator_count, graph = original(ambient, *args, **kwargs)
+        assert ambient.held_back == (10, 11, 12)
+        rows[10 * graph.index] = {generator_count: 1}
+        return rows, generator_count, graph
+
+    monkeypatch.setattr(weightdenom, "reidemeister_schreier", faulty)
+    monkeypatch.setattr(helpers, "reidemeister_schreier", faulty)
+    report = weight_denominator_of(spec)
+    assert report.weight_denominator == 1
+    assert report == all_rows_report(spec)
+
+
+def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
+    """One DEBUG line on su21.weightdenom gives the held-back rows and how
+    many are nonzero after substitution; at the default level nothing is
+    logged and the logger's debug is never called."""
+    gamma3 = SubgroupSpec.parse("gamma3")
+    with caplog.at_level(logging.DEBUG, logger="su21.weightdenom"):
+        weight_denominator_of(gamma3)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("su21.weightdenom", "held-back rows: 243, 231 nonzero after substitution")
+    ]
+    caplog.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("debug called with DEBUG off")
+
+    monkeypatch.setattr(logging.getLogger("su21.weightdenom"), "debug", refuse)
+    with caplog.at_level(logging.WARNING):
+        weight_denominator_of(gamma3)
+    assert not caplog.records
 
 
 def test_warm_survey_and_gamma3_counters(monkeypatch):
@@ -648,7 +743,9 @@ def test_pickles_that_call_the_constructors_still_load():
     g = GENERATORS[0]
     for value, reduced in [
         (Word([(0, 1), (2, -1)]), (Word, (((0, 1), (2, -1)),))),
-        (UPSILON, (Presentation, (UPSILON.generator_names, UPSILON.relators, UPSILON.images))),
+        (UPSILON, (Presentation, UPSILON_ARGS + (UPSILON.held_back,))),
+        # a pickle written before held_back existed holds back no relator
+        (Presentation(*UPSILON_ARGS), (Presentation, UPSILON_ARGS)),
         (SubgroupSpec.parse("index3:2,0,1,0"), (SubgroupSpec, (((1, 0, 2, 0),),))),
         (g, (GroupMatrix, (g.entries,))),
         (EisensteinInt(3, -4), (EisensteinInt, (3, -4))),
@@ -659,10 +756,15 @@ def test_pickles_that_call_the_constructors_still_load():
 
 def test_pickles_with_the_wrong_number_of_fields_fail_to_load():
     """A state that does not fill every slot, such as a Presentation pickled
-    before central existed, fails at load time, not at first use."""
+    before central or held_back existed, fails at load time, not at first
+    use."""
     old = (UPSILON.generator_count, UPSILON.generator_names, UPSILON.relators, UPSILON.images)
     for reduced, message in [
-        ((object.__new__, (Presentation,), old), "Presentation takes 5 field values, got 4"),
+        ((object.__new__, (Presentation,), old), "Presentation takes 6 field values, got 4"),
+        (
+            (object.__new__, (Presentation,), old + (UPSILON.central,)),
+            "Presentation takes 6 field values, got 5",
+        ),
         ((object.__new__, (EisensteinInt,), (3,)), "EisensteinInt takes 2 field values, got 1"),
         # the state of a GroupMatrix pickled when its one field held its rows
         (
@@ -691,12 +793,13 @@ def test_repr_evaluates_back(value):
 
 
 def test_presentation_compares_by_value():
-    again = Presentation(UPSILON.generator_names, UPSILON.relators, UPSILON.images)
+    again = Presentation(*UPSILON_ARGS, held_back=(12, 10, 11, 10))
     assert again is not UPSILON
     assert again == UPSILON
     assert hash(again) == hash(UPSILON)
     fewer = Presentation(UPSILON.generator_names, UPSILON.relators[:12], UPSILON.images)
     assert fewer != UPSILON
+    assert Presentation(*UPSILON_ARGS) != UPSILON
 
 
 @pytest.mark.parametrize(

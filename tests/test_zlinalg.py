@@ -268,6 +268,13 @@ def test_eliminate_unit_pivots_known_cases():
     # a zero column is a free generator and is kept
     assert eliminate_unit_pivots([{0: 1, 3: 2}], 4) == ([], 3)
     assert eliminate_unit_pivots([], 0) == ([], 0)
+    # a held-back row is substituted into, as the second row above was
+    assert eliminate_unit_pivots([{0: 1, 1: 1, 2: -2}], 3, [{0: 3, 1: 1, 2: 1}]) == (
+        [(-2, 7)], 2
+    )
+    # it is never a pivot, and it is kept when it substitutes to zero
+    assert eliminate_unit_pivots([], 2, [{0: 1}, {}]) == ([(1, 0), (0, 0)], 2)
+    assert eliminate_unit_pivots([{0: 1, 1: 2}], 2, [{0: 2, 1: 4}]) == ([(0,)], 1)
 
 
 def test_eliminate_unit_pivots_preserves_quotient():
@@ -286,13 +293,16 @@ def test_eliminate_unit_pivots_preserves_quotient():
 def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     """The cached elimination against the rescanning oracle on the rows the
     pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
-    and the seeded sample of 8 index-9 and 5 index-27 groups."""
+    and the seeded sample of 8 index-9 and 5 index-27 groups, each with
+    the rows of relators 11-13 held back, 3 per coset."""
     shapes = []
 
-    def checked(rows, cols):
-        expected = rescanning_elimination(copy.deepcopy(rows), cols)
-        shapes.append((len(rows), cols))
-        reduced = eliminate_unit_pivots(rows, cols)
+    def checked(rows, cols, held_back=()):
+        expected = rescanning_elimination(
+            copy.deepcopy(rows), cols, held_back=copy.deepcopy(held_back)
+        )
+        shapes.append((len(rows), len(held_back), cols))
+        reduced = eliminate_unit_pivots(rows, cols, held_back)
         assert reduced == expected
         return reduced
 
@@ -302,9 +312,45 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     specs += [spec for spec in lattice_sample() if spec.index_in_upsilon() > 3]
     for spec in specs:
         weightdenom.weight_denominator_of(spec)
-    assert shapes[:3] == [(1053, 326), (13, 6), (19, 7)]
-    assert shapes[3:43] == [(39, 14)] * 40
-    assert shapes[43:] == [(117, 38)] * 8 + [(351, 110)] * 5
+    assert shapes[:3] == [(810, 243, 326), (10, 3, 6), (16, 3, 7)]
+    assert shapes[3:43] == [(30, 9, 14)] * 40
+    assert shapes[43:] == [(90, 27, 38)] * 8 + [(270, 81, 110)] * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substituted_rows_span_the_lattice_of_all_rows(data):
+    """Elimination on some rows with the rest held back, against all rows:
+    the result is the rescanning oracle's, which substitutes forward; its
+    Smith invariants and the order of its last coordinate are those of all
+    rows; and the nonzero rows of its Hermite form are those of the Hermite
+    form of all rows, with the pivot columns moved first, that are zero on
+    the pivot columns.  Both are the Hermite basis of the lattice of all
+    rows cut down to the kept columns, which is the lattice that
+    elimination and substitution must give."""
+    cols = data.draw(st.integers(1, 7), label="cols")
+    entries = st.sampled_from((1, -1, 1, -1, 2, -2, 3))
+    rows = data.draw(
+        st.lists(st.dictionaries(st.integers(0, cols - 1), entries), max_size=10), label="rows"
+    )
+    held = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
+    kept = []
+    result = rescanning_elimination(
+        [copy.deepcopy(row) for row, h in zip(rows, held) if not h],
+        cols,
+        held_back=[copy.deepcopy(row) for row, h in zip(rows, held) if h],
+        kept_out=kept,
+    )
+    main = [row for row, h in zip(rows, held) if not h]
+    assert eliminate_unit_pivots(main, cols, [row for row, h in zip(rows, held) if h]) == result
+    reduced, kept_cols = result
+    assert cokernel_invariants(reduced, kept_cols) == cokernel_invariants(dense, cols)
+    assert order_of_last_coordinate(reduced, kept_cols) == order_of_last_coordinate(dense, cols)
+    pivots = [c for c in range(cols) if c not in kept]
+    h = hermite_normal_form([[row[c] for c in pivots + kept] for row in dense])
+    in_kept = [row[len(pivots):] for row in h if any(row) and not any(row[: len(pivots)])]
+    assert in_kept == [row for row in hermite_normal_form(reduced) if any(row)]
 
 
 def random_sparse_rows(rng):
