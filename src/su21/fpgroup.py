@@ -133,20 +133,16 @@ def lift_word(word: Word, images) -> CoverElement:
 
 
 class Presentation(Value):
-    """Generators, relator words, one matrix image per generator, the
-    central part n of each relator's lift (I, n) to the universal cover,
-    and held_back, the indices of the relators whose rows elimination holds
-    back; they are traced, checked and counted like the others.
+    """Generators, relator words, one matrix image per generator, and the
+    central part n of each relator's lift (I, n) to the universal cover.
 
     Each relator is lifted once at construction time; a lift whose matrix
     part is not I means a mistranscribed relator, which fails loudly.
     """
 
-    __slots__ = (
-        "generator_count", "generator_names", "relators", "images", "central", "held_back"
-    )
+    __slots__ = ("generator_count", "generator_names", "relators", "images", "central")
 
-    def __init__(self, generator_names, relators, images, held_back=()):
+    def __init__(self, generator_names, relators, images):
         names = tuple(str(n) for n in generator_names)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
@@ -157,9 +153,6 @@ class Presentation(Value):
         images = tuple(images)
         if len(images) != len(names):
             raise ValueError("need exactly one image per generator")
-        held_back = tuple(sorted(set(held_back)))
-        if any(not 0 <= k < len(relators) for k in held_back):
-            raise ValueError("held-back relator index out of range")
         central = []
         for k, r in enumerate(relators):
             lift = lift_word(r, images)
@@ -171,7 +164,6 @@ class Presentation(Value):
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "central", tuple(central))
-        object.__setattr__(self, "held_back", held_back)
 
     def __repr__(self):
         return "Presentation(%r, <%d relators>)" % (
@@ -180,12 +172,15 @@ class Presentation(Value):
         )
 
 
+# Relators 11-13 of upsilon and gamma_sqrt3, the longest: their rows are held back from elimination.
+HELD_BACK = range(10, 13)
+
+
 @lru_cache(maxsize=None)
 def upsilon_presentation() -> Presentation:
     """The five-generator, thirteen-relator presentation of the group
     generated by the unipotent elements n1 = n(1,1), n2 = n(zeta,1),
-    n3 = n(0,2), n4 = n1^t, n5 = n3^t, built and lifted once per process.
-    Relators 11-13, the three longest, are held back."""
+    n3 = n(0,2), n4 = n1^t, n5 = n3^t, built and lifted once per process."""
     w = lambda text: Word.from_string(text, GENERATOR_NAMES)
     relators = (
         w("n1 n3 n1^-1 n3^-1"),
@@ -202,21 +197,19 @@ def upsilon_presentation() -> Presentation:
         w("n3^-1 n1 n4 n2 n3 n1 n5^-1 n1^-1 n4^-1 n5 n1^-1 n2^-1"),
         w("n4^-1 n3^-1 n5 n3 n1^-1 n4^-1 n2 n1 n3^-1 n4 n1 n5^-1 n4 n2^-1 n1^-1 n3"),
     )
-    return Presentation(GENERATOR_NAMES, relators, generators_upsilon(), held_back=(10, 11, 12))
+    return Presentation(GENERATOR_NAMES, relators, generators_upsilon())
 
 
 @lru_cache(maxsize=None)
 def gamma_sqrt3_presentation() -> Presentation:
     """The level-sqrt(-3) group, the unipotent group times its centre <c>
     for c = zeta*I: upsilon_presentation() plus the generator c and the
-    relators c^3 and [c, n_i], holding back the same relators, built and
-    lifted once per process."""
+    relators c^3 and [c, n_i], built and lifted once per process."""
     upsilon = upsilon_presentation()
     names = upsilon.generator_names + ("c",)
     w = lambda text: Word.from_string(text, names)
     relators = (w("c^3"),) + tuple(w("c %s c^-1 %s^-1" % (n, n)) for n in GENERATOR_NAMES)
-    images = upsilon.images + (ZETA_IDENTITY,)
-    return Presentation(names, upsilon.relators + relators, images, upsilon.held_back)
+    return Presentation(names, upsilon.relators + relators, upsilon.images + (ZETA_IDENTITY,))
 
 
 class CosetGraph(NamedTuple):

@@ -14,11 +14,9 @@ trace the ambient relators from every coset straight into these sparse
 rows, taking each z entry from the ambient relator's lift; sigma is
 evaluated only to lift those relators, once per process per ambient group.
 
-Unit-pivot elimination shrinks the rows of the relators the ambient
-presentation does not hold back (upsilon's 1-10).  The held-back rows are
-then written over the columns left, which is exact for any split, and join
-them in a single Hermite normal form, which gives d; its nonzero rows give
-the invariants.  relator_count counts the rows of every traced relator.
+The sparse rows are shrunk by unit-pivot elimination, with the rows of the
+fpgroup.HELD_BACK relators rewritten after it, before a single Hermite
+normal form, which gives d; its nonzero rows give the invariants.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .fpgroup import (
+    HELD_BACK,
     IndexOverflowError,
     OracleInconsistencyError,
     gamma_sqrt3_presentation,
@@ -70,7 +69,7 @@ class DenominatorReport(NamedTuple):
 
 
 def weight_denominator(
-    rows, cols: int, *, held_back=(), group=None, index_in_upsilon=None
+    rows, cols: int, held_back=(), *, group=None, index_in_upsilon=None
 ) -> DenominatorReport:
     """Weight denominator of a group, plus the abelian invariants of its
     central extension, from that extension's abelianized relations: rows
@@ -125,13 +124,10 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "%s: coset enumeration found index %d, expected %d"
             % (spec.name(), graph.index, expected)
         )
-    eliminated_on, held_back = [], []
-    for k in range(len(ambient.relators)):  # the rows come in (relator, coset) order
-        block = rows[k * expected : (k + 1) * expected]
-        (held_back if k in ambient.held_back else eliminated_on).extend(block)
+    block = slice(HELD_BACK.start * expected, HELD_BACK.stop * expected)  # (relator, coset) order
+    held, rows[block] = rows[block], []
     return weight_denominator(
-        eliminated_on, generator_count + 1, held_back=held_back,
-        group=spec.name(), index_in_upsilon=index_in_upsilon,
+        rows, generator_count + 1, held, group=spec.name(), index_in_upsilon=index_in_upsilon
     )
 
 

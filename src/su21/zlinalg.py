@@ -4,11 +4,11 @@ invariants, on plain rows: equal-length sequences of Python ints.
 All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
-of Havas, Holt and Rees (1993): it removes every generator that a relation
-expresses in terms of the others, rewrites the rows held back over the
-generators left, and keeps the quotient and the class of the last
-coordinate.  Only its small result becomes dense rows.  The normal forms
-copy their input and never change it.
+of Havas, Holt and Rees (1993), which removes every generator that a
+relation expresses in terms of the others (rewriting any rows held back)
+and leaves the quotient and the class of the last coordinate unchanged;
+only its small result becomes dense rows.  The normal forms copy their
+input and never change it.
 """
 
 from __future__ import annotations
@@ -22,19 +22,15 @@ _log = logging.getLogger(__name__)
 def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
     """Relations with the same cokernel and the same class of the last
     coordinate as rows and held_back, lists of sparse rows {column: nonzero
-    int} over cols columns, which are consumed.  While some row has an
-    entry +-1 in a column other than the last, that row expresses the
-    column's generator in terms of the others, so it is substituted into
-    every other row and the row and the column are dropped; the last column
-    is never a pivot.  Returns (dense_rows, kept_cols): the nonzero rows
-    left, then every held_back row, as int tuples over the kept_cols
-    columns that were not pivots, in their order.
-
-    Held-back rows get no fill-in, do not count towards column lengths and
-    are never pivots.  A pivot row holds only kept columns and columns
-    pivoted on later, so in reverse pivot order it gives its column's value
-    over the kept ones, and those values rewrite the held-back rows: the
-    same change of generators, so the result is exact for any split.
+    int} over cols columns, which are consumed.  While a row has an entry
+    +-1 in a column other than the last, it expresses that column's
+    generator in terms of the others, so it is substituted into every other
+    row and the row and the column are dropped.  Held-back rows get no
+    fill-in and are never pivots; at the end each pivot column's value over
+    the kept columns, by back-substitution in reverse pivot order, rewrites
+    them: the same change of generators, so any split is exact.  Returns
+    (dense_rows, kept_cols): the nonzero rows left, then the held_back rows,
+    as int tuples over the kept_cols columns that were not pivots.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
@@ -119,20 +115,18 @@ def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
                 limit = 2 * limit + 1
     kept = sorted(set(range(cols)).difference(col for col, _, _ in pivots))
     value = {c: {c: 1} for c in kept}  # each column over the kept ones
+
+    def over_kept(row, scale=1):
+        combined = {}
+        for c, v in row.items():
+            for k, w in value[c].items():
+                combined[k] = combined.get(k, 0) + scale * v * w
+        return combined
+
     for col, sign, row in reversed(pivots):
-        value[col] = combined = {}
-        for c, v in row.items():
-            for k, w in value[c].items():
-                combined[k] = combined.get(k, 0) - sign * v * w
-
-    def dense(row):
-        entries = dict.fromkeys(kept, 0)
-        for c, v in row.items():
-            for k, w in value[c].items():
-                entries[k] += v * w
-        return tuple(entries.values())
-
-    return [dense(row) for row in rows if row] + [dense(row) for row in held_back], len(kept)
+        value[col] = over_kept(row, -sign)
+    rows = [row for row in rows if row] + [over_kept(row) for row in held_back]
+    return [tuple(row.get(c, 0) for c in kept) for row in rows], len(kept)
 
 
 def hermite_normal_form(rows) -> list:

@@ -16,8 +16,6 @@ from su21.fpgroup import (
     Presentation,
     Word,
     evaluate_word,
-    gamma_sqrt3_presentation,
-    reidemeister_schreier,
     upsilon_presentation,
 )
 from su21.gendecomp import _inverse_letters, _letter_factors, _transpose_inverse_letters
@@ -605,17 +603,12 @@ def rescanning_elimination(rows, cols, events=None, held_back=(), kept_out=None)
     return [tuple(row.get(c, 0) for c in kept) for row in rows], len(kept)
 
 
-def all_rows_report(spec):
-    """The report of weight_denominator over all the rows that
+def all_rows_report(spec, rows, generator_count):
+    """The report of weight_denominator on rows, all the relation rows that
     Reidemeister-Schreier traces for spec, with no relator held back: one
-    elimination over every row, as the pipeline ran before its ambient
-    presentations held relators back."""
-    if spec.rows is None:
-        ambient, index, index_in_upsilon = gamma_sqrt3_presentation(), 1, None
-    else:
-        ambient, index = upsilon_presentation(), spec.index_in_upsilon()
-        index_in_upsilon = index
-    rows, generator_count, _ = reidemeister_schreier(ambient, *spec.coset_action(), max_index=index)
+    elimination over every row, as the pipeline ran before it held
+    relators back.  The rows are consumed."""
+    index_in_upsilon = None if spec.rows is None else spec.index_in_upsilon()
     return weight_denominator(
         rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
     )

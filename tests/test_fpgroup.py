@@ -156,12 +156,6 @@ def test_presentation_validation():
         Presentation(("a", "b"), (), (IDENTITY,))
     with pytest.raises(TypeError):  # a presentation has matrix images
         Presentation(("a",), ())
-    # held_back names relators by their index in relators
-    relator = Word([(0, 1), (0, -1)])
-    assert Presentation(("a",), (relator,), (IDENTITY,), (0, 0)).held_back == (0,)
-    for held_back in ((1,), (-1,)):
-        with pytest.raises(ValueError, match="held-back relator index out of range"):
-            Presentation(("a",), (relator,), (IDENTITY,), held_back)
 
 
 def test_upsilon_presentation_structure():

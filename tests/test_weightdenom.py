@@ -1,3 +1,4 @@
+import copy
 import logging
 import pickle
 import random
@@ -10,6 +11,7 @@ from su21 import cocycle, matgroup, weightdenom
 from su21.cocycle import COVER_IDENTITY, CoverElement
 from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
+    HELD_BACK,
     CosetGraph,
     IndexOverflowError,
     OracleInconsistencyError,
@@ -36,7 +38,6 @@ from su21.weightdenom import (
     weight_denominator_of,
 )
 from su21.zlinalg import cokernel_invariants, hermite_normal_form
-import helpers
 from helpers import (
     BallPoint,
     all_rows_report,
@@ -61,7 +62,6 @@ from helpers import (
 
 GENERATORS = generators_upsilon()
 UPSILON = upsilon_presentation()
-UPSILON_ARGS = (UPSILON.generator_names, UPSILON.relators, UPSILON.images)
 
 
 def test_lift_word_is_multiplicative():
@@ -548,6 +548,19 @@ def test_gamma3_pivot_schedule(caplog):
     assert sum(taken for _, taken, _ in schedule) == 309
 
 
+def tracing(traced, trace=reidemeister_schreier):
+    """A stand-in for weightdenom's reidemeister_schreier that calls trace
+    and appends a copy of the rows it returns, and its generator count, to
+    traced, for the all-rows oracle to consume."""
+
+    def wrapper(*args, **kwargs):
+        rows, generator_count, graph = trace(*args, **kwargs)
+        traced.extend((copy.deepcopy(rows), generator_count))
+        return rows, generator_count, graph
+
+    return wrapper
+
+
 def test_holding_relators_back_is_exact_on_every_lattice_group(monkeypatch):
     """Elimination runs on the rows of relators 1-10, and the rows of
     relators 11-13, held back, are substituted afterwards; that is exact for
@@ -561,7 +574,7 @@ def test_holding_relators_back_is_exact_on_every_lattice_group(monkeypatch):
     equal invariants alone give that: the 10-relator group maps onto the
     13-relator one, and a finitely generated abelian group is Hopfian, so
     a map onto a group isomorphic to it is an isomorphism."""
-    results = []
+    results, traced = [], []
 
     def eliminating(rows, cols, held_back=()):
         result = original_eliminate(rows, cols, held_back)
@@ -573,13 +586,15 @@ def test_holding_relators_back_is_exact_on_every_lattice_group(monkeypatch):
 
     original_eliminate = weightdenom.eliminate_unit_pivots
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    monkeypatch.setattr(weightdenom, "reidemeister_schreier", tracing(traced))
     specs = lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),)
     assert len(specs) == 213
     substituted = Counter()
     for spec in specs:
         results.clear()
+        traced.clear()
         report = weight_denominator_of(spec)
-        assert report == all_rows_report(spec), spec.name()
+        assert report == all_rows_report(spec, *traced), spec.name()
         (held, reduced, _), (none_held, _, _) = results
         assert (held, none_held) == (3 * (report.index_in_upsilon or 1), 0)
         eliminated = reduced[: len(reduced) - held]
@@ -596,19 +611,18 @@ def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
     oracle finds on the same rows."""
     spec = SubgroupSpec.parse("index3:1,0,0,0")
     assert weight_denominator_of(spec).weight_denominator == 3
-    original = reidemeister_schreier
+    assert tuple(HELD_BACK) == (10, 11, 12)
+    traced = []
 
-    def faulty(ambient, *args, **kwargs):
-        rows, generator_count, graph = original(ambient, *args, **kwargs)
-        assert ambient.held_back == (10, 11, 12)
-        rows[10 * graph.index] = {generator_count: 1}
+    def faulty(*args, **kwargs):
+        rows, generator_count, graph = reidemeister_schreier(*args, **kwargs)
+        rows[HELD_BACK[0] * graph.index] = {generator_count: 1}
         return rows, generator_count, graph
 
-    monkeypatch.setattr(weightdenom, "reidemeister_schreier", faulty)
-    monkeypatch.setattr(helpers, "reidemeister_schreier", faulty)
+    monkeypatch.setattr(weightdenom, "reidemeister_schreier", tracing(traced, faulty))
     report = weight_denominator_of(spec)
     assert report.weight_denominator == 1
-    assert report == all_rows_report(spec)
+    assert report == all_rows_report(spec, *traced)
 
 
 def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
@@ -743,9 +757,7 @@ def test_pickles_that_call_the_constructors_still_load():
     g = GENERATORS[0]
     for value, reduced in [
         (Word([(0, 1), (2, -1)]), (Word, (((0, 1), (2, -1)),))),
-        (UPSILON, (Presentation, UPSILON_ARGS + (UPSILON.held_back,))),
-        # a pickle written before held_back existed holds back no relator
-        (Presentation(*UPSILON_ARGS), (Presentation, UPSILON_ARGS)),
+        (UPSILON, (Presentation, (UPSILON.generator_names, UPSILON.relators, UPSILON.images))),
         (SubgroupSpec.parse("index3:2,0,1,0"), (SubgroupSpec, (((1, 0, 2, 0),),))),
         (g, (GroupMatrix, (g.entries,))),
         (EisensteinInt(3, -4), (EisensteinInt, (3, -4))),
@@ -756,15 +768,10 @@ def test_pickles_that_call_the_constructors_still_load():
 
 def test_pickles_with_the_wrong_number_of_fields_fail_to_load():
     """A state that does not fill every slot, such as a Presentation pickled
-    before central or held_back existed, fails at load time, not at first
-    use."""
+    before central existed, fails at load time, not at first use."""
     old = (UPSILON.generator_count, UPSILON.generator_names, UPSILON.relators, UPSILON.images)
     for reduced, message in [
-        ((object.__new__, (Presentation,), old), "Presentation takes 6 field values, got 4"),
-        (
-            (object.__new__, (Presentation,), old + (UPSILON.central,)),
-            "Presentation takes 6 field values, got 5",
-        ),
+        ((object.__new__, (Presentation,), old), "Presentation takes 5 field values, got 4"),
         ((object.__new__, (EisensteinInt,), (3,)), "EisensteinInt takes 2 field values, got 1"),
         # the state of a GroupMatrix pickled when its one field held its rows
         (
@@ -793,13 +800,12 @@ def test_repr_evaluates_back(value):
 
 
 def test_presentation_compares_by_value():
-    again = Presentation(*UPSILON_ARGS, held_back=(12, 10, 11, 10))
+    again = Presentation(UPSILON.generator_names, UPSILON.relators, UPSILON.images)
     assert again is not UPSILON
     assert again == UPSILON
     assert hash(again) == hash(UPSILON)
     fewer = Presentation(UPSILON.generator_names, UPSILON.relators[:12], UPSILON.images)
     assert fewer != UPSILON
-    assert Presentation(*UPSILON_ARGS) != UPSILON
 
 
 @pytest.mark.parametrize(
