@@ -75,7 +75,7 @@ def weight_denominator(
     central extension, from that extension's abelianized relations: rows
     and held_back are lists of sparse rows {column: nonzero int} over cols
     columns, one per relator, with the central generator z last; only rows
-    are eliminated on.  The rows are consumed."""
+    are eliminated on, relator_count counts both.  The rows are consumed."""
     reduced, kept = eliminate_unit_pivots(rows, cols, held_back)
     if _log.isEnabledFor(logging.DEBUG):
         substituted = reduced[len(reduced) - len(held_back) :]
