@@ -232,10 +232,19 @@ class CosetGraph(NamedTuple):
         return "CosetGraph(<%d cosets, %d edges>)" % (len(self.vertices), len(self.edges))
 
 
+@lru_cache(maxsize=None)
+def _root(letters) -> tuple:
+    """(m, k) for the shortest word w of m letters with w^k = letters."""
+    n = len(letters)
+    m = next((m for m in range(1, n) if not n % m and letters[:m] * (n // m) == letters), n)
+    return m, n // m if m else 1
+
+
 def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     """Relation rows of the central extension of the finite-index subgroup H
     that fixes base in a transitive action of the ambient group on finitely
-    many points, one per right coset H*g: (rows, generator_count, graph).
+    many points, one per right coset H*g: (rows, generator_count, graph),
+    with rows[k] the rows of ambient relator k.
 
     act(point, generator, sign) is the point reached from point by the
     generator with that index, or by its inverse for sign -1; points are
@@ -255,11 +264,16 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     Group Theory, 2.4 and 5): one per positive-letter edge r * x -> r' off
     the breadth-first spanning tree, standing for r * x * r'^-1, numbered
     in order of (coset, generator); tree edges stand for the identity.
-    Subgroup relators: every ambient relator traced from every coset, in
-    (relator, coset) order, each returned only as its sparse row
-    {column: nonzero entry}, empty rows kept.  The row holds the trace's
-    exponent sum of each generator, and -n_R in column generator_count, the
-    central generator z = (I, 1), for ambient relator R with lift (I, n_R).
+    Subgroup relators: every ambient relator R traced from every coset,
+    each returned only as its sparse row {column: nonzero entry}, empty
+    rows kept.  The row holds the trace's exponent sum of each generator,
+    and -n_R in column generator_count, the central generator z = (I, 1),
+    for ambient relator R with lift (I, n_R).
+
+    Write R = w^k with w its shortest root.  The walk of R from v * w^j is
+    the walk from v rotated by j * |w| letters, so it gives the same row and
+    closes up exactly when the walk from v does.  So R is traced only from
+    the least coset of each <w>-orbit, in coset order: the rest are copies.
 
     That z entry needs no lift of the subgroup.  Lift each coset
     representative along the spanning tree (the lift of r * x is
@@ -271,63 +285,71 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     coset_of = {base: 0}  # point -> coset number, in the order found
-    edges = {}
+    steps = {(gi, sign): [] for gi in range(ambient.generator_count) for sign in (1, -1)}
     tree = set()  # positive edges (v, generator) of the spanning tree
     queue = deque([base])
-    while queue:
+    while queue:  # points leave in coset order, so steps[letter][v] is coset v's step
         point = queue.popleft()
         vi = coset_of[point]
-        for gi in range(ambient.generator_count):
-            for sign in (1, -1):
-                image = act(point, gi, sign)
-                wj = coset_of.get(image)
-                if wj is None:
-                    if len(coset_of) >= max_index:
-                        raise IndexOverflowError(
-                            "subgroup index exceeds max_index = %d" % max_index
-                        )
-                    wj = coset_of[image] = len(coset_of)
-                    queue.append(image)
-                    tree.add((vi, gi) if sign == 1 else (wj, gi))
-                edges[(vi, (gi, sign))] = wj
+        for (gi, sign), step in steps.items():
+            image = act(point, gi, sign)
+            wj = coset_of.get(image)
+            if wj is None:
+                if len(coset_of) >= max_index:
+                    raise IndexOverflowError(
+                        "subgroup index exceeds max_index = %d" % max_index
+                    )
+                wj = coset_of[image] = len(coset_of)
+                queue.append(image)
+                tree.add((vi, gi) if sign == 1 else (wj, gi))
+            step.append(wj)
 
+    index = len(coset_of)
     symbol_of = {}
-    for vi in range(len(coset_of)):
+    # The column of the edge a letter traverses from each coset, None on the
+    # tree; a negative letter traverses the positive edge ending where it ends.
+    columns = {letter: [None] * index for letter in steps}
+    for vi in range(index):
         for gi in range(ambient.generator_count):
-            wj = edges[(vi, (gi, 1))]
-            if edges[(wj, (gi, -1))] != vi:
+            wj = steps[(gi, 1)][vi]
+            if steps[(gi, -1)][wj] != vi:
                 raise OracleInconsistencyError(
                     "coset %d steps by generator %d to coset %d, but its inverse "
                     "does not step back" % (vi, gi, wj)
                 )
             if (vi, gi) not in tree:
-                symbol_of[(vi, gi)] = len(symbol_of)
+                symbol = symbol_of[(vi, gi)] = len(symbol_of)
+                columns[(gi, 1)][vi] = columns[(gi, -1)][wj] = symbol
 
     z = len(symbol_of)  # the column of the central generator
-    # A negative letter traverses the positive edge that ends where it ends.
     rows = []
-    for rel, n in zip(ambient.relators, ambient.central):
-        for vi in range(len(coset_of)):
+    for k, (rel, n) in enumerate(zip(ambient.relators, ambient.central)):
+        m, power = _root(rel.letters)
+        root = [(steps[letter], columns[letter], letter[1]) for letter in rel.letters[:m]]
+        traced = []
+        seen = [False] * index
+        for vi in range(index):
+            if seen[vi]:
+                continue
             row = {}
             current = vi
-            for gi, sign in rel.letters:
-                if sign == 1:
-                    edge = (current, gi)
-                    current = edges[(current, (gi, 1))]
-                else:
-                    current = edges[(current, (gi, -1))]
-                    edge = (current, gi)
-                symbol = symbol_of.get(edge)
-                if symbol is not None:
-                    row[symbol] = row.get(symbol, 0) + sign
+            for _ in range(power):
+                seen[current] = True
+                for step, column, sign in root:
+                    symbol = column[current]
+                    if symbol is not None:
+                        row[symbol] = row.get(symbol, 0) + sign
+                    current = step[current]
             if current != vi:
                 raise OracleInconsistencyError(
-                    "relator trace from coset %d did not close up" % vi
+                    "relator %d traced from coset %d did not close up" % (k + 1, vi)
                 )
             row = {s: e for s, e in row.items() if e}
             if n:
                 row[z] = -n
-            rows.append(row)
+            traced.append(row)
+        rows.append(traced)
 
+    edges = {(vi, letter): step[vi] for vi in range(index) for letter, step in steps.items()}
     graph = CosetGraph(tuple(coset_of), edges, ambient.generator_count, symbol_of)
     return rows, len(symbol_of), graph

@@ -10,13 +10,15 @@ multiplier system are exactly (1/d) * Z.
 
 Every named group goes through coset enumeration on its spec's coset
 action and Reidemeister-Schreier over its ambient presentation, which
-trace the ambient relators from every coset straight into these sparse
-rows, taking each z entry from the ambient relator's lift; sigma is
-evaluated only to lift those relators, once per process per ambient group.
+trace each ambient relator w^k (w its shortest root) from one coset of
+each <w>-orbit straight into these sparse rows, taking each z entry from
+the ambient relator's lift; sigma is evaluated only to lift those
+relators, once per process per ambient group.
 
 The sparse rows are shrunk by unit-pivot elimination, with the rows of the
 fpgroup.HELD_BACK relators rewritten after it, before a single Hermite
-normal form, which gives d; its nonzero rows give the invariants.
+normal form of the distinct nonzero rows left, which gives d; its nonzero
+rows give the invariants.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def weight_denominator(
         substituted = reduced[len(reduced) - len(held_back) :]
         message = "held-back rows: %d, %d nonzero after substitution"
         _log.debug(message, len(substituted), sum(map(any, substituted)))
-    nonzero = [row for row in hermite_normal_form(reduced) if any(row)]
+    distinct = [row for row in dict.fromkeys(reduced) if any(row)]  # the same lattice
+    nonzero = [row for row in hermite_normal_form(distinct) if any(row)]
     order = last_coordinate_order_of_hnf(nonzero)
     if order is None:
         raise InfiniteOrderError(
@@ -107,6 +110,7 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
 
     Enumeration stops beyond the subgroup's known index.  Enumeration
     errors (IndexOverflowError, OracleInconsistencyError) name the group.
+    relator_count counts each ambient relator once per coset, copies included.
     """
     if spec.rows is None:
         ambient, expected, index_in_upsilon = gamma_sqrt3_presentation(), 1, None
@@ -124,11 +128,12 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "%s: coset enumeration found index %d, expected %d"
             % (spec.name(), graph.index, expected)
         )
-    block = slice(HELD_BACK.start * expected, HELD_BACK.stop * expected)  # (relator, coset) order
-    held, rows[block] = rows[block], []
-    return weight_denominator(
+    held = [row for k in HELD_BACK for row in rows[k]]
+    rows = [row for k, traced in enumerate(rows) if k not in HELD_BACK for row in traced]
+    report = weight_denominator(
         rows, generator_count + 1, held, group=spec.name(), index_in_upsilon=index_in_upsilon
     )
+    return report._replace(relator_count=len(ambient.relators) * expected)
 
 
 def survey_index3() -> list:

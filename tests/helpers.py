@@ -5,7 +5,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, floor, gcd
 
 from su21.eisenstein import ONE, SQRT_MINUS3, ZERO, EisensteinInt
@@ -16,6 +16,7 @@ from su21.fpgroup import (
     Presentation,
     Word,
     evaluate_word,
+    gamma_sqrt3_presentation,
     upsilon_presentation,
 )
 from su21.gendecomp import _inverse_letters, _letter_factors, _transpose_inverse_letters
@@ -169,6 +170,55 @@ def lattice_sample():
     rng = random.Random(9)
     return (
         by_index[1] + by_index[3] + rng.sample(by_index[9], 8) + rng.sample(by_index[27], 5)
+    )
+
+
+# --- the symmetries of upsilon ------------------------------------------------
+#
+# Three maps send upsilon to itself and so permute the 212 lattice groups:
+# conjugation by -J (entry (i, j) of -J g (-J)^-1 is g[2 - i][2 - j]),
+# conjugation by diag(-1, 1, -1) (entries in row or column 1, but not both,
+# change sign) and entrywise Galois conjugation a + b*zeta -> (a - b) - b*zeta.
+# Each lifts to the universal cover and sends z to +-z, so the report of a
+# group and of its image agree.
+
+SYMMETRIES = {
+    "conjugation by -J": lambda g: GroupMatrix(
+        [[g[2 - i][2 - j] for j in range(3)] for i in range(3)]
+    ),
+    "conjugation by diag(-1, 1, -1)": lambda g: GroupMatrix(
+        [[g[i][j] if i % 2 == j % 2 else -g[i][j] for j in range(3)] for i in range(3)]
+    ),
+    "Galois conjugation": lambda g: GroupMatrix(
+        [[g[i][j].conj() for j in range(3)] for i in range(3)]
+    ),
+}
+
+
+def symmetry_on_f(phi):
+    """The 4x4 matrix A over F_3 with F_map(phi(g)) = A . F_map(g), read off
+    the five generators; F_map raises unless phi sends each into upsilon.
+    Each row of A is the one vector of F_3^4 that fits all five, as their
+    F images span F_3^4; the unpacking fails if phi is not linear on them."""
+    images = [F_map(g) for g in GENERATORS]
+    mapped = [F_map(phi(g)) for g in GENERATORS]
+    matrix = []
+    for i in range(4):
+        (row,) = [
+            a
+            for a in product(range(3), repeat=4)
+            if all(sum(x * y for x, y in zip(a, f)) % 3 == m[i] for f, m in zip(images, mapped))
+        ]
+        matrix.append(row)
+    return matrix
+
+
+def preimage_spec(spec, matrix):
+    """The spec of {g : phi(g) in H} for the group H of spec, where matrix
+    is symmetry_on_f(phi): the rows v of H become v . matrix."""
+    columns = list(zip(*matrix))
+    return SubgroupSpec(
+        tuple(tuple(sum(x * y for x, y in zip(v, c)) % 3 for c in columns) for v in spec.rows)
     )
 
 
@@ -603,15 +653,63 @@ def rescanning_elimination(rows, cols, events=None, held_back=(), kept_out=None)
     return [tuple(row.get(c, 0) for c in kept) for row in rows], len(kept)
 
 
-def all_rows_report(spec, rows, generator_count):
-    """The report of weight_denominator on rows, all the relation rows that
-    Reidemeister-Schreier traces for spec, with no relator held back: one
+def all_rows_report(spec, rows, generator_count, graph):
+    """The report of weight_denominator on all the relation rows of spec:
+    every relator traced from every coset, expanded by all_coset_rows from
+    the rows, one per orbit, that reidemeister_schreier returns with
+    generator_count and graph, and no relator held back.  That is one
     elimination over every row, as the pipeline ran before it held
-    relators back.  The rows are consumed."""
+    relators back and traced each relator once per orbit of its root.
+    The rows are not consumed."""
     index_in_upsilon = None if spec.rows is None else spec.index_in_upsilon()
+    ambient = gamma_sqrt3_presentation() if spec.rows is None else upsilon_presentation()
     return weight_denominator(
-        rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
+        all_coset_rows(ambient, graph, rows),
+        generator_count + 1,
+        group=spec.name(),
+        index_in_upsilon=index_in_upsilon,
     )
+
+
+def shortest_root(word):
+    """The shortest word w with word = w^k for some k >= 1, by trying every
+    prefix in turn; the empty word is its own root."""
+    letters = word.letters
+    for m in range(1, len(letters)):
+        if len(letters) % m == 0 and letters[:m] * (len(letters) // m) == letters:
+            return Word(letters[:m])
+    return word
+
+
+def root_orbits(graph, root):
+    """For each coset of the graph, the number of its orbit under the word
+    root, the orbits numbered in order of their least cosets."""
+    orbit_of = [None] * graph.index
+    orbits = 0
+    for vi in range(graph.index):
+        if orbit_of[vi] is not None:
+            continue
+        current = vi
+        while orbit_of[current] is None:
+            orbit_of[current] = orbits
+            for letter in root.letters:
+                current = graph.edges[(current, letter)]
+        assert current == vi, "the root does not permute the cosets"
+        orbits += 1
+    return orbit_of
+
+
+def all_coset_rows(ambient, graph, rows):
+    """Every ambient relator's row from every coset, in (relator, coset)
+    order, from rows as reidemeister_schreier returns them: for relator k,
+    the row rows[k][o] of orbit o of the relator's shortest root, copied
+    once for each coset of that orbit."""
+    expanded = []
+    for relator, traced in zip(ambient.relators, rows, strict=True):
+        orbit_of = root_orbits(graph, shortest_root(relator))
+        assert len(traced) == len(set(orbit_of)), "not one row per orbit"
+        expanded += [dict(traced[o]) for o in orbit_of]
+    return expanded
 
 
 # --- keyed Reidemeister-Schreier oracle ----------------------------------------

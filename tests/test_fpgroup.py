@@ -16,6 +16,7 @@ from su21.eisenstein import SQRT_MINUS3
 from su21.matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
 from helpers import (
     GENERATORS,
+    all_coset_rows,
     coset_representatives,
     cyclic_shift,
     exponent_sums,
@@ -25,6 +26,7 @@ from helpers import (
     predicate_scan_presentation,
     relation_matrix,
     schreier_edges,
+    shortest_root,
     spec_coset_key,
     spec_membership,
     sparse_rows,
@@ -259,7 +261,8 @@ def test_reidemeister_schreier_nielsen_schreier_count(name):
     )
     assert graph.index == index
     assert generator_count == index * (5 - 1) + 1
-    assert len(rows) == 13 * index
+    assert len(rows) == 13
+    assert all(0 < len(traced) <= index for traced in rows)
 
 
 def test_reidemeister_schreier_with_matrix_images():
@@ -269,10 +272,10 @@ def test_reidemeister_schreier_with_matrix_images():
         p, *spec.coset_action(), max_index=16
     )
     assert graph.index == 3
-    # one generator per positive edge off the spanning tree, one relator per
-    # ambient relator and coset, in that order
+    # one generator per positive edge off the spanning tree, and the rows of
+    # each ambient relator, one per orbit of its root
     assert generator_count == 3 * 5 - 2
-    assert len(rows) == 13 * 3
+    assert len(rows) == 13
     assert graph.vertices[0] == (0,)
     # the representatives the spanning tree spells out: each point is its
     # representative's coset key, and every edge v -> w joins the cosets of
@@ -293,19 +296,23 @@ def test_reidemeister_schreier_with_matrix_images():
     assert len(images) == generator_count
     assert all(spec_membership(spec, h) for h in images)
     traces = trace_words(p, graph)
-    assert len(traces) == len(rows)
+    assert len(traces) == 13 * 3
     for trace in traces:
         assert evaluate_word(trace, images) == IDENTITY
 
 
 def test_action_matches_the_keyed_engine():
     """On every group a SubgroupSpec can name, the 212 lattice groups and
-    gamma_sqrt3, enumeration on the spec's action gives the rows,
-    generator count, edges and symbol map of the keyed engine, which walks
-    representatives as matrices and checks each Schreier generator with
-    membership; each point is its representative's coset key."""
+    gamma_sqrt3, enumeration on the spec's action gives the generator
+    count, edges and symbol map of the keyed engine, which walks
+    representatives as matrices, checks each Schreier generator with
+    membership and traces every relator from every coset; each point is
+    its representative's coset key.  For each relator w^k, w its shortest
+    root, the keyed engine's rows are the rows traced once per <w>-orbit,
+    each at every coset of its orbit."""
     specs = lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),)
     assert len(specs) == 213
+    dropped = 0
     for spec in specs:
         if spec.rows is None:
             ambient, index = gamma_sqrt3_presentation(), 1
@@ -320,16 +327,33 @@ def test_action_matches_the_keyed_engine():
             lambda g: spec_membership(spec, g),
             max_index=index,
         )
-        assert (rows, generator_count) == (keyed_rows, keyed_count), spec.name()
+        assert generator_count == keyed_count, spec.name()
         assert (graph.edges, graph.symbol_of) == (keyed.edges, keyed.symbol_of), spec.name()
         assert graph.vertices == tuple(spec_coset_key(spec, r) for r in keyed.vertices)
+        assert all_coset_rows(ambient, graph, rows) == keyed_rows, spec.name()
+        dropped += len(keyed_rows) - sum(map(len, rows))
+        if spec.name() == "gamma3":
+            assert [len(traced) for traced in rows] == [81, 81, 81, 27, 81, 27] + [81] * 7
+    assert dropped > 0
+
+
+def test_only_relators_4_and_6_are_proper_powers():
+    """Relator 4 is (n3 n5)^3 and relator 6 is (n1^-1 n3 n4^-1)^3; every
+    other relator of upsilon is its own shortest root.  Of gamma_sqrt3's
+    six relators more, c^3 is a power too."""
+    roots = [shortest_root(r) for r in upsilon_presentation().relators]
+    assert [k + 1 for k, r in enumerate(upsilon_presentation().relators) if roots[k] != r] == [4, 6]
+    assert [str(roots[3]), str(roots[5])] == ["g3 g5", "g1^-1 g3 g4^-1"]
+    extra = gamma_sqrt3_presentation().relators[13:]
+    assert [len(shortest_root(r)) for r in extra] == [1, 4, 4, 4, 4, 4]
 
 
 def test_relation_rows_are_trace_exponent_sums():
     """The rows Reidemeister-Schreier traces straight from the coset graph
     are the exponent sums of the trace words, with the traced relator's
-    central part in the z column, for upsilon (index 1, whose rows are the
-    rows of its relation matrix), the 40 index-3 groups and gamma3."""
+    central part in the z column, one row per orbit of the relator's root,
+    for upsilon (index 1, whose rows are the rows of its relation matrix),
+    the 40 index-3 groups and gamma3."""
     p = upsilon_presentation()
     specs = [SubgroupSpec.parse("upsilon"), SubgroupSpec.parse("gamma3")]
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
@@ -341,12 +365,12 @@ def test_relation_rows_are_trace_exponent_sums():
         assert generator_count == len(schreier_edges(graph))
         # the trace of relator k from any coset takes relator k's -n in z
         traces = trace_words(p, graph)
-        assert rows == sparse_rows(
+        assert all_coset_rows(p, graph, rows) == sparse_rows(
             exponent_sums(t, generator_count) + [-p.central[k // graph.index]]
             for k, t in enumerate(traces)
         )
         if spec.rows == ():
-            assert rows == sparse_rows(relation_matrix(p))
+            assert [row for traced in rows for row in traced] == sparse_rows(relation_matrix(p))
 
 
 def test_graph_keeps_the_symbol_map():
@@ -382,14 +406,17 @@ def clamped_act(point, generator, sign):
 
 
 def n3_parity_act(point, generator, sign):
-    # a permutation of {0, 1}, but relator 5 holds n3 with exponent sum 3,
-    # so its trace does not close up
+    # a permutation of {0, 1}, but relator 4, (n3 n5)^3, holds n3 with
+    # exponent sum 3, so its trace does not close up; relators 1-3 do
     return (point + sign) % 2 if generator == 2 else point
 
 
 @pytest.mark.parametrize(
     "act, message",
-    [(clamped_act, "does not step back"), (n3_parity_act, "did not close up")],
+    [
+        (clamped_act, "does not step back"),
+        (n3_parity_act, "^relator 4 traced from coset 0 did not close up$"),
+    ],
     ids=["inverse_edge", "relator_trace"],
 )
 def test_reidemeister_schreier_rejects_an_action_of_another_group(act, message):

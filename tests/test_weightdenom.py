@@ -39,6 +39,7 @@ from su21.weightdenom import (
 )
 from su21.zlinalg import cokernel_invariants, hermite_normal_form
 from helpers import (
+    SYMMETRIES,
     BallPoint,
     all_rows_report,
     central_commutator_witness,
@@ -52,11 +53,13 @@ from helpers import (
     lattice_sample,
     lattice_specs,
     predicate_scan_presentation,
+    preimage_spec,
     random_word,
     relation_matrix,
     schreier_edges,
     sparse_rows,
     spec_coset_key,
+    symmetry_on_f,
     trace_words,
 )
 
@@ -440,15 +443,15 @@ def test_lattice_group_matches_predicate_scan(index):
 
 def test_gamma3_counters(monkeypatch):
     """Deterministic work of a cold gamma3 computation: sigma lifts only
-    the 13 ambient relators, the relations have one row per relator trace,
-    matrix products number 121 (the relators' lifts and F_map of the five
-    generators; sigma and enumeration on the coset action multiply none),
-    and the relator traces go straight into sparse rows, which become dense
-    only once eliminated: no subgroup Presentation and no trace Word is
-    built."""
+    the 13 ambient relators, the relations have one row per relator trace
+    from each orbit of the relator's root, matrix products number 121 (the
+    relators' lifts and F_map of the five generators; sigma and enumeration
+    on the coset action multiply none), and the relator traces go straight
+    into sparse rows, which become dense only once eliminated: no subgroup
+    Presentation and no trace Word is built."""
     counts = {"sigma": 0, "mul": 0}
     counts.update(Word=0, Presentation=0)
-    shapes = []
+    shapes, hnf_rows = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -463,9 +466,15 @@ def test_gamma3_counters(monkeypatch):
         shapes.append((shape, len(held_back), (len(reduced), kept)))
         return reduced, kept
 
+    def hermite(rows):
+        hnf_rows.extend(rows)
+        return original_hermite(rows)
+
     original_eliminate = weightdenom.eliminate_unit_pivots
+    original_hermite = weightdenom.hermite_normal_form
     monkeypatch.setattr(cocycle, "sigma", counted("sigma", cocycle.sigma))
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    monkeypatch.setattr(weightdenom, "hermite_normal_form", hermite)
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     for cls in (Word, Presentation):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
@@ -483,9 +492,13 @@ def test_gamma3_counters(monkeypatch):
     # generator for each of the 325 positive edges off it
     assert report.generator_count == 81 * 5 - 80 == 325
     assert report.relator_count == 13 * 81
-    # relators 11-13 are held back: elimination runs on the 810 rows of
-    # relators 1-10, leaves 314 of them, and the 243 held-back rows follow
-    assert shapes == [((810, 326), 243, (314 + 243, 17))]
+    # relators 11-13 are held back: elimination runs on the 702 rows of
+    # relators 1-10, 81 each but 27 for the cubes 4 and 6, whose roots have
+    # orbits of 3 cosets; it leaves 280 of them, and the 243 held-back rows
+    # follow
+    assert shapes == [((702, 326), 243, (280 + 243, 17))]
+    # the Hermite form takes the 198 distinct nonzero rows of those 523
+    assert len(hnf_rows) == len(set(hnf_rows)) == 198 and all(map(any, hnf_rows))
     # the relators are evaluated once, in the cover: each of their 116
     # letters costs one product, in cover_mul; sigma reads the bottom row of
     # the product without forming it, so sigma(g, g^-1) for the 40 inverses
@@ -517,30 +530,31 @@ def test_elimination_shapes_and_entries(monkeypatch):
 
     survey_index3()
     assert Counter((len(rows) - held, held, cols) for held, rows, cols in reduced) == {
-        (6, 9, 6): 9, (7, 9, 6): 2, (9, 9, 5): 13, (9, 9, 6): 3, (11, 9, 5): 2,
-        (11, 9, 6): 1, (12, 9, 5): 5, (12, 9, 6): 1, (13, 9, 5): 2, (14, 9, 5): 1,
-        (14, 9, 6): 1,
+        (4, 9, 6): 7, (5, 9, 5): 4, (6, 9, 6): 2, (7, 9, 5): 5, (7, 9, 6): 2,
+        (8, 9, 5): 1, (9, 9, 5): 3, (9, 9, 6): 3, (10, 9, 5): 5, (11, 9, 5): 2,
+        (11, 9, 6): 1, (12, 9, 5): 3, (12, 9, 6): 2,
     }
     assert largest(reduced) == 30
     reduced.clear()
     weight_denominator_of(SubgroupSpec.parse("gamma3"))
-    assert [(len(rows) - held, held, cols) for held, rows, cols in reduced] == [(314, 243, 17)]
+    assert [(len(rows) - held, held, cols) for held, rows, cols in reduced] == [(280, 243, 17)]
     # the pivots differ from those of one elimination over all 1053 rows,
-    # which left 484 rows with largest |entry| 24
-    assert largest(reduced) == 252
+    # which left 484 rows with largest |entry| 24, and from those on the
+    # 810 rows of relators 1-10 traced from every coset, which left 314
+    # with largest |entry| 252
+    assert largest(reduced) == 117
 
 
 def test_gamma3_pivot_schedule(caplog):
     """A regression gate for the rounds, not only the final shape: the
-    DEBUG line of each of the 15 rounds of gamma3's elimination on the 810
+    DEBUG line of each of the 10 rounds of gamma3's elimination on the 702
     rows of relators 1-10 that take pivots, 309 pivots in all, as many as
     one elimination over all 1053 rows took."""
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(SubgroupSpec.parse("gamma3"))
     schedule = [
-        (0, 40, 770), (15, 44, 717), (31, 2, 711), (63, 100, 603), (127, 26, 541),
-        (127, 3, 538), (255, 36, 476), (511, 20, 432), (511, 1, 431), (1023, 14, 401),
-        (1023, 2, 397), (1023, 2, 395), (1023, 1, 392), (2047, 12, 330), (4095, 6, 314),
+        (0, 40, 662), (15, 46, 603), (63, 121, 480), (127, 14, 464), (127, 2, 462),
+        (255, 28, 433), (511, 21, 401), (1023, 13, 380), (2047, 21, 284), (2047, 3, 280),
     ]
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
@@ -550,22 +564,49 @@ def test_gamma3_pivot_schedule(caplog):
 
 def tracing(traced, trace=reidemeister_schreier):
     """A stand-in for weightdenom's reidemeister_schreier that calls trace
-    and appends a copy of the rows it returns, and its generator count, to
-    traced, for the all-rows oracle to consume."""
+    and appends a copy of the rows it returns, its generator count and its
+    graph to traced, for the all-rows oracle."""
 
     def wrapper(*args, **kwargs):
         rows, generator_count, graph = trace(*args, **kwargs)
-        traced.extend((copy.deepcopy(rows), generator_count))
+        traced.extend((copy.deepcopy(rows), generator_count, graph))
         return rows, generator_count, graph
 
     return wrapper
 
 
-def test_holding_relators_back_is_exact_on_every_lattice_group(monkeypatch):
+@pytest.fixture(scope="module")
+def lattice_runs():
+    """weight_denominator_of on each of the 212 lattice groups and
+    gamma_sqrt3, run once for the tests that read them all: spec ->
+    (report, (held-back rows, reduced rows, kept columns) of its one
+    elimination, (rows, generator_count, graph) as traced)."""
+    runs, eliminations, traced = {}, [], []
+
+    def eliminating(rows, cols, held_back=()):
+        result = original_eliminate(rows, cols, held_back)
+        eliminations.append((len(held_back),) + result)
+        return result
+
+    original_eliminate = weightdenom.eliminate_unit_pivots
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+        patch.setattr(weightdenom, "reidemeister_schreier", tracing(traced))
+        for spec in lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),):
+            report = weight_denominator_of(spec)
+            (elimination,) = eliminations
+            runs[spec] = (report, elimination, tuple(traced))
+            eliminations.clear()
+            traced.clear()
+    return runs
+
+
+def test_holding_relators_back_is_exact_on_every_lattice_group(lattice_runs):
     """Elimination runs on the rows of relators 1-10, and the rows of
     relators 11-13, held back, are substituted afterwards; that is exact for
     any split.  On all 212 lattice groups and gamma_sqrt3 the report equals
-    that of the all-rows oracle, one elimination over every row.
+    that of the all-rows oracle, one elimination over every relator traced
+    from every coset.
 
     The held-back rows also leave the nonzero rows of the Hermite form of
     the rows left by elimination unchanged.  So on each of these groups the
@@ -574,34 +615,59 @@ def test_holding_relators_back_is_exact_on_every_lattice_group(monkeypatch):
     equal invariants alone give that: the 10-relator group maps onto the
     13-relator one, and a finitely generated abelian group is Hopfian, so
     a map onto a group isomorphic to it is an isomorphism."""
-    results, traced = [], []
-
-    def eliminating(rows, cols, held_back=()):
-        result = original_eliminate(rows, cols, held_back)
-        results.append((len(held_back),) + result)
-        return result
 
     def nonzero_hnf(rows):
         return [row for row in hermite_normal_form(rows) if any(row)]
 
-    original_eliminate = weightdenom.eliminate_unit_pivots
-    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
-    monkeypatch.setattr(weightdenom, "reidemeister_schreier", tracing(traced))
-    specs = lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),)
-    assert len(specs) == 213
+    assert len(lattice_runs) == 213
     substituted = Counter()
-    for spec in specs:
-        results.clear()
-        traced.clear()
-        report = weight_denominator_of(spec)
+    for spec, (report, (held, reduced, _), traced) in lattice_runs.items():
         assert report == all_rows_report(spec, *traced), spec.name()
-        (held, reduced, _), (none_held, _, _) = results
-        assert (held, none_held) == (3 * (report.index_in_upsilon or 1), 0)
+        assert held == 3 * (report.index_in_upsilon or 1)
         eliminated = reduced[: len(reduced) - held]
         assert nonzero_hnf(eliminated) == nonzero_hnf(reduced), spec.name()
         substituted.update(any(row) for row in reduced[len(eliminated) :])
     # most held-back rows are not zero after substitution, so the check bites
     assert substituted[True] > substituted[False] > 0
+
+
+def test_reports_are_invariant_under_the_symmetries_of_upsilon(lattice_runs):
+    """A metamorphic test on all 212 lattice groups: for each of the three
+    symmetries phi of upsilon, the group of g with phi(g) in H has the
+    report of H, computed through the same engine on another coset action.
+    Galois conjugation is -1 on F_3^4 and fixes every group; its part is
+    in sigma, which lifts the relators over the conjugated generators to
+    the negated central parts, as it sends z to -z.  The two conjugations
+    lift them to the same central parts, and the three maps split the 212
+    groups into 80 orbits."""
+    reports = {spec: run[0] for spec, run in lattice_runs.items() if spec.rows is not None}
+    assert len(reports) == 212
+    orbit = {spec: spec for spec in reports}  # union-find forest
+
+    def root(spec):
+        while orbit[spec] != spec:
+            spec = orbit[spec]
+        return spec
+
+    moved = {}
+    for name, phi in SYMMETRIES.items():
+        matrix = symmetry_on_f(phi)
+        images = {spec: preimage_spec(spec, matrix) for spec in reports}
+        assert set(images.values()) == set(reports), name
+        for spec, image in images.items():
+            assert reports[image]._replace(group=None) == reports[spec]._replace(group=None), (
+                name, spec.name(),
+            )
+            orbit[root(image)] = root(spec)
+        moved[name] = sum(image != spec for spec, image in images.items())
+        phi_images = map(phi, UPSILON.images)
+        conjugated = Presentation(UPSILON.generator_names, UPSILON.relators, phi_images)
+        sign = -1 if name == "Galois conjugation" else 1
+        assert conjugated.central == tuple(sign * n for n in UPSILON.central) != (0,) * 13
+    assert moved == {
+        "conjugation by -J": 176, "conjugation by diag(-1, 1, -1)": 176, "Galois conjugation": 0
+    }
+    assert len({root(spec) for spec in reports}) == 80
 
 
 def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
@@ -616,7 +682,7 @@ def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
 
     def faulty(*args, **kwargs):
         rows, generator_count, graph = reidemeister_schreier(*args, **kwargs)
-        rows[HELD_BACK[0] * graph.index] = {generator_count: 1}
+        rows[HELD_BACK[0]][0] = {generator_count: 1}
         return rows, generator_count, graph
 
     monkeypatch.setattr(weightdenom, "reidemeister_schreier", tracing(traced, faulty))
@@ -633,7 +699,7 @@ def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="su21.weightdenom"):
         weight_denominator_of(gamma3)
     assert [(r.name, r.getMessage()) for r in caplog.records] == [
-        ("su21.weightdenom", "held-back rows: 243, 231 nonzero after substitution")
+        ("su21.weightdenom", "held-back rows: 243, 215 nonzero after substitution")
     ]
     caplog.clear()
 

@@ -294,7 +294,9 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     """The cached elimination against the rescanning oracle on the rows the
     pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
     and the seeded sample of 8 index-9 and 5 index-27 groups, each with
-    the rows of relators 11-13 held back, 3 per coset."""
+    the rows of relators 11-13 held back, 3 per coset.  The cubes 4 and 6
+    give one row per orbit of their roots: index / 3 rows each where the
+    root moves every coset, as on gamma3, index where it fixes them all."""
     shapes = []
 
     def checked(rows, cols, held_back=()):
@@ -312,9 +314,11 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     specs += [spec for spec in lattice_sample() if spec.index_in_upsilon() > 3]
     for spec in specs:
         weightdenom.weight_denominator_of(spec)
-    assert shapes[:3] == [(810, 243, 326), (10, 3, 6), (16, 3, 7)]
-    assert shapes[3:43] == [(30, 9, 14)] * 40
-    assert shapes[43:] == [(90, 27, 38)] * 8 + [(270, 81, 110)] * 5
+    assert shapes[:3] == [(702, 243, 326), (10, 3, 6), (16, 3, 7)]
+    assert Counter(shapes[3:43]) == {(26, 9, 14): 18, (28, 9, 14): 18, (30, 9, 14): 4}
+    assert shapes[43:] == [(78, 27, 38)] * 3 + [(84, 27, 38)] + [(78, 27, 38)] * 4 + [
+        (234, 81, 110)
+    ] * 5
 
 
 @settings(max_examples=60, deadline=None)
