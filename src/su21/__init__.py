@@ -4,7 +4,6 @@ SU(2,1) over the Eisenstein integers.
 The package namespace holds the documented API; everything else is imported
 from the module that defines it, e.g. ``from su21.fpgroup import Word``."""
 
-from .eisenstein import EisensteinInt
 from .matgroup import GroupMatrix, SubgroupSpec, generators_upsilon
 from .cocycle import sigma
 from .fpgroup import IndexOverflowError, OracleInconsistencyError
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DenominatorReport",
-    "EisensteinInt",
     "GroupMatrix",
     "IndexOverflowError",
     "InfiniteOrderError",

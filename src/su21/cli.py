@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cocycle import sigma
 from .fpgroup import IndexOverflowError, OracleInconsistencyError, upsilon_presentation
 from .gendecomp import decompose
-from .matgroup import GENERATOR_NAMES, GroupMatrix, SubgroupSpec
+from .matgroup import GENERATOR_NAMES, GroupMatrix, SubgroupSpec, format_entry
 from .weightdenom import multiplier_system_exists, survey_index3, weight_denominator_of
 
 
@@ -128,8 +128,9 @@ def _cmd_survey(args) -> int:
 def _require_group_element(g: GroupMatrix, label: str) -> None:
     if not g.is_unitary():
         raise _DomainError("%s is not in the unitary group" % label)
-    if g.det() != 1:
-        raise _DomainError("%s is unitary but has determinant %s, not 1" % (label, g.det()))
+    if g.det() != (1, 0):
+        det = format_entry(*g.det())
+        raise _DomainError("%s is unitary but has determinant %s, not 1" % (label, det))
 
 
 def _cmd_sigma(args) -> int:

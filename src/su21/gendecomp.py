@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .eisenstein import SQRT_MINUS3
 from .fpgroup import Word
 from .matgroup import (
-    GENERATOR_NAMES, IDENTITY, GroupMatrix, _first_column, _group_matrix, _reversed_rows,
+    GENERATOR_NAMES, IDENTITY, GroupMatrix, _first_column, _reversed_rows,
     _times, _unitriangular_factors, _upper_times, generators_upsilon, in_upsilon, make_n,
 )
 
@@ -146,14 +145,18 @@ def _descend_step(s: tuple):
     return (zp, zq, x, transpose), s, height
 
 
-def _base_case_parameters(g: GroupMatrix):
-    """Read (p, q, x) off a height-1 element, which is exactly n(z, x) with
-    z = p + q*zeta: x is the zeta-coordinate of its corner (see n_corner)."""
-    z = g.entry(0, 1).div_exact(SQRT_MINUS3)
-    x = g.entry(0, 2).b
-    if g != make_n(z, x):
+def _base_case_parameters(s: tuple):
+    """Read (p, q, x) off the coordinates s of a height-1 element, which is
+    exactly n(z, x) with z = p + q*zeta: entry (0, 1) is sqrt(-3) z =
+    (p - 2q) + (2p - q)*zeta (see make_n), and x is the zeta-coordinate of
+    the corner (see n_corner)."""
+    a, b, x = s[2], s[3], s[5]
+    if (a + b) % 3:
+        raise AssertionError("descent invariant failed: sqrt(-3) divides entry (0, 1)")
+    p, q = (2 * b - a) // 3, (b - 2 * a) // 3
+    if s != make_n(p, q, x).coords:
         raise AssertionError("height-1 element is not upper unipotent")
-    return z.a, z.b, x
+    return p, q, x
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +214,7 @@ def decompose(g: GroupMatrix) -> Word:
     while height > 1:
         (p, q, x, transpose), s, height = _descend_step(s)
         (_transpose_inverse_letters if transpose else _inverse_letters)(letters, p, q, x)
-    p, q, x = _base_case_parameters(_group_matrix(s))
+    p, q, x = _base_case_parameters(s)
     _append_powers(letters, (_N1, p), (_N2, q), (_N3, _n3_exponent(p, q, x)))
     word = Word(letters)
     if _word_coords(word.letters) != g.coords:

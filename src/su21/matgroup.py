@@ -1,15 +1,18 @@
 """The group SU(2,1) over the Eisenstein integers and its congruence subgroups.
 
+The package writes an Eisenstein integer a + b*zeta, with zeta = e^(2*pi*i/3)
+and zeta^2 = -1 - zeta, as the int pair (a, b); sqrt(-3) is 1 + 2*zeta.
 Matrices are 3x3 over Z[zeta] and unitary with respect to the antidiagonal
 Hermitian form J.  A GroupMatrix holds the integer coordinates (a, b) of its
 entries a + b*zeta, row by row: products, inverses, det, unitarity and
 membership compute on the ints, as cocycle.sigma does on bottom rows, and
-other modules read an entry through GroupMatrix.entry, or the first
-column's six ints through GroupMatrix.first_column.  The inverse of a unitary
-matrix is J * conj(g)^t * J, an index permutation with conjugated entries,
-so inverting multiplies nothing.  _upper_times(u01, u02, u12, s) is u * g
-for an upper unitriangular u, given by its three off-diagonal entries, and
-g's coords s: 9 entry products where the general product makes 27.
+other modules read an entry as a pair through GroupMatrix.entry, or the
+first column's six ints through GroupMatrix.first_column.  The inverse of a
+unitary matrix is J * conj(g)^t * J, an index permutation with conjugated
+entries, so inverting multiplies nothing.  _upper_times(u01, u02, u12, s)
+is u * g for an upper unitriangular u, given by its three off-diagonal
+entries, and g's coords s: 9 entry products where the general product
+makes 27.
 
 SubgroupSpec.coset_action gives a subgroup's cosets as the points of a
 finite action, on which coset enumeration runs without matrices.
@@ -21,15 +24,13 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .eisenstein import ONE, ZERO, ZETA, EisensteinInt
 from .value import Value
 
 
 class GroupMatrix(Value):
     """Immutable 3x3 matrix over Z[zeta], held as coords: the 18 ints (a, b)
-    of its entries a + b*zeta, row by row.  Every kernel computes on them;
-    an EisensteinInt is built only for a caller that asks for an entry
-    (entry, entries, g[i], str, JSON) or for the value of det()."""
+    of its entries a + b*zeta, row by row.  It is built from, and reads out,
+    each entry as the pair (a, b)."""
 
     __slots__ = ("coords",)
 
@@ -37,12 +38,7 @@ class GroupMatrix(Value):
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("expected a 3x3 matrix")
-        if not all(isinstance(entry, EisensteinInt) for row in rows for entry in row):
-            raise ValueError("entries must be EisensteinInt values")
-        coords = tuple(v for row in rows for entry in row for v in (entry.a, entry.b))
-        if tuple(map(type, coords)) != (int,) * 18:
-            raise ValueError("entries must have int coordinates")
-        _set_coords(self, coords)
+        _set_coords(self, tuple(v for row in rows for cell in row for v in _pair(cell)))
 
     def __setstate__(self, values):
         """Value's restore, refusing the rows that older pickles hold."""
@@ -50,12 +46,12 @@ class GroupMatrix(Value):
         if type(self.coords) is not tuple or tuple(map(type, self.coords)) != (int,) * 18:
             raise TypeError("GroupMatrix takes a tuple of 18 int coordinates")
 
-    def entry(self, i: int, j: int) -> EisensteinInt:
-        """The entry in row i, column j, for i and j in 0, 1, 2."""
+    def entry(self, i: int, j: int) -> tuple:
+        """The entry in row i, column j, for i and j in 0, 1, 2, as (a, b)."""
         if not (0 <= i < 3 and 0 <= j < 3):
             raise IndexError("no entry (%r, %r) in a 3x3 matrix" % (i, j))
         k = 6 * i + 2 * j
-        return EisensteinInt(self.coords[k], self.coords[k + 1])
+        return self.coords[k : k + 2]
 
     def first_column(self) -> tuple:
         """The coordinates (a0, a1, b0, b1, c0, c1) of the first column
@@ -64,11 +60,11 @@ class GroupMatrix(Value):
 
     @property
     def entries(self) -> tuple:
-        """The rows, as 3-tuples of EisensteinInt."""
+        """The rows, as 3-tuples of (a, b) pairs."""
         return self[0], self[1], self[2]
 
     def __getitem__(self, i):
-        """Row i, as a 3-tuple of EisensteinInt; a negative i counts from the end."""
+        """Row i, as a 3-tuple of (a, b) pairs; a negative i counts from the end."""
         i = range(3)[i]
         return self.entry(i, 0), self.entry(i, 1), self.entry(i, 2)
 
@@ -76,7 +72,7 @@ class GroupMatrix(Value):
         return "GroupMatrix(%r)" % (self.entries,)
 
     def __str__(self):
-        cells = [[str(e) for e in row] for row in self.entries]
+        cells = [[format_entry(*e) for e in row] for row in self.entries]
         width = max(len(c) for row in cells for c in row)
         return "\n".join(
             "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
@@ -118,26 +114,21 @@ class GroupMatrix(Value):
                               w - W, -W, t - T, -T, q - Q, -Q,
                               v - V, -V, s - S, -S, p - P, -P))
 
-    def det(self) -> EisensteinInt:
-        """Cofactor expansion along the first row, on the coordinates."""
+    def det(self) -> tuple:
+        """Cofactor expansion along the first row, on the coordinates: (a, b)."""
         p, P, q, Q, r, R, s, S, t, T, u, U, v, V, w, W, x, X = self.coords
         a0, b0 = _times(p, P, *_minor(t, T, u, U, w, W, x, X))
         a1, b1 = _times(q, Q, *_minor(s, S, u, U, v, V, x, X))
         a2, b2 = _times(r, R, *_minor(s, S, t, T, v, V, w, W))
-        return EisensteinInt(a0 - a1 + a2, b0 - b1 + b2)
+        return a0 - a1 + a2, b0 - b1 + b2
 
     def is_unitary(self) -> bool:
         """Whether conj(g)^t * J * g = J, that is (as J^2 = I) whether
         inverse() is the inverse of g."""
         return self.inverse() * self == IDENTITY
 
-    def scalar_mul(self, scalar: EisensteinInt) -> "GroupMatrix":
-        return GroupMatrix(
-            tuple(tuple(scalar * entry for entry in row) for row in self.entries)
-        )
-
     def to_json_dict(self) -> dict:
-        return {"entries": [[e.to_pair() for e in row] for row in self.entries]}
+        return {"entries": [[list(e) for e in row] for row in self.entries]}
 
     @classmethod
     def from_json_dict(cls, data) -> "GroupMatrix":
@@ -146,12 +137,26 @@ class GroupMatrix(Value):
         rows = data["entries"]
         if not isinstance(rows, list) or len(rows) != 3:
             raise ValueError("entries must be a 3x3 array of integer pairs")
-        out = []
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
                 raise ValueError("entries must be a 3x3 array of integer pairs")
-            out.append([EisensteinInt.from_pair(cell) for cell in row])
-        return cls(out)
+        return cls(rows)
+
+
+def _pair(cell) -> tuple:
+    """The cell (a, b); ValueError unless it is a list or tuple of two ints."""
+    if isinstance(cell, (list, tuple)) and tuple(map(type, cell)) == (int, int):
+        return tuple(cell)
+    raise ValueError("expected a pair of integers, got %r" % (cell,))
+
+
+def format_entry(a: int, b: int) -> str:
+    """a + b*zeta as text: 3, 1*zeta, -1-1*zeta."""
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return "%d*zeta" % b
+    return "%d%+d*zeta" % (a, b)
 
 
 def _times(a: int, b: int, c: int, d: int) -> tuple:
@@ -219,26 +224,24 @@ def _upper_times(p, P, q, Q, r, R, s) -> tuple:
 
 
 IDENTITY = _group_matrix((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0))
-ZETA_IDENTITY = IDENTITY.scalar_mul(ZETA)
+ZETA_IDENTITY = _group_matrix((0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1))
 
 
-def n_corner(z: EisensteinInt, x: int) -> EisensteinInt:
-    """The corner entry (-3*norm(z) + x*sqrt(-3)) / 2 of n(z, x).  As
-    sqrt(-3) = 1 + 2*zeta, it is ((x - 3*norm(z)) / 2) + x*zeta, an
-    Eisenstein integer exactly when x = norm(z) mod 2."""
-    numerator = x - 3 * z.norm()
+def n_corner(p: int, q: int, x: int) -> tuple:
+    """The corner entry (-3*norm(z) + x*sqrt(-3)) / 2 of n(z, x), z = p + q*zeta,
+    as (a, b).  As sqrt(-3) = 1 + 2*zeta, it is ((x - 3*norm(z)) / 2) + x*zeta,
+    an Eisenstein integer exactly when x = norm(z) mod 2."""
+    numerator = x - 3 * (p * p - p * q + q * q)
     if numerator % 2:
         raise ValueError("parity violation: x must be congruent to norm(z) mod 2")
-    return EisensteinInt(numerator // 2, x)
+    return numerator // 2, x
 
 
-def make_n(z: EisensteinInt, x: int) -> GroupMatrix:
-    """The upper-triangular unipotent n(z, x); requires x = norm(z) mod 2.
-    With z = p + q*zeta, sqrt(-3)*z = (p - 2q) + (2p - q)*zeta and
+def make_n(p: int, q: int, x: int) -> GroupMatrix:
+    """The upper-triangular unipotent n(z, x) for z = p + q*zeta; requires
+    x = norm(z) mod 2.  sqrt(-3)*z = (p - 2q) + (2p - q)*zeta and
     sqrt(-3)*conj(z) = (p + q) + (2p - q)*zeta."""
-    p, q = z.a, z.b
-    corner = n_corner(z, x)
-    return _group_matrix((1, 0, p - 2 * q, 2 * p - q, corner.a, corner.b,
+    return _group_matrix((1, 0, p - 2 * q, 2 * p - q, *n_corner(p, q, x),
                           0, 0, 1, 0, p + q, 2 * p - q,
                           0, 0, 0, 0, 1, 0))
 
@@ -250,9 +253,9 @@ GENERATOR_NAMES = ("n1", "n2", "n3", "n4", "n5")
 def generators_upsilon() -> tuple:
     """The five generators n1 = n(1,1), n2 = n(zeta,1), n3 = n(0,2), n4 = n1^t,
     n5 = n3^t, built once per process."""
-    n1 = make_n(ONE, 1)
-    n2 = make_n(ZETA, 1)
-    n3 = make_n(ZERO, 2)
+    n1 = make_n(1, 0, 1)
+    n2 = make_n(0, 1, 1)
+    n3 = make_n(0, 0, 2)
     return (n1, n2, n3, n1.transpose(), n3.transpose())
 
 
@@ -263,7 +266,7 @@ def in_gamma_sqrt3(g: GroupMatrix) -> bool:
     c = g.coords
     if any((a + b - one) % 3 for a, b, one in zip(c[::2], c[1::2], IDENTITY.coords[::2])):
         return False
-    return g.det() == ONE and g.is_unitary()
+    return g.det() == (1, 0) and g.is_unitary()
 
 
 def in_upsilon(g: GroupMatrix) -> bool:

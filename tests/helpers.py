@@ -8,7 +8,6 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, floor, gcd
 
-from su21.eisenstein import ONE, SQRT_MINUS3, ZERO, EisensteinInt
 from su21.fpgroup import (
     CosetGraph,
     IndexOverflowError,
@@ -39,6 +38,104 @@ from su21.matgroup import (
 from su21.value import Value
 from su21.weightdenom import weight_denominator
 from su21.zlinalg import hermite_normal_form, last_coordinate_order_of_hnf
+
+
+# --- reference Eisenstein arithmetic -------------------------------------------
+#
+# The package holds an Eisenstein integer a + b*zeta as the int pair (a, b)
+# and multiplies pairs inline; this class writes the ring once, with exact
+# division, as the oracle of that coordinate arithmetic.
+
+
+class NotDivisibleError(ValueError):
+    """Raised by div_exact when the divisor does not divide the dividend."""
+
+
+class EisensteinInt(Value):
+    """The Eisenstein integer a + b*zeta, zeta^2 = -1 - zeta; an int operand
+    of +, - and * is read as a + 0*zeta."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return EisensteinInt(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -_coerce(other)
+
+    def __rsub__(self, other):
+        return _coerce(other) - self
+
+    def __neg__(self):
+        return EisensteinInt(-self.a, -self.b)
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "EisensteinInt":
+        """Complex conjugate: conj(zeta) = zeta^2 = -1 - zeta."""
+        return EisensteinInt(self.a - self.b, -self.b)
+
+    def norm(self) -> int:
+        """z * conj(z) = a^2 - a*b + b^2, a nonnegative rational integer."""
+        return self.a * self.a - self.a * self.b + self.b * self.b
+
+    def div_exact(self, w) -> "EisensteinInt":
+        """Exact quotient self / w; raises NotDivisibleError if w does not divide."""
+        w = _coerce(w)
+        n = w.norm()
+        if n == 0:
+            raise NotDivisibleError("division by zero")
+        zc = self * w.conj()
+        qa, ra = divmod(zc.a, n)
+        qb, rb = divmod(zc.b, n)
+        if ra or rb:
+            raise NotDivisibleError("%r is not divisible by %r" % (self, w))
+        return EisensteinInt(qa, qb)
+
+    def pair(self) -> tuple:
+        """(a, b), the form the package takes and gives an entry in."""
+        return self.a, self.b
+
+
+def _coerce(value):
+    return value if isinstance(value, EisensteinInt) else EisensteinInt(value, 0)
+
+
+ZERO = EisensteinInt(0, 0)
+ONE = EisensteinInt(1, 0)
+ZETA = EisensteinInt(0, 1)
+SQRT_MINUS3 = EisensteinInt(1, 2)
+
+
+def entries_of(g):
+    """g's rows as 3-tuples of EisensteinInt."""
+    return tuple(tuple(EisensteinInt(*e) for e in row) for row in g.entries)
+
+
+def matrix_of(rows):
+    """The GroupMatrix with these EisensteinInt (or int) entries."""
+    return GroupMatrix([[_coerce(e).pair() for e in row] for row in rows])
+
+
+def scaled(g, scalar):
+    """The scalar multiple scalar * g, scalar an EisensteinInt or int."""
+    return matrix_of([[scalar * e for e in row] for row in entries_of(g)])
+
 
 GENERATORS = generators_upsilon()
 
@@ -83,7 +180,7 @@ def divided_f_coordinates(g):
     check."""
     coords = (g[0][1], g[0][2], g[1][0], g[2][0])
     return tuple(
-        (q.a + q.b) % 3 for q in (c.div_exact(SQRT_MINUS3) for c in coords)
+        (q.a + q.b) % 3 for q in (EisensteinInt(*c).div_exact(SQRT_MINUS3) for c in coords)
     )
 
 
@@ -127,14 +224,13 @@ def in_gamma_beta(g, beta):
     Eisenstein integer or int: g = I mod beta, unitary, det 1.  Each entry
     is tested by divides, so it shares no code with the residue rule of
     in_gamma_sqrt3 or with the coset key."""
-    if isinstance(beta, int):
-        beta = EisensteinInt(beta, 0)
+    beta = _coerce(beta)
+    e = entries_of(g)
     for i in range(3):
         for j in range(3):
-            entry = g[i][j] - (1 if i == j else 0)
-            if not divides(beta, entry):
+            if not divides(beta, e[i][j] - (1 if i == j else 0)):
                 return False
-    return g.det() == 1 and reference_is_unitary(g)
+    return g.det() == (1, 0) and reference_is_unitary(g)
 
 
 def in_index3(g, v):
@@ -186,12 +282,11 @@ SYMMETRIES = {
     "conjugation by -J": lambda g: GroupMatrix(
         [[g[2 - i][2 - j] for j in range(3)] for i in range(3)]
     ),
-    "conjugation by diag(-1, 1, -1)": lambda g: GroupMatrix(
-        [[g[i][j] if i % 2 == j % 2 else -g[i][j] for j in range(3)] for i in range(3)]
+    "conjugation by diag(-1, 1, -1)": lambda g: matrix_of(
+        [[x if i % 2 == j % 2 else -x for j, x in enumerate(row)]
+         for i, row in enumerate(entries_of(g))]
     ),
-    "Galois conjugation": lambda g: GroupMatrix(
-        [[g[i][j].conj() for j in range(3)] for i in range(3)]
-    ),
+    "Galois conjugation": lambda g: matrix_of([[x.conj() for x in e] for e in entries_of(g)]),
 }
 
 
@@ -231,11 +326,12 @@ def preimage_spec(spec, matrix):
 # never call GroupMatrix.__mul__ or det.
 
 # the antidiagonal Hermitian form that defines the group
-J = GroupMatrix([[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [ONE, ZERO, ZERO]])
+J = matrix_of([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def reference_product(g, h):
-    return GroupMatrix(
+    g, h = entries_of(g), entries_of(h)
+    return matrix_of(
         [
             [g[i][0] * h[0][j] + g[i][1] * h[1][j] + g[i][2] * h[2][j] for j in range(3)]
             for i in range(3)
@@ -244,7 +340,7 @@ def reference_product(g, h):
 
 
 def reference_det(g):
-    e = g.entries
+    e = entries_of(g)
     return (
         e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
         - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
@@ -253,7 +349,8 @@ def reference_det(g):
 
 
 def conj_transpose(g):
-    return GroupMatrix([[g[j][i].conj() for j in range(3)] for i in range(3)])
+    e = entries_of(g)
+    return matrix_of([[e[j][i].conj() for j in range(3)] for i in range(3)])
 
 
 def reference_inverse(g):
@@ -427,7 +524,7 @@ def reference_descend_step(g):
     gendecomp's integer step: ((z, x, transpose), m*g, height of m*g), with
     the nearest lattice point from the rational window search and the x
     rounding in Fraction."""
-    a, b, c = g.entry(0, 0), g.entry(1, 0), g.entry(2, 0)
+    a, b, c = (EisensteinInt(*g.entry(i, 0)) for i in range(3))
     na, nc = a.norm(), c.norm()
     if na == nc:
         raise AssertionError("first-column norms can never be equal here")
@@ -442,39 +539,40 @@ def reference_descend_step(g):
     x0 = z.norm() % 2
     # row `row` of make(z, x0) is (1, sqrt(-3) z, corner) or (corner,
     # sqrt(-3) conj(z), 1)
-    corner = n_corner(z, x0)
+    corner = EisensteinInt(*n_corner(z.a, z.b, x0))
     if transpose:
         reduced = corner * a + SQRT_MINUS3 * z.conj() * b + c
     else:
         reduced = a + SQRT_MINUS3 * z * b + corner * c
     x = x0 - 2 * fraction_rounded_half((reduced * pivot.conj()).b, n_pivot)
-    result = make(z, x) * g
-    assert result.entry(1, 0).norm() <= n_pivot
-    assert result.entry(row, 0).norm() <= n_pivot
-    height = result.entry(0, 0).norm() + result.entry(2, 0).norm()
+    result = make(z.a, z.b, x) * g
+    column = [EisensteinInt(*result.entry(i, 0)).norm() for i in range(3)]
+    assert column[1] <= n_pivot
+    assert column[row] <= n_pivot
+    height = column[0] + column[2]
     assert height < na + nc
     return (z, x, transpose), result, height
 
 
-def unipotent_word(z, x):
-    """n(z, x) as a Word: the inverse of the letters decompose writes for
-    n(z, x)^-1."""
+def unipotent_word(p, q, x):
+    """n(z, x), z = p + q*zeta, as a Word: the inverse of the letters
+    decompose writes for n(z, x)^-1."""
     letters = []
-    _inverse_letters(letters, z.a, z.b, x)
+    _inverse_letters(letters, p, q, x)
     return Word(letters).inverse()
 
 
-def unipotent_transpose_word(z, x):
-    """n(z, x)^t as a Word: the inverse of the letters decompose writes for
-    (n(z, x)^t)^-1."""
+def unipotent_transpose_word(p, q, x):
+    """n(z, x)^t, z = p + q*zeta, as a Word: the inverse of the letters
+    decompose writes for (n(z, x)^t)^-1."""
     letters = []
-    _transpose_inverse_letters(letters, z.a, z.b, x)
+    _transpose_inverse_letters(letters, p, q, x)
     return Word(letters).inverse()
 
 
-def make_n_transpose(z, x):
-    """The transpose of make_n(z, x)."""
-    return make_n(z, x).transpose()
+def make_n_transpose(p, q, x):
+    """The transpose of make_n(p, q, x)."""
+    return make_n(p, q, x).transpose()
 
 
 def unitriangular_times(u, g):
@@ -933,10 +1031,9 @@ def predicate_scan_presentation(ambient, membership, max_index=512):
 
 def X_of(g: GroupMatrix) -> EisensteinInt:
     """-a when the bottom-left entry a is nonzero, else the bottom-right entry c."""
-    a = g.entry(2, 0)
+    a, _, c = entries_of(g)[2]
     if not a.is_zero():
         return -a
-    c = g.entry(2, 2)
     if c.is_zero():
         raise ValueError("matrix has a zero bottom row; not in the group")
     return c
@@ -959,7 +1056,7 @@ def reference_eps(u: EisensteinInt, v: EisensteinInt) -> int:
 def reference_sigma(g: GroupMatrix, h: GroupMatrix) -> int:
     """The integer cocycle sigma(g, h) on EisensteinInt values, from g * h."""
     gh = g * h
-    j = gh.entry(2, 2) - 2 * gh.entry(2, 0)
+    j = EisensteinInt(*gh.entry(2, 2)) - 2 * EisensteinInt(*gh.entry(2, 0))
     x_g, x_h, x_gh = X_of(g), X_of(h), X_of(gh)
     x_g_x_h = x_g * x_h
     return (
@@ -1031,16 +1128,14 @@ def _log_branch(z: complex) -> complex:
 
 def j_factor(g, tau: BallPoint) -> complex:
     """C*tau + D for the bottom row of g split as 1x2 and 1x1 blocks."""
-    a, b, c = (embed(entry) for entry in g[2])
+    a, b, c = (embed(entry) for entry in entries_of(g)[2])
     return a * tau.tau1 + b * tau.tau2 + c
 
 
 def act(g, tau: BallPoint) -> BallPoint:
     """Fractional-linear action (A*tau + B) / (C*tau + D)."""
     column = (tau.tau1, tau.tau2, 1.0)
-    images = [
-        sum(embed(g[i][k]) * column[k] for k in range(3)) for i in range(3)
-    ]
+    images = [sum(embed(e) * t for e, t in zip(row, column)) for row in entries_of(g)]
     denominator = images[2]
     return BallPoint(images[0] / denominator, images[1] / denominator)
 

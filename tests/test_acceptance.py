@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from su21.cocycle import sigma
-from su21.eisenstein import EisensteinInt
 from su21.fpgroup import evaluate_word, lift_word, upsilon_presentation
 from su21.gendecomp import _descend_step, decompose, first_column_height
 from su21.matgroup import (
@@ -26,6 +25,7 @@ from helpers import (
     BASE_POINT,
     FALLBACK_BASE_POINTS,
     BallPoint,
+    EisensteinInt,
     LatticeOracle,
     X_of,
     central_commutator_witness,
@@ -231,11 +231,10 @@ def test_criterion_07_decomposition_round_trip():
         height = first_column_height(current)
         while height > 1:
             (p, q, x, transpose), coords, _ = _descend_step(current.coords)
-            z = EisensteinInt(p, q)
-            reduced = (make_n_transpose(z, x) if transpose else make_n(z, x)) * current
+            reduced = (make_n_transpose if transpose else make_n)(p, q, x) * current
             assert reduced.coords == coords
             pivot = current[0][0] if transpose else current[2][0]
-            assert reduced[1][0].norm() <= pivot.norm()
+            assert EisensteinInt(*reduced[1][0]).norm() <= EisensteinInt(*pivot).norm()
             new_height = first_column_height(reduced)
             assert new_height < height
             current, height = reduced, new_height
@@ -265,11 +264,11 @@ def test_criterion_08_f_map_suite():
     # displayed formula (z, x/2, 0, 0) on random unipotents; division by 2
     # mod 3 is multiplication by 2
     for _ in range(200):
-        z = EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
-        x = 2 * rng.randint(-5, 5) + (z.norm() % 2)
-        r = (z.a + z.b) % 3  # zeta = 1 mod sqrt(-3)
-        assert F_map(make_n(z, x)) == (r, (2 * x) % 3, 0, 0)
-        assert F_map(make_n_transpose(z, x)) == (0, 0, r, (2 * x) % 3)
+        p, q = rng.randint(-4, 4), rng.randint(-4, 4)
+        x = 2 * rng.randint(-5, 5) + (EisensteinInt(p, q).norm() % 2)
+        r = (p + q) % 3  # zeta = 1 mod sqrt(-3)
+        assert F_map(make_n(p, q, x)) == (r, (2 * x) % 3, 0, 0)
+        assert F_map(make_n_transpose(p, q, x)) == (0, 0, r, (2 * x) % 3)
 
     checked = 0
     for _ in range(1000):

@@ -21,6 +21,8 @@ from su21.matgroup import (
     generators_upsilon,
 )
 
+from helpers import scaled
+
 GENERATORS = generators_upsilon()
 
 
@@ -270,7 +272,7 @@ def test_sigma_round_trip(tmp_path, capsys):
 
 
 def test_sigma_rejects_non_unitary(tmp_path, capsys):
-    bad = write_matrix(tmp_path, "bad.json", IDENTITY.scalar_mul(2))
+    bad = write_matrix(tmp_path, "bad.json", scaled(IDENTITY, 2))
     good = write_matrix(tmp_path, "good.json", IDENTITY)
     assert main(["sigma", "--g", bad, "--h", good]) == 1
     assert "not in the unitary group" in capsys.readouterr().err
@@ -278,12 +280,25 @@ def test_sigma_rejects_non_unitary(tmp_path, capsys):
 
 def test_sigma_names_the_determinant_of_minus_identity(tmp_path, capsys):
     """-I is J-unitary; only its determinant, -1, keeps it out of the group."""
-    minus_identity = write_matrix(tmp_path, "minus.json", IDENTITY.scalar_mul(-1))
+    minus_identity = write_matrix(tmp_path, "minus.json", scaled(IDENTITY, -1))
     good = write_matrix(tmp_path, "good.json", IDENTITY)
     assert main(["sigma", "--g", good, "--h", minus_identity]) == 1
     err = capsys.readouterr().err
     assert "h is unitary but has determinant -1, not 1" in err
     assert "not in the unitary group" not in err
+
+
+def test_sigma_names_a_determinant_with_a_zeta_part(tmp_path, capsys):
+    """diag(zeta, 1, zeta) is J-unitary with determinant zeta^2 = -1 - zeta."""
+    diag_zeta = GroupMatrix(
+        [[(0, 1), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (0, 1)]]
+    )
+    g = write_matrix(tmp_path, "diag.json", diag_zeta)
+    good = write_matrix(tmp_path, "good.json", IDENTITY)
+    assert main(["sigma", "--g", g, "--h", good]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: g is unitary but has determinant -1-1*zeta, not 1\n"
 
 
 def sigma_via_cli(tmp_path, capsys, g, h):
@@ -332,7 +347,7 @@ def test_sigma_beyond_float_range(tmp_path, capsys):
     # float can hold (the float sigma raised OverflowError here)
     rng = random.Random(23)
     g, h = random_reduced_element(rng, 1400), random_reduced_element(rng, 1400)
-    assert max(abs(e.b) for row in h.entries for e in row) > 10 ** 309
+    assert max(abs(b) for row in h.entries for _, b in row) > 10 ** 309
     value = sigma_via_cli(tmp_path, capsys, g, h)
     assert value == sigma(g, h)
     assert_cocycle_identity(g, h, value)
@@ -348,13 +363,26 @@ def test_sigma_unreadable_file(tmp_path, capsys):
     assert main(["sigma", "--g", str(garbled), "--h", good]) == 2
 
 
+def _identity_with_cell(cell):
+    """The JSON entries of I with entry (1, 2) replaced by cell."""
+    return [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], cell], [[0, 0], [0, 0], [1, 0]]]
+
+
 @pytest.mark.parametrize(
     "entries",
     [
         [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-        [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], None], [[0, 0], [0, 0], [1, 0]]],
+        _identity_with_cell(None),
+        _identity_with_cell([1, True]),
+        _identity_with_cell([1.0, 2]),
+        _identity_with_cell([1, 2, 3]),
+        _identity_with_cell([1]),
+        _identity_with_cell("ab"),
     ],
-    ids=["int-cells", "null-cell"],
+    ids=[
+        "int-cells", "null-cell", "bool-coordinate", "float-coordinate", "triple", "single",
+        "string",
+    ],
 )
 def test_malformed_matrix_is_parse_error(tmp_path, capsys, entries):
     bad = tmp_path / "bad.json"

@@ -14,15 +14,17 @@ from su21.cocycle import (
     cover_mul,
     sigma,
 )
-from su21.eisenstein import ONE, ZERO, ZETA, EisensteinInt
 from su21.fpgroup import evaluate_word, upsilon_presentation
 from su21.matgroup import IDENTITY, ZETA_IDENTITY, GroupMatrix, generators_upsilon, make_n
 from helpers import (
     BASE_POINT,
     FALLBACK_BASE_POINTS,
+    ONE,
     SIGMA_TOLERANCE,
+    ZETA,
     BallPoint,
     BranchToleranceError,
+    EisensteinInt,
     X_of,
     act,
     embed,
@@ -91,13 +93,14 @@ def test_j_factor_cocycle_rule():
 
 
 def test_x_of_branches():
-    n3 = make_n(ZERO, 2)
+    n3 = make_n(0, 0, 2)
     # zero lower-left entry: the corner is used
-    assert _x(*_bottom_corners(n3)) == tuple(ONE.to_pair())
+    assert _x(*_bottom_corners(n3)) == ONE.pair()
     assert X_of(n3) == ONE
     n5 = n3.transpose()
-    assert _x(*_bottom_corners(n5)) == tuple((-n5[2][0]).to_pair())
-    assert X_of(n5) == -n5[2][0]
+    minus_a = -EisensteinInt(*n5[2][0])
+    assert _x(*_bottom_corners(n5)) == minus_a.pair()
+    assert X_of(n5) == minus_a
     zero_row = _zero_bottom_row_matrix()
     with pytest.raises(ValueError):
         _x(*_bottom_corners(zero_row))
@@ -110,20 +113,16 @@ def test_x_of_branches():
 
 def _bottom_corners(g):
     """The coordinates (a0, a1, c0, c1) of the bottom row's entries a and c."""
-    a, _, c = g[2]
-    return a.a, a.b, c.a, c.b
+    (a0, a1), _, (c0, c1) = g[2]
+    return a0, a1, c0, c1
 
 
 def _zero_bottom_row_matrix():
-    from su21.eisenstein import ZERO, EisensteinInt
-    from su21.matgroup import GroupMatrix
-
-    one = EisensteinInt(1, 0)
     return GroupMatrix(
         (
-            (one, ZERO, ZERO),
-            (ZERO, one, ZERO),
-            (ZERO, ZERO, ZERO),
+            ((1, 0), (0, 0), (0, 0)),
+            ((0, 0), (1, 0), (0, 0)),
+            ((0, 0), (0, 0), (0, 0)),
         )
     )
 
@@ -315,7 +314,7 @@ def test_sigma_matches_reference(monkeypatch):
     rng = random.Random(21)
     elements = _elements_pairs(rng, 20)
     corner = _zero_corner_pairs(rng, 20)
-    assert all((g * h).entry(2, 0).is_zero() for g, h in corner)
+    assert all((g * h).entry(2, 0) == (0, 0) for g, h in corner)
     relators = _relator_lift_pairs(monkeypatch)
     assert (len(elements), len(corner), len(relators)) == (80, 61, 156)
     values = Counter()
@@ -328,8 +327,8 @@ def test_sigma_matches_reference(monkeypatch):
 
 def test_sigma_forms_no_product_and_no_eisenstein_int(monkeypatch):
     """sigma reads bottom rows and multiplies coordinate pairs only: no
-    GroupMatrix product and no EisensteinInt, on the seeded pairs of
-    test_sigma_matches_reference."""
+    GroupMatrix product, on the seeded pairs of test_sigma_matches_reference.
+    The package has no Eisenstein integer type to build."""
     rng = random.Random(21)
     pairs = _elements_pairs(rng, 20) + _zero_corner_pairs(rng, 20)
     counts = Counter()
@@ -342,9 +341,6 @@ def test_sigma_forms_no_product_and_no_eisenstein_int(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("product", GroupMatrix.__mul__))
-    monkeypatch.setattr(
-        EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
-    )
     for g, h in pairs:
         sigma(g, h)
     assert counts == {}

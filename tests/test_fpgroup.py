@@ -12,10 +12,11 @@ from su21.fpgroup import (
     reidemeister_schreier,
     upsilon_presentation,
 )
-from su21.eisenstein import SQRT_MINUS3
 from su21.matgroup import IDENTITY, SubgroupSpec, all_index3_vectors
 from helpers import (
     GENERATORS,
+    SQRT_MINUS3,
+    EisensteinInt,
     all_coset_rows,
     coset_representatives,
     cyclic_shift,
@@ -203,8 +204,7 @@ N1, N2 = GENERATORS[0], GENERATORS[1]
 
 def translation(g):
     """(a, b) with g[0][1] = sqrt(-3) * (a + b*zeta)."""
-    q = g[0][1].div_exact(SQRT_MINUS3)
-    return q.a, q.b
+    return EisensteinInt(*g[0][1]).div_exact(SQRT_MINUS3).pair()
 
 
 def exponent_sum_action(modulus, generators):

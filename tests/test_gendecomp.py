@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from su21 import gendecomp, matgroup
-from su21.eisenstein import SQRT_MINUS3, EisensteinInt
 from su21.fpgroup import Word, evaluate_word
 from su21.gendecomp import (
     CHUNK,
     N2_TRANSPOSE_WORD,
+    _base_case_parameters,
     _descend_step,
     _letter_factors,
     _rounded_half,
@@ -31,6 +31,7 @@ from su21.matgroup import (
     make_n,
 )
 from helpers import (
+    EisensteinInt,
     fraction_rounded_half,
     letterwise_word_coords,
     make_n_transpose,
@@ -130,23 +131,23 @@ def test_rounded_half_matches_fraction_formula():
 def test_first_column_height():
     assert first_column_height(IDENTITY) == 1
     n4 = GENERATORS[3]
-    assert first_column_height(n4) == n4[0][0].norm() + n4[2][0].norm()
+    assert first_column_height(n4) == sum(EisensteinInt(*n4[i][0]).norm() for i in (0, 2))
 
 
 def test_unipotent_word_matches_matrix():
     rng = random.Random(42)
     for _ in range(80):
-        z = EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
-        x = 2 * rng.randint(-5, 5) + (z.norm() % 2)
-        assert ev(unipotent_word(z, x)) == make_n(z, x)
-        assert ev(unipotent_transpose_word(z, x)) == make_n_transpose(z, x)
+        p, q = rng.randint(-4, 4), rng.randint(-4, 4)
+        x = 2 * rng.randint(-5, 5) + (EisensteinInt(p, q).norm() % 2)
+        assert ev(unipotent_word(p, q, x)) == make_n(p, q, x)
+        assert ev(unipotent_transpose_word(p, q, x)) == make_n_transpose(p, q, x)
 
 
 def test_unipotent_word_parity_check():
     with pytest.raises(ValueError):
-        unipotent_word(EisensteinInt(1, 0), 0)
+        unipotent_word(1, 0, 0)
     with pytest.raises(ValueError):
-        unipotent_transpose_word(EisensteinInt(0, 0), 1)
+        unipotent_transpose_word(0, 0, 1)
 
 
 def test_n2_transpose_word_identity():
@@ -178,8 +179,7 @@ def test_descend_step_strictly_decreases_height():
         h = first_column_height(g)
         while h > 1:
             (p, q, x, transpose), coords, h2 = _descend_step(g.coords)
-            z = EisensteinInt(p, q)
-            reduced = (make_n_transpose(z, x) if transpose else make_n(z, x)) * g
+            reduced = (make_n_transpose if transpose else make_n)(p, q, x) * g
             assert reduced.coords == coords
             assert h2 == first_column_height(reduced) < h
             g, h = reduced, h2
@@ -196,7 +196,7 @@ def _large_entry_elements(rng, count):
             bound = 10 ** rng.randint(20, 40)
             z = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
             x = 2 * rng.randint(-bound, bound) + z.norm() % 2
-            g = g * (make_n_transpose if i % 2 else make_n)(z, x) * ev(random_word(rng, 8))
+            g = g * (make_n_transpose if i % 2 else make_n)(*z.pair(), x) * ev(random_word(rng, 8))
         elements.append(g)
     return elements
 
@@ -209,7 +209,7 @@ def test_descend_step_matches_eisenstein_oracle():
     elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
     elements += _large_entry_elements(rng, 6)
     digits = max(
-        len(str(abs(v))) for g in elements for row in g.entries for e in row for v in (e.a, e.b)
+        len(str(abs(v))) for g in elements for row in g.entries for e in row for v in e
     )
     branches = Counter()
     for g in elements:
@@ -234,16 +234,13 @@ def test_decompose_round_trips():
 def test_descent_work_is_pinned(monkeypatch):
     """Total descent steps and word letters over a seeded set of elements,
     so that a change of nearest point or of tie-breaking shows; and the
-    work decompose does on them, from an empty chunk memo: one div_exact
-    (z of the base case) and one make_n (its check) per call, one Word
-    (the result) per call, one unitriangular kernel product (_upper_times)
-    per step, per chunk of the word check and per letter of each new memo
-    entry, one general matrix product per call (the unitarity test of
-    membership), and the EisensteinInt values it builds, all per call: the
-    value of det(), the base case's two entry reads, the three values of
-    its division and its make_n corner.  The memo then holds one entry per
-    distinct chunk, each of at most CHUNK letters, keyed by the letter
-    table's own pairs."""
+    work decompose does on them, from an empty chunk memo: one make_n (the
+    base case's check) per call, one Word (the result) per call, one
+    unitriangular kernel product (_upper_times) per step, per chunk of the
+    word check and per letter of each new memo entry, and one general
+    matrix product per call (the unitarity test of membership).  The memo
+    then holds one entry per distinct chunk, each of at most CHUNK
+    letters, keyed by the letter table's own pairs."""
     rng = random.Random(48)
     elements = [ev(random_word(rng, 64, min_len=8)) for _ in range(20)]
     steps = 0
@@ -261,9 +258,6 @@ def test_descent_work_is_pinned(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        EisensteinInt, "div_exact", counted("div_exact", EisensteinInt.div_exact)
-    )
     counted_make_n = counted("make_n", matgroup.make_n)
     monkeypatch.setattr(matgroup, "make_n", counted_make_n)
     monkeypatch.setattr(gendecomp, "make_n", counted_make_n)
@@ -272,20 +266,15 @@ def test_descent_work_is_pinned(monkeypatch):
     counted_kernel = counted("unitriangular", matgroup._upper_times)
     monkeypatch.setattr(matgroup, "_upper_times", counted_kernel)
     monkeypatch.setattr(gendecomp, "_upper_times", counted_kernel)
-    monkeypatch.setattr(
-        EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__)
-    )
     memo = {}
     monkeypatch.setattr(gendecomp, "_CHUNK_FACTORS", memo)
     letters = sum(len(decompose(g)) for g in elements)
     assert (steps, letters) == (300, 1003)
     assert counts == {
-        "div_exact": 20,
         "make_n": 20,
         "Word": 20,
         "unitriangular": 300 + 466 + 389,  # steps, chunks, letters of new entries
         "product": 20,
-        "EisensteinInt": 7 * 20,
     }
     assert len(memo) == 127
     assert sum(map(len, memo)) == 389
@@ -454,15 +443,27 @@ def test_descent_invariants_survive_python_optimize():
     assert done.stdout == "1 1 descent invariant failed: N(b') <= N(pivot)\n"
 
 
+def test_base_case_names_its_invariant():
+    """The base case reads z off entry (0, 1) = sqrt(-3) z by integer
+    division, and a height-1 matrix whose entry (0, 1) sqrt(-3) does not
+    divide, or that is not n(z, x), raises an AssertionError naming which."""
+    assert _base_case_parameters(make_n(-3, 5, 1).coords) == (-3, 5, 1)
+    coords = list(IDENTITY.coords)
+    coords[2:4] = 1, 0
+    with pytest.raises(AssertionError) as raised:
+        _base_case_parameters(tuple(coords))
+    assert str(raised.value) == "descent invariant failed: sqrt(-3) divides entry (0, 1)"
+    coords = list(make_n(2, 1, 1).coords)
+    coords[8] = 2
+    with pytest.raises(AssertionError, match="^height-1 element is not upper unipotent$"):
+        _base_case_parameters(tuple(coords))
+
+
 def test_decompose_rejects_non_members():
     with pytest.raises(ValueError):
         decompose(ZETA_IDENTITY)  # unit scalar, outside the unipotent group
     bad = GroupMatrix(
-        [
-            [EisensteinInt(2, 0), EisensteinInt(0, 0), EisensteinInt(0, 0)],
-            [EisensteinInt(0, 0), EisensteinInt(1, 0), EisensteinInt(0, 0)],
-            [EisensteinInt(0, 0), EisensteinInt(0, 0), EisensteinInt(2, 0)],
-        ]
+        [[(2, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (2, 0)]]
     )
     with pytest.raises(ValueError):
         decompose(bad)

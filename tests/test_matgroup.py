@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from su21.eisenstein import ONE, SQRT_MINUS3, ZERO, ZETA, EisensteinInt
 from su21.fpgroup import evaluate_word
 from su21.matgroup import (
     IDENTITY,
@@ -13,6 +12,7 @@ from su21.matgroup import (
     GroupMatrix,
     SubgroupSpec,
     all_index3_vectors,
+    format_entry,
     generators_upsilon,
     in_gamma_sqrt3,
     in_upsilon,
@@ -22,14 +22,21 @@ from su21.matgroup import (
 from helpers import (
     GENERATORS,
     J,
+    ONE,
+    SQRT_MINUS3,
+    ZERO,
+    ZETA,
+    EisensteinInt,
     conj_transpose,
     divided_f_coordinates,
     divides,
     divided_n_corner,
+    entries_of,
     in_gamma_beta,
     in_index3,
     lattice_specs,
     make_n_transpose,
+    matrix_of,
     random_eisenstein,
     random_upsilon_element,
     random_word,
@@ -37,6 +44,7 @@ from helpers import (
     reference_inverse,
     reference_is_unitary,
     reference_product,
+    scaled,
     spec_coset_key,
     spec_membership,
     unitriangular_times,
@@ -46,20 +54,20 @@ from helpers import (
 def test_j_is_antidiagonal():
     for i in range(3):
         for j in range(3):
-            assert J[i][j] == (ONE if i + j == 2 else ZERO)
+            assert J[i][j] == ((1, 0) if i + j == 2 else (0, 0))
 
 
 def test_identity_and_zeta_identity():
     assert IDENTITY.is_unitary()
-    assert IDENTITY.det() == ONE
-    assert ZETA_IDENTITY == IDENTITY.scalar_mul(ZETA)
-    assert ZETA_IDENTITY.det() == ONE
+    assert IDENTITY.det() == (1, 0)
+    assert ZETA_IDENTITY == scaled(IDENTITY, ZETA)
+    assert ZETA_IDENTITY.det() == (1, 0)
     assert ZETA_IDENTITY.is_unitary()
 
 
 def test_make_n_shape():
     z = EisensteinInt(2, -1)
-    g = make_n(z, 1)
+    g = entries_of(make_n(2, -1, 1))
     assert g[0][0] == ONE and g[1][1] == ONE and g[2][2] == ONE
     assert g[0][1] == SQRT_MINUS3 * z
     assert g[1][2] == SQRT_MINUS3 * z.conj()
@@ -69,23 +77,24 @@ def test_make_n_shape():
     rng = random.Random(9)
     bound = 10**6
     for _ in range(20000):
-        z = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        p, q = rng.randint(-bound, bound), rng.randint(-bound, bound)
         x = rng.randint(-bound, bound)
-        x += (x - z.norm()) % 2
-        assert n_corner(z, x) == make_n(z, x)[0][2] == divided_n_corner(z, x)
+        x += (x - EisensteinInt(p, q).norm()) % 2
+        corner = divided_n_corner(EisensteinInt(p, q), x).pair()
+        assert n_corner(p, q, x) == make_n(p, q, x)[0][2] == corner
         with pytest.raises(ValueError):
-            n_corner(z, x + 1)
+            n_corner(p, q, x + 1)
 
 
 def test_make_n_parity_validation():
     # x must have the parity of N(z)
-    make_n(EisensteinInt(1, 0), 1)
-    make_n(EisensteinInt(1, 0), -3)
-    make_n(EisensteinInt(0, 0), 2)
+    make_n(1, 0, 1)
+    make_n(1, 0, -3)
+    make_n(0, 0, 2)
     with pytest.raises(ValueError):
-        make_n(EisensteinInt(1, 0), 2)
+        make_n(1, 0, 2)
     with pytest.raises(ValueError):
-        make_n(EisensteinInt(0, 0), 1)
+        make_n(0, 0, 1)
 
 
 def test_heisenberg_multiplication_law():
@@ -96,33 +105,31 @@ def test_heisenberg_multiplication_law():
         x = 2 * rng.randint(-9, 9) + z.norm() % 2
         y = 2 * rng.randint(-9, 9) + w.norm() % 2
         q = (z.conj() * w).b
-        assert make_n(z, x) * make_n(w, y) == make_n(z + w, x + y + 3 * q)
+        assert make_n(*z.pair(), x) * make_n(*w.pair(), y) == make_n(*(z + w).pair(), x + y + 3 * q)
 
 
 def test_unipotent_powers():
-    z = EisensteinInt(1, -2)
-    g = make_n(z, 1)
+    g = make_n(1, -2, 1)
     power = IDENTITY
     for p in range(1, 6):
         power = power * g
-        assert power == make_n(z * p, p)
+        assert power == make_n(p, -2 * p, p)
 
 
 def test_make_n_transpose():
-    z = EisensteinInt(2, 1)
-    assert make_n_transpose(z, 1) == make_n(z, 1).transpose()
+    assert make_n_transpose(2, 1, 1) == make_n(2, 1, 1).transpose()
 
 
 def test_generators_membership():
     n1, n2, n3, n4, n5 = generators_upsilon()
-    assert n1 == make_n(ONE, 1)
-    assert n2 == make_n(ZETA, 1)
-    assert n3 == make_n(ZERO, 2)
+    assert n1 == make_n(1, 0, 1)
+    assert n2 == make_n(0, 1, 1)
+    assert n3 == make_n(0, 0, 2)
     assert n4 == n1.transpose()
     assert n5 == n3.transpose()
     for g in (n1, n2, n3, n4, n5):
         assert g.is_unitary()
-        assert g.det() == ONE
+        assert g.det() == (1, 0)
         assert in_gamma_beta(g, SQRT_MINUS3)
         assert in_gamma_sqrt3(g)
         assert in_upsilon(g)
@@ -133,7 +140,7 @@ def test_random_words_stay_in_group():
     for _ in range(60):
         g = random_upsilon_element(rng, 12)
         assert g.is_unitary()
-        assert g.det() == ONE
+        assert g.det() == (1, 0)
         assert in_upsilon(g)
 
 
@@ -148,7 +155,7 @@ def test_inverse_and_transpose():
 
 
 def _digits(g):
-    return max(len(str(abs(c))) for row in g for e in row for c in (e.a, e.b))
+    return max(len(str(abs(c))) for row in g for e in row for c in e)
 
 
 def _large_elements(seed):
@@ -165,7 +172,7 @@ def _large_elements(seed):
 def _arbitrary_matrix(rng, bound):
     """A 3x3 matrix over Z[zeta], almost never unitary, with about a third
     of its entries zero and the rest of either sign up to bound."""
-    return GroupMatrix(
+    return matrix_of(
         [
             [ZERO if rng.random() < 1 / 3 else random_eisenstein(rng, bound) for _ in range(3)]
             for _ in range(3)
@@ -183,9 +190,8 @@ def test_product_matches_reference_on_group_elements():
             assert hash(product) == hash(reference_product(g, h))
             for row in product:
                 for e in row:
-                    assert type(e) is EisensteinInt
-                    assert type(e.a) is int and type(e.b) is int
-            assert product.det() == reference_det(product)
+                    assert type(e) is tuple and tuple(map(type, e)) == (int, int)
+            assert product.det() == reference_det(product).pair()
             assert GroupMatrix(product.entries) == product
 
 
@@ -196,7 +202,7 @@ def test_product_matches_reference_on_arbitrary_matrices():
             g = _arbitrary_matrix(rng, bound)
             h = _arbitrary_matrix(rng, bound)
             assert g * h == reference_product(g, h)
-            assert g.det() == reference_det(g)
+            assert g.det() == reference_det(g).pair()
             assert GroupMatrix(g.entries) == g
 
 
@@ -208,7 +214,7 @@ def _unitriangular_factors(rng):
         bound = 10**digits - 1
         z = EisensteinInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
         x = 2 * rng.randint(-bound, bound) + z.norm() % 2
-        factors += [make_n(z, x), make_n_transpose(z, x)]
+        factors += [make_n(*z.pair(), x), make_n_transpose(*z.pair(), x)]
     return factors
 
 
@@ -229,15 +235,15 @@ def test_unitriangular_times_matches_product():
 
 
 def test_unitriangular_times_rejects_other_factors():
-    n1 = GENERATORS[0]
-    changed_diagonal = GroupMatrix(
+    n1 = entries_of(GENERATORS[0])
+    changed_diagonal = matrix_of(
         [[n1[i][j] + (ONE if (i, j) == (1, 1) else ZERO) for j in range(3)] for i in range(3)]
     )
     # a unit diagonal with entries above and below it
-    both_sides = GroupMatrix(
+    both_sides = matrix_of(
         [[n1[i][j] + (ONE if (i, j) == (2, 0) else ZERO) for j in range(3)] for i in range(3)]
     )
-    minus_identity = IDENTITY.scalar_mul(EisensteinInt(-1, 0))
+    minus_identity = scaled(IDENTITY, -1)
     for u in (J, ZETA_IDENTITY, minus_identity, changed_diagonal, both_sides):
         with pytest.raises(ValueError, match="not unitriangular"):
             unitriangular_times(u, IDENTITY)
@@ -257,26 +263,25 @@ def test_inverse_matches_reference():
 
 
 def test_is_unitary_matches_reference():
-    z = EisensteinInt(2, -1)
-    n1 = GENERATORS[0]
-    changed = GroupMatrix(
+    n1 = entries_of(GENERATORS[0])
+    changed = matrix_of(
         [[n1[i][j] + (ONE if (i, j) == (1, 2) else ZERO) for j in range(3)] for i in range(3)]
     )
     unitary = [
         IDENTITY,
         J,
         ZETA_IDENTITY,
-        IDENTITY.scalar_mul(EisensteinInt(-1, 0)),
-        make_n_transpose(z, 1).scalar_mul(ZETA),
+        scaled(IDENTITY, -1),
+        scaled(make_n_transpose(2, -1, 1), ZETA),
         *GENERATORS,
         *_large_elements(15),
     ]
     not_unitary = [
-        IDENTITY.scalar_mul(EisensteinInt(2, 0)),
-        IDENTITY.scalar_mul(SQRT_MINUS3),
+        scaled(IDENTITY, 2),
+        scaled(IDENTITY, SQRT_MINUS3),
         changed,
-        make_n_transpose(z, 1).scalar_mul(EisensteinInt(2, 0)),
-        make_n_transpose(z, 1).scalar_mul(SQRT_MINUS3),
+        scaled(make_n_transpose(2, -1, 1), 2),
+        scaled(make_n_transpose(2, -1, 1), SQRT_MINUS3),
     ]
     rng = random.Random(16)
     not_unitary += [_arbitrary_matrix(rng, bound) for bound in (1, 50) for _ in range(50)]
@@ -308,14 +313,16 @@ def test_constructor_validates_entries():
     with pytest.raises(ValueError):
         GroupMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
-        GroupMatrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+        GroupMatrix([[(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)]])
     with pytest.raises(ValueError):
-        GroupMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
-    # every coordinate's type is int, as a pickle's restore requires
-    for odd in (EisensteinInt(True, 0), EisensteinInt(1.0, 0), EisensteinInt(1, 0.0)):
-        with pytest.raises(ValueError, match="int coordinates"):
-            GroupMatrix([[odd, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
-    g = GroupMatrix([[ONE, ZETA, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+        GroupMatrix([[(1, 0), (0, 0)], [(0, 0), (1, 0)], [(0, 0), (0, 0)]])
+    # every cell is a pair and every coordinate's type is int, as a
+    # pickle's restore requires
+    for odd in ((True, 0), (1.0, 0), (1, 0.0), ("1", 0), (1, 0, 0), (1,), "10", ONE):
+        with pytest.raises(ValueError, match="expected a pair of integers"):
+            GroupMatrix([[odd, (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]])
+    g = GroupMatrix([[(1, 0), (0, 1), (0, 0)], [(0, 0), [1, 0], (0, 0)], [(0, 0), (0, 0), (1, 0)]])
+    assert g.entries == (((1, 0), (0, 1), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (1, 0)))
     clone = pickle.loads(pickle.dumps(g))
     assert clone == g and clone.coords == g.coords
 
@@ -325,7 +332,7 @@ def test_det_multiplicative():
     for _ in range(40):
         g = random_upsilon_element(rng, 8)
         h = random_upsilon_element(rng, 8)
-        assert (g * h).det() == g.det() * h.det()
+        assert (g * h).det() == (EisensteinInt(*g.det()) * EisensteinInt(*h.det())).pair()
 
 
 def test_zeta_identity_outside_upsilon():
@@ -341,7 +348,7 @@ def test_in_gamma_beta_rejects():
 
 
 def _oracle_in_upsilon(g):
-    return in_gamma_beta(g, SQRT_MINUS3) and divides(EisensteinInt(3, 0), g[0][0] - ONE)
+    return in_gamma_beta(g, SQRT_MINUS3) and divides(EisensteinInt(3, 0), entries_of(g)[0][0] - ONE)
 
 
 def _check_membership(g):
@@ -368,20 +375,20 @@ def test_membership_matches_the_divisibility_oracle():
     for _ in range(100):
         g = random_upsilon_element(rng, 10)
         assert _check_membership(g) == (True, True)
-        for x in (ZETA_IDENTITY * g, g.scalar_mul(SQRT_MINUS3)):
+        for x in (ZETA_IDENTITY * g, scaled(g, SQRT_MINUS3)):
             seen[_check_membership(x)] += 1
     assert seen == {(True, False): 100, (False, False): 100}
-    diag_zeta = GroupMatrix([[ZETA, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ZETA]])
-    shear = GroupMatrix([[ONE, SQRT_MINUS3, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    diag_zeta = matrix_of([[ZETA, 0, 0], [0, 1, 0], [0, 0, ZETA]])
+    shear = matrix_of([[1, SQRT_MINUS3, 0], [0, 1, 0], [0, 0, 1]])
     # congruent to I, unitary, det zeta^2: only the det check rejects it
-    assert diag_zeta.is_unitary() and diag_zeta.det() == ZETA * ZETA
+    assert diag_zeta.is_unitary() and diag_zeta.det() == (ZETA * ZETA).pair()
     # congruent to I, det 1, not unitary: only the unitarity check rejects it
-    assert shear.det() == ONE and not shear.is_unitary()
+    assert shear.det() == (1, 0) and not shear.is_unitary()
     for g, expected in [
         (ZETA_IDENTITY, (True, False)),
         (diag_zeta, (False, False)),
         (shear, (False, False)),
-        (IDENTITY.scalar_mul(EisensteinInt(2, 0)), (False, False)),
+        (scaled(IDENTITY, 2), (False, False)),
     ]:
         assert _check_membership(g) == expected
 
@@ -394,7 +401,7 @@ def test_entry_rule_matches_the_divisibility_oracle(monkeypatch):
 
     def det(self):
         tails["det"] += 1
-        return ONE
+        return 1, 0
 
     def is_unitary(self):
         tails["is_unitary"] += 1
@@ -410,11 +417,11 @@ def test_entry_rule_matches_the_divisibility_oracle(monkeypatch):
             for i in range(3):
                 for j in range(3):
                     g = GroupMatrix(
-                        [[z if (r, c) == (i, j) else IDENTITY[r][c] for c in range(3)] for r in range(3)]
+                        [[(a, b) if (r, c) == (i, j) else IDENTITY[r][c] for c in range(3)] for r in range(3)]
                     )
                     congruent = divides(SQRT_MINUS3, z - (1 if i == j else 0))
                     assert in_gamma_sqrt3(g) == congruent
-                    expected = congruent and divides(three, g[0][0] - ONE)
+                    expected = congruent and divides(three, entries_of(g)[0][0] - ONE)
                     assert in_upsilon(g) == expected
                     members += congruent
     # of the 169 values, 57 have a + b = 0 mod 3 and 56 have a + b = 1; each
@@ -424,8 +431,20 @@ def test_entry_rule_matches_the_divisibility_oracle(monkeypatch):
 
 
 def test_scalar_matrix_not_unitary_unless_unit():
-    g = IDENTITY.scalar_mul(EisensteinInt(2, 0))
+    g = scaled(IDENTITY, 2)
     assert not g.is_unitary()
+
+
+def test_format_entry_and_str():
+    """An entry a + b*zeta prints as a, b*zeta or a+b*zeta with b's sign."""
+    cases = {(3, 0): "3", (0, 0): "0", (0, 1): "1*zeta", (0, -2): "-2*zeta",
+             (-1, -1): "-1-1*zeta", (2, 5): "2+5*zeta", (-7, 0): "-7"}
+    assert {pair: format_entry(*pair) for pair in cases} == cases
+    assert str(matrix_of([[ZETA, 0, 0], [0, 1, 0], [-1 - ZETA, 0, ZETA]])) == (
+        "[   1*zeta          0          0]\n"
+        "[        0          1          0]\n"
+        "[-1-1*zeta          0     1*zeta]"
+    )
 
 
 def test_f_map_generator_values():
@@ -449,7 +468,7 @@ def test_f_map_is_homomorphism():
         assert fgh == tuple((x + y) % 3 for x, y in zip(fg, fh))
         for x, fx in ((g, fg), (h, fh), (g * h, fgh)):
             assert fx == divided_f_coordinates(x)
-            largest = max(largest, *(abs(e.a) + abs(e.b) for row in x.entries for e in row))
+            largest = max(largest, *(abs(a) + abs(b) for row in x.entries for a, b in row))
     assert largest > 10**20
 
 
@@ -662,7 +681,7 @@ def test_json_round_trip():
 def test_entry_and_rows_read_the_coordinates():
     rng = random.Random(15)
     for _ in range(20):
-        rows = [[random_eisenstein(rng, 10**6) for _ in range(3)] for _ in range(3)]
+        rows = [[random_eisenstein(rng, 10**6).pair() for _ in range(3)] for _ in range(3)]
         g = GroupMatrix(rows)
         assert [[g.entry(i, j) for j in range(3)] for i in range(3)] == rows
         assert [list(row) for row in g] == [list(row) for row in g.entries] == rows
@@ -678,6 +697,6 @@ def test_matrix_immutability_and_hash():
     g = generators_upsilon()[0]
     with pytest.raises(AttributeError):
         g.entries = ()
-    h = make_n(ONE, 1)
+    h = make_n(1, 0, 1)
     assert hash(g) == hash(h)
     assert len({g, h}) == 1

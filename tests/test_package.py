@@ -15,7 +15,6 @@ README = SRC.parents[1] / "README.md"
 # weight_denominator_of raises
 API = [
     "DenominatorReport",
-    "EisensteinInt",
     "GroupMatrix",
     "IndexOverflowError",
     "InfiniteOrderError",
@@ -32,7 +31,6 @@ API = [
 
 # names the package namespace used to re-export, by the module defining them
 MODULE_ONLY = {
-    "eisenstein": ("NotDivisibleError", "ONE", "SQRT_MINUS3", "ZERO", "ZETA"),
     "matgroup": (
         "F_map", "IDENTITY", "ZETA_IDENTITY", "all_index3_vectors",
         "in_gamma_sqrt3", "in_upsilon", "make_n",
@@ -56,15 +54,17 @@ def test_star_import_resolves_every_exported_name():
     exec("from su21 import *", namespace)  # raises AttributeError on a stale name
     assert su21.__all__ == API
     assert [name for name in su21.__all__ if name not in namespace] == []
-    # helpers that only tests called live in tests/helpers.py
-    for removed in ("order_of_last_coordinate", "central_commutator_witness"):
+    # helpers that only tests called live in tests/helpers.py, and so does
+    # EisensteinInt, the reference arithmetic of the package's (a, b) pairs
+    for removed in ("order_of_last_coordinate", "central_commutator_witness", "EisensteinInt"):
         assert not hasattr(su21, removed)
+    assert importlib.util.find_spec("su21.eisenstein") is None
 
 
 def test_other_names_import_only_from_their_modules():
     """Each name dropped from the package namespace is still defined in
     its own module, so only the second import path went."""
-    assert sum(len(names) for names in MODULE_ONLY.values()) == 31
+    assert sum(len(names) for names in MODULE_ONLY.values()) == 26
     for module_name, names in MODULE_ONLY.items():
         module = importlib.import_module("su21." + module_name)
         for name in names:
@@ -141,18 +141,15 @@ def test_module_imports_are_top_level_and_used(path):
     assert _import_problems(path) == []
 
 
-# Value writes the protocol of the immutable value types once; EisensteinInt
-# also writes equality and hashing, since a real one equals its int, and
-# GroupMatrix extends Value's __setstate__ with a check of its coordinates,
-# since a pickle from before that field existed holds rows of EisensteinInt
+# Value writes the protocol of the immutable value types once; GroupMatrix
+# extends Value's __setstate__ with a check of its coordinates, since a
+# pickle from before that field existed holds its rows
 PROTOCOL = {"__setattr__", "__delattr__", "__reduce__", "__setstate__", "__eq__", "__hash__"}
 WRITES_PROTOCOL = {
     "Value": PROTOCOL,
-    "EisensteinInt": {"__eq__", "__hash__"},
     "GroupMatrix": {"__setstate__"},
 }
 VALUE_TYPES = {
-    "eisenstein": ("EisensteinInt",),
     "matgroup": ("GroupMatrix", "SubgroupSpec"),
     "fpgroup": ("Word", "Presentation"),
     "cocycle": ("CoverElement",),

@@ -9,7 +9,6 @@ import pytest
 
 from su21 import cocycle, matgroup, weightdenom
 from su21.cocycle import COVER_IDENTITY, CoverElement
-from su21.eisenstein import EisensteinInt
 from su21.fpgroup import (
     HELD_BACK,
     CosetGraph,
@@ -41,6 +40,7 @@ from su21.zlinalg import cokernel_invariants, hermite_normal_form
 from helpers import (
     SYMMETRIES,
     BallPoint,
+    EisensteinInt,
     all_rows_report,
     central_commutator_witness,
     coset_representatives,
@@ -716,8 +716,8 @@ def test_warm_survey_and_gamma3_counters(monkeypatch):
     """Deterministic work with upsilon_presentation() already built, a
     regression gate for the survey: enumeration steps on the points of the
     coset action, so the 40 index-3 groups and gamma3 make no matrix
-    product and no EisensteinInt value."""
-    counts = {"mul": 0, "EisensteinInt": 0}
+    product."""
+    counts = {"mul": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -729,15 +729,14 @@ def test_warm_survey_and_gamma3_counters(monkeypatch):
     def work(run):
         counts.update(dict.fromkeys(counts, 0))
         run()
-        return counts["mul"], counts["EisensteinInt"]
+        return counts["mul"]
 
     upsilon_presentation()
     gamma3 = SubgroupSpec.parse("gamma3")
     gamma3.coset_action()  # F_map of the five generators, once per process
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
-    monkeypatch.setattr(EisensteinInt, "__init__", counted("EisensteinInt", EisensteinInt.__init__))
-    assert work(survey_index3) == (0, 0)
-    assert work(lambda: weight_denominator_of(gamma3)) == (0, 0)
+    assert work(survey_index3) == 0
+    assert work(lambda: weight_denominator_of(gamma3)) == 0
 
 
 def test_gamma3_and_survey_leave_gamma_sqrt3_presentation_unbuilt():
