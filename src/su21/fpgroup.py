@@ -172,10 +172,6 @@ class Presentation(Value):
         )
 
 
-# Relators 11-13 of upsilon and gamma_sqrt3, the longest: their rows are held back from elimination.
-HELD_BACK = range(10, 13)
-
-
 @lru_cache(maxsize=None)
 def upsilon_presentation() -> Presentation:
     """The five-generator, thirteen-relator presentation of the group

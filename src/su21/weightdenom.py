@@ -15,20 +15,18 @@ each <w>-orbit straight into these sparse rows, taking each z entry from
 the ambient relator's lift; sigma is evaluated only to lift those
 relators, once per process per ambient group.
 
-The sparse rows are shrunk by unit-pivot elimination, with the rows of the
-fpgroup.HELD_BACK relators rewritten after it, before a single Hermite
+The sparse rows are shrunk by unit-pivot elimination, which eliminates on
+the shortest rows and rewrites the rest after it, before a single Hermite
 normal form of the distinct nonzero rows left, which gives d; its nonzero
 rows give the invariants.
 """
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from typing import NamedTuple
 
 from .fpgroup import (
-    HELD_BACK,
     IndexOverflowError,
     OracleInconsistencyError,
     gamma_sqrt3_presentation,
@@ -42,9 +40,6 @@ from .zlinalg import (
     hermite_normal_form,
     last_coordinate_order_of_hnf,
 )
-
-_log = logging.getLogger(__name__)
-
 
 class InfiniteOrderError(RuntimeError):
     """The central generator has infinite image in the abelianization.
@@ -71,18 +66,14 @@ class DenominatorReport(NamedTuple):
 
 
 def weight_denominator(
-    rows, cols: int, held_back=(), *, group=None, index_in_upsilon=None
+    rows, cols: int, *, group=None, index_in_upsilon=None
 ) -> DenominatorReport:
     """Weight denominator of a group, plus the abelian invariants of its
     central extension, from that extension's abelianized relations: rows
-    and held_back are lists of sparse rows {column: nonzero int} over cols
-    columns, one per relator, with the central generator z last; only rows
-    are eliminated on, relator_count counts both.  The rows are consumed."""
-    reduced, kept = eliminate_unit_pivots(rows, cols, held_back)
-    if _log.isEnabledFor(logging.DEBUG):
-        substituted = reduced[len(reduced) - len(held_back) :]
-        message = "held-back rows: %d, %d nonzero after substitution"
-        _log.debug(message, len(substituted), sum(map(any, substituted)))
+    is a list of sparse rows {column: nonzero int} over cols columns, one
+    per relator, with the central generator z last.  The rows are
+    consumed."""
+    reduced, kept = eliminate_unit_pivots(rows, cols)
     distinct = [row for row in dict.fromkeys(reduced) if any(row)]  # the same lattice
     nonzero = [row for row in hermite_normal_form(distinct) if any(row)]
     order = last_coordinate_order_of_hnf(nonzero)
@@ -95,7 +86,7 @@ def weight_denominator(
         group=group,
         index_in_upsilon=index_in_upsilon,
         generator_count=cols - 1,
-        relator_count=len(rows) + len(held_back),
+        relator_count=len(rows),
         weight_denominator=order,
         torsion_invariants=torsion,
         free_rank=free_rank,
@@ -128,10 +119,9 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             "%s: coset enumeration found index %d, expected %d"
             % (spec.name(), graph.index, expected)
         )
-    held = [row for k in HELD_BACK for row in rows[k]]
-    rows = [row for k, traced in enumerate(rows) if k not in HELD_BACK for row in traced]
+    rows = [row for traced in rows for row in traced]
     report = weight_denominator(
-        rows, generator_count + 1, held, group=spec.name(), index_in_upsilon=index_in_upsilon
+        rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
     )
     return report._replace(relator_count=len(ambient.relators) * expected)
 

@@ -5,10 +5,10 @@ All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
 of Havas, Holt and Rees (1993), which removes every generator that a
-relation expresses in terms of the others (rewriting any rows held back)
-and leaves the quotient and the class of the last coordinate unchanged;
-only its small result becomes dense rows.  The normal forms copy their
-input and never change it.
+relation expresses in terms of the others (eliminating on the shortest
+rows and rewriting the rest afterwards) and leaves the quotient and the
+class of the last coordinate unchanged; only its small result becomes
+dense rows.  The normal forms copy their input and never change it.
 """
 
 from __future__ import annotations
@@ -18,19 +18,55 @@ from math import gcd, lcm
 
 _log = logging.getLogger(__name__)
 
+# The shortest PIVOT_ROWS_PER_COLUMN * cols rows are eliminated on, the rest held back.
+PIVOT_ROWS_PER_COLUMN = 1.5
 
-def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
+
+def eliminate_unit_pivots(rows, cols: int) -> tuple:
     """Relations with the same cokernel and the same class of the last
-    coordinate as rows and held_back, lists of sparse rows {column: nonzero
-    int} over cols columns, which are consumed.  While a row has an entry
-    +-1 in a column other than the last, it expresses that column's
-    generator in terms of the others, so it is substituted into every other
-    row and the row and the column are dropped.  Held-back rows get no
-    fill-in and are never pivots; at the end each pivot column's value over
-    the kept columns, by back-substitution in reverse pivot order, rewrites
-    them: the same change of generators, so any split is exact.  Returns
-    (dense_rows, kept_cols): the nonzero rows left, then the held_back rows,
-    as int tuples over the kept_cols columns that were not pivots.
+    coordinate as rows, a list of sparse rows {column: nonzero int} over
+    cols columns, which is consumed, and with no entry +-1 off the last
+    column.  Returns (dense_rows, kept_cols): the nonzero rows left, in
+    input order, as int tuples over the kept_cols columns that were not
+    pivots.
+
+    Most rows of a tall relation matrix are never pivots, and substituting
+    into them is most of the fill-in, so only the shortest
+    PIVOT_ROWS_PER_COLUMN * cols rows (the earlier on equal lengths) are
+    eliminated on and the rest are held back and rewritten afterwards: the
+    excess-row pruning of structured Gaussian elimination (LaMacchia and
+    Odlyzko, 1990), exact over Z for any split.  If a rewritten row still
+    has an entry +-1 off the last column, the distinct rows left are
+    eliminated on once more, all of them.  Logs one DEBUG line with the
+    rows held back, how many are nonzero after substitution, and the
+    second passes run.
+    """
+    by_length = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    held = set(by_length[int(PIVOT_ROWS_PER_COLUMN * cols) :])
+    reduced, kept = _eliminate(rows, cols, held)
+    second_passes = 0
+    if any(v == 1 or v == -1 for row in reduced for v in row[:-1]):
+        distinct = [{c: v for c, v in enumerate(row) if v} for row in dict.fromkeys(reduced)]
+        reduced, kept = _eliminate(distinct, kept)
+        second_passes = 1
+    if _log.isEnabledFor(logging.DEBUG):
+        message = "held-back rows: %d, %d nonzero after substitution; second passes: %d"
+        _log.debug(message, len(held), sum(1 for i in held if rows[i]), second_passes)
+    return reduced, kept
+
+
+def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
+    """eliminate_unit_pivots with a given split: the rows whose indices are
+    in held are held back, whatever they are.  While a row not held back
+    has an entry +-1 in a column other than the last, it expresses that
+    column's generator in terms of the others, so it is substituted into
+    every other such row and the row and the column are dropped.  Held-back
+    rows get no fill-in and are never pivots; at the end each pivot
+    column's value over the kept columns, by back-substitution in reverse
+    pivot order, rewrites them in place: the same change of generators, so
+    any split is exact.  Returns (dense_rows, kept_cols) as
+    eliminate_unit_pivots does; only with no row held back is no entry +-1
+    left off the last column.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
@@ -43,19 +79,21 @@ def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
     every round.  Each round that takes pivots logs one DEBUG line.
     """
     last = cols - 1
+    active = [i for i in range(len(rows)) if i not in held]
     holders = [set() for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for c in row:
+    for i in active:
+        for c in rows[i]:
             holders[c].add(i)
     cheapest_pivot = [None] * len(rows)
-    stale = set(range(len(rows)))
+    stale = set(active)
     pivots = []  # (col, sign, pivot row), in the order taken
     debug = _log.isEnabledFor(logging.DEBUG)
     limit = 0
     while True:
         taken = 0
         deferred = None
-        for i, row in enumerate(rows):
+        for i in active:
+            row = rows[i]
             if i in stale:
                 stale.discard(i)
                 col = None
@@ -106,7 +144,7 @@ def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
             if debug:
                 _log.debug(
                     "unit pivots: limit %d, %d taken, %d rows left",
-                    limit, taken, sum(1 for row in rows if row),
+                    limit, taken, sum(1 for i in active if rows[i]),
                 )
         elif deferred is None:
             break
@@ -125,8 +163,9 @@ def eliminate_unit_pivots(rows, cols: int, held_back=()) -> tuple:
 
     for col, sign, row in reversed(pivots):
         value[col] = over_kept(row, -sign)
-    rows = [row for row in rows if row] + [over_kept(row) for row in held_back]
-    return [tuple(row.get(c, 0) for c in kept) for row in rows], len(kept)
+    for i in held:
+        rows[i] = {c: v for c, v in over_kept(rows[i]).items() if v}
+    return [tuple(row.get(c, 0) for c in kept) for row in rows if row], len(kept)
 
 
 def hermite_normal_form(rows) -> list:

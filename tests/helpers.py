@@ -8,6 +8,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, floor, gcd
 
+import pytest
+
+from su21 import weightdenom, zlinalg
 from su21.fpgroup import (
     CosetGraph,
     IndexOverflowError,
@@ -36,7 +39,6 @@ from su21.matgroup import (
     n_corner,
 )
 from su21.value import Value
-from su21.weightdenom import weight_denominator
 from su21.zlinalg import hermite_normal_form, last_coordinate_order_of_hnf
 
 
@@ -673,27 +675,29 @@ def sparse_rows(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-def rescanning_elimination(rows, cols, events=None, held_back=(), kept_out=None):
-    """Unit-pivot elimination as zlinalg.eliminate_unit_pivots defines it,
-    written the direct way: every round costs every row afresh, scans the
-    rows in order and takes each row's cheapest unit pivot within the
-    round's limit, substituting into the other rows in index order; a round
-    that takes none raises the limit by one step of 0, 1, 3, 7, ...  The
-    rows and the held_back rows are consumed.  A given events Counter
-    counts the substitutions that empty a target row ("emptied") and the
-    entries filled in again after cancelling to 0 ("refilled"); a given
-    kept_out list receives the kept columns.  Returns (dense_rows,
-    kept_cols) as eliminate_unit_pivots does.
+def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
+    """Unit-pivot elimination as zlinalg._eliminate defines it, on the rows
+    whose indices are not in held, written the direct way: every round
+    costs every such row afresh, scans them in order and takes each row's
+    cheapest unit pivot within the round's limit, substituting into the
+    other such rows in index order; a round that takes none raises the
+    limit by one step of 0, 1, 3, 7, ...  The rows are consumed.  A given
+    events Counter counts the substitutions that empty a target row
+    ("emptied") and the entries filled in again after cancelling to 0
+    ("refilled"); a given kept_out list receives the kept columns.
+    Returns (dense_rows, kept_cols) as zlinalg._eliminate does: the
+    nonzero rows in input order.
 
-    Each held_back row is then rewritten by forward substitution, where
-    the package back-substitutes: the pivot rows, kept as they were when
-    taken, are subtracted from it in the order taken, each the multiple
-    that clears its pivot column."""
+    Each held row is then rewritten by forward substitution, where the
+    package back-substitutes: the pivot rows, kept as they were when taken,
+    are subtracted from it in the order taken, each the multiple that
+    clears its pivot column."""
     last = cols - 1
     holders = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
-        for c in row:
-            holders[c].add(i)
+        if i not in held:
+            for c in row:
+                holders[c].add(i)
     eliminated = set()
     pivots = []
     cancelled = set()
@@ -701,6 +705,8 @@ def rescanning_elimination(rows, cols, events=None, held_back=(), kept_out=None)
     while True:
         taken = deferred = False
         for i, row in enumerate(rows):
+            if i in held:
+                continue
             costs = [
                 ((len(row) - 1) * (len(holders[c]) - 1), c)
                 for c, v in row.items()
@@ -740,33 +746,35 @@ def rescanning_elimination(rows, cols, events=None, held_back=(), kept_out=None)
                 break
             limit = 2 * limit + 1
     for col, sign, row in pivots:
-        for other in held_back:
+        for other in (rows[i] for i in held):
             factor = other.get(col, 0) * sign
             for c, v in row.items():
                 other[c] = other.get(c, 0) - factor * v
     kept = [c for c in range(cols) if c not in eliminated]
     if kept_out is not None:
         kept_out.extend(kept)
-    rows = [row for row in rows if row] + list(held_back)
-    return [tuple(row.get(c, 0) for c in kept) for row in rows], len(kept)
+    dense = [tuple(row.get(c, 0) for c in kept) for row in rows]
+    return [row for row in dense if any(row)], len(kept)
 
 
 def all_rows_report(spec, rows, generator_count, graph):
     """The report of weight_denominator on all the relation rows of spec:
     every relator traced from every coset, expanded by all_coset_rows from
     the rows, one per orbit, that reidemeister_schreier returns with
-    generator_count and graph, and no relator held back.  That is one
-    elimination over every row, as the pipeline ran before it held
-    relators back and traced each relator once per orbit of its root.
-    The rows are not consumed."""
+    generator_count and graph, and no row held back.  That is one
+    elimination over every row, as the pipeline ran before it held rows
+    back and traced each relator once per orbit of its root.  The rows are
+    not consumed."""
     index_in_upsilon = None if spec.rows is None else spec.index_in_upsilon()
     ambient = gamma_sqrt3_presentation() if spec.rows is None else upsilon_presentation()
-    return weight_denominator(
-        all_coset_rows(ambient, graph, rows),
-        generator_count + 1,
-        group=spec.name(),
-        index_in_upsilon=index_in_upsilon,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weightdenom, "eliminate_unit_pivots", zlinalg._eliminate)
+        return weightdenom.weight_denominator(
+            all_coset_rows(ambient, graph, rows),
+            generator_count + 1,
+            group=spec.name(),
+            index_in_upsilon=index_in_upsilon,
+        )
 
 
 def shortest_root(word):

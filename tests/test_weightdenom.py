@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from su21 import cocycle, matgroup, weightdenom
+from su21 import cocycle, matgroup, weightdenom, zlinalg
 from su21.cocycle import COVER_IDENTITY, CoverElement
 from su21.fpgroup import (
-    HELD_BACK,
     CosetGraph,
     IndexOverflowError,
     OracleInconsistencyError,
@@ -460,20 +459,20 @@ def test_gamma3_counters(monkeypatch):
 
         return wrapper
 
-    def eliminating(rows, cols, held_back=()):
+    def eliminating(rows, cols, held=frozenset()):
         shape = (len(rows), cols)
-        reduced, kept = original_eliminate(rows, cols, held_back)
-        shapes.append((shape, len(held_back), (len(reduced), kept)))
+        reduced, kept = original_eliminate(rows, cols, held)
+        shapes.append((shape, len(held), (len(reduced), kept)))
         return reduced, kept
 
     def hermite(rows):
         hnf_rows.extend(rows)
         return original_hermite(rows)
 
-    original_eliminate = weightdenom.eliminate_unit_pivots
+    original_eliminate = zlinalg._eliminate
     original_hermite = weightdenom.hermite_normal_form
     monkeypatch.setattr(cocycle, "sigma", counted("sigma", cocycle.sigma))
-    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    monkeypatch.setattr(zlinalg, "_eliminate", eliminating)
     monkeypatch.setattr(weightdenom, "hermite_normal_form", hermite)
     monkeypatch.setattr(GroupMatrix, "__mul__", counted("mul", GroupMatrix.__mul__))
     for cls in (Word, Presentation):
@@ -492,13 +491,13 @@ def test_gamma3_counters(monkeypatch):
     # generator for each of the 325 positive edges off it
     assert report.generator_count == 81 * 5 - 80 == 325
     assert report.relator_count == 13 * 81
-    # relators 11-13 are held back: elimination runs on the 702 rows of
-    # relators 1-10, 81 each but 27 for the cubes 4 and 6, whose roots have
-    # orbits of 3 cosets; it leaves 280 of them, and the 243 held-back rows
-    # follow
-    assert shapes == [((702, 326), 243, (280 + 243, 17))]
-    # the Hermite form takes the 198 distinct nonzero rows of those 523
-    assert len(hnf_rows) == len(set(hnf_rows)) == 198 and all(map(any, hnf_rows))
+    # 945 rows are traced, 81 for each relator but 27 for the cubes 4 and
+    # 6, whose roots have orbits of 3 cosets; elimination runs on the
+    # shortest 489 = 3 * 326 // 2 of them and holds the other 456 back, in
+    # one pass with no second; it leaves 520 nonzero rows
+    assert shapes == [((945, 326), 456, (520, 17))]
+    # the Hermite form takes the 289 distinct nonzero rows of those 520
+    assert len(hnf_rows) == len(set(hnf_rows)) == 289 and all(map(any, hnf_rows))
     # the relators are evaluated once, in the cover: each of their 116
     # letters costs one product, in cover_mul; sigma reads the bottom row of
     # the product without forming it, so sigma(g, g^-1) for the 40 inverses
@@ -512,53 +511,65 @@ def test_gamma3_counters(monkeypatch):
 
 def test_elimination_shapes_and_entries(monkeypatch):
     """A regression gate for the pivot rule: the reduced shapes of the 40
-    index-3 groups as a multiset, each the rows left by elimination and the
-    held-back rows substituted after them, and the largest reduced |entry|
+    index-3 groups as a multiset, each the nonzero rows left and the kept
+    columns, the number of second passes, and the largest reduced |entry|
     of gamma3 and of the survey."""
-    reduced = []
+    reduced, passes = [], []
 
-    def eliminating(rows, cols, held_back=()):
-        result = original_eliminate(rows, cols, held_back)
-        reduced.append((len(held_back),) + result)
+    def eliminating(rows, cols):
+        result = original_eliminate(rows, cols)
+        reduced.append(result)
         return result
 
+    def kernel(rows, cols, held=frozenset()):
+        passes.append(len(held))
+        return original_kernel(rows, cols, held)
+
     original_eliminate = weightdenom.eliminate_unit_pivots
+    original_kernel = zlinalg._eliminate
     monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+    monkeypatch.setattr(zlinalg, "_eliminate", kernel)
 
     def largest(results):
-        return max(abs(v) for _, rows, _ in results for row in rows for v in row)
+        return max(abs(v) for rows, _ in results for row in rows for v in row)
 
     survey_index3()
-    assert Counter((len(rows) - held, held, cols) for held, rows, cols in reduced) == {
-        (4, 9, 6): 7, (5, 9, 5): 4, (6, 9, 6): 2, (7, 9, 5): 5, (7, 9, 6): 2,
-        (8, 9, 5): 1, (9, 9, 5): 3, (9, 9, 6): 3, (10, 9, 5): 5, (11, 9, 5): 2,
-        (11, 9, 6): 1, (12, 9, 5): 3, (12, 9, 6): 2,
+    assert Counter((len(rows), cols) for rows, cols in reduced) == {
+        (2, 6): 1, (3, 6): 1, (4, 6): 3, (5, 6): 2, (7, 6): 2, (8, 5): 4, (10, 5): 7,
+        (10, 6): 2, (12, 5): 2, (12, 6): 1, (13, 5): 2, (15, 5): 1, (15, 6): 1,
+        (16, 5): 2, (16, 6): 2, (17, 5): 2, (18, 6): 1, (19, 6): 1, (20, 5): 1,
+        (21, 5): 1, (25, 5): 1,
     }
-    assert largest(reduced) == 30
+    # a second pass, over no row held back, on 14 of the 40
+    assert len(passes) - len(reduced) == passes.count(0) == 14
+    assert largest(reduced) == 21
     reduced.clear()
+    passes.clear()
     weight_denominator_of(SubgroupSpec.parse("gamma3"))
-    assert [(len(rows) - held, held, cols) for held, rows, cols in reduced] == [(280, 243, 17)]
+    assert [(len(rows), cols) for rows, cols in reduced] == [(520, 17)] and passes == [456]
     # the pivots differ from those of one elimination over all 1053 rows,
     # which left 484 rows with largest |entry| 24, and from those on the
-    # 810 rows of relators 1-10 traced from every coset, which left 314
-    # with largest |entry| 252
-    assert largest(reduced) == 117
+    # 702 rows of relators 1-10, with relators 11-13 held back, which left
+    # 280 rows and 215 nonzero substituted ones with largest |entry| 117
+    assert largest(reduced) == 624
 
 
 def test_gamma3_pivot_schedule(caplog):
     """A regression gate for the rounds, not only the final shape: the
-    DEBUG line of each of the 10 rounds of gamma3's elimination on the 702
-    rows of relators 1-10 that take pivots, 309 pivots in all, as many as
-    one elimination over all 1053 rows took."""
+    DEBUG line of each of the 15 rounds of gamma3's elimination on its 489
+    shortest rows that take pivots, 309 pivots in all, as many as one
+    elimination over all 1053 rows took, then the line for the 456 rows
+    held back; no second pass."""
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(SubgroupSpec.parse("gamma3"))
     schedule = [
-        (0, 40, 662), (15, 46, 603), (63, 121, 480), (127, 14, 464), (127, 2, 462),
-        (255, 28, 433), (511, 21, 401), (1023, 13, 380), (2047, 21, 284), (2047, 3, 280),
+        (0, 40, 449), (3, 30, 416), (7, 7, 403), (15, 63, 336), (31, 55, 281),
+        (63, 52, 204), (63, 2, 200), (127, 23, 160), (127, 1, 157), (255, 19, 131),
+        (255, 2, 128), (511, 9, 98), (511, 1, 97), (511, 1, 96), (1023, 4, 80),
     ]
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
-    ]
+    ] + ["held-back rows: 456, 440 nonzero after substitution; second passes: 0"]
     assert sum(taken for _, taken, _ in schedule) == 309
 
 
@@ -579,55 +590,84 @@ def tracing(traced, trace=reidemeister_schreier):
 def lattice_runs():
     """weight_denominator_of on each of the 212 lattice groups and
     gamma_sqrt3, run once for the tests that read them all: spec ->
-    (report, (held-back rows, reduced rows, kept columns) of its one
-    elimination, (rows, generator_count, graph) as traced)."""
-    runs, eliminations, traced = {}, [], []
+    (report, (kept columns, elimination passes) of its one elimination,
+    (rows, generator_count, graph) as traced)."""
+    runs, eliminations, passes, traced = {}, [], [], []
 
-    def eliminating(rows, cols, held_back=()):
-        result = original_eliminate(rows, cols, held_back)
-        eliminations.append((len(held_back),) + result)
+    def eliminating(rows, cols):
+        result = original_eliminate(rows, cols)
+        eliminations.append(result[1])
         return result
 
+    def kernel(rows, cols, held=frozenset()):
+        passes.append(len(rows))
+        return original_kernel(rows, cols, held)
+
     original_eliminate = weightdenom.eliminate_unit_pivots
+    original_kernel = zlinalg._eliminate
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weightdenom, "eliminate_unit_pivots", eliminating)
+        patch.setattr(zlinalg, "_eliminate", kernel)
         patch.setattr(weightdenom, "reidemeister_schreier", tracing(traced))
         for spec in lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),):
             report = weight_denominator_of(spec)
-            (elimination,) = eliminations
-            runs[spec] = (report, elimination, tuple(traced))
+            (kept,) = eliminations
+            runs[spec] = (report, (kept, len(passes)), tuple(traced))
             eliminations.clear()
+            passes.clear()
             traced.clear()
     return runs
 
 
-def test_holding_relators_back_is_exact_on_every_lattice_group(lattice_runs):
-    """Elimination runs on the rows of relators 1-10, and the rows of
-    relators 11-13, held back, are substituted afterwards; that is exact for
-    any split.  On all 212 lattice groups and gamma_sqrt3 the report equals
-    that of the all-rows oracle, one elimination over every relator traced
-    from every coset.
+def test_holding_rows_back_is_exact_on_every_lattice_group(lattice_runs):
+    """eliminate_unit_pivots eliminates on the shortest rows and rewrites
+    the rest afterwards, which is exact for any split.  On all 212 lattice
+    groups and gamma_sqrt3 the report equals that of the all-rows oracle,
+    one elimination over every relator traced from every coset with no
+    row held back.
 
-    The held-back rows also leave the nonzero rows of the Hermite form of
-    the rows left by elimination unchanged.  So on each of these groups the
-    rows of relators 1-10 span the lattice of all 13 relators' rows, and
-    the abelianized covers that 10 and 13 relators present are equal.  The
-    equal invariants alone give that: the 10-relator group maps onto the
-    13-relator one, and a finitely generated abelian group is Hopfian, so
-    a map onto a group isomorphic to it is an isomorphism."""
+    The kept columns, summed over the 213, and the second passes gate a
+    row rule that starves elimination: with too few rows eliminated on,
+    rewritten rows keep units that a second pass must take, or keep more
+    columns."""
+    assert len(lattice_runs) == 213
+    for spec, (report, _, traced) in lattice_runs.items():
+        assert report == all_rows_report(spec, *traced), spec.name()
+    assert sum(kept for _, (kept, _), _ in lattice_runs.values()) == 1514
+    assert Counter(passes for _, (_, passes), _ in lattice_runs.values()) == {1: 117, 2: 96}
+
+
+def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs):
+    """A fact of the presentations, whatever rows the pipeline holds back:
+    elimination on the rows of every relator but 11-13, with the rows of
+    relators 11-13 held back, takes the pivots of an elimination on the
+    other rows alone, and the rows of relators 11-13, substituted, leave
+    the nonzero rows of its Hermite form unchanged.  So on all 212 lattice
+    groups and gamma_sqrt3 the rows of relators 11-13 lie in the lattice
+    of the other relators' rows, and the abelianized covers that Upsilon's
+    first 10 and all 13 relators present are equal.  The equal invariants
+    alone give that: the 10-relator group maps onto the 13-relator one,
+    and a finitely generated abelian group is Hopfian, so a map onto a
+    group isomorphic to it is an isomorphism."""
 
     def nonzero_hnf(rows):
         return [row for row in hermite_normal_form(rows) if any(row)]
 
-    assert len(lattice_runs) == 213
     substituted = Counter()
-    for spec, (report, (held, reduced, _), traced) in lattice_runs.items():
-        assert report == all_rows_report(spec, *traced), spec.name()
-        assert held == 3 * (report.index_in_upsilon or 1)
-        eliminated = reduced[: len(reduced) - held]
-        assert nonzero_hnf(eliminated) == nonzero_hnf(reduced), spec.name()
-        substituted.update(any(row) for row in reduced[len(eliminated) :])
-    # most held-back rows are not zero after substitution, so the check bites
+    for spec, (_, _, (rows, generator_count, _)) in lattice_runs.items():
+        cols = generator_count + 1
+        relator = [k for k, traced in enumerate(rows) for _ in traced]
+        flat = copy.deepcopy([row for traced in rows for row in traced])
+        held = {i for i, k in enumerate(relator) if k in (10, 11, 12)}
+        others = [dict(row) for i, row in enumerate(flat) if i not in held]
+        reduced, kept = zlinalg._eliminate(others, cols)
+        reduced_all, kept_all = zlinalg._eliminate(flat, cols, held)
+        assert kept_all == kept, spec.name()
+        assert nonzero_hnf(reduced) == nonzero_hnf(reduced_all), spec.name()
+        nonzero = len(reduced_all) - len(reduced)
+        substituted.update({True: nonzero, False: len(held) - nonzero})
+    # most rows of relators 11-13 are not zero after substitution, so the
+    # check bites
     assert substituted[True] > substituted[False] > 0
 
 
@@ -671,42 +711,63 @@ def test_reports_are_invariant_under_the_symmetries_of_upsilon(lattice_runs):
 
 
 def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
-    """The substitution is exercised, not trusted: with the first held-back
-    row of an index-3 group of d = 3, relator 11 traced from coset 0,
-    replaced by the row of z, z is trivial and d is 1, as the all-rows
-    oracle finds on the same rows."""
+    """The substitution is exercised, not trusted: in an index-3 group of
+    d = 3, the last trace of relator 13, Upsilon's longest relator, with z
+    added to it, is the longest row, and eliminate_unit_pivots holds it
+    back.  Relator 13 follows from the others, so the fault makes z
+    trivial: d is 1, as the all-rows oracle finds on the same rows."""
     spec = SubgroupSpec.parse("index3:1,0,0,0")
     assert weight_denominator_of(spec).weight_denominator == 3
-    assert tuple(HELD_BACK) == (10, 11, 12)
-    traced = []
+    traced, faulty_held = [], []
 
     def faulty(*args, **kwargs):
         rows, generator_count, graph = reidemeister_schreier(*args, **kwargs)
-        rows[HELD_BACK[0]][0] = {generator_count: 1}
+        row = rows[12][-1]
+        row[generator_count] = row.get(generator_count, 0) + 1
         return rows, generator_count, graph
 
+    def kernel(rows, cols, held=frozenset()):
+        longest = all(len(row) < len(rows[-1]) for row in rows[:-1])
+        faulty_held.append(longest and len(rows) - 1 in held)
+        return original_kernel(rows, cols, held)
+
+    original_kernel = zlinalg._eliminate
     monkeypatch.setattr(weightdenom, "reidemeister_schreier", tracing(traced, faulty))
+    monkeypatch.setattr(zlinalg, "_eliminate", kernel)
     report = weight_denominator_of(spec)
+    assert faulty_held[0]
     assert report.weight_denominator == 1
     assert report == all_rows_report(spec, *traced)
 
 
 def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
-    """One DEBUG line on su21.weightdenom gives the held-back rows and how
-    many are nonzero after substitution; at the default level nothing is
-    logged and the logger's debug is never called."""
+    """One DEBUG line on su21.zlinalg per elimination, after its rounds,
+    gives the rows held back, how many are nonzero after substitution and
+    the second passes run; at the default level nothing is logged and the
+    logger's debug is never called."""
     gamma3 = SubgroupSpec.parse("gamma3")
-    with caplog.at_level(logging.DEBUG, logger="su21.weightdenom"):
+
+    def held_back_lines():
+        return [
+            (r.name, r.getMessage()) for r in caplog.records if r.msg.startswith("held-back")
+        ]
+
+    with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(gamma3)
-    assert [(r.name, r.getMessage()) for r in caplog.records] == [
-        ("su21.weightdenom", "held-back rows: 243, 215 nonzero after substitution")
-    ]
+        assert held_back_lines() == [
+            ("su21.zlinalg", "held-back rows: 456, 440 nonzero after substitution; second passes: 0")
+        ]
+        caplog.clear()
+        survey_index3()
+    assert Counter(message.rpartition(" ")[2] for _, message in held_back_lines()) == {
+        "0": 26, "1": 14
+    }
     caplog.clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("debug called with DEBUG off")
 
-    monkeypatch.setattr(logging.getLogger("su21.weightdenom"), "debug", refuse)
+    monkeypatch.setattr(logging.getLogger("su21.zlinalg"), "debug", refuse)
     with caplog.at_level(logging.WARNING):
         weight_denominator_of(gamma3)
     assert not caplog.records

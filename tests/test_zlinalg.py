@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su21 import weightdenom
+from su21 import weightdenom, zlinalg
 from su21.matgroup import SubgroupSpec, all_index3_vectors
 from su21.zlinalg import (
+    _eliminate,
     cokernel_invariants,
     eliminate_unit_pivots,
     hermite_normal_form,
@@ -269,12 +270,19 @@ def test_eliminate_unit_pivots_known_cases():
     assert eliminate_unit_pivots([{0: 1, 3: 2}], 4) == ([], 3)
     assert eliminate_unit_pivots([], 0) == ([], 0)
     # a held-back row is substituted into, as the second row above was
-    assert eliminate_unit_pivots([{0: 1, 1: 1, 2: -2}], 3, [{0: 3, 1: 1, 2: 1}]) == (
-        [(-2, 7)], 2
+    assert _eliminate([{0: 1, 1: 1, 2: -2}, {0: 3, 1: 1, 2: 1}], 3, {1}) == ([(-2, 7)], 2)
+    # it is never a pivot, and it is dropped when it substitutes to zero
+    assert _eliminate([{0: 1}, {}], 2, {0, 1}) == ([(1, 0)], 2)
+    assert _eliminate([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, {1}) == ([], 1)
+    # beyond 3 * cols / 2 rows the longest are held back: here the first,
+    # which would take x0 = -3z as a pivot row; rows stay in input order
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -2}, {2: 4}, {0: 2}]
+    assert eliminate_unit_pivots(rows, 3) == ([(4,), (4,), (2,)], 1)
+    # a held-back row left with a unit off z is eliminated on in a second
+    # pass
+    assert eliminate_unit_pivots([{0: 2}, {0: 3}, {1: 5}, {0: 1, 1: 1}], 2) == (
+        [(-2,), (-3,), (5,)], 1
     )
-    # it is never a pivot, and it is kept when it substitutes to zero
-    assert eliminate_unit_pivots([], 2, [{0: 1}, {}]) == ([(1, 0), (0, 0)], 2)
-    assert eliminate_unit_pivots([{0: 1, 1: 2}], 2, [{0: 2, 1: 4}]) == ([(0,)], 1)
 
 
 def test_eliminate_unit_pivots_preserves_quotient():
@@ -290,35 +298,55 @@ def test_eliminate_unit_pivots_preserves_quotient():
         assert eliminate(r, r_cols) == (r, r_cols)
 
 
-def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
-    """The cached elimination against the rescanning oracle on the rows the
-    pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
-    and the seeded sample of 8 index-9 and 5 index-27 groups, each with
-    the rows of relators 11-13 held back, 3 per coset.  The cubes 4 and 6
-    give one row per orbit of their roots: index / 3 rows each where the
-    root moves every coset, as on gamma3, index where it fixes them all."""
-    shapes = []
+def checked_kernel(shapes, events=None):
+    """A stand-in for zlinalg._eliminate that asserts its result equals the
+    rescanning oracle's on a copy of its rows with the same rows held back,
+    and appends (rows, held rows, cols) to shapes."""
 
-    def checked(rows, cols, held_back=()):
-        expected = rescanning_elimination(
-            copy.deepcopy(rows), cols, held_back=copy.deepcopy(held_back)
-        )
-        shapes.append((len(rows), len(held_back), cols))
-        reduced = eliminate_unit_pivots(rows, cols, held_back)
+    def checked(rows, cols, held=frozenset()):
+        expected = rescanning_elimination(copy.deepcopy(rows), cols, events, held)
+        shapes.append((len(rows), len(held), cols))
+        reduced = _eliminate(rows, cols, held)
         assert reduced == expected
         return reduced
 
-    monkeypatch.setattr(weightdenom, "eliminate_unit_pivots", checked)
+    return checked
+
+
+def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
+    """The cached elimination against the rescanning oracle on the rows the
+    pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
+    and the seeded sample of 8 index-9 and 5 index-27 groups, each with the
+    rows held back that eliminate_unit_pivots holds back, all but the
+    shortest 3 * cols / 2, and each second pass.  The cubes 4 and 6 give
+    one row per orbit of their roots: index / 3 rows each where the root
+    moves every coset, as on gamma3, index where it fixes them all."""
+    shapes, runs = [], []
+    monkeypatch.setattr(zlinalg, "_eliminate", checked_kernel(shapes))
     specs = [SubgroupSpec.parse(name) for name in ("gamma3", "upsilon", "gamma_sqrt3")]
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
     specs += [spec for spec in lattice_sample() if spec.index_in_upsilon() > 3]
     for spec in specs:
         weightdenom.weight_denominator_of(spec)
-    assert shapes[:3] == [(702, 243, 326), (10, 3, 6), (16, 3, 7)]
-    assert Counter(shapes[3:43]) == {(26, 9, 14): 18, (28, 9, 14): 18, (30, 9, 14): 4}
-    assert shapes[43:] == [(78, 27, 38)] * 3 + [(84, 27, 38)] + [(78, 27, 38)] * 4 + [
-        (234, 81, 110)
+        runs.append(tuple(shapes))
+        shapes.clear()
+    first = [run[0] for run in runs]
+    assert first[:3] == [(945, 456, 326), (13, 4, 6), (19, 9, 7)]
+    assert Counter(first[3:43]) == {(35, 14, 14): 18, (37, 16, 14): 18, (39, 18, 14): 4}
+    assert first[43:] == [(105, 48, 38)] * 3 + [(111, 54, 38)] + [(105, 48, 38)] * 4 + [
+        (315, 150, 110)
     ] * 5
+    # second passes: none on gamma3, upsilon and gamma_sqrt3, 14 of the 40
+    # index-3 groups and 4 of the sample
+    second = [run[1:] for run in runs]
+    assert second[:3] == [()] * 3
+    assert Counter(shape for run in second[3:43] for shape in run) == {
+        (6, 0, 7): 4, (4, 0, 7): 2, (18, 0, 8): 2, (6, 0, 8): 1, (8, 0, 7): 1,
+        (12, 0, 8): 1, (14, 0, 6): 1, (14, 0, 8): 1, (16, 0, 8): 1,
+    }
+    assert second[43:] == [(), (), ((22, 0, 7),), (), ((21, 0, 11),)] + [()] * 6 + [
+        ((132, 0, 12),), ((173, 0, 14),)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,17 +365,11 @@ def test_substituted_rows_span_the_lattice_of_all_rows(data):
     rows = data.draw(
         st.lists(st.dictionaries(st.integers(0, cols - 1), entries), max_size=10), label="rows"
     )
-    held = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    held = data.draw(st.sets(st.integers(0, len(rows) - 1)) if rows else st.just(set()))
     dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
     kept = []
-    result = rescanning_elimination(
-        [copy.deepcopy(row) for row, h in zip(rows, held) if not h],
-        cols,
-        held_back=[copy.deepcopy(row) for row, h in zip(rows, held) if h],
-        kept_out=kept,
-    )
-    main = [row for row, h in zip(rows, held) if not h]
-    assert eliminate_unit_pivots(main, cols, [row for row, h in zip(rows, held) if h]) == result
+    result = rescanning_elimination(copy.deepcopy(rows), cols, held=held, kept_out=kept)
+    assert _eliminate(rows, cols, held) == result
     reduced, kept_cols = result
     assert cokernel_invariants(reduced, kept_cols) == cokernel_invariants(dense, cols)
     assert order_of_last_coordinate(reduced, kept_cols) == order_of_last_coordinate(dense, cols)
@@ -391,21 +413,26 @@ def random_unit_rows(rng):
     return rows, cols
 
 
-def test_elimination_matches_rescanning_oracle_on_random_rows():
+def test_elimination_matches_rescanning_oracle_on_random_rows(monkeypatch):
     """Besides the features of the input rows, the oracle counts two of the
     elimination: a target row emptied by a substitution, and an entry that
-    cancels to 0 and is filled in again.  The oracle takes the same pivots
-    in the same order, so the rows pass through the same states in both."""
+    cancels to 0 and is filled in again; and eliminate_unit_pivots holds
+    rows back, or runs a second pass.  The oracle takes the same pivots in
+    the same order, with the same rows held back, so the rows pass through
+    the same states in both."""
     rng = random.Random(27)
     features = dict.fromkeys(("empty row", "one entry", "unit only in last", "one column"), 0)
     features.update(emptied=0, refilled=0)
+    features.update({"held back": 0, "second pass": 0})
 
     def check(rows, cols):
-        events = Counter()
-        expected = rescanning_elimination(copy.deepcopy(rows), cols, events)
-        assert eliminate_unit_pivots(rows, cols) == expected
+        events, shapes = Counter(), []
+        monkeypatch.setattr(zlinalg, "_eliminate", checked_kernel(shapes, events))
+        eliminate_unit_pivots(rows, cols)
         for name in events:
             features[name] += 1
+        features["held back"] += shapes[0][1] > 0
+        features["second pass"] += len(shapes) == 2
 
     for _ in range(2500):
         rows, cols = random_sparse_rows(rng)
@@ -425,13 +452,15 @@ def test_elimination_matches_rescanning_oracle_on_random_rows():
 
 
 def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
-    """One DEBUG line per round that takes pivots; at the default level
-    nothing is logged and the logger's debug is never called."""
+    """One DEBUG line per round that takes pivots, and one for the rows
+    held back; at the default level nothing is logged and the logger's
+    debug is never called."""
     m = [[1, 1, -2], [3, 1, 1], [0, 2, 1]]
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert [r.getMessage() for r in caplog.records] == [
-        "unit pivots: limit 3, 1 taken, 2 rows left"
+        "unit pivots: limit 3, 1 taken, 2 rows left",
+        "held-back rows: 0, 0 nonzero after substitution; second passes: 0",
     ]
     caplog.clear()
 
