@@ -34,7 +34,7 @@ def _load_matrix(path: str) -> GroupMatrix:
         with open(path) as handle:
             data = json.load(handle)
         return GroupMatrix.from_json_dict(data)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError("cannot read matrix from %s: %s" % (path, exc))
 
 

@@ -260,11 +260,12 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     Group Theory, 2.4 and 5): one per positive-letter edge r * x -> r' off
     the breadth-first spanning tree, standing for r * x * r'^-1, numbered
     in order of (coset, generator); tree edges stand for the identity.
-    Subgroup relators: every ambient relator R traced from every coset,
-    each returned only as its sparse row {column: nonzero entry}, empty
-    rows kept.  The row holds the trace's exponent sum of each generator,
-    and -n_R in column generator_count, the central generator z = (I, 1),
-    for ambient relator R with lift (I, n_R).
+    Subgroup relators: each ambient relator R traced once from each orbit
+    of the cosets under its shortest root (below), each trace returned
+    only as its sparse row {column: nonzero entry}, empty rows kept.  The
+    row holds the trace's exponent sum of each generator, and -n_R in
+    column generator_count, the central generator z = (I, 1), for ambient
+    relator R with lift (I, n_R).
 
     Write R = w^k with w its shortest root.  The walk of R from v * w^j is
     the walk from v rotated by j * |w| letters, so it gives the same row and

@@ -74,7 +74,7 @@ def weight_denominator(
     per relator, with the central generator z last.  The rows are
     consumed."""
     reduced, kept = eliminate_unit_pivots(rows, cols)
-    distinct = [row for row in dict.fromkeys(reduced) if any(row)]  # the same lattice
+    distinct = list(dict.fromkeys(reduced))  # the same lattice
     nonzero = [row for row in hermite_normal_form(distinct) if any(row)]
     order = last_coordinate_order_of_hnf(nonzero)
     if order is None:

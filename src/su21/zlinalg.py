@@ -74,9 +74,10 @@ def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
     within the round's limit; a round that takes none raises the limit
     along 0, 1, 3, 7, ... to the first value at or above the cheapest cost
     it deferred.  A row's cheapest pivot, the unit column in the fewest
-    rows (the least on a tie), is cached until a pivot changes the row or
-    one of its columns, so the pivots are those of a rescan of every row in
-    every round.  Each round that takes pivots logs one DEBUG line.
+    rows (the least on a tie), is found afresh each time a round reaches
+    the row; with only the shortest rows as candidates, caching it between
+    rounds measured no faster.  Each round that takes pivots logs one
+    DEBUG line.
     """
     last = cols - 1
     active = [i for i in range(len(rows)) if i not in held]
@@ -84,8 +85,6 @@ def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
     for i in active:
         for c in rows[i]:
             holders[c].add(i)
-    cheapest_pivot = [None] * len(rows)
-    stale = set(active)
     pivots = []  # (col, sign, pivot row), in the order taken
     debug = _log.isEnabledFor(logging.DEBUG)
     limit = 0
@@ -94,19 +93,15 @@ def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
         deferred = None
         for i in active:
             row = rows[i]
-            if i in stale:
-                stale.discard(i)
-                col = None
-                for c, v in row.items():
-                    if (v == 1 or v == -1) and c != last:
-                        length = len(holders[c])
-                        if col is None or length < least or (length == least and c < col):
-                            col, least = c, length
-                cheapest_pivot[i] = None if col is None else ((len(row) - 1) * (least - 1), col)
-            pivot = cheapest_pivot[i]
-            if pivot is None:
+            col = None
+            for c, v in row.items():
+                if (v == 1 or v == -1) and c != last:
+                    length = len(holders[c])
+                    if col is None or length < least or (length == least and c < col):
+                        col, least = c, length
+            if col is None:
                 continue
-            cost, col = pivot
+            cost = (len(row) - 1) * (least - 1)
             if cost > limit:
                 if deferred is None or cost < deferred:
                     deferred = cost
@@ -132,13 +127,9 @@ def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
                         else:
                             del other[c]
                             holding.discard(k)
-            stale |= targets
-            for c, v, holding in entries:
+            for _, _, holding in entries:
                 holding.discard(i)
-                if c != last:
-                    stale |= holding
             rows[i] = {}
-            cheapest_pivot[i] = None
             taken += 1
         if taken:
             if debug:

@@ -369,24 +369,28 @@ def _identity_with_cell(cell):
 
 
 @pytest.mark.parametrize(
-    "entries",
+    "text",
     [
-        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-        _identity_with_cell(None),
-        _identity_with_cell([1, True]),
-        _identity_with_cell([1.0, 2]),
-        _identity_with_cell([1, 2, 3]),
-        _identity_with_cell([1]),
-        _identity_with_cell("ab"),
-    ],
+        json.dumps({"entries": entries})
+        for entries in (
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            _identity_with_cell(None),
+            _identity_with_cell([1, True]),
+            _identity_with_cell([1.0, 2]),
+            _identity_with_cell([1, 2, 3]),
+            _identity_with_cell([1]),
+            _identity_with_cell("ab"),
+        )
+    ]
+    + ["[" * 100000 + "]" * 100000],  # past the JSON decoder's recursion limit
     ids=[
         "int-cells", "null-cell", "bool-coordinate", "float-coordinate", "triple", "single",
-        "string",
+        "string", "too-deep",
     ],
 )
-def test_malformed_matrix_is_parse_error(tmp_path, capsys, entries):
+def test_malformed_matrix_is_parse_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"entries": entries}))
+    bad.write_text(text)
     good = write_matrix(tmp_path, "good.json", IDENTITY)
     for argv in (["decompose", "--matrix", str(bad)], ["sigma", "--g", good, "--h", str(bad)]):
         assert main(argv) == 2

@@ -314,7 +314,7 @@ def checked_kernel(shapes, events=None):
 
 
 def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
-    """The cached elimination against the rescanning oracle on the rows the
+    """The elimination against the rescanning oracle on the rows the
     pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
     and the seeded sample of 8 index-9 and 5 index-27 groups, each with the
     rows held back that eliminate_unit_pivots holds back, all but the
