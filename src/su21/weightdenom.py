@@ -65,14 +65,12 @@ class DenominatorReport(NamedTuple):
         return self._asdict() | {"torsion_invariants": list(self.torsion_invariants)}
 
 
-def weight_denominator(
-    rows, cols: int, *, group=None, index_in_upsilon=None
-) -> DenominatorReport:
+def weight_denominator(rows, cols: int) -> DenominatorReport:
     """Weight denominator of a group, plus the abelian invariants of its
     central extension, from that extension's abelianized relations: rows
     is a list of sparse rows {column: nonzero int} over cols columns, one
     per relator, with the central generator z last.  The rows are
-    consumed."""
+    consumed.  The report names no group and no index_in_upsilon."""
     reduced, kept = eliminate_unit_pivots(rows, cols)
     distinct = list(dict.fromkeys(reduced))  # the same lattice
     nonzero = [row for row in hermite_normal_form(distinct) if any(row)]
@@ -83,8 +81,8 @@ def weight_denominator(
         )
     torsion, free_rank = cokernel_invariants(nonzero, kept)
     return DenominatorReport(
-        group=group,
-        index_in_upsilon=index_in_upsilon,
+        group=None,
+        index_in_upsilon=None,
         generator_count=cols - 1,
         relator_count=len(rows),
         weight_denominator=order,
@@ -120,10 +118,11 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             % (spec.name(), graph.index, expected)
         )
     rows = [row for traced in rows for row in traced]
-    report = weight_denominator(
-        rows, generator_count + 1, group=spec.name(), index_in_upsilon=index_in_upsilon
+    return weight_denominator(rows, generator_count + 1)._replace(
+        group=spec.name(),
+        index_in_upsilon=index_in_upsilon,
+        relator_count=len(ambient.relators) * expected,
     )
-    return report._replace(relator_count=len(ambient.relators) * expected)
 
 
 def survey_index3() -> list:

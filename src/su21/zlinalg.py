@@ -4,9 +4,9 @@ invariants, on plain rows: equal-length sequences of Python ints.
 All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
-of Havas, Holt and Rees (1993), which removes every generator that a
-relation expresses in terms of the others (eliminating on the shortest
-rows and rewriting the rest afterwards) and leaves the quotient and the
+of Havas, Holt and Rees (1993), which removes every generator that one of
+the shortest relations expresses in terms of the others (rewriting the
+rest of the relations afterwards) and leaves the quotient and the
 class of the last coordinate unchanged; only its small result becomes
 dense rows.  The normal forms copy their input and never change it.
 """
@@ -25,37 +25,30 @@ PIVOT_ROWS_PER_COLUMN = 1.5
 def eliminate_unit_pivots(rows, cols: int) -> tuple:
     """Relations with the same cokernel and the same class of the last
     coordinate as rows, a list of sparse rows {column: nonzero int} over
-    cols columns, which is consumed, and with no entry +-1 off the last
-    column.  Returns (dense_rows, kept_cols): the nonzero rows left, in
-    input order, as int tuples over the kept_cols columns that were not
-    pivots.
+    cols columns, which is consumed.  Returns (dense_rows, kept_cols): the
+    nonzero rows left, in input order, as int tuples over the kept_cols
+    columns that were not pivots.
 
     Most rows of a tall relation matrix are never pivots, and substituting
     into them is most of the fill-in, so only the shortest
     PIVOT_ROWS_PER_COLUMN * cols rows (the earlier on equal lengths) are
     eliminated on and the rest are held back and rewritten afterwards: the
     excess-row pruning of structured Gaussian elimination (LaMacchia and
-    Odlyzko, 1990), exact over Z for any split.  If a rewritten row still
-    has an entry +-1 off the last column, the distinct rows left are
-    eliminated on once more, all of them.  Logs one DEBUG line with the
-    rows held back, how many are nonzero after substitution, and the
-    second passes run.
+    Odlyzko, 1990), exact over Z for any split.  A rewritten row may keep
+    an entry +-1 off the last column; the Hermite form takes such rows as
+    it takes any others.  Logs one DEBUG line with the rows held back and
+    how many are nonzero after substitution.
     """
     by_length = sorted(range(len(rows)), key=lambda i: len(rows[i]))
     held = set(by_length[int(PIVOT_ROWS_PER_COLUMN * cols) :])
     reduced, kept = _eliminate(rows, cols, held)
-    second_passes = 0
-    if any(v == 1 or v == -1 for row in reduced for v in row[:-1]):
-        distinct = [{c: v for c, v in enumerate(row) if v} for row in dict.fromkeys(reduced)]
-        reduced, kept = _eliminate(distinct, kept)
-        second_passes = 1
     if _log.isEnabledFor(logging.DEBUG):
-        message = "held-back rows: %d, %d nonzero after substitution; second passes: %d"
-        _log.debug(message, len(held), sum(1 for i in held if rows[i]), second_passes)
+        message = "held-back rows: %d, %d nonzero after substitution"
+        _log.debug(message, len(held), sum(1 for i in held if rows[i]))
     return reduced, kept
 
 
-def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
+def _eliminate(rows, cols: int, held) -> tuple:
     """eliminate_unit_pivots with a given split: the rows whose indices are
     in held are held back, whatever they are.  While a row not held back
     has an entry +-1 in a column other than the last, it expresses that
@@ -162,7 +155,9 @@ def _eliminate(rows, cols: int, held=frozenset()) -> tuple:
 def hermite_normal_form(rows) -> list:
     """Row Hermite normal form of the rows, as new row lists: zero rows
     last, positive pivots in strictly increasing columns, entries above
-    each pivot reduced into [0, pivot)."""
+    each pivot reduced into [0, pivot).  Floor quotients leave each entry
+    below the pivot in [0, pivot), so the least nonzero |entry| of the
+    column, the next pivot, falls until the column is cleared."""
     a = [list(row) for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -192,7 +187,7 @@ def hermite_normal_form(rows) -> list:
             for r in range(pivot_row + 1, m):
                 v = a[r][col]
                 if v:
-                    q = _nearest_quotient(v, pivot)
+                    q = v // pivot
                     if q:
                         arow = a[r]
                         for c in range(col, n):
@@ -270,11 +265,3 @@ def last_coordinate_order_of_hnf(h):
             return None if any(row[:-1]) else row[-1]
     return None
 
-
-def _nearest_quotient(value, pivot):
-    # pivot > 0; quotient q with value - q*pivot in (-pivot/2, pivot/2],
-    # ties (remainder exactly pivot/2) keep the floor quotient.
-    q, r = divmod(value, pivot)
-    if 2 * r > pivot:
-        q += 1
-    return q

@@ -757,6 +757,14 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
     return [row for row in dense if any(row)], len(kept)
 
 
+def ambient_of(spec):
+    """(ambient presentation, index in it) of spec: gamma_sqrt3's own
+    presentation and 1 for gamma_sqrt3, else upsilon's and 3^rank."""
+    if spec.rows is None:
+        return gamma_sqrt3_presentation(), 1
+    return upsilon_presentation(), spec.index_in_upsilon()
+
+
 def all_rows_report(spec, rows, generator_count, graph):
     """The report of weight_denominator on all the relation rows of spec:
     every relator traced from every coset, expanded by all_coset_rows from
@@ -765,16 +773,19 @@ def all_rows_report(spec, rows, generator_count, graph):
     elimination over every row, as the pipeline ran before it held rows
     back and traced each relator once per orbit of its root.  The rows are
     not consumed."""
-    index_in_upsilon = None if spec.rows is None else spec.index_in_upsilon()
-    ambient = gamma_sqrt3_presentation() if spec.rows is None else upsilon_presentation()
+
+    def every_row(rows, cols):
+        return zlinalg._eliminate(rows, cols, ())
+
+    ambient, index = ambient_of(spec)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weightdenom, "eliminate_unit_pivots", zlinalg._eliminate)
-        return weightdenom.weight_denominator(
-            all_coset_rows(ambient, graph, rows),
-            generator_count + 1,
-            group=spec.name(),
-            index_in_upsilon=index_in_upsilon,
+        patch.setattr(weightdenom, "eliminate_unit_pivots", every_row)
+        report = weightdenom.weight_denominator(
+            all_coset_rows(ambient, graph, rows), generator_count + 1
         )
+    return report._replace(
+        group=spec.name(), index_in_upsilon=None if spec.rows is None else index
+    )
 
 
 def shortest_root(word):

@@ -18,6 +18,7 @@ from helpers import (
     SQRT_MINUS3,
     EisensteinInt,
     all_coset_rows,
+    ambient_of,
     coset_representatives,
     cyclic_shift,
     exponent_sums,
@@ -314,10 +315,7 @@ def test_action_matches_the_keyed_engine():
     assert len(specs) == 213
     dropped = 0
     for spec in specs:
-        if spec.rows is None:
-            ambient, index = gamma_sqrt3_presentation(), 1
-        else:
-            ambient, index = upsilon_presentation(), spec.index_in_upsilon()
+        ambient, index = ambient_of(spec)
         rows, generator_count, graph = reidemeister_schreier(
             ambient, *spec.coset_action(), max_index=index
         )
@@ -380,10 +378,7 @@ def test_graph_keeps_the_symbol_map():
     specs = [SubgroupSpec.parse(name) for name in ("upsilon", "gamma3", "gamma_sqrt3")]
     specs += [SubgroupSpec((v,)) for v in all_index3_vectors()]
     for spec in specs:
-        if spec.rows is None:
-            ambient, index = gamma_sqrt3_presentation(), 1
-        else:
-            ambient, index = upsilon_presentation(), spec.index_in_upsilon()
+        ambient, index = ambient_of(spec)
         _, generator_count, graph = reidemeister_schreier(
             ambient, *spec.coset_action(), max_index=index
         )

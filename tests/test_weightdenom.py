@@ -160,9 +160,8 @@ def upsilon_rows():
 
 
 def test_upsilon_denominator_is_one():
-    report = weight_denominator(
-        upsilon_rows(), 6, group="upsilon", index_in_upsilon=1
-    )
+    report = weight_denominator(upsilon_rows(), 6)
+    assert report.group is report.index_in_upsilon is None
     assert report.weight_denominator == 1
     assert report.torsion_invariants == (3, 3, 3)
     assert report.free_rank == 2
@@ -512,8 +511,8 @@ def test_gamma3_counters(monkeypatch):
 def test_elimination_shapes_and_entries(monkeypatch):
     """A regression gate for the pivot rule: the reduced shapes of the 40
     index-3 groups as a multiset, each the nonzero rows left and the kept
-    columns, the number of second passes, and the largest reduced |entry|
-    of gamma3 and of the survey."""
+    columns, one elimination pass each, and the largest reduced |entry| of
+    gamma3 and of the survey."""
     reduced, passes = [], []
 
     def eliminating(rows, cols):
@@ -521,7 +520,7 @@ def test_elimination_shapes_and_entries(monkeypatch):
         reduced.append(result)
         return result
 
-    def kernel(rows, cols, held=frozenset()):
+    def kernel(rows, cols, held):
         passes.append(len(held))
         return original_kernel(rows, cols, held)
 
@@ -535,13 +534,13 @@ def test_elimination_shapes_and_entries(monkeypatch):
 
     survey_index3()
     assert Counter((len(rows), cols) for rows, cols in reduced) == {
-        (2, 6): 1, (3, 6): 1, (4, 6): 3, (5, 6): 2, (7, 6): 2, (8, 5): 4, (10, 5): 7,
-        (10, 6): 2, (12, 5): 2, (12, 6): 1, (13, 5): 2, (15, 5): 1, (15, 6): 1,
-        (16, 5): 2, (16, 6): 2, (17, 5): 2, (18, 6): 1, (19, 6): 1, (20, 5): 1,
-        (21, 5): 1, (25, 5): 1,
+        (7, 6): 1, (8, 5): 4, (8, 7): 4, (10, 5): 7, (10, 7): 3, (12, 5): 2, (13, 5): 1,
+        (14, 8): 1, (15, 5): 1, (16, 5): 2, (16, 6): 1, (16, 8): 2, (17, 5): 2,
+        (18, 6): 1, (18, 8): 1, (19, 6): 1, (20, 5): 1, (21, 5): 1, (21, 8): 1,
+        (22, 6): 1, (24, 8): 1, (25, 5): 1,
     }
-    # a second pass, over no row held back, on 14 of the 40
-    assert len(passes) - len(reduced) == passes.count(0) == 14
+    # one pass each, with rows held back on all 40
+    assert len(passes) == len(reduced) == 40 and min(passes) == 14
     assert largest(reduced) == 21
     reduced.clear()
     passes.clear()
@@ -559,7 +558,7 @@ def test_gamma3_pivot_schedule(caplog):
     DEBUG line of each of the 15 rounds of gamma3's elimination on its 489
     shortest rows that take pivots, 309 pivots in all, as many as one
     elimination over all 1053 rows took, then the line for the 456 rows
-    held back; no second pass."""
+    held back."""
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(SubgroupSpec.parse("gamma3"))
     schedule = [
@@ -569,7 +568,7 @@ def test_gamma3_pivot_schedule(caplog):
     ]
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
-    ] + ["held-back rows: 456, 440 nonzero after substitution; second passes: 0"]
+    ] + ["held-back rows: 456, 440 nonzero after substitution"]
     assert sum(taken for _, taken, _ in schedule) == 309
 
 
@@ -599,7 +598,7 @@ def lattice_runs():
         eliminations.append(result[1])
         return result
 
-    def kernel(rows, cols, held=frozenset()):
+    def kernel(rows, cols, held):
         passes.append(len(rows))
         return original_kernel(rows, cols, held)
 
@@ -626,15 +625,14 @@ def test_holding_rows_back_is_exact_on_every_lattice_group(lattice_runs):
     one elimination over every relator traced from every coset with no
     row held back.
 
-    The kept columns, summed over the 213, and the second passes gate a
-    row rule that starves elimination: with too few rows eliminated on,
-    rewritten rows keep units that a second pass must take, or keep more
-    columns."""
+    The kept columns, summed over the 213, gate a row rule that starves
+    elimination: with too few rows eliminated on, rewritten rows keep more
+    columns.  Each elimination is one pass of the kernel."""
     assert len(lattice_runs) == 213
     for spec, (report, _, traced) in lattice_runs.items():
         assert report == all_rows_report(spec, *traced), spec.name()
-    assert sum(kept for _, (kept, _), _ in lattice_runs.values()) == 1514
-    assert Counter(passes for _, (_, passes), _ in lattice_runs.values()) == {1: 117, 2: 96}
+    assert sum(kept for _, (kept, _), _ in lattice_runs.values()) == 1650
+    assert Counter(passes for _, (_, passes), _ in lattice_runs.values()) == {1: 213}
 
 
 def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs):
@@ -660,7 +658,7 @@ def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs):
         flat = copy.deepcopy([row for traced in rows for row in traced])
         held = {i for i, k in enumerate(relator) if k in (10, 11, 12)}
         others = [dict(row) for i, row in enumerate(flat) if i not in held]
-        reduced, kept = zlinalg._eliminate(others, cols)
+        reduced, kept = zlinalg._eliminate(others, cols, ())
         reduced_all, kept_all = zlinalg._eliminate(flat, cols, held)
         assert kept_all == kept, spec.name()
         assert nonzero_hnf(reduced) == nonzero_hnf(reduced_all), spec.name()
@@ -726,7 +724,7 @@ def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
         row[generator_count] = row.get(generator_count, 0) + 1
         return rows, generator_count, graph
 
-    def kernel(rows, cols, held=frozenset()):
+    def kernel(rows, cols, held):
         longest = all(len(row) < len(rows[-1]) for row in rows[:-1])
         faulty_held.append(longest and len(rows) - 1 in held)
         return original_kernel(rows, cols, held)
@@ -742,9 +740,9 @@ def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
 
 def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
     """One DEBUG line on su21.zlinalg per elimination, after its rounds,
-    gives the rows held back, how many are nonzero after substitution and
-    the second passes run; at the default level nothing is logged and the
-    logger's debug is never called."""
+    gives the rows held back and how many are nonzero after substitution;
+    at the default level nothing is logged and the logger's debug is never
+    called."""
     gamma3 = SubgroupSpec.parse("gamma3")
 
     def held_back_lines():
@@ -755,12 +753,12 @@ def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(gamma3)
         assert held_back_lines() == [
-            ("su21.zlinalg", "held-back rows: 456, 440 nonzero after substitution; second passes: 0")
+            ("su21.zlinalg", "held-back rows: 456, 440 nonzero after substitution")
         ]
         caplog.clear()
         survey_index3()
-    assert Counter(message.rpartition(" ")[2] for _, message in held_back_lines()) == {
-        "0": 26, "1": 14
+    assert Counter(message.partition(",")[0] for _, message in held_back_lines()) == {
+        "held-back rows: 14": 18, "held-back rows: 16": 18, "held-back rows: 18": 4
     }
     caplog.clear()
 

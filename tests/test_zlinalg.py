@@ -278,10 +278,10 @@ def test_eliminate_unit_pivots_known_cases():
     # which would take x0 = -3z as a pivot row; rows stay in input order
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -2}, {2: 4}, {0: 2}]
     assert eliminate_unit_pivots(rows, 3) == ([(4,), (4,), (2,)], 1)
-    # a held-back row left with a unit off z is eliminated on in a second
-    # pass
+    # a held-back row may keep a unit off z; the Hermite form takes it as
+    # it takes any other row
     assert eliminate_unit_pivots([{0: 2}, {0: 3}, {1: 5}, {0: 1, 1: 1}], 2) == (
-        [(-2,), (-3,), (5,)], 1
+        [(2, 0), (3, 0), (0, 5), (1, 1)], 2
     )
 
 
@@ -292,10 +292,13 @@ def test_eliminate_unit_pivots_preserves_quotient():
         r, r_cols = eliminate(rows, cols)
         assert r_cols <= cols and len(r) <= len(rows)
         assert all(type(row) is tuple and len(row) == r_cols and any(row) for row in r)
-        assert not any(v in (1, -1) for row in r for v in row[:-1])
         assert cokernel_invariants(r, r_cols) == cokernel_invariants(rows, cols)
         assert order_of_last_coordinate(r, r_cols) == order_of_last_coordinate(rows, cols)
-        assert eliminate(r, r_cols) == (r, r_cols)
+        # with no row held back, no unit is left off the last column, so
+        # eliminating again changes nothing
+        r, r_cols = _eliminate(sparse_rows(rows), cols, ())
+        assert not any(v in (1, -1) for row in r for v in row[:-1])
+        assert _eliminate(sparse_rows(r), r_cols, ()) == (r, r_cols)
 
 
 def checked_kernel(shapes, events=None):
@@ -303,7 +306,7 @@ def checked_kernel(shapes, events=None):
     rescanning oracle's on a copy of its rows with the same rows held back,
     and appends (rows, held rows, cols) to shapes."""
 
-    def checked(rows, cols, held=frozenset()):
+    def checked(rows, cols, held):
         expected = rescanning_elimination(copy.deepcopy(rows), cols, events, held)
         shapes.append((len(rows), len(held), cols))
         reduced = _eliminate(rows, cols, held)
@@ -318,7 +321,7 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     pipeline hands it: gamma3, upsilon, gamma_sqrt3, the 40 index-3 groups
     and the seeded sample of 8 index-9 and 5 index-27 groups, each with the
     rows held back that eliminate_unit_pivots holds back, all but the
-    shortest 3 * cols / 2, and each second pass.  The cubes 4 and 6 give
+    shortest 3 * cols / 2, in one pass each.  The cubes 4 and 6 give
     one row per orbit of their roots: index / 3 rows each where the root
     moves every coset, as on gamma3, index where it fixes them all."""
     shapes, runs = [], []
@@ -336,17 +339,7 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
     assert first[43:] == [(105, 48, 38)] * 3 + [(111, 54, 38)] + [(105, 48, 38)] * 4 + [
         (315, 150, 110)
     ] * 5
-    # second passes: none on gamma3, upsilon and gamma_sqrt3, 14 of the 40
-    # index-3 groups and 4 of the sample
-    second = [run[1:] for run in runs]
-    assert second[:3] == [()] * 3
-    assert Counter(shape for run in second[3:43] for shape in run) == {
-        (6, 0, 7): 4, (4, 0, 7): 2, (18, 0, 8): 2, (6, 0, 8): 1, (8, 0, 7): 1,
-        (12, 0, 8): 1, (14, 0, 6): 1, (14, 0, 8): 1, (16, 0, 8): 1,
-    }
-    assert second[43:] == [(), (), ((22, 0, 7),), (), ((21, 0, 11),)] + [()] * 6 + [
-        ((132, 0, 12),), ((173, 0, 14),)
-    ]
+    assert all(len(run) == 1 for run in runs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,13 +410,13 @@ def test_elimination_matches_rescanning_oracle_on_random_rows(monkeypatch):
     """Besides the features of the input rows, the oracle counts two of the
     elimination: a target row emptied by a substitution, and an entry that
     cancels to 0 and is filled in again; and eliminate_unit_pivots holds
-    rows back, or runs a second pass.  The oracle takes the same pivots in
-    the same order, with the same rows held back, so the rows pass through
-    the same states in both."""
+    rows back, in its one pass.  The oracle takes the same pivots in the
+    same order, with the same rows held back, so the rows pass through the
+    same states in both."""
     rng = random.Random(27)
     features = dict.fromkeys(("empty row", "one entry", "unit only in last", "one column"), 0)
     features.update(emptied=0, refilled=0)
-    features.update({"held back": 0, "second pass": 0})
+    features["held back"] = 0
 
     def check(rows, cols):
         events, shapes = Counter(), []
@@ -431,8 +424,8 @@ def test_elimination_matches_rescanning_oracle_on_random_rows(monkeypatch):
         eliminate_unit_pivots(rows, cols)
         for name in events:
             features[name] += 1
-        features["held back"] += shapes[0][1] > 0
-        features["second pass"] += len(shapes) == 2
+        (shape,) = shapes
+        features["held back"] += shape[1] > 0
 
     for _ in range(2500):
         rows, cols = random_sparse_rows(rng)
@@ -460,7 +453,7 @@ def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
         assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit 3, 1 taken, 2 rows left",
-        "held-back rows: 0, 0 nonzero after substitution; second passes: 0",
+        "held-back rows: 0, 0 nonzero after substitution",
     ]
     caplog.clear()
 
