@@ -5,10 +5,10 @@ All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
 of Havas, Holt and Rees (1993), which removes every generator that one of
-the shortest relations expresses in terms of the others (rewriting the
-rest of the relations afterwards) and leaves the quotient and the
-class of the last coordinate unchanged; only its small result becomes
-dense rows.  The normal forms copy their input and never change it.
+the shortest relations expresses in terms of the others and leaves the
+quotient and the class of the last coordinate unchanged; only its small
+result becomes dense rows.  The normal forms copy their input and never
+change it.
 """
 
 from __future__ import annotations
@@ -34,43 +34,39 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
     PIVOT_ROWS_PER_COLUMN * cols rows (the earlier on equal lengths) are
     eliminated on and the rest are held back and rewritten afterwards: the
     excess-row pruning of structured Gaussian elimination (LaMacchia and
-    Odlyzko, 1990), exact over Z for any split.  A rewritten row may keep
-    an entry +-1 off the last column; the Hermite form takes such rows as
-    it takes any others.  Logs one DEBUG line with the rows held back and
-    how many are nonzero after substitution.
+    Odlyzko, 1990), exact over Z for any split, though a rewritten row may
+    keep an entry +-1 off the last column.  Logs at DEBUG as _eliminate does.
     """
     by_length = sorted(range(len(rows)), key=lambda i: len(rows[i]))
-    held = set(by_length[int(PIVOT_ROWS_PER_COLUMN * cols) :])
-    reduced, kept = _eliminate(rows, cols, held)
-    if _log.isEnabledFor(logging.DEBUG):
-        message = "held-back rows: %d, %d nonzero after substitution"
-        _log.debug(message, len(held), sum(1 for i in held if rows[i]))
-    return reduced, kept
+    return _eliminate(rows, cols, set(by_length[int(PIVOT_ROWS_PER_COLUMN * cols) :]))
 
 
 def _eliminate(rows, cols: int, held) -> tuple:
-    """eliminate_unit_pivots with a given split: the rows whose indices are
-    in held are held back, whatever they are.  While a row not held back
-    has an entry +-1 in a column other than the last, it expresses that
-    column's generator in terms of the others, so it is substituted into
-    every other such row and the row and the column are dropped.  Held-back
-    rows get no fill-in and are never pivots; at the end each pivot
-    column's value over the kept columns, by back-substitution in reverse
-    pivot order, rewrites them in place: the same change of generators, so
-    any split is exact.  Returns (dense_rows, kept_cols) as
-    eliminate_unit_pivots does; only with no row held back is no entry +-1
-    left off the last column.
+    """eliminate_unit_pivots with the rows whose indices are in held held
+    back.  While a row not held back has an entry +-1 in a column other
+    than the last, it expresses that column's generator in terms of the
+    others, so it is substituted into every other such row and the row and
+    the column are dropped.  Held-back rows get no fill-in and are never
+    pivots.  Then each pivot row gives its column's value over the kept
+    columns by back-substitution in reverse pivot order, and every row is
+    rewritten with the values: for the held-back rows the same change of
+    generators, so any split is exact, but only with none held back is no
+    unit left off the last column.
+
+    A value is one int with kept coordinate t in bits [t*w, (t+1)*w)
+    (Kronecker substitution).  Every coordinate is at most L, the largest
+    sum |v| * bound over a row, bound being 1 on a kept column and that sum
+    over its pivot row on a pivot column; so with w = L.bit_length() + 1
+    the fields, lifted by 2**(w-1), read back exactly.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
     round scans the rows in order and takes each row's cheapest unit pivot
-    within the round's limit; a round that takes none raises the limit
-    along 0, 1, 3, 7, ... to the first value at or above the cheapest cost
-    it deferred.  A row's cheapest pivot, the unit column in the fewest
-    rows (the least on a tie), is found afresh each time a round reaches
-    the row; with only the shortest rows as candidates, caching it between
-    rounds measured no faster.  Each round that takes pivots logs one
-    DEBUG line.
+    (the unit column in the fewest rows, the least on a tie) within the
+    round's limit; a round that takes none raises the limit along 0, 1, 3,
+    7, ... to the first value at or above the cheapest cost it deferred.
+    Each round that takes pivots logs one DEBUG line, and the end one with
+    the rows held back, how many are nonzero after substitution and w.
     """
     last = cols - 1
     active = [i for i in range(len(rows)) if i not in held]
@@ -136,20 +132,23 @@ def _eliminate(rows, cols: int, held) -> tuple:
             while limit < deferred:
                 limit = 2 * limit + 1
     kept = sorted(set(range(cols)).difference(col for col, _, _ in pivots))
-    value = {c: {c: 1} for c in kept}  # each column over the kept ones
-
-    def over_kept(row, scale=1):
-        combined = {}
-        for c, v in row.items():
-            for k, w in value[c].items():
-                combined[k] = combined.get(k, 0) + scale * v * w
-        return combined
-
+    bound = dict.fromkeys(kept, 1)  # on |coordinate| of each column's value
+    for col, _, row in reversed(pivots):
+        bound[col] = sum(abs(v) * bound[c] for c, v in row.items())
+    sizes = [sum(abs(v) * bound[c] for c, v in row.items()) for row in rows if row]
+    width = max(sizes, default=0).bit_length() + 1
+    shifts = range(0, width * len(kept), width)
+    value = {c: 1 << s for c, s in zip(kept, shifts)}  # each column over the kept ones
     for col, sign, row in reversed(pivots):
-        value[col] = over_kept(row, -sign)
-    for i in held:
-        rows[i] = {c: v for c, v in over_kept(rows[i]).items() if v}
-    return [tuple(row.get(c, 0) for c in kept) for row in rows if row], len(kept)
+        value[col] = -sign * sum(v * value[c] for c, v in row.items())
+    half, mask = 1 << width - 1, (1 << width) - 1
+    bias = sum(half << s for s in shifts)  # lifts every field into [0, mask]
+    totals = {i: sum(v * value[c] for c, v in r.items()) + bias for i, r in enumerate(rows) if r}
+    if debug:
+        message = "held-back rows: %d, %d nonzero after substitution, %d-bit fields"
+        _log.debug(message, len(held), sum(1 for i in held if totals.get(i, bias) != bias), width)
+    nonzero = [t for t in totals.values() if t != bias]
+    return [tuple([(t >> s & mask) - half for s in shifts]) for t in nonzero], len(kept)
 
 
 def hermite_normal_form(rows) -> list:

@@ -558,7 +558,9 @@ def test_gamma3_pivot_schedule(caplog):
     DEBUG line of each of the 15 rounds of gamma3's elimination on its 489
     shortest rows that take pivots, 309 pivots in all, as many as one
     elimination over all 1053 rows took, then the line for the 456 rows
-    held back."""
+    held back: 440 of them nonzero after substitution, counted from their
+    packed totals, in fields of 25 bits, the width that the bound on their
+    coordinates gives."""
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(SubgroupSpec.parse("gamma3"))
     schedule = [
@@ -568,7 +570,7 @@ def test_gamma3_pivot_schedule(caplog):
     ]
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
-    ] + ["held-back rows: 456, 440 nonzero after substitution"]
+    ] + ["held-back rows: 456, 440 nonzero after substitution, 25-bit fields"]
     assert sum(taken for _, taken, _ in schedule) == 309
 
 
@@ -740,9 +742,9 @@ def test_a_fault_in_a_held_back_row_reaches_the_report(monkeypatch):
 
 def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
     """One DEBUG line on su21.zlinalg per elimination, after its rounds,
-    gives the rows held back and how many are nonzero after substitution;
-    at the default level nothing is logged and the logger's debug is never
-    called."""
+    gives the rows held back, how many are nonzero after substitution and
+    the width of the packed fields; at the default level nothing is logged
+    and the logger's debug is never called."""
     gamma3 = SubgroupSpec.parse("gamma3")
 
     def held_back_lines():
@@ -753,7 +755,7 @@ def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(gamma3)
         assert held_back_lines() == [
-            ("su21.zlinalg", "held-back rows: 456, 440 nonzero after substitution")
+            ("su21.zlinalg", "held-back rows: 456, 440 nonzero after substitution, 25-bit fields")
         ]
         caplog.clear()
         survey_index3()

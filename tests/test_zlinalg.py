@@ -444,17 +444,86 @@ def test_elimination_matches_rescanning_oracle_on_random_rows(monkeypatch):
     assert min(features.values()) > 200, features
 
 
+WIDE = 1 << 70
+
+
+def random_wide_rows(rng):
+    """Sparse rows of units and wide entries, up to 2**70 in size, of both
+    signs, with a random set of them held back; or, one time in three, a
+    triangular system whose rows express each column but the last as a
+    positive combination of the later ones, and held-back rows of one sign
+    over it, so that every rewritten coordinate sits at its bound."""
+    cols = rng.randrange(2, 8)
+
+    def wide():
+        return rng.randrange(2, WIDE + 1)
+
+    if rng.randrange(3):
+        rows = [
+            {c: rng.choice((1, -1)) * rng.choice((1, 1, wide())) for c in range(cols)
+             if rng.random() < 0.5}
+            for _ in range(rng.randrange(2, 11))
+        ]
+        return rows, cols, {i for i in range(len(rows)) if rng.random() < 0.4}
+    rows = []
+    for p in range(cols - 1):
+        sign = rng.choice((1, -1))
+        later = {c: -sign * wide() for c in range(p + 1, cols) if rng.random() < 0.6}
+        rows.append({p: sign} | later)
+    pivots = len(rows)
+    for _ in range(rng.randrange(1, 4)):
+        sign = rng.choice((1, -1))
+        rows.append({c: sign * wide() for c in range(cols) if rng.random() < 0.6})
+    return rows, cols, set(range(pivots, len(rows)))
+
+
+def test_wide_entries_unpack_exactly(caplog):
+    """Packed values with entries up to 2**70 against the rescanning oracle,
+    which never packs.  Its features: a negative coordinate next to a zero
+    one, which a field without its bias would borrow from; and a coordinate
+    that needs every bit of the logged field width but the sign bit, which
+    a field one bit narrower would overflow."""
+    rng = random.Random(29)
+    features = Counter()
+    for _ in range(600):
+        rows, cols, held = random_wide_rows(rng)
+        expected = rescanning_elimination(copy.deepcopy(rows), cols, held=held)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
+            assert _eliminate(rows, cols, held) == expected
+        width = int(caplog.records[-1].getMessage().rpartition(", ")[2].partition("-")[0])
+        reduced = expected[0]
+        features["negative next to zero"] += any(
+            row[t] < 0 and 0 in row[max(t - 1, 0) : t + 2]
+            for row in reduced
+            for t in range(len(row))
+        )
+        features["at full width"] += any(
+            abs(v).bit_length() == width - 1 for row in reduced for v in row
+        )
+    assert min(features.values()) > 100, features
+
+
 def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
     """One DEBUG line per round that takes pivots, and one for the rows
-    held back; at the default level nothing is logged and the logger's
-    debug is never called."""
+    held back and the width of the packed fields; at the default level
+    nothing is logged and the logger's debug is never called."""
     m = [[1, 1, -2], [3, 1, 1], [0, 2, 1]]
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit 3, 1 taken, 2 rows left",
-        "held-back rows: 0, 0 nonzero after substitution",
+        "held-back rows: 0, 0 nonzero after substitution, 5-bit fields",
     ]
+    caplog.clear()
+    # the longest row is held back; its coordinate 1 + 2 + 1 over z sits at
+    # its bound, which takes 3 bits and a sign bit
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -2}, {2: 4}, {0: 2}]
+    with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
+        assert eliminate_unit_pivots(rows, 3) == ([(4,), (4,), (2,)], 1)
+    assert caplog.records[-1].getMessage() == (
+        "held-back rows: 1, 1 nonzero after substitution, 4-bit fields"
+    )
     caplog.clear()
 
     def refuse(*args, **kwargs):
