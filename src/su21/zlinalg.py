@@ -14,6 +14,7 @@ change it.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from math import gcd, lcm
 
 _log = logging.getLogger(__name__)
@@ -65,8 +66,16 @@ def _eliminate(rows, cols: int, held) -> tuple:
     (the unit column in the fewest rows, the least on a tie) within the
     round's limit; a round that takes none raises the limit along 0, 1, 3,
     7, ... to the first value at or above the cheapest cost it deferred.
-    Each round that takes pivots logs one DEBUG line, and the end one with
-    the rows held back, how many are nonzero after substitution and w.
+    A row is costed afresh when the scan reaches it, but two kinds of scan
+    are skipped, as neither can take a pivot or change what is deferred.
+    A row that a round left empty holds no column, so it never gains an
+    entry again and leaves the scan.  And the rows after a round's last
+    pivot are, in the next round and as long as it takes nothing, as that
+    round costed them, each over the same limit: so a round that reaches
+    them having taken nothing ends there, deferring the cheapest cost they
+    had as well.  Each round that takes pivots logs one DEBUG line, and the
+    end one with the rows held back, how many are nonzero after
+    substitution, w and the rows costed in all rounds.
     """
     last = cols - 1
     active = [i for i in range(len(rows)) if i not in held]
@@ -76,11 +85,16 @@ def _eliminate(rows, cols: int, held) -> tuple:
             holders[c].add(i)
     pivots = []  # (col, sign, pivot row), in the order taken
     debug = _log.isEnabledFor(logging.DEBUG)
-    limit = 0
+    limit = costed = 0
+    # the last pivot row of the last round, if it took any, and the cheapest
+    # cost that round deferred after it, which its successor starts from
+    resume, deferred = len(rows), None
     while True:
         taken = 0
-        deferred = None
+        stop = resume
         for i in active:
+            if i > stop:  # unchanged since costed over this limit: none can be taken
+                break
             row = rows[i]
             col = None
             for c, v in row.items():
@@ -120,17 +134,21 @@ def _eliminate(rows, cols: int, held) -> tuple:
                 holding.discard(i)
             rows[i] = {}
             taken += 1
+            stop, resume = len(rows), i
+            deferred = None  # from here on, the cheapest cost past the last pivot
+        if debug:
+            costed += bisect_right(active, stop)
         if taken:
+            active = [i for i in active if rows[i]]
             if debug:
-                _log.debug(
-                    "unit pivots: limit %d, %d taken, %d rows left",
-                    limit, taken, sum(1 for i in active if rows[i]),
-                )
+                message = "unit pivots: limit %d, %d taken, %d rows left"
+                _log.debug(message, limit, taken, len(active))
         elif deferred is None:
             break
         else:
             while limit < deferred:
                 limit = 2 * limit + 1
+            resume, deferred = len(rows), None
     kept = sorted(set(range(cols)).difference(col for col, _, _ in pivots))
     bound = dict.fromkeys(kept, 1)  # on |coordinate| of each column's value
     for col, _, row in reversed(pivots):
@@ -145,10 +163,14 @@ def _eliminate(rows, cols: int, held) -> tuple:
     bias = sum(half << s for s in shifts)  # lifts every field into [0, mask]
     totals = {i: sum(v * value[c] for c, v in r.items()) + bias for i, r in enumerate(rows) if r}
     if debug:
-        message = "held-back rows: %d, %d nonzero after substitution, %d-bit fields"
-        _log.debug(message, len(held), sum(1 for i in held if totals.get(i, bias) != bias), width)
+        message = (
+            "held-back rows: %d, %d nonzero after substitution, %d-bit fields; %d rows costed"
+        )
+        substituted = sum(1 for i in held if totals.get(i, bias) != bias)
+        _log.debug(message, len(held), substituted, width, costed)
     nonzero = [t for t in totals.values() if t != bias]
-    return [tuple([(t >> s & mask) - half for s in shifts]) for t in nonzero], len(kept)
+    fields = {t: tuple([(t >> s & mask) - half for s in shifts]) for t in set(nonzero)}
+    return [fields[t] for t in nonzero], len(kept)
 
 
 def hermite_normal_form(rows) -> list:

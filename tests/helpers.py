@@ -683,8 +683,10 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
     other such rows in index order; a round that takes none raises the
     limit by one step of 0, 1, 3, 7, ...  The rows are consumed.  A given
     events Counter counts the substitutions that empty a target row
-    ("emptied") and the entries filled in again after cancelling to 0
-    ("refilled"); a given kept_out list receives the kept columns.
+    ("emptied"), the entries filled in again after cancelling to 0
+    ("refilled") and the rounds that take nothing after a round that took
+    pivots and defer a row after that round's last pivot ("deferred past
+    the last pivot"); a given kept_out list receives the kept columns.
     Returns (dense_rows, kept_cols) as zlinalg._eliminate does: the
     nonzero rows in input order.
 
@@ -702,8 +704,10 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
     pivots = []
     cancelled = set()
     limit = 0
+    previous = None  # the last pivot row of the last round, if it took any
     while True:
-        taken = deferred = False
+        taken = None  # the last pivot row of this round
+        deferred = []
         for i, row in enumerate(rows):
             if i in held:
                 continue
@@ -716,7 +720,7 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
                 continue
             cost, col = min(costs)
             if cost > limit:
-                deferred = True
+                deferred.append(i)
                 continue
             sign = row[col]
             for k in sorted(holders[col] - {i}):
@@ -740,11 +744,15 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
             rows[i] = {}
             eliminated.add(col)
             pivots.append((col, sign, row))
-            taken = True
-        if not taken:
+            taken = i
+        if taken is None:
+            past = previous is not None and previous < max(deferred, default=-1)
+            if events is not None and past:
+                events["deferred past the last pivot"] += 1
             if not deferred:
                 break
             limit = 2 * limit + 1
+        previous = taken
     for col, sign, row in pivots:
         for other in (rows[i] for i in held):
             factor = other.get(col, 0) * sign

@@ -407,15 +407,18 @@ def random_unit_rows(rng):
 
 
 def test_elimination_matches_rescanning_oracle_on_random_rows(monkeypatch):
-    """Besides the features of the input rows, the oracle counts two of the
-    elimination: a target row emptied by a substitution, and an entry that
-    cancels to 0 and is filled in again; and eliminate_unit_pivots holds
-    rows back, in its one pass.  The oracle takes the same pivots in the
-    same order, with the same rows held back, so the rows pass through the
-    same states in both."""
+    """Besides the features of the input rows, the oracle counts three of
+    the elimination: a target row emptied by a substitution, an entry that
+    cancels to 0 and is filled in again, and a round that takes nothing
+    after one that did and defers a row after its last pivot, the rows
+    whose cost the package does not compute again; and
+    eliminate_unit_pivots holds rows back, in its one pass.  The oracle
+    takes the same pivots in the same order, with the same rows held back,
+    so the rows pass through the same states in both."""
     rng = random.Random(27)
     features = dict.fromkeys(("empty row", "one entry", "unit only in last", "one column"), 0)
     features.update(emptied=0, refilled=0)
+    features["deferred past the last pivot"] = 0
     features["held back"] = 0
 
     def check(rows, cols):
@@ -506,14 +509,17 @@ def test_wide_entries_unpack_exactly(caplog):
 
 def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
     """One DEBUG line per round that takes pivots, and one for the rows
-    held back and the width of the packed fields; at the default level
-    nothing is logged and the logger's debug is never called."""
+    held back, the width of the packed fields and the rows costed; at the
+    default level nothing is logged and the logger's debug is never
+    called.  Of m's three rows, the rounds at limits 0 and 3 cost all
+    three; the pivot is row 0, so the round after it, which would cost
+    rows 1 and 2 as the last round left them, ends at once."""
     m = [[1, 1, -2], [3, 1, 1], [0, 2, 1]]
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit 3, 1 taken, 2 rows left",
-        "held-back rows: 0, 0 nonzero after substitution, 5-bit fields",
+        "held-back rows: 0, 0 nonzero after substitution, 5-bit fields; 6 rows costed",
     ]
     caplog.clear()
     # the longest row is held back; its coordinate 1 + 2 + 1 over z sits at
@@ -522,7 +528,7 @@ def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         assert eliminate_unit_pivots(rows, 3) == ([(4,), (4,), (2,)], 1)
     assert caplog.records[-1].getMessage() == (
-        "held-back rows: 1, 1 nonzero after substitution, 4-bit fields"
+        "held-back rows: 1, 1 nonzero after substitution, 4-bit fields; 8 rows costed"
     )
     caplog.clear()
 
