@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 domain or verification failure (non-member matrix,
 failed relator, coset enumeration beyond the subgroup's index, inconsistent
-enumeration), 2 usage or parse errors.
+enumeration, a central generator of infinite order), 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ from .cocycle import sigma
 from .fpgroup import IndexOverflowError, OracleInconsistencyError, upsilon_presentation
 from .gendecomp import decompose
 from .matgroup import GENERATOR_NAMES, GroupMatrix, SubgroupSpec, format_entry
-from .weightdenom import multiplier_system_exists, survey_index3, weight_denominator_of
+from .weightdenom import (
+    InfiniteOrderError,
+    multiplier_system_exists,
+    survey_index3,
+    weight_denominator_of,
+)
 
 
 _GROUP_HELP = (
@@ -240,7 +245,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (_DomainError, IndexOverflowError, OracleInconsistencyError) as exc:
+    except (
+        _DomainError,
+        IndexOverflowError,
+        OracleInconsistencyError,
+        InfiniteOrderError,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

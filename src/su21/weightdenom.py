@@ -98,7 +98,8 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
     1, no index_in_upsilon).
 
     Enumeration stops beyond the subgroup's known index.  Enumeration
-    errors (IndexOverflowError, OracleInconsistencyError) name the group.
+    errors (IndexOverflowError, OracleInconsistencyError) and
+    InfiniteOrderError name the group.
     relator_count counts each ambient relator once per coset, copies included.
     """
     if spec.rows is None:
@@ -118,7 +119,11 @@ def weight_denominator_of(spec: SubgroupSpec) -> DenominatorReport:
             % (spec.name(), graph.index, expected)
         )
     rows = [row for traced in rows for row in traced]
-    return weight_denominator(rows, generator_count + 1)._replace(
+    try:
+        report = weight_denominator(rows, generator_count + 1)
+    except InfiniteOrderError as exc:
+        raise InfiniteOrderError("%s: %s" % (spec.name(), exc)) from exc
+    return report._replace(
         group=spec.name(),
         index_in_upsilon=index_in_upsilon,
         relator_count=len(ambient.relators) * expected,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import su21
-from su21 import cli
+from su21 import cli, weightdenom
 from su21.cli import main
 from su21.cocycle import sigma
 from su21.fpgroup import Word, evaluate_word
@@ -20,6 +20,7 @@ from su21.matgroup import (
     SubgroupSpec,
     generators_upsilon,
 )
+from su21.weightdenom import InfiniteOrderError, weight_denominator_of
 
 from helpers import scaled
 
@@ -480,6 +481,19 @@ def test_index_overflow_is_domain_error(capsys, monkeypatch, argv):
     assert "exceeds max_index = 3" in captured.err
     # the message names the group whose enumeration overflowed
     assert "error: index3:" in captured.err
+
+
+def test_infinite_order_is_domain_error(capsys, monkeypatch):
+    # a Hermite form whose z column leads no row: the error names the group
+    # through the API, and the CLI reports it as one error line
+    monkeypatch.setattr(weightdenom, "last_coordinate_order_of_hnf", lambda rows: None)
+    message = "gamma3: central generator has infinite order in the abelianization"
+    with pytest.raises(InfiniteOrderError) as raised:
+        weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    assert str(raised.value) == message
+    for argv in (["denom", "gamma3"], ["exists", "gamma3", "1/3"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_inconsistent_enumeration_is_domain_error(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -440,3 +442,52 @@ def test_word_hash_and_repr():
     assert hash(w) == hash(Word([(0, 1), (1, -1)]))
     assert "Word" in repr(w)
     assert w.to_string() == "g1 g2^-1"
+
+
+def test_enumeration_acts_twice_per_generator_and_coset():
+    """A regression gate for enumeration work: each coset steps once by each
+    generator and once by its inverse, so the coset action is called
+    2 x generators x index times: 810 on gamma3, 30 for each index-3 group,
+    10 on upsilon and 12 on gamma_sqrt3.  No returned row holds a zero."""
+
+    def act_calls(spec):
+        ambient, index = ambient_of(spec)
+        base, act = spec.coset_action()
+        calls = 0
+
+        def counted(point, generator, sign):
+            nonlocal calls
+            calls += 1
+            return act(point, generator, sign)
+
+        rows, _, graph = reidemeister_schreier(ambient, base, counted, max_index=index)
+        assert graph.index == index
+        assert all(all(row.values()) for traced in rows for row in traced)
+        return calls
+
+    assert act_calls(SubgroupSpec.parse("gamma3")) == 810
+    assert [act_calls(SubgroupSpec((v,))) for v in all_index3_vectors()] == [30] * 40
+    assert act_calls(SubgroupSpec.parse("upsilon")) == 10
+    assert act_calls(SubgroupSpec.parse("gamma_sqrt3")) == 12
+
+
+def test_enumeration_logs_at_debug_only(caplog, monkeypatch):
+    """One DEBUG line on su21.fpgroup per enumeration, with the cosets,
+    Schreier generators and rows traced; at the default level nothing is
+    logged and the logger's debug is never called."""
+    gamma3 = SubgroupSpec.parse("gamma3")
+    ambient, index = ambient_of(gamma3)
+    with caplog.at_level(logging.DEBUG, logger="su21.fpgroup"):
+        reidemeister_schreier(ambient, *gamma3.coset_action(), max_index=index)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("su21.fpgroup", "cosets: 81, Schreier generators: 325, rows traced: 945")
+    ]
+    caplog.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("debug called with DEBUG off")
+
+    monkeypatch.setattr(logging.getLogger("su21.fpgroup"), "debug", refuse)
+    with caplog.at_level(logging.WARNING):
+        reidemeister_schreier(ambient, *gamma3.coset_action(), max_index=index)
+    assert not caplog.records
