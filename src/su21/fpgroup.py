@@ -87,15 +87,13 @@ class Word(Value):
         index_of = {name: i for i, name in enumerate(names)}
         letters = []
         for token in text.split():
-            name, _, suffix = token.partition("^")
+            name, caret, suffix = token.partition("^")
             if name not in index_of:
                 raise ValueError("unknown generator %r" % name)
-            exponent = 1
-            if suffix:
-                try:
-                    exponent = int(suffix)
-                except ValueError:
-                    raise ValueError("bad exponent in token %r" % token) from None
+            try:
+                exponent = int(suffix) if caret else 1
+            except ValueError:
+                raise ValueError("bad exponent in token %r" % token) from None
             sign = 1 if exponent >= 0 else -1
             letters.extend([(index_of[name], sign)] * abs(exponent))
         return cls(letters)
@@ -136,14 +134,16 @@ def lift_word(word: Word, images) -> CoverElement:
 
 
 class Presentation(Value):
-    """Generators, relator words, one matrix image per generator, and the
-    central part n of each relator's lift (I, n) to the universal cover.
+    """Generators, relator words, one matrix image per generator, the
+    central part n of each relator's lift (I, n) to the universal cover,
+    and each relator's root (codes, k) as _root gives it.
 
-    Each relator is lifted once at construction time; a lift whose matrix
-    part is not I means a mistranscribed relator, which fails loudly.
+    Each relator is lifted, and its root found, once at construction time;
+    a lift whose matrix part is not I means a mistranscribed relator, which
+    fails loudly.
     """
 
-    __slots__ = ("generator_count", "generator_names", "relators", "images", "central")
+    __slots__ = ("generator_count", "generator_names", "relators", "images", "central", "roots")
 
     def __init__(self, generator_names, relators, images):
         names = tuple(str(n) for n in generator_names)
@@ -167,12 +167,19 @@ class Presentation(Value):
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "central", tuple(central))
+        object.__setattr__(self, "roots", tuple(map(_root, relators)))
 
     def __repr__(self):
-        return "Presentation(%r, <%d relators>)" % (
-            list(self.generator_names),
-            len(self.relators),
-        )
+        return "Presentation(%r, <%d relators>)" % (list(self.generator_names), len(self.relators))
+
+
+def _root(word: Word) -> tuple:
+    """(codes, k) for the shortest word w with w^k = word, w's letters
+    (generator, sign) coded 2 * generator + (sign == -1)."""
+    letters = word.letters
+    n = len(letters)
+    m = next((m for m in range(1, n) if not n % m and letters[:m] * (n // m) == letters), n)
+    return tuple(2 * gi + (s == -1) for gi, s in letters[:m]), n // m if m else 1
 
 
 @lru_cache(maxsize=None)
@@ -213,13 +220,13 @@ def gamma_sqrt3_presentation() -> Presentation:
 
 class CosetGraph(NamedTuple):
     """The coset graph: vertices are the points of the coset action, vertex
-    0 the base point, and each edge (v, letter) -> w means that the letter
-    moves point v to point w.  symbol_of maps each positive edge
-    (v, generator) off the spanning tree to the column of its Schreier
-    generator in the relation rows."""
+    0 the base point, and steps[letter][v] = w, for each letter
+    (generator, sign), means that the letter moves point v to point w.
+    symbol_of maps each positive edge (v, generator) off the spanning tree
+    to the column of its Schreier generator in the relation rows."""
 
     vertices: tuple
-    edges: dict
+    steps: dict
     generator_count: int
     symbol_of: dict
 
@@ -227,16 +234,14 @@ class CosetGraph(NamedTuple):
     def index(self) -> int:
         return len(self.vertices)
 
+    @property
+    def edges(self) -> dict:
+        """{(v, letter): w} for each coset v, then letter, built on each read."""
+        steps = self.steps.items()
+        return {(vi, letter): step[vi] for vi in range(self.index) for letter, step in steps}
+
     def __repr__(self):
-        return "CosetGraph(<%d cosets, %d edges>)" % (len(self.vertices), len(self.edges))
-
-
-@lru_cache(maxsize=None)
-def _root(letters) -> tuple:
-    """(m, k) for the shortest word w of m letters with w^k = letters."""
-    n = len(letters)
-    m = next((m for m in range(1, n) if not n % m and letters[:m] * (n // m) == letters), n)
-    return m, n // m if m else 1
+        return "CosetGraph(<%d cosets, %d edges>)" % (self.index, self.index * len(self.steps))
 
 
 def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
@@ -250,7 +255,8 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     hashable.  Enumeration is breadth-first with a FIFO queue; each
     dequeued point steps by the generators in index order, the generator
     before its inverse, and the image joins the coset with that point (one
-    dict lookup) or founds a new one, so coset numbering is reproducible.
+    dict lookup) or founds a new one, so coset numbering is reproducible;
+    the graph keeps the enumeration's step lists, one per letter.
 
     The action is checked, not trusted; OracleInconsistencyError is raised
     unless every inverse edge reverses its positive edge and every relator
@@ -272,10 +278,10 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
     generator whose running sum returns to 0 leaves the row at once and
     rejoins it when a later letter hits it, so no row holds a zero entry.
 
-    Write R = w^k with w its shortest root.  The walk of R from v * w^j is
-    the walk from v rotated by j * |w| letters, so it gives the same row and
-    closes up exactly when the walk from v does.  So R is traced only from
-    the least coset of each <w>-orbit, in coset order: the rest are copies.
+    Write R = w^k with w its shortest root (ambient.roots).  The walk of R
+    from v * w^j is the walk from v rotated by j * |w| letters, so it gives
+    the same row and closes up exactly when the walk from v does.  So R is
+    traced only from the least coset of each <w>-orbit: the rest are copies.
 
     That z entry needs no lift of the subgroup.  Lift each coset
     representative along the spanning tree (the lift of r * x is
@@ -301,9 +307,7 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
             wj = coset_of.get(image)
             if wj is None:
                 if len(coset_of) >= max_index:
-                    raise IndexOverflowError(
-                        "subgroup index exceeds max_index = %d" % max_index
-                    )
+                    raise IndexOverflowError("subgroup index exceeds max_index = %d" % max_index)
                 wj = coset_of[image] = len(coset_of)
                 queue.append(image)
                 tree.add((vi, gi) if sign == 1 else (wj, gi))
@@ -327,11 +331,11 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
                 columns[(gi, 1)][vi] = columns[(gi, -1)][wj] = symbol
 
     z = len(symbol_of)  # the column of the central generator
-    lanes = {letter: (step, columns[letter], letter[1]) for letter, step in steps.items()}
+    # indexed by letter code, as steps lists the letters
+    lanes = [(step, columns[letter], letter[1]) for letter, step in steps.items()]
     rows = []
-    for k, (rel, n) in enumerate(zip(ambient.relators, ambient.central)):
-        m, power = _root(rel.letters)
-        root = [lanes[letter] for letter in rel.letters[:m]]
+    for k, (n, (codes, power)) in enumerate(zip(ambient.central, ambient.roots)):
+        root = [lanes[code] for code in codes]
         traced = []
         seen = [False] * index
         for vi in range(index):
@@ -359,11 +363,6 @@ def reidemeister_schreier(ambient: Presentation, base, act, max_index: int):
             traced.append(row)
         rows.append(traced)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "cosets: %d, Schreier generators: %d, rows traced: %d",
-            index, z, sum(map(len, rows)),
-        )
-
-    edges = {(vi, letter): step[vi] for vi in range(index) for letter, step in steps.items()}
-    graph = CosetGraph(tuple(coset_of), edges, ambient.generator_count, symbol_of)
-    return rows, len(symbol_of), graph
+        message = "cosets: %d, Schreier generators: %d, rows traced: %d"
+        _log.debug(message, index, z, sum(map(len, rows)))
+    return rows, z, CosetGraph(tuple(coset_of), steps, ambient.generator_count, symbol_of)

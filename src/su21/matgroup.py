@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .value import Value
 
@@ -135,11 +135,9 @@ class GroupMatrix(Value):
         if not isinstance(data, dict) or "entries" not in data:
             raise ValueError('expected an object with an "entries" key')
         rows = data["entries"]
-        if not isinstance(rows, list) or len(rows) != 3:
+        if not (isinstance(rows, list) and len(rows) == 3
+                and all(isinstance(row, list) and len(row) == 3 for row in rows)):
             raise ValueError("entries must be a 3x3 array of integer pairs")
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise ValueError("entries must be a 3x3 array of integer pairs")
         return cls(rows)
 
 
@@ -297,6 +295,13 @@ def _generator_f_images() -> tuple:
     return tuple(map(F_map, generators_upsilon()))
 
 
+@lru_cache(maxsize=None)
+def _translation(shift: tuple, sign: int) -> dict:
+    """{p: p + sign * shift mod 3} on the points p of F_3^len(shift), once per process."""
+    images = product(*[[(p + sign * s) % 3 for p in range(3)] for s in shift])
+    return dict(zip(product(range(3), repeat=len(shift)), images))
+
+
 def all_index3_vectors() -> list:
     """All 40 nonzero vectors in F_3^4 up to sign, sorted: the rows of the
     40 index-3 specs."""
@@ -385,20 +390,16 @@ class SubgroupSpec(Value):
         """(base, act): the right cosets H*g in the ambient group as points,
         base the coset of I, and act(point, i, sign) the point reached by
         ambient generator i, or its inverse for sign -1.  The point of H*g
-        is rows . F_map(g) mod 3, so generator i adds sign * rows . F(n_i).
+        is rows . F_map(g) mod 3, so generator i adds sign * rows . F(n_i):
+        act looks the point up in that letter's translation table.
         gamma_sqrt3 is its own ambient group: its one point () is fixed
         by every generator."""
         if self.rows is None:
             return (), lambda point, generator, sign: point
-        shifts = [
-            tuple(sum(r * x for r, x in zip(row, f)) % 3 for row in self.rows)
-            for f in _generator_f_images()
-        ]
-
-        def act(point, generator, sign):
-            return tuple((p + sign * s) % 3 for p, s in zip(point, shifts[generator]))
-
-        return (0,) * len(self.rows), act
+        shifts = [tuple(sum(map(mul, r, f)) % 3 for r in self.rows) for f in _generator_f_images()]
+        # indexed by sign: [1] is n_i's table and [-1], the last, its inverse's
+        tables = [(None, _translation(s, 1), _translation(s, -1)) for s in shifts]
+        return (0,) * len(self.rows), lambda point, generator, sign: tables[generator][sign][point]
 
     def index_in_upsilon(self) -> int:
         """Index inside the ambient unipotent-generated group, which does

@@ -642,7 +642,7 @@ def trace_words(ambient, graph):
             current = vi
             for gi, sign in rel.letters:
                 previous = current
-                current = graph.edges[(current, (gi, sign))]
+                current = graph.steps[(gi, sign)][current]
                 edge = (previous, gi) if sign == 1 else (current, gi)
                 if edge in symbol_of:
                     letters.append((symbol_of[edge], sign))
@@ -797,13 +797,23 @@ def all_rows_report(spec, rows, generator_count, graph):
 
 
 def shortest_root(word):
-    """The shortest word w with word = w^k for some k >= 1, by trying every
-    prefix in turn; the empty word is its own root."""
+    """The shortest word w with word = w^k for some k >= 1, by brute force:
+    the first m letters for the least m >= 1 whose cyclic rotation leaves
+    the letters as they are (such an m divides their number); the empty
+    word is its own root."""
     letters = word.letters
-    for m in range(1, len(letters)):
-        if len(letters) % m == 0 and letters[:m] * (len(letters) // m) == letters:
-            return Word(letters[:m])
-    return word
+    n = len(letters)
+    m = next((m for m in range(1, n) if letters[m:] + letters[:m] == letters), n)
+    return Word(letters[:m])
+
+
+def root_codes(word):
+    """(codes, k) as Presentation.roots holds the root w = shortest_root(word)
+    with w^k = word: each letter (generator, sign) of w is coded 2 * generator
+    for sign 1 and 2 * generator + 1 for sign -1."""
+    root = shortest_root(word).letters
+    codes = tuple(2 * gi + (0 if sign == 1 else 1) for gi, sign in root)
+    return codes, len(word) // len(root) if root else 1
 
 
 def root_orbits(graph, root):
@@ -818,7 +828,7 @@ def root_orbits(graph, root):
         while orbit_of[current] is None:
             orbit_of[current] = orbits
             for letter in root.letters:
-                current = graph.edges[(current, letter)]
+                current = graph.steps[letter][current]
         assert current == vi, "the root does not permute the cosets"
         orbits += 1
     return orbit_of
@@ -858,6 +868,20 @@ def spec_coset_key(spec, g):
     return tuple(sum(r * x for r, x in zip(row, f)) % 3 for row in spec.rows)
 
 
+def arithmetic_action(spec):
+    """(base, act) as SubgroupSpec.coset_action gives them, with act adding
+    sign * rows . F(n_i) mod 3 to the point coordinate by coordinate, the
+    arithmetic that its translation tables hold."""
+    if spec.rows is None:
+        return (), lambda point, generator, sign: point
+    shifts = [spec_coset_key(spec, n) for n in GENERATORS]
+
+    def act(point, generator, sign):
+        return tuple((p + sign * s) % 3 for p, s in zip(point, shifts[generator]))
+
+    return (0,) * len(spec.rows), act
+
+
 def spec_membership(spec, g):
     """Whether g lies in the subgroup the spec names."""
     if spec.rows is None:
@@ -870,18 +894,18 @@ def keyed_reidemeister_schreier(ambient, coset_key, membership, max_index):
     with the coset representatives as the graph's vertices."""
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
-    steps = [((1, image), (-1, image.inverse())) for image in ambient.images]
+    factors = [((1, image), (-1, image.inverse())) for image in ambient.images]
 
     vertices = [IDENTITY]
     coset_of = {coset_key(IDENTITY): 0}
-    edges = {}
+    steps = {(gi, sign): [] for gi in range(ambient.generator_count) for sign in (1, -1)}
     products = {}  # positive edge (v, generator) -> r * x, for the Schreier generators
     tree = set()  # positive edges (v, generator) of the spanning tree
     queue = deque([0])
     while queue:
         vi = queue.popleft()
         r = vertices[vi]
-        for gi, pair in enumerate(steps):
+        for gi, pair in enumerate(factors):
             for sign, step in pair:
                 m = r * step
                 key = coset_key(m)
@@ -896,7 +920,7 @@ def keyed_reidemeister_schreier(ambient, coset_key, membership, max_index):
                     coset_of[key] = wj
                     queue.append(wj)
                     tree.add((vi, gi) if sign == 1 else (wj, gi))
-                edges[(vi, (gi, sign))] = wj
+                steps[(gi, sign)].append(wj)
                 if sign == 1:
                     products[(vi, gi)] = m
 
@@ -904,8 +928,8 @@ def keyed_reidemeister_schreier(ambient, coset_key, membership, max_index):
     symbol_of = {}
     for vi in range(len(vertices)):
         for gi in range(ambient.generator_count):
-            wj = edges[(vi, (gi, 1))]
-            if edges[(wj, (gi, -1))] != vi:
+            wj = steps[(gi, 1)][vi]
+            if steps[(gi, -1)][wj] != vi:
                 raise OracleInconsistencyError(
                     "coset %d steps by generator %d to coset %d, but its inverse "
                     "does not step back" % (vi, gi, wj)
@@ -930,9 +954,9 @@ def keyed_reidemeister_schreier(ambient, coset_key, membership, max_index):
             for gi, sign in rel.letters:
                 if sign == 1:
                     edge = (current, gi)
-                    current = edges[(current, (gi, 1))]
+                    current = steps[(gi, 1)][current]
                 else:
-                    current = edges[(current, (gi, -1))]
+                    current = steps[(gi, -1)][current]
                     edge = (current, gi)
                 symbol = symbol_of.get(edge)
                 if symbol is not None:
@@ -946,7 +970,7 @@ def keyed_reidemeister_schreier(ambient, coset_key, membership, max_index):
                 row[z] = -n
             rows.append(row)
 
-    graph = CosetGraph(tuple(vertices), edges, ambient.generator_count, symbol_of)
+    graph = CosetGraph(tuple(vertices), steps, ambient.generator_count, symbol_of)
     return rows, len(symbol_of), graph
 
 

@@ -1,4 +1,5 @@
 import logging
+import random
 
 import pytest
 from hypothesis import given
@@ -28,7 +29,9 @@ from helpers import (
     keyed_reidemeister_schreier,
     lattice_specs,
     predicate_scan_presentation,
+    random_word,
     relation_matrix,
+    root_codes,
     schreier_edges,
     shortest_root,
     spec_coset_key,
@@ -123,6 +126,9 @@ def test_word_string_round_trip():
         Word.from_string("bogus", names)
     with pytest.raises(ValueError):
         Word.from_string("n1^x", names)
+    # an empty exponent is as bad as any other non-integer one
+    with pytest.raises(ValueError, match=r"^bad exponent in token 'n1\^'$"):
+        Word.from_string("n1^", names)
 
 
 def test_evaluate_word():
@@ -293,7 +299,7 @@ def test_reidemeister_schreier_with_matrix_images():
     # with generator k standing for r * x * r'^-1 of the k-th Schreier edge,
     # the trace of relator k from coset v is r_v * relator * r_v^-1 = I
     images = [
-        representatives[vi] * p.images[gi] * representatives[graph.edges[(vi, (gi, 1))]].inverse()
+        representatives[vi] * p.images[gi] * representatives[graph.steps[(gi, 1)][vi]].inverse()
         for vi, gi in schreier_edges(graph)
     ]
     assert len(images) == generator_count
@@ -346,6 +352,23 @@ def test_only_relators_4_and_6_are_proper_powers():
     assert [str(roots[3]), str(roots[5])] == ["g3 g5", "g1^-1 g3 g4^-1"]
     extra = gamma_sqrt3_presentation().relators[13:]
     assert [len(shortest_root(r)) for r in extra] == [1, 4, 4, 4, 4, 4]
+
+
+def test_presentations_hold_their_relators_roots():
+    """Presentation.roots agrees with the brute-force root of each relator:
+    upsilon's 13, gamma_sqrt3's 19, and seeded words w^k for k = 1 to 4,
+    among them a w that is itself a power: ((ab)^2)^3 has root ab, power 6."""
+    for p in (upsilon_presentation(), gamma_sqrt3_presentation()):
+        assert list(p.roots) == [root_codes(r) for r in p.relators]
+    assert [len(p.roots) for p in (upsilon_presentation(), gamma_sqrt3_presentation())] == [13, 19]
+    assert upsilon_presentation().roots[3] == ((4, 8), 3)  # (n3 n5)^3
+    rng = random.Random(35)
+    relators = [random_word(rng, 6, n_gens=3) ** k for k in (1, 2, 3, 4) for _ in range(25)]
+    ab = Word([(0, 1), (1, 1)])
+    relators += [(ab ** 2) ** 3, Word(), Word([(2, -1)]) ** 4]
+    p = Presentation(("a", "b", "c"), relators, (IDENTITY,) * 3)
+    assert list(p.roots) == [root_codes(r) for r in relators]
+    assert p.roots[-3:] == (((0, 2), 6), ((), 1), ((5,), 4))
 
 
 def test_relation_rows_are_trace_exponent_sums():

@@ -1,6 +1,7 @@
 import pickle
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from helpers import (
     ZERO,
     ZETA,
     EisensteinInt,
+    arithmetic_action,
     conj_transpose,
     divided_f_coordinates,
     divides,
@@ -665,6 +667,25 @@ def test_coset_action_moves_points_as_the_key():
     base, act = SubgroupSpec.parse("gamma_sqrt3").coset_action()
     assert base == ()
     assert {act(base, i, s) for i in range(6) for s in (1, -1)} == {()}
+
+
+def test_translation_tables_act_as_the_arithmetic():
+    """On every group between Gamma(3) and upsilon, and on gamma_sqrt3, the
+    table lookup of coset_action moves every point by every generator and
+    its inverse as the arithmetic oracle does, from the same base point."""
+    specs = lattice_specs() + (SubgroupSpec.parse("gamma_sqrt3"),)
+    checked = 0
+    for spec in specs:
+        base, act = spec.coset_action()
+        oracle_base, oracle = arithmetic_action(spec)
+        assert base == oracle_base, spec.name()
+        points = list(product(range(3), repeat=len(base)))
+        generators = range(6 if spec.rows is None else 5)
+        for point, gi, sign in product(points, generators, (1, -1)):
+            assert act(point, gi, sign) == oracle(point, gi, sign), (spec.name(), point, gi, sign)
+            checked += 1
+    assert len(specs) == 213
+    assert checked == sum(3 ** len(s.rows) * 10 for s in specs[:-1]) + 12
 
 
 def test_json_round_trip():

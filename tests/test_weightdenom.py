@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from su21 import cocycle, matgroup, weightdenom, zlinalg
+from su21 import cocycle, fpgroup, matgroup, weightdenom, zlinalg
 from su21.cocycle import COVER_IDENTITY, CoverElement
 from su21.fpgroup import (
     CosetGraph,
@@ -144,7 +144,7 @@ def test_relator_traces_telescope_to_base_lifts():
         assert [lift.g for lift in lifts] == coset_representatives(base, graph)
         assert [spec_coset_key(spec, lift.g) for lift in lifts] == list(graph.vertices)
         generators = [
-            lifts[vi] * steps[gi] * lifts[graph.edges[(vi, (gi, 1))]].inverse()
+            lifts[vi] * steps[gi] * lifts[graph.steps[(gi, 1)][vi]].inverse()
             for vi, gi in schreier_edges(graph)
         ]
         assert len(generators) == generator_count
@@ -811,6 +811,31 @@ def test_warm_survey_and_gamma3_counters(monkeypatch):
     assert work(lambda: weight_denominator_of(gamma3)) == 0
 
 
+def test_survey_finds_no_root_and_builds_each_table_once(monkeypatch):
+    """A regression gate for the survey's fixed costs.  Each relator's root
+    is found once per presentation, so with upsilon_presentation() built
+    the 40 index-3 reports find none.  A cold survey builds each coset
+    translation table once: 6 of them, one per shift 0, 1, 2 and sign, and
+    gamma3 8, as n1 and n2 have one image under F_map."""
+    upsilon_presentation()
+    original, calls = fpgroup._root, []
+
+    def counted(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(fpgroup, "_root", counted)
+    matgroup._translation.cache_clear()
+    survey_index3()
+    assert calls == []
+    info = matgroup._translation.cache_info()
+    assert (info.misses, info.currsize) == (6, 6)
+    matgroup._translation.cache_clear()
+    weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    info = matgroup._translation.cache_info()
+    assert (info.misses, info.currsize) == (8, 8)
+
+
 def test_gamma3_and_survey_leave_gamma_sqrt3_presentation_unbuilt():
     """Only gamma_sqrt3 builds its presentation: a cold gamma3 and the
     40-group survey run on upsilon's alone."""
@@ -851,7 +876,7 @@ def test_index3_enumeration_checks_no_unitarity(monkeypatch):
         EisensteinInt(3, -4),
         CoverElement(GENERATORS[0], 5),
         BallPoint(-2.0, 0.5j),
-        CosetGraph([(0,)], {(0, (0, 1)): 0}, 1, {(0, 0): 0}),
+        CosetGraph([(0,)], {(0, 1): [0], (0, -1): [0]}, 1, {(0, 0): 0}),
         DenominatorReport("upsilon", 1, 5, 13, 1, (3, 3, 3), 2),
     ],
     ids=lambda value: type(value).__name__,
@@ -908,7 +933,7 @@ def test_pickles_with_the_wrong_number_of_fields_fail_to_load():
     before central existed, fails at load time, not at first use."""
     old = (UPSILON.generator_count, UPSILON.generator_names, UPSILON.relators, UPSILON.images)
     for reduced, message in [
-        ((object.__new__, (Presentation,), old), "Presentation takes 5 field values, got 4"),
+        ((object.__new__, (Presentation,), old), "Presentation takes 6 field values, got 4"),
         ((object.__new__, (EisensteinInt,), (3,)), "EisensteinInt takes 2 field values, got 1"),
         # the state of a GroupMatrix pickled when its one field held its rows
         (
