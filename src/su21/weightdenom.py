@@ -17,8 +17,8 @@ relators, once per process per ambient group.
 
 The sparse rows are shrunk by unit-pivot elimination, which eliminates on
 the shortest rows and rewrites the rest after it, before a single Hermite
-normal form of the distinct nonzero rows left, which gives d; its nonzero
-rows give the invariants.
+normal form of the nonzero rows left, each once up to sign, which gives d;
+its nonzero rows give the invariants.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def weight_denominator(rows, cols: int) -> DenominatorReport:
     central extension, from that extension's abelianized relations: rows
     is a list of sparse rows {column: nonzero int} over cols columns, one
     per relator, with the central generator z last.  The rows are
-    consumed.  The report names no group and no index_in_upsilon."""
+    consumed, and reach the Hermite form once each up to sign.
+    The report names no group and no index_in_upsilon."""
     reduced, kept = eliminate_unit_pivots(rows, cols)
-    distinct = list(dict.fromkeys(reduced))  # the same lattice
-    nonzero = [row for row in hermite_normal_form(distinct) if any(row)]
+    nonzero = [row for row in hermite_normal_form(reduced) if any(row)]
     order = last_coordinate_order_of_hnf(nonzero)
     if order is None:
         raise InfiniteOrderError(

@@ -4,11 +4,8 @@ invariants, on plain rows: equal-length sequences of Python ints.
 All arithmetic is on Python ints, so no intermediate entry can overflow.
 Large relation sets arrive as sparse rows ({column: entry} dicts) and are
 first shrunk by eliminate_unit_pivots, the "badly presented Z-module" step
-of Havas, Holt and Rees (1993), which removes every generator that one of
-the shortest relations expresses in terms of the others and leaves the
-quotient and the class of the last coordinate unchanged; only its small
-result becomes dense rows.  The normal forms copy their input and never
-change it.
+of Havas, Holt and Rees (1993); only its small result becomes dense rows.
+The normal forms copy their input and never change it.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
     """Relations with the same cokernel and the same class of the last
     coordinate as rows, a list of sparse rows {column: nonzero int} over
     cols columns, which is consumed.  Returns (dense_rows, kept_cols): the
-    nonzero rows left, in input order, as int tuples over the kept_cols
-    columns that were not pivots.
+    nonzero rows left, once each up to sign, as int tuples over the
+    kept_cols columns that were not pivots.
 
     Most rows of a tall relation matrix are never pivots, and substituting
     into them is most of the fill-in, so only the shortest
@@ -38,7 +35,7 @@ def eliminate_unit_pivots(rows, cols: int) -> tuple:
     Odlyzko, 1990), exact over Z for any split, though a rewritten row may
     keep an entry +-1 off the last column.  Logs at DEBUG as _eliminate does.
     """
-    by_length = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    by_length = sorted(range(len(rows)), key=list(map(len, rows)).__getitem__)
     return _eliminate(rows, cols, set(by_length[int(PIVOT_ROWS_PER_COLUMN * cols) :]))
 
 
@@ -55,10 +52,12 @@ def _eliminate(rows, cols: int, held) -> tuple:
     unit left off the last column.
 
     A value is one int with kept coordinate t in bits [t*w, (t+1)*w)
-    (Kronecker substitution).  Every coordinate is at most L, the largest
-    sum |v| * bound over a row, bound being 1 on a kept column and that sum
-    over its pivot row on a pivot column; so with w = L.bit_length() + 1
-    the fields, lifted by 2**(w-1), read back exactly.
+    (Kronecker substitution).  A coordinate is at most L, the largest sum
+    |v| over a row times the largest bound, bound being 1 on a kept column
+    and sum |v| * bound over its pivot row on a pivot column; so the fields
+    of w = L.bit_length() + 1 bits, lifted by 2**(w-1), read back exactly.
+    A row and its negation pack to t and -t: by |t| each comes out once, in
+    order of first occurrence, its last nonzero entry positive.
 
     Pivots are taken in rounds of rising Markowitz cost (row length - 1) *
     (column length - 1), which keeps fill-in and entry growth small: a
@@ -153,24 +152,24 @@ def _eliminate(rows, cols: int, held) -> tuple:
     bound = dict.fromkeys(kept, 1)  # on |coordinate| of each column's value
     for col, _, row in reversed(pivots):
         bound[col] = sum(abs(v) * bound[c] for c, v in row.items())
-    sizes = [sum(abs(v) * bound[c] for c, v in row.items()) for row in rows if row]
-    width = max(sizes, default=0).bit_length() + 1
+    norm = max([sum(map(abs, row.values())) for row in rows], default=0)
+    width = (norm * max(bound.values(), default=0)).bit_length() + 1
     shifts = range(0, width * len(kept), width)
     value = {c: 1 << s for c, s in zip(kept, shifts)}  # each column over the kept ones
     for col, sign, row in reversed(pivots):
         value[col] = -sign * sum(v * value[c] for c, v in row.items())
     half, mask = 1 << width - 1, (1 << width) - 1
     bias = sum(half << s for s in shifts)  # lifts every field into [0, mask]
-    totals = {i: sum(v * value[c] for c, v in r.items()) + bias for i, r in enumerate(rows) if r}
+    totals = {i: sum(v * value[c] for c, v in r.items()) for i, r in enumerate(rows) if r}
     if debug:
         message = (
             "held-back rows: %d, %d nonzero after substitution, %d-bit fields; %d rows costed"
         )
-        substituted = sum(1 for i in held if totals.get(i, bias) != bias)
+        substituted = sum(1 for i in held if totals.get(i))
         _log.debug(message, len(held), substituted, width, costed)
-    nonzero = [t for t in totals.values() if t != bias]
-    fields = {t: tuple([(t >> s & mask) - half for s in shifts]) for t in set(nonzero)}
-    return [fields[t] for t in nonzero], len(kept)
+    distinct = dict.fromkeys(map(abs, filter(None, totals.values())))  # each row once, up to sign
+    fields = [tuple([(t >> s & mask) - half for s in shifts]) for t in map(bias.__add__, distinct)]
+    return fields, len(kept)
 
 
 def hermite_normal_form(rows) -> list:
@@ -263,9 +262,10 @@ def cokernel_invariants(rows, cols: int) -> tuple:
 
     torsion_invariants lists the Smith diagonal entries that are neither 0
     nor 1, in divisibility order; free_rank counts the quotient's free
-    summands (cols minus the number of nonzero diagonal entries).
+    summands (cols minus the number of nonzero diagonal entries).  Smith
+    runs on the transpose, so Hermite rows start it with the column pass.
     """
-    diagonal = smith_normal_form(rows)
+    diagonal = smith_normal_form(list(zip(*rows)))
     torsion = tuple(d for d in diagonal if d > 1)
     free_rank = cols - sum(1 for d in diagonal if d != 0)
     return torsion, free_rank

@@ -1,5 +1,7 @@
 import hypothesis
 
+pytest_plugins = ["pytester"]
+
 hypothesis.settings.register_profile(
     "package", derandomize=True, max_examples=100
 )

@@ -675,7 +675,7 @@ def sparse_rows(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
+def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None, width_out=None):
     """Unit-pivot elimination as zlinalg._eliminate defines it, on the rows
     whose indices are not in held, written the direct way: every round
     costs every such row afresh, scans them in order and takes each row's
@@ -686,9 +686,10 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
     ("emptied"), the entries filled in again after cancelling to 0
     ("refilled") and the rounds that take nothing after a round that took
     pivots and defer a row after that round's last pivot ("deferred past
-    the last pivot"); a given kept_out list receives the kept columns.
-    Returns (dense_rows, kept_cols) as zlinalg._eliminate does: the
-    nonzero rows in input order.
+    the last pivot"); a given kept_out list receives the kept columns, and
+    a given width_out list the field width that per_row_width gives.
+    Returns (dense_rows, kept_cols): the nonzero rows in input order, which
+    distinct_up_to_sign makes the rows that zlinalg._eliminate returns.
 
     Each held row is then rewritten by forward substitution, where the
     package back-substitutes: the pivot rows, kept as they were when taken,
@@ -753,16 +754,44 @@ def rescanning_elimination(rows, cols, events=None, held=(), kept_out=None):
                 break
             limit = 2 * limit + 1
         previous = taken
+    kept = [c for c in range(cols) if c not in eliminated]
+    if width_out is not None:
+        width_out.append(per_row_width(rows, pivots, kept))
     for col, sign, row in pivots:
         for other in (rows[i] for i in held):
             factor = other.get(col, 0) * sign
             for c, v in row.items():
                 other[c] = other.get(c, 0) - factor * v
-    kept = [c for c in range(cols) if c not in eliminated]
     if kept_out is not None:
         kept_out.extend(kept)
     dense = [tuple(row.get(c, 0) for c in kept) for row in rows]
     return [row for row in dense if any(row)], len(kept)
+
+
+def per_row_width(rows, pivots, kept):
+    """The least field width that a bound for each row gives, for the rows
+    as elimination leaves them, held-back rows not yet rewritten, over the
+    pivots (col, sign, row) taken, each row as it was when taken: every
+    coordinate of a rewritten row is at most the row's sum of |v| *
+    bound[c], bound being 1 on a kept column and that sum over its pivot
+    row, its pivot left out, on a pivot column.  So the largest sum, with a
+    sign bit, is wide enough; zlinalg._eliminate's field is at least as
+    wide, as it bounds every row by the largest row norm times the largest
+    bound."""
+    bound = dict.fromkeys(kept, 1)
+    for col, _, row in reversed(pivots):
+        bound[col] = sum(abs(v) * bound[c] for c, v in row.items() if c != col)
+    sizes = [sum(abs(v) * bound[c] for c, v in row.items()) for row in rows]
+    return max(sizes, default=0).bit_length() + 1
+
+
+def distinct_up_to_sign(rows):
+    """Each of the nonzero rows once up to sign, in order of first
+    occurrence, as the int tuple whose last nonzero entry is positive."""
+    return list(dict.fromkeys(
+        tuple(row) if next(v for v in reversed(row) if v) > 0 else tuple(-v for v in row)
+        for row in rows
+    ))
 
 
 def ambient_of(spec):

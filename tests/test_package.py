@@ -10,6 +10,7 @@ from su21.value import Value
 
 SRC = Path(su21.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 
 # README's Python API, the types it takes or returns, and the errors
 # weight_denominator_of raises
@@ -250,3 +251,25 @@ def test_every_module_level_name_is_read_or_exported():
     reason, in UNREAD_BY_DESIGN; a listed name that is read again leaves
     the list."""
     assert _unread_names() == set(UNREAD_BY_DESIGN)
+
+
+def test_a_failing_hypothesis_test_fails_without_an_internal_error(pytester):
+    """Under the project's pytest settings, which make warnings errors, a
+    failing @given test is reported FAILED with exit code 1.  Hypothesis's
+    failure report imports libcst, which warns that
+    mypy_extensions.TypedDict is deprecated; unfiltered, that warning
+    stopped the whole run with INTERNALERROR and exit code 3."""
+    pytester.makepyprojecttoml(PYPROJECT.read_text())
+    pytester.makepyfile(
+        test_fails="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n != 0
+        """
+    )
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider", "test_fails.py")
+    assert result.ret == 1
+    result.assert_outcomes(failed=1)
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()

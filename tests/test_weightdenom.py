@@ -44,6 +44,7 @@ from helpers import (
     central_commutator_witness,
     coset_representatives,
     cyclic_shift,
+    distinct_up_to_sign,
     exponent_sums,
     float_central_part,
     founding_edges,
@@ -493,10 +494,11 @@ def test_gamma3_counters(monkeypatch):
     # 945 rows are traced, 81 for each relator but 27 for the cubes 4 and
     # 6, whose roots have orbits of 3 cosets; elimination runs on the
     # shortest 489 = 3 * 326 // 2 of them and holds the other 456 back, in
-    # one pass with no second; it leaves 520 nonzero rows
-    assert shapes == [((945, 326), 456, (520, 17))]
-    # the Hermite form takes the 289 distinct nonzero rows of those 520
-    assert len(hnf_rows) == len(set(hnf_rows)) == 289 and all(map(any, hnf_rows))
+    # one pass with no second; it leaves 520 nonzero rows, 289 of them
+    # distinct, and returns the 251 distinct up to sign
+    assert shapes == [((945, 326), 456, (251, 17))]
+    # the Hermite form takes those 251 rows as they are
+    assert len(hnf_rows) == len(set(hnf_rows)) == 251 and all(map(any, hnf_rows))
     # the relators are evaluated once, in the cover: each of their 116
     # letters costs one product, in cover_mul; sigma reads the bottom row of
     # the product without forming it, so sigma(g, g^-1) for the 40 inverses
@@ -506,6 +508,37 @@ def test_gamma3_counters(monkeypatch):
     assert counts["Presentation"] == 1
     # the 20 Words spell out the 13 ambient relators, and none is a trace
     assert counts["Word"] == 20
+
+
+def test_normal_forms_take_each_row_once_and_no_repeated_hermite_pass(monkeypatch):
+    """A regression gate for the work between elimination and the Smith
+    diagonal: the Hermite form takes the reduced rows as elimination
+    returns them, each once up to sign, 251 on gamma3 and 230 over the 40
+    index-3 groups (289 and 300 when only equal rows were merged); and the
+    Smith loop, handed the transpose of Hermite rows, makes 1 and 49
+    Hermite passes (2 and 89 when it began with a pass over rows already
+    in Hermite form)."""
+    hnf_rows, passes = [], []
+
+    def hermite(rows):
+        assert rows == distinct_up_to_sign(rows)
+        hnf_rows.extend(rows)
+        return original_hermite(rows)
+
+    def smith_pass(rows):
+        passes.append(len(rows))
+        return original_pass(rows)
+
+    original_hermite = weightdenom.hermite_normal_form
+    original_pass = zlinalg.hermite_normal_form
+    monkeypatch.setattr(weightdenom, "hermite_normal_form", hermite)
+    monkeypatch.setattr(zlinalg, "hermite_normal_form", smith_pass)
+    weight_denominator_of(SubgroupSpec.parse("gamma3"))
+    assert (len(hnf_rows), len(passes)) == (251, 1)
+    hnf_rows.clear()
+    passes.clear()
+    survey_index3()
+    assert (len(hnf_rows), len(passes)) == (230, 49)
 
 
 def test_elimination_shapes_and_entries(monkeypatch):
@@ -534,10 +567,9 @@ def test_elimination_shapes_and_entries(monkeypatch):
 
     survey_index3()
     assert Counter((len(rows), cols) for rows, cols in reduced) == {
-        (7, 6): 1, (8, 5): 4, (8, 7): 4, (10, 5): 7, (10, 7): 3, (12, 5): 2, (13, 5): 1,
-        (14, 8): 1, (15, 5): 1, (16, 5): 2, (16, 6): 1, (16, 8): 2, (17, 5): 2,
-        (18, 6): 1, (18, 8): 1, (19, 6): 1, (20, 5): 1, (21, 5): 1, (21, 8): 1,
-        (22, 6): 1, (24, 8): 1, (25, 5): 1,
+        (2, 6): 1, (3, 5): 14, (3, 7): 2, (4, 5): 1, (5, 6): 1, (5, 7): 5, (5, 8): 1,
+        (6, 5): 3, (6, 6): 1, (7, 5): 2, (9, 5): 1, (9, 8): 1, (10, 5): 1, (11, 6): 2,
+        (11, 8): 1, (12, 8): 1, (14, 8): 1, (16, 8): 1,
     }
     # one pass each, with rows held back on all 40
     assert len(passes) == len(reduced) == 40 and min(passes) == 14
@@ -545,7 +577,7 @@ def test_elimination_shapes_and_entries(monkeypatch):
     reduced.clear()
     passes.clear()
     weight_denominator_of(SubgroupSpec.parse("gamma3"))
-    assert [(len(rows), cols) for rows, cols in reduced] == [(520, 17)] and passes == [456]
+    assert [(len(rows), cols) for rows, cols in reduced] == [(251, 17)] and passes == [456]
     # the pivots differ from those of one elimination over all 1053 rows,
     # which left 484 rows with largest |entry| 24, and from those on the
     # 702 rows of relators 1-10, with relators 11-13 held back, which left
@@ -559,9 +591,10 @@ def test_gamma3_pivot_schedule(caplog):
     shortest rows that take pivots, 309 pivots in all, as many as one
     elimination over all 1053 rows took, then the line for the 456 rows
     held back: 440 of them nonzero after substitution, counted from their
-    packed totals, in fields of 25 bits, the width that the bound on their
-    coordinates gives; and 4797 rows costed in the rounds, where costing
-    every candidate row in each of the 25 rounds costed 12225."""
+    packed totals, in fields of 34 bits, the width that the largest row
+    norm times the largest column bound gives (a bound for each row alone
+    gave 25); and 4797 rows costed in the rounds, where costing every
+    candidate row in each of the 25 rounds costed 12225."""
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         weight_denominator_of(SubgroupSpec.parse("gamma3"))
     schedule = [
@@ -572,7 +605,7 @@ def test_gamma3_pivot_schedule(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit %d, %d taken, %d rows left" % round_ for round_ in schedule
     ] + [
-        "held-back rows: 456, 440 nonzero after substitution, 25-bit fields; 4797 rows costed"
+        "held-back rows: 456, 440 nonzero after substitution, 34-bit fields; 4797 rows costed"
     ]
     assert sum(taken for _, taken, _ in schedule) == 309
 
@@ -640,7 +673,7 @@ def test_holding_rows_back_is_exact_on_every_lattice_group(lattice_runs):
     assert Counter(passes for _, (_, passes), _ in lattice_runs.values()) == {1: 213}
 
 
-def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs):
+def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs, caplog):
     """A fact of the presentations, whatever rows the pipeline holds back:
     elimination on the rows of every relator but 11-13, with the rows of
     relators 11-13 held back, takes the pivots of an elimination on the
@@ -651,7 +684,9 @@ def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs):
     first 10 and all 13 relators present are equal.  The equal invariants
     alone give that: the 10-relator group maps onto the 13-relator one,
     and a finitely generated abelian group is Hopfian, so a map onto a
-    group isomorphic to it is an isomorphism."""
+    group isomorphic to it is an isomorphism.  The rows of relators 11-13
+    that are nonzero after substitution are counted from the DEBUG line,
+    as the elimination returns each row once up to sign."""
 
     def nonzero_hnf(rows):
         return [row for row in hermite_normal_form(rows) if any(row)]
@@ -664,10 +699,14 @@ def test_relators_1_to_10_span_the_lattice_of_all_relators(lattice_runs):
         held = {i for i, k in enumerate(relator) if k in (10, 11, 12)}
         others = [dict(row) for i, row in enumerate(flat) if i not in held]
         reduced, kept = zlinalg._eliminate(others, cols, ())
-        reduced_all, kept_all = zlinalg._eliminate(flat, cols, held)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
+            reduced_all, kept_all = zlinalg._eliminate(flat, cols, held)
         assert kept_all == kept, spec.name()
         assert nonzero_hnf(reduced) == nonzero_hnf(reduced_all), spec.name()
-        nonzero = len(reduced_all) - len(reduced)
+        counts = caplog.records[-1].getMessage().removeprefix("held-back rows: ")
+        assert int(counts.partition(",")[0]) == len(held), spec.name()
+        nonzero = int(counts.split()[1])
         substituted.update({True: nonzero, False: len(held) - nonzero})
     # most rows of relators 11-13 are not zero after substitution, so the
     # check bites
@@ -762,7 +801,7 @@ def test_held_back_rows_log_at_debug_only(caplog, monkeypatch):
         assert held_back_lines() == [
             (
                 "su21.zlinalg",
-                "held-back rows: 456, 440 nonzero after substitution, 25-bit fields; "
+                "held-back rows: 456, 440 nonzero after substitution, 34-bit fields; "
                 "4797 rows costed",
             )
         ]

@@ -19,6 +19,7 @@ from su21.zlinalg import (
 )
 from helpers import (
     LatticeOracle,
+    distinct_up_to_sign,
     lattice_sample,
     lattices_equal,
     order_of_last_coordinate,
@@ -275,9 +276,14 @@ def test_eliminate_unit_pivots_known_cases():
     assert _eliminate([{0: 1}, {}], 2, {0, 1}) == ([(1, 0)], 2)
     assert _eliminate([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, {1}) == ([], 1)
     # beyond 3 * cols / 2 rows the longest are held back: here the first,
-    # which would take x0 = -3z as a pivot row; rows stay in input order
+    # which would take x0 = -3z as a pivot row; it rewrites to the row 4z
+    # that the fourth row is, which comes out once, first
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -2}, {2: 4}, {0: 2}]
-    assert eliminate_unit_pivots(rows, 3) == ([(4,), (4,), (2,)], 1)
+    assert eliminate_unit_pivots(rows, 3) == ([(4,), (2,)], 1)
+    # a row and its negation come out as one row, in the place of the first
+    # and with its last nonzero entry positive
+    assert eliminate([[2, -3], [5, 0], [-2, 3], [2, -3]], 2) == ([(-2, 3), (5, 0)], 2)
+    assert eliminate([[0, 2, 0], [3, 0, 2], [0, -2, 0]], 3) == ([(0, 2, 0), (3, 0, 2)], 3)
     # a held-back row may keep a unit off z; the Hermite form takes it as
     # it takes any other row
     assert eliminate_unit_pivots([{0: 2}, {0: 3}, {1: 5}, {0: 1, 1: 1}], 2) == (
@@ -303,14 +309,15 @@ def test_eliminate_unit_pivots_preserves_quotient():
 
 def checked_kernel(shapes, events=None):
     """A stand-in for zlinalg._eliminate that asserts its result equals the
-    rescanning oracle's on a copy of its rows with the same rows held back,
-    and appends (rows, held rows, cols) to shapes."""
+    rescanning oracle's, each row once up to sign, on a copy of its rows
+    with the same rows held back, and appends (rows, held rows, cols) to
+    shapes."""
 
     def checked(rows, cols, held):
-        expected = rescanning_elimination(copy.deepcopy(rows), cols, events, held)
+        expected, kept = rescanning_elimination(copy.deepcopy(rows), cols, events, held)
         shapes.append((len(rows), len(held), cols))
         reduced = _eliminate(rows, cols, held)
-        assert reduced == expected
+        assert reduced == (distinct_up_to_sign(expected), kept)
         return reduced
 
     return checked
@@ -346,13 +353,13 @@ def test_elimination_matches_rescanning_oracle_on_pipeline_rows(monkeypatch):
 @given(st.data())
 def test_substituted_rows_span_the_lattice_of_all_rows(data):
     """Elimination on some rows with the rest held back, against all rows:
-    the result is the rescanning oracle's, which substitutes forward; its
-    Smith invariants and the order of its last coordinate are those of all
-    rows; and the nonzero rows of its Hermite form are those of the Hermite
-    form of all rows, with the pivot columns moved first, that are zero on
-    the pivot columns.  Both are the Hermite basis of the lattice of all
-    rows cut down to the kept columns, which is the lattice that
-    elimination and substitution must give."""
+    the result is the rescanning oracle's, which substitutes forward, each
+    row once up to sign; its Smith invariants and the order of its last
+    coordinate are those of all rows; and the nonzero rows of its Hermite
+    form are those of the Hermite form of all rows, with the pivot columns
+    moved first, that are zero on the pivot columns.  Both are the Hermite
+    basis of the lattice of all rows cut down to the kept columns, which is
+    the lattice that elimination and substitution must give."""
     cols = data.draw(st.integers(1, 7), label="cols")
     entries = st.sampled_from((1, -1, 1, -1, 2, -2, 3))
     rows = data.draw(
@@ -361,9 +368,11 @@ def test_substituted_rows_span_the_lattice_of_all_rows(data):
     held = data.draw(st.sets(st.integers(0, len(rows) - 1)) if rows else st.just(set()))
     dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
     kept = []
-    result = rescanning_elimination(copy.deepcopy(rows), cols, held=held, kept_out=kept)
-    assert _eliminate(rows, cols, held) == result
-    reduced, kept_cols = result
+    oracle_rows, kept_cols = rescanning_elimination(
+        copy.deepcopy(rows), cols, held=held, kept_out=kept
+    )
+    reduced = distinct_up_to_sign(oracle_rows)
+    assert _eliminate(rows, cols, held) == (reduced, kept_cols)
     assert cokernel_invariants(reduced, kept_cols) == cokernel_invariants(dense, cols)
     assert order_of_last_coordinate(reduced, kept_cols) == order_of_last_coordinate(dense, cols)
     pivots = [c for c in range(cols) if c not in kept]
@@ -482,20 +491,26 @@ def random_wide_rows(rng):
 
 def test_wide_entries_unpack_exactly(caplog):
     """Packed values with entries up to 2**70 against the rescanning oracle,
-    which never packs.  Its features: a negative coordinate next to a zero
-    one, which a field without its bias would borrow from; and a coordinate
-    that needs every bit of the logged field width but the sign bit, which
-    a field one bit narrower would overflow."""
+    which never packs: the rows equal its rows, each once up to sign, and
+    the logged field width is at least the width that its bound for each
+    row gives.  Its features: a negative coordinate next to a zero one,
+    which a field without its bias would borrow from; and a coordinate that
+    needs every bit of that per-row width but the sign bit, which a field
+    one bit narrower would overflow."""
     rng = random.Random(29)
     features = Counter()
     for _ in range(600):
         rows, cols, held = random_wide_rows(rng)
-        expected = rescanning_elimination(copy.deepcopy(rows), cols, held=held)
+        widths = []
+        reduced, kept = rescanning_elimination(
+            copy.deepcopy(rows), cols, held=held, width_out=widths
+        )
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
-            assert _eliminate(rows, cols, held) == expected
-        width = int(caplog.records[-1].getMessage().rpartition(", ")[2].partition("-")[0])
-        reduced = expected[0]
+            assert _eliminate(rows, cols, held) == (distinct_up_to_sign(reduced), kept)
+        logged = int(caplog.records[-1].getMessage().rpartition(", ")[2].partition("-")[0])
+        (width,) = widths
+        assert logged >= width
         features["negative next to zero"] += any(
             row[t] < 0 and 0 in row[max(t - 1, 0) : t + 2]
             for row in reduced
@@ -513,22 +528,25 @@ def test_elimination_logs_rounds_at_debug_only(caplog, monkeypatch):
     default level nothing is logged and the logger's debug is never
     called.  Of m's three rows, the rounds at limits 0 and 3 cost all
     three; the pivot is row 0, so the round after it, which would cost
-    rows 1 and 2 as the last round left them, ends at once."""
+    rows 1 and 2 as the last round left them, ends at once.  The field
+    bounds each coordinate by the largest row norm, 9 of (-2, 7), times the
+    largest bound, 3 of x0 = -x1 + 2z: 27 takes 5 bits and a sign bit."""
     m = [[1, 1, -2], [3, 1, 1], [0, 2, 1]]
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
         assert eliminate(m, 3) == ([(-2, 7), (2, 1)], 2)
     assert [r.getMessage() for r in caplog.records] == [
         "unit pivots: limit 3, 1 taken, 2 rows left",
-        "held-back rows: 0, 0 nonzero after substitution, 5-bit fields; 6 rows costed",
+        "held-back rows: 0, 0 nonzero after substitution, 6-bit fields; 6 rows costed",
     ]
     caplog.clear()
-    # the longest row is held back; its coordinate 1 + 2 + 1 over z sits at
-    # its bound, which takes 3 bits and a sign bit
+    # the longest row is held back; its coordinate 1 + 2 + 1 over z is
+    # bounded by the largest row norm, 4 of the row 4z, times the largest
+    # bound, 2 of x1 = 2z, and 8 takes 4 bits and a sign bit
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -2}, {2: 4}, {0: 2}]
     with caplog.at_level(logging.DEBUG, logger="su21.zlinalg"):
-        assert eliminate_unit_pivots(rows, 3) == ([(4,), (4,), (2,)], 1)
+        assert eliminate_unit_pivots(rows, 3) == ([(4,), (2,)], 1)
     assert caplog.records[-1].getMessage() == (
-        "held-back rows: 1, 1 nonzero after substitution, 4-bit fields; 8 rows costed"
+        "held-back rows: 1, 1 nonzero after substitution, 5-bit fields; 8 rows costed"
     )
     caplog.clear()
 
